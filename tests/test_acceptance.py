@@ -66,6 +66,38 @@ def mv_continuation_config(mode):
                              mode=mode, horizon=20)
 
 
+def on_demand_savings_config(policy):
+    obj = ObjectSpec(id="o1", vi=20, update_period=10, update_cost=1,
+                     value_process=ConstantProcess(value=1.0))
+    txn = UserTxnSpec(id="t1", read_set=["o1"],
+                      retrieval_time={"o1": 0},
+                      analysis_time={"o1": 1},
+                      relative_deadline=50,
+                      arrival=Arrival("poisson", mean_gap=100),
+                      retrieval_mode="store")
+    return SimConfig(horizon=1000, mode=FreshnessMode.MULTIVERSION,
+                     enforce_admission=False, seed=11, objects=[obj],
+                     policies={"o1": policy}, transactions=[txn])
+
+
+def mk_window_config(m, k):
+    obj = ObjectSpec(id="o1", vi=20, update_period=10, update_cost=0,
+                     value_process=ConstantProcess(value=1.0))
+    return SimConfig(horizon=990, mode=FreshnessMode.MULTIVERSION,
+                     enforce_admission=False, seed=m * 10 + k,
+                     objects=[obj], policies={"o1": MKFirmPolicy(m=m, k=k)},
+                     transactions=[])
+
+
+def error_bound_config(policy):
+    obj = ObjectSpec(id="o1", vi=2, update_period=1, update_cost=0,
+                     value_process=RandomWalkProcess(start=0.0, step_sigma=0.3,
+                                                     seed=5))
+    return SimConfig(horizon=999, mode=FreshnessMode.MULTIVERSION,
+                     enforce_admission=False, seed=23, objects=[obj],
+                     policies={"o1": policy}, transactions=[])
+
+
 def test_criterion_1_infeasible_restart_reproduction():
     with criterion(1, "unbounded restart cycle misses its deadline exactly"):
         cfg = infeasible_restart_config()
@@ -145,23 +177,10 @@ def test_criterion_5_multiversion_zero_restart_sweep():
 
 def test_criterion_6_on_demand_savings():
     with criterion(6, "on-demand updates bounded by accesses, periodic exact"):
-        def build(policy):
-            obj = ObjectSpec(id="o1", vi=20, update_period=10, update_cost=1,
-                             value_process=ConstantProcess(value=1.0))
-            txn = UserTxnSpec(id="t1", read_set=["o1"],
-                              retrieval_time={"o1": 0},
-                              analysis_time={"o1": 1},
-                              relative_deadline=50,
-                              arrival=Arrival("poisson", mean_gap=100),
-                              retrieval_mode="store")
-            return SimConfig(horizon=1000, mode=FreshnessMode.MULTIVERSION,
-                             enforce_admission=False, seed=11, objects=[obj],
-                             policies={"o1": policy}, transactions=[txn])
-
-        periodic = run_config(build(PeriodicPolicy()))
+        periodic = run_config(on_demand_savings_config(PeriodicPolicy()))
         assert periodic.report.updates_performed == 1000 // 10 + 1  # 101
 
-        ondemand = run_config(build(OnDemandPolicy()))
+        ondemand = run_config(on_demand_savings_config(OnDemandPolicy()))
         accesses = ondemand.report.overall.released
         assert accesses > 0
         assert ondemand.report.updates_performed <= accesses
@@ -171,13 +190,7 @@ def test_criterion_6_on_demand_savings():
 def test_criterion_7_mk_firm_window_property():
     with criterion(7, "every k consecutive instances hold at least m updates"):
         for m, k in ((1, 2), (2, 3), (3, 5)):
-            obj = ObjectSpec(id="o1", vi=20, update_period=10, update_cost=0,
-                             value_process=ConstantProcess(value=1.0))
-            cfg = SimConfig(horizon=990, mode=FreshnessMode.MULTIVERSION,
-                            enforce_admission=False, seed=m * 10 + k,
-                            objects=[obj], policies={"o1": MKFirmPolicy(m=m, k=k)},
-                            transactions=[])
-            result = run_config(cfg)
+            result = run_config(mk_window_config(m, k))
             decisions = [r["detail"]["decision"] for r in result.trace
                          if r["kind"] == "update_decision"]
             assert len(decisions) == 100
@@ -191,16 +204,7 @@ def test_criterion_7_mk_firm_window_property():
 
 def test_criterion_8_similarity_and_prediction_error_bounds():
     with criterion(8, "dead-band and prediction bounds hold at every sample"):
-        walk = RandomWalkProcess(start=0.0, step_sigma=0.3, seed=5)
-
-        def build(policy):
-            obj = ObjectSpec(id="o1", vi=2, update_period=1, update_cost=0,
-                             value_process=walk)
-            return SimConfig(horizon=999, mode=FreshnessMode.MULTIVERSION,
-                             enforce_admission=False, seed=23, objects=[obj],
-                             policies={"o1": policy}, transactions=[])
-
-        result = run_config(build(SimilarityPolicy(delta=0.5)))
+        result = run_config(error_bound_config(SimilarityPolicy(delta=0.5)))
         decisions = [r["detail"] for r in result.trace
                      if r["kind"] == "update_decision"]
         assert len(decisions) == 1000
@@ -212,8 +216,8 @@ def test_criterion_8_similarity_and_prediction_error_bounds():
                 assert d["sink_error"] == 0.0
 
         for predictor in ("lastvalue", "linear"):
-            result = run_config(build(PredictionPolicy(predictor=predictor,
-                                                       epsilon=1.0)))
+            result = run_config(error_bound_config(
+                PredictionPolicy(predictor=predictor, epsilon=1.0)))
             decisions = [r["detail"] for r in result.trace
                          if r["kind"] == "update_decision"]
             assert len(decisions) == 1000
