@@ -14,7 +14,8 @@ Subcommands:
       Validation plus the per-transaction feasibility report; exits 0 only
       if the config is valid and every transaction is feasible.
 
-Exit codes: 0 success, 1 validation or feasibility failure, 2 runtime error.
+Exit codes: 0 success, 1 invalid input (an unreadable or invalid config) or
+a feasibility failure, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 from .core import ConfigError, feasibility_check
 from .engine import Simulator
 from .metrics import CSV_HEADER, emit_csv_rows, emit_trace, trace_hash
-from .workload import SimConfig, config_from_dict
+from .workload import SimConfig, config_from_dict, decode_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -36,12 +37,13 @@ EXIT_RUNTIME = 2
 
 
 def _load_doc(path: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError([("$", f"JSON syntax error: {e.msg} "
-                                 f"(line {e.lineno}, column {e.colno})")]) from None
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError([(path, e.strerror or str(e))]) from None
+    except UnicodeDecodeError as e:
+        raise ConfigError([(path, f"not UTF-8 text ({e.reason} at byte {e.start})")]) from None
+    doc = decode_json(text)
     if isinstance(doc, dict) and "name" not in doc:
         doc["name"] = Path(path).stem
     return doc
@@ -285,9 +287,6 @@ def main(argv: list[str] | None = None) -> int:
         for path, msg in e.errors:
             print(f"error: {path}: {msg}" if path else f"error: {msg}",
                   file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {e}", file=sys.stderr)

@@ -82,17 +82,19 @@ class ObjectSpec:
 class Version:
     """One timestamped sample of a temporal object.
 
-    `vi_extend` accumulates validity extensions granted by skipped or
-    suppressed update instances (each skip confirms the stored value, so the
-    effective validity grows by one update period). The expiry instant is
-    always derived: sample_time + vi + vi_extend, never stored.
+    `holders` lists, in pin order, whoever pins the version; a version is
+    pinned while the list is non-empty. `vi_extend` accumulates validity
+    extensions granted by skipped or suppressed update instances (each skip
+    confirms the stored value, so the effective validity grows by one update
+    period). The expiry instant is always derived: sample_time + vi +
+    vi_extend, never stored.
     """
 
     object_id: str
     value: float
     sample_time: Tick
     seq: int
-    pin_count: int = 0
+    holders: list[str] = field(default_factory=list)
     vi_extend: Tick = 0
 
     def valid_until(self, vi: Tick) -> Tick:

@@ -29,27 +29,18 @@ from .core import (
     SimInternalError,
     Tick,
     UserTxnSpec,
+    Version,
     admit,
 )
 from .metrics import MetricsAggregator, MetricsReport
 from .policies import (
-    ElasticPolicy,
-    MKFirmPolicy,
-    MKHistory,
-    OnDemandPolicy,
     PERFORM,
-    PeriodicPolicy,
-    PredictionPolicy,
-    PredictorState,
-    SKIP,
-    SimilarityPolicy,
+    TRANSMIT,
+    ElasticPolicy,
     default_elasticity,
     elastic_rescale,
     extend_vi_for_period,
-    mk_firm_decision,
     periodic_instances,
-    prediction_decision,
-    similarity_decision,
 )
 from .store import VersionStore
 from .workload import SimConfig, ValueSampler, expand_arrivals, validate_config
@@ -107,8 +98,7 @@ class Access:
     value: float
     sample_time: Tick
     access_time: Tick
-    from_store: bool
-    seq: int | None = None          # store versions only
+    version: Version | None = None  # the pinned version; None for source samples
     private_valid_until: Tick = 0   # source samples only
 
 
@@ -170,30 +160,28 @@ class Simulator:
 
         # Elastic rescale happens at config time: stretched periods and the
         # validity intervals that go with them.
-        base = {o.id: o for o in config.objects}
-        elastic = [oid for oid, p in config.policies.items()
-                   if isinstance(p, ElasticPolicy)]
-        self.eff_period = {o.id: o.update_period for o in config.objects}
-        self.eff_vi = {o.id: o.vi for o in config.objects}
+        self.eff_objects = {o.id: o for o in config.objects}
+        elastic = {oid: p for oid, p in config.policies.items()
+                   if isinstance(p, ElasticPolicy)}
         if elastic:
-            target = config.policies[elastic[0]].target_utilization
+            target = next(iter(elastic.values())).target_utilization
             emap = {}
             for o in config.objects:
-                if o.id in elastic:
-                    p = config.policies[o.id]
+                p = elastic.get(o.id)
+                if p is None:
+                    emap[o.id] = 0
+                else:
                     emap[o.id] = (default_elasticity(o) if p.elasticity is None
                                   else p.elasticity)
-                else:
-                    emap[o.id] = 0
             new_periods = elastic_rescale(config.objects, target, emap)
             for oid in elastic:
-                if new_periods[oid] > base[oid].update_period:
-                    self.eff_period[oid] = new_periods[oid]
-                    self.eff_vi[oid] = extend_vi_for_period(base[oid], new_periods[oid])
-        self.eff_objects = {
-            o.id: replace(o, update_period=self.eff_period[o.id], vi=self.eff_vi[o.id])
-            for o in config.objects
-        }
+                o = self.eff_objects[oid]
+                if new_periods[oid] > o.update_period:
+                    self.eff_objects[oid] = replace(
+                        o, update_period=new_periods[oid],
+                        vi=extend_vi_for_period(o, new_periods[oid]))
+        self.eff_period = {oid: o.update_period for oid, o in self.eff_objects.items()}
+        self.eff_vi = {oid: o.vi for oid, o in self.eff_objects.items()}
 
         # Value trajectories are keyed on the declared update grid, so policy
         # variants of one seeded workload sample identical values.
@@ -206,14 +194,8 @@ class Simulator:
         self._by_id: dict[str, TxnInstance] = {}
         self.running: tuple[str, int] | None = None  # (inst_id, epoch)
         self.waiting: dict[str, list[str]] = {o.id: [] for o in config.objects}
-        self.pinners: dict[tuple[str, int], list[str]] = {}
         self.refresh_inflight: set[str] = set()
-        self.mk_history = {oid: MKHistory(p.k)
-                           for oid, p in config.policies.items()
-                           if isinstance(p, MKFirmPolicy)}
-        self.predictors = {oid: PredictorState(p.predictor)
-                           for oid, p in config.policies.items()
-                           if isinstance(p, PredictionPolicy)}
+        self.policy_state = {oid: p.new_state() for oid, p in config.policies.items()}
         self.admitted: list[UserTxnSpec] = []
         self.rejected: list[str] = []
 
@@ -237,12 +219,11 @@ class Simulator:
             for release in expand_arrivals(spec, self.horizon, self.config.seed):
                 self.queue.push(release, TXN_ARRIVAL, spec.id, {"spec": spec})
         for obj in self.config.objects:
-            policy = self.config.policies[obj.id]
-            if isinstance(policy, OnDemandPolicy):
+            if self.config.policies[obj.id].kind == "ondemand":
                 continue
             eff = self.eff_objects[obj.id]
             for release in periodic_instances(eff, self.horizon):
-                self.queue.push(release, UPDATE_RELEASE, obj.id, {"object": obj.id})
+                self.queue.push(release, UPDATE_RELEASE, obj.id, {})
 
     # -- main loop -----------------------------------------------------------
 
@@ -282,7 +263,7 @@ class Simulator:
         elif kind == VI_EXPIRY:
             self._on_vi_expiry(t, payload)
         elif kind == UPDATE_RELEASE:
-            self._on_update_release(t, payload["object"], payload)
+            self._on_update_release(t, subject)
         elif kind == UPDATE_INSTALLED:
             self._on_update_installed(t, payload)
         elif kind == DEADLINE:
@@ -357,9 +338,8 @@ class Simulator:
         inst = self._guarded(payload)
         if inst is None:
             return
-        access = inst.accesses.get(payload["object"])
-        if access is None or access.seq != payload.get("seq"):
-            return
+        # same epoch, so the access that scheduled this expiry is still held
+        access = inst.accesses[payload["object"]]
         until = self._valid_until(access)
         if t < until:
             # a skipped update extended the version; check again at the new end
@@ -367,12 +347,11 @@ class Simulator:
             return
         self._restart(inst, t, cause="vi_expiry", access=access)
 
-    def _on_superseded_pinned(self, version) -> None:
+    def _on_superseded_pinned(self, version: Version) -> None:
         """Classical install replaced a version someone still pins: every
         pinning transaction restarts (update transactions are never delayed
         by readers)."""
-        key = (version.object_id, version.seq)
-        for inst_id in list(self.pinners.get(key, ())):
+        for inst_id in list(version.holders):
             inst = self._by_id[inst_id]
             if not inst.terminal():
                 self._restart(inst, self._now, cause="superseded",
@@ -383,8 +362,8 @@ class Simulator:
         """Abort and reissue from the first object: the whole read set is
         reacquired and reanalyzed."""
         if cause == "vi_expiry" and access is not None:
-            if access.from_store:
-                inst.burned.setdefault(access.object_id, set()).add(access.seq)
+            if access.version is not None:
+                inst.burned.setdefault(access.object_id, set()).add(access.version.seq)
             if inst.spec.retrieval_mode == "store_then_source":
                 inst.source_only.add(access.object_id)
         inst.restart_count += 1
@@ -404,12 +383,8 @@ class Simulator:
 
     def _release_pins(self, inst: TxnInstance) -> None:
         for access in inst.accesses.values():
-            if access.from_store:
-                key = (access.object_id, access.seq)
-                holders = self.pinners.get(key)
-                if holders and inst.inst_id in holders:
-                    holders.remove(inst.inst_id)
-                self.store.unpin(access.object_id, access.seq)
+            if access.version is not None:
+                self.store.unpin(access.version, inst.inst_id)
         inst.accesses.clear()
 
     def _free_processor(self, inst: TxnInstance) -> None:
@@ -422,64 +397,24 @@ class Simulator:
                 queue.remove(inst.inst_id)
 
     def _valid_until(self, access: Access) -> Tick:
-        if access.from_store:
-            chain = self.store.chains[access.object_id]
-            for version in chain:
-                if version.seq == access.seq:
-                    return self.store.valid_until(version)
-            # the pinned version is always in the chain while pinned
-            raise SimInternalError(
-                f"pinned version {access.object_id}#{access.seq} vanished")
+        if access.version is not None:
+            return self.store.valid_until(access.version)
         return access.private_valid_until
 
     # -- update server -------------------------------------------------------
 
-    def _on_update_release(self, t: Tick, object_id: str, payload: dict) -> None:
+    def _on_update_release(self, t: Tick, object_id: str) -> None:
         policy = self.config.policies[object_id]
         eff = self.eff_objects[object_id]
         sampled = self.sampler.sample(object_id, t)
-        newest = self.store.newest(object_id)
-
-        if payload.get("on_demand"):
-            decision, sink_value, extra = PERFORM, sampled, {}
-        elif isinstance(policy, (PeriodicPolicy, ElasticPolicy)):
-            decision, sink_value, extra = PERFORM, sampled, {}
-        elif isinstance(policy, MKFirmPolicy):
-            if newest is None:
-                # cold start: nothing stored to confirm, update is forced
-                self.mk_history[object_id].append(True)
-                decision = PERFORM
-            else:
-                decision = mk_firm_decision(policy.m, policy.k,
-                                            self.mk_history[object_id])
-            sink_value = sampled if decision == PERFORM else newest.value
-            extra = {}
-        elif isinstance(policy, SimilarityPolicy):
-            if newest is None:
-                decision = PERFORM
-            else:
-                decision = similarity_decision(newest.value, sampled, policy.delta)
-            sink_value = sampled if decision == PERFORM else newest.value
-            extra = {"stored": newest.value if newest else None}
-        elif isinstance(policy, PredictionPolicy):
-            if newest is None:
-                self.predictors[object_id].record_transmit(sampled, t)
-                decision, predicted = "transmit", None
-            else:
-                decision, predicted = prediction_decision(
-                    self.predictors[object_id], sampled, t, policy.epsilon)
-            sink_value = sampled if decision == "transmit" else predicted
-            extra = {"predicted": predicted}
-        else:
-            raise SimInternalError(f"unhandled policy {policy!r}")
-
-        policy_kind = "ondemand" if payload.get("on_demand") else policy.kind
+        decision, sink_value, extra = policy.decide(
+            self.policy_state[object_id], t, sampled, self.store.newest(object_id))
         self.emit({"t": t, "kind": "update_decision", "subject": object_id,
-                   "detail": {"policy": policy_kind, "decision": decision,
+                   "detail": {"policy": policy.kind, "decision": decision,
                               "sampled": sampled, "sink_value": sink_value,
                               "sink_error": abs(sampled - sink_value), **extra}})
 
-        if decision in (PERFORM, "transmit"):
+        if decision in (PERFORM, TRANSMIT):
             self.queue.push(t + eff.update_cost, UPDATE_INSTALLED, object_id,
                             {"object": object_id, "value": sampled,
                              "sample_time": t})
@@ -531,15 +466,12 @@ class Simulator:
             self._start_source_fetch(inst, t, obj)
             return
 
-        burned = frozenset(inst.burned.get(obj, ()))
-        result = self.store.read_latest(obj, t, burned)
-        if result is not None:
-            version = result.version
+        version = self.store.read_latest(obj, t, inst.inst_id,
+                                         inst.burned.get(obj, frozenset()))
+        if version is not None:
             inst.accesses[obj] = Access(object_id=obj, value=version.value,
                                         sample_time=version.sample_time,
-                                        access_time=t, from_store=True,
-                                        seq=version.seq)
-            self.pinners.setdefault((obj, version.seq), []).append(inst.inst_id)
+                                        access_time=t, version=version)
             self.emit({"t": t, "kind": "access", "subject": inst.inst_id,
                        "detail": {"object": obj, "via": "store",
                                   "value": version.value,
@@ -548,7 +480,7 @@ class Simulator:
                 self.queue.push(self.store.valid_until(version), VI_EXPIRY,
                                 inst.inst_id,
                                 {"inst": inst.inst_id, "epoch": inst.epoch,
-                                 "object": obj, "seq": version.seq})
+                                 "object": obj})
             inst.state = ANALYZING
             self.running = (inst.inst_id, inst.epoch)
             self.queue.push(t + inst.spec.analysis_time[obj], ANALYSIS_DONE,
@@ -561,11 +493,10 @@ class Simulator:
             return
 
         # pure store mode: block until the object is refreshed or confirmed
-        policy = self.config.policies[obj]
-        if isinstance(policy, OnDemandPolicy) and obj not in self.refresh_inflight:
+        if (self.config.policies[obj].kind == "ondemand"
+                and obj not in self.refresh_inflight):
             self.refresh_inflight.add(obj)
-            self.queue.push(t, UPDATE_RELEASE, obj,
-                            {"object": obj, "on_demand": True})
+            self.queue.push(t, UPDATE_RELEASE, obj, {})
         inst.state = WAITING
         self.waiting[obj].append(inst.inst_id)
 
@@ -573,15 +504,14 @@ class Simulator:
         value = self.sampler.sample(obj, t)
         vi = self.eff_vi[obj]
         inst.accesses[obj] = Access(object_id=obj, value=value, sample_time=t,
-                                    access_time=t, from_store=False,
-                                    private_valid_until=t + vi)
+                                    access_time=t, private_valid_until=t + vi)
         self.emit({"t": t, "kind": "access", "subject": inst.inst_id,
                    "detail": {"object": obj, "via": "source", "value": value,
                               "staleness": 0}})
         if self.mode is FreshnessMode.CLASSICAL:
             self.queue.push(t + vi, VI_EXPIRY, inst.inst_id,
                             {"inst": inst.inst_id, "epoch": inst.epoch,
-                             "object": obj, "seq": None})
+                             "object": obj})
         inst.state = RETRIEVING
         self.running = (inst.inst_id, inst.epoch)
         self.queue.push(t + inst.spec.retrieval_time[obj], RETRIEVAL_DONE,

@@ -15,23 +15,24 @@ Six policies are supported, one per object per run:
 * similarity      - periodic instances; skip when the sampled value is within
                     a dead band `delta` of the last installed value.
 * prediction      - periodic instances; transmit only when the sampled value
-                    deviates from a predictor mirrored at source and sink by
+                    deviates from a predictor shared by source and sink by
                     more than `epsilon`.
 
-Skipping or suppressing an instance extends the current version's effective
-validity by one update period: the instance is a virtual update confirming
-the stored value.
+Each policy decides every update instance of its object itself: the engine
+calls `decide(state, t, sampled, newest)` with the per-run state that
+`new_state()` made. Skipping or suppressing an instance extends the current
+version's effective validity by one update period: the instance is a virtual
+update confirming the stored value.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ObjectSpec, PolicyInfeasibleError, Tick
-from .store import ReadResult, VersionStore
+from .core import ObjectSpec, PolicyInfeasibleError, Tick, Version
 
 # Decisions recorded in the policy trace. Transmit/suppress are the
 # prediction-policy spellings of perform/skip.
@@ -61,24 +62,41 @@ def as_fraction(x) -> Fraction:
 # policy configs
 
 
+class _Policy:
+    """Defaults: nothing to validate, no per-run state, every instance
+    performs and the sink takes the sample."""
+
+    def validate(self, path, errors):
+        pass
+
+    def new_state(self):
+        """Per-run decision state, kept by the engine, not in the config."""
+        return None
+
+    def decide(self, state, t: Tick, sampled: float,
+               newest: Version | None) -> tuple[str, float, dict]:
+        """Decide the update instance released at t that sampled `sampled`;
+        `newest` is the stored version, None before the first install.
+        Returns the decision, the value the sink holds after it, and extra
+        detail for the trace record."""
+        return PERFORM, sampled, {}
+
+
 @dataclass
-class PeriodicPolicy:
+class PeriodicPolicy(_Policy):
     kind: str = "periodic"
 
-    def validate(self, path, errors):
-        pass
-
 
 @dataclass
-class OnDemandPolicy:
+class OnDemandPolicy(_Policy):
+    """Refreshes are launched by readers that find the store stale, and
+    each one performs."""
+
     kind: str = "ondemand"
 
-    def validate(self, path, errors):
-        pass
-
 
 @dataclass
-class ElasticPolicy:
+class ElasticPolicy(_Policy):
     target_utilization: float = 1.0
     elasticity: float | None = None  # None: derived from period and weight
     kind: str = "elastic"
@@ -92,7 +110,7 @@ class ElasticPolicy:
 
 
 @dataclass
-class MKFirmPolicy:
+class MKFirmPolicy(_Policy):
     m: int = 1
     k: int = 1
     kind: str = "mkfirm"
@@ -101,9 +119,20 @@ class MKFirmPolicy:
         if not (1 <= self.m <= self.k):
             errors.append((f"{path}", f"m <= k violated (m={self.m}, k={self.k})"))
 
+    def new_state(self) -> MKHistory:
+        return MKHistory(self.k)
+
+    def decide(self, history, t, sampled, newest):
+        if newest is None:
+            # cold start: nothing stored to confirm, update is forced
+            history.append(True)
+            return PERFORM, sampled, {}
+        decision = mk_firm_decision(self.m, self.k, history)
+        return decision, sampled if decision == PERFORM else newest.value, {}
+
 
 @dataclass
-class SimilarityPolicy:
+class SimilarityPolicy(_Policy):
     delta: float = 0.0
     kind: str = "similarity"
 
@@ -111,9 +140,16 @@ class SimilarityPolicy:
         if self.delta < 0:
             errors.append((f"{path}.delta", "must be >= 0"))
 
+    def decide(self, state, t, sampled, newest):
+        if newest is None:
+            return PERFORM, sampled, {"stored": None}
+        decision = similarity_decision(newest.value, sampled, self.delta)
+        sink = sampled if decision == PERFORM else newest.value
+        return decision, sink, {"stored": newest.value}
+
 
 @dataclass
-class PredictionPolicy:
+class PredictionPolicy(_Policy):
     predictor: str = "lastvalue"
     epsilon: float = 0.0
     kind: str = "prediction"
@@ -124,6 +160,20 @@ class PredictionPolicy:
                            f"must be one of {', '.join(PREDICTOR_KINDS)}"))
         if self.epsilon < 0:
             errors.append((f"{path}.epsilon", "must be >= 0"))
+
+    def new_state(self) -> PredictorState:
+        return PredictorState(self.predictor)
+
+    def decide(self, state, t, sampled, newest):
+        if newest is None:
+            # cold start: transmit even if the predictor already holds a
+            # point; with cost = period the first install lands in the tick
+            # of the next release, after it
+            state.record_transmit(sampled, t)
+            return TRANSMIT, sampled, {"predicted": None}
+        decision, predicted = prediction_decision(state, sampled, t, self.epsilon)
+        sink = sampled if decision == TRANSMIT else predicted
+        return decision, sink, {"predicted": predicted}
 
 
 PolicyConfig = (PeriodicPolicy | OnDemandPolicy | ElasticPolicy
@@ -137,17 +187,6 @@ PolicyConfig = (PeriodicPolicy | OnDemandPolicy | ElasticPolicy
 def periodic_instances(obj: ObjectSpec, horizon: Tick) -> list[Tick]:
     """Release times 0, P, 2P, ... up to and including the horizon."""
     return list(range(0, horizon + 1, obj.update_period))
-
-
-def on_demand_decision(object_id: str, access_time: Tick, store: VersionStore,
-                       exclude_seqs: frozenset[int] = frozenset()) -> ReadResult | None:
-    """Serve a fresh stored version, or None meaning: launch a refresh now.
-
-    The refresh samples at `access_time` and installs after the object's
-    update cost; the accessing transaction blocks until then. No periodic
-    instances exist under this policy.
-    """
-    return store.read_latest(object_id, access_time, exclude_seqs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +278,33 @@ def extend_vi_for_period(obj: ObjectSpec, new_period: Tick) -> Tick:
 # (m,k)-firm skipping
 
 
-@dataclass
 class MKHistory:
-    """Sliding window of the last k-1 decisions (True = performed), padded
-    with performs for the instances before the run started."""
+    """Sliding window of the last k-1 decisions (True = performed).
 
-    k: int
-    window: deque = field(default_factory=deque)
+    Without an explicit `window`, the instances before the run started count
+    as performs. They are counted in `pre_run`, not stored, and the perform
+    count is kept as decisions enter and leave, so a decision costs O(1) and
+    memory grows only with the decisions actually made."""
 
-    def __post_init__(self):
-        if not self.window:
-            self.window = deque([True] * (self.k - 1), maxlen=max(self.k - 1, 0))
-        else:
-            self.window = deque(self.window, maxlen=max(self.k - 1, 0))
+    def __init__(self, k: int, window=()):
+        self.size = max(k - 1, 0)
+        self.window = deque(window, maxlen=self.size)
+        self.pre_run = 0 if self.window else self.size
+        self.count = self.pre_run + sum(self.window)
 
     def performs(self) -> int:
-        return sum(1 for d in self.window if d)
+        return self.count
 
     def append(self, performed: bool) -> None:
-        if self.window.maxlen:
-            self.window.append(performed)
+        if not self.size:
+            return
+        if self.pre_run:
+            self.pre_run -= 1
+            self.count -= 1
+        elif len(self.window) == self.size:
+            self.count -= self.window[0]
+        self.window.append(performed)
+        self.count += performed
 
 
 def mk_firm_decision(m: int, k: int, history: MKHistory) -> str:
@@ -293,20 +339,20 @@ def similarity_decision(last_stored_value: float, sampled_value: float,
 
 @dataclass
 class PredictorState:
-    """Predictor state mirrored at the data source and the sink.
+    """The last one or two transmitted (value, time) points, shared by the
+    data source and the sink.
 
-    Both sides hold the same last one or two transmitted (value, time) points,
-    so both compute identical predictions; that is what makes suppression
-    safe. The mirrors are updated together, only on transmit.
+    Both sides would hold the same points, since both update them only on
+    transmit, so both compute identical predictions; that is what makes
+    suppression safe. The state therefore holds one copy of the points.
     """
 
     predictor: str  # "lastvalue" | "linear"
-    source_points: tuple[tuple[float, Tick], ...] = ()
-    sink_points: tuple[tuple[float, Tick], ...] = ()
+    points: tuple[tuple[float, Tick], ...] = ()
 
     def predict(self, t: Tick) -> float | None:
-        """Sink-side prediction at time t; None until a point exists."""
-        pts = self.sink_points
+        """Prediction at time t; None until a point exists."""
+        pts = self.points
         if not pts:
             return None
         if self.predictor == "lastvalue" or len(pts) < 2:
@@ -315,12 +361,7 @@ class PredictorState:
         return v1 + (v1 - v0) * (t - t1) / (t1 - t0)
 
     def record_transmit(self, value: float, t: Tick) -> None:
-        pts = (self.source_points + ((value, t),))[-2:]
-        self.source_points = pts
-        self.sink_points = pts
-
-    def mirrored(self) -> bool:
-        return self.source_points == self.sink_points
+        self.points = (self.points + ((value, t),))[-2:]
 
 
 def prediction_decision(state: PredictorState, sampled_value: float,

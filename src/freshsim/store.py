@@ -17,7 +17,7 @@ let in-flight readers finish. All mutation happens on the simulation thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -30,13 +30,6 @@ from .core import (
 )
 
 TraceFn = Callable[[dict], None]
-
-
-@dataclass
-class ReadResult:
-    version: Version
-    access_time: Tick
-    fresh_at_access: bool
 
 
 @dataclass
@@ -74,19 +67,12 @@ class VersionStore:
         except KeyError:
             raise ConfigError([("store", f"unknown object id {object_id!r}")]) from None
 
-    def vi_of(self, object_id: str) -> Tick:
-        return self.vis[object_id]
-
     def newest(self, object_id: str) -> Version | None:
         chain = self._chain(object_id)
         return chain[-1] if chain else None
 
     def valid_until(self, version: Version) -> Tick:
         return version.valid_until(self.vis[version.object_id])
-
-    def is_superseded(self, version: Version) -> bool:
-        chain = self._chain(version.object_id)
-        return bool(chain) and chain[-1].seq > version.seq
 
     def _emit(self, t: Tick, kind: str, object_id: str, detail: dict) -> None:
         if self.trace is not None:
@@ -120,7 +106,7 @@ class VersionStore:
         self._emit(now, "install", object_id,
                    {"seq": seq, "value": value, "sample_time": sample_time})
         if (self.mode is FreshnessMode.CLASSICAL and prev is not None
-                and prev.pin_count > 0 and self.on_superseded_pinned is not None):
+                and prev.holders and self.on_superseded_pinned is not None):
             self.on_superseded_pinned(prev)
         self.gc(now)
         # the peak statistic is sampled between events, after the piggybacked
@@ -128,46 +114,31 @@ class VersionStore:
         stats.peak_live_versions = max(stats.peak_live_versions, stats.live_versions)
         return seq
 
-    def read_latest(self, object_id: str, t: Tick,
-                    exclude_seqs: frozenset[int] | set[int] = frozenset()) -> ReadResult | None:
-        """Serve and pin the newest version if it is fresh at t.
+    def read_latest(self, object_id: str, t: Tick, holder: str,
+                    exclude: frozenset[int] | set[int] = frozenset()) -> Version | None:
+        """Serve the newest version if it is fresh at t, pinned for `holder`.
 
         Returns None when the chain is empty, the newest version is stale at
-        t, or the caller has excluded it (a transaction never re-pins a
-        version whose expiry already restarted it). The caller decides what
-        stale means for it: refresh on demand, wait, or go to the source.
+        t, or its seq is in `exclude` (a transaction never re-pins a version
+        whose expiry already restarted it). The caller decides what stale
+        means for it: refresh on demand, wait, or go to the source.
         """
         chain = self._chain(object_id)
         if not chain:
             return None
         version = chain[-1]
-        if version.seq in exclude_seqs:
+        if version.seq in exclude:
             return None
         if not is_fresh(version, self.vis[object_id], t):
             return None
-        version.pin_count += 1
+        version.holders.append(holder)
         stats = self.stats[object_id]
         stats.active_pins += 1
         stats.peak_active_pins = max(stats.peak_active_pins, stats.active_pins)
         self._emit(t, "read", object_id,
                    {"seq": version.seq, "sample_time": version.sample_time,
                     "staleness": t - version.sample_time})
-        return ReadResult(version=version, access_time=t, fresh_at_access=True)
-
-    def may_continue(self, version: Version, access_time: Tick, now: Tick) -> bool:
-        """Decide whether a transaction holding `version` keeps going at `now`.
-
-        Multiversion: always, because the version was fresh when accessed and
-        that is the consistency point. Classical: only while the version has
-        not been replaced and its validity extends strictly past `now`; at the
-        expiry instant itself the remaining work can no longer finish on fresh
-        data, so the holder restarts.
-        """
-        if self.mode is FreshnessMode.MULTIVERSION:
-            return True
-        if self.is_superseded(version):
-            return False
-        return now < self.valid_until(version)
+        return version
 
     def extend_validity(self, object_id: str, ticks: Tick) -> None:
         """Stretch the newest version's effective validity, used when an
@@ -177,16 +148,16 @@ class VersionStore:
             raise SimInternalError(f"validity extension on empty chain {object_id!r}")
         version.vi_extend += ticks
 
-    def unpin(self, object_id: str, seq: int) -> None:
-        chain = self._chain(object_id)
-        for version in chain:
-            if version.seq == seq:
-                if version.pin_count <= 0:
-                    raise SimInternalError(f"unpin of unpinned {object_id!r}#{seq}")
-                version.pin_count -= 1
-                self.stats[object_id].active_pins -= 1
-                return
-        raise SimInternalError(f"unpin of missing {object_id!r}#{seq}")
+    def unpin(self, version: Version, holder: str) -> None:
+        """Drop `holder`'s pin on `version`, which must still be in its chain."""
+        if holder not in version.holders:
+            raise SimInternalError(f"unpin of {version.object_id!r}#{version.seq} "
+                                   f"by non-holder {holder!r}")
+        if not any(v is version for v in self._chain(version.object_id)):
+            raise SimInternalError(f"unpin of {version.object_id!r}#{version.seq} "
+                                   f"after it left its chain")
+        version.holders.remove(holder)
+        self.stats[version.object_id].active_pins -= 1
 
     def gc(self, now: Tick) -> int:
         """Reclaim every version that is superseded and unpinned; returns the
@@ -195,11 +166,11 @@ class VersionStore:
         for object_id, chain in self.chains.items():
             if len(chain) <= 1:
                 continue
-            keep = [v for v in chain[:-1] if v.pin_count > 0]
-            removed = [v for v in chain[:-1] if v.pin_count == 0]
+            keep = [v for v in chain[:-1] if v.holders]
+            removed = [v for v in chain[:-1] if not v.holders]
             if removed:
                 for version in removed:
-                    if version.pin_count > 0:
+                    if version.holders:
                         raise SimInternalError(
                             f"gc would reclaim pinned {object_id!r}#{version.seq}")
                 self.chains[object_id] = keep + [chain[-1]]
@@ -209,6 +180,3 @@ class VersionStore:
                 reclaimed += len(removed)
                 self._emit(now, "gc", object_id, {"reclaimed": len(removed)})
         return reclaimed
-
-    def live_version_count(self) -> int:
-        return sum(len(c) for c in self.chains.values())

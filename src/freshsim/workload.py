@@ -27,7 +27,10 @@ The config is a JSON document:
     }
 
 All durations are integer ticks; unknown keys are rejected. Validation
-reports every violation with its path, not just the first.
+reports every violation with its path, not just the first. The schema
+tables below (TOP, OBJECT, TRANSACTION, and the PROCESSES, POLICIES and
+ARRIVALS kinds) state every key with its type and default, once, for both
+parsing and emission.
 
 Value processes are counter based: the value at a sampling instant is a pure
 function of (seed, object id, instant), so a policy that skips samples cannot
@@ -255,32 +258,15 @@ def validate_config(cfg: SimConfig) -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# JSON parsing
+# JSON schema
+#
+# One table per record states the schema for parsing and emission alike.
+# A field is (JSON key, attribute, type, default), listed in the order the
+# fields are read, which is the order their errors are reported in. A field
+# whose default is REQUIRED must be present; an optional field whose value
+# is None is left out of the emitted config.
 
-_TOP_KEYS = {"name", "horizon", "mode", "enforce_admission", "seed", "rng",
-             "objects", "transactions"}
-_OBJECT_KEYS = {"id", "vi", "period", "cost", "access_weight", "max_period",
-                "process", "policy"}
-_TXN_KEYS = {"id", "read_set", "retrieval", "analysis", "deadline", "arrival",
-             "retrieval_mode"}
-_PROCESS_KEYS = {
-    "constant": {"kind", "value"},
-    "randomwalk": {"kind", "start", "step_sigma", "seed"},
-    "sinusoid": {"kind", "amplitude", "period", "phase", "offset"},
-}
-_POLICY_KEYS = {
-    "periodic": {"kind"},
-    "ondemand": {"kind"},
-    "elastic": {"kind", "target_utilization", "elasticity"},
-    "mkfirm": {"kind", "m", "k"},
-    "similarity": {"kind", "delta"},
-    "prediction": {"kind", "predictor", "epsilon"},
-}
-_ARRIVAL_KEYS = {
-    "oneshot": {"kind", "t"},
-    "periodic": {"kind", "start", "period"},
-    "poisson": {"kind", "mean_gap"},
-}
+REQUIRED = object()
 
 
 def _is_int(x) -> bool:
@@ -290,6 +276,204 @@ def _is_int(x) -> bool:
 def _is_num(x) -> bool:
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
             and not (isinstance(x, float) and (math.isnan(x) or math.isinf(x))))
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+class _Scalar:
+    """A JSON value type: the check a value must pass, the error when it
+    does not, and the stand-in used after an error so that parsing goes on."""
+
+    def __init__(self, check, message, zero):
+        self.check = check
+        self.message = message
+        self.zero = zero
+
+    def read(self, r: _Reader, d: dict, key: str, path: str, default):
+        """d[key], checked. A missing key gives `default`, or an error if
+        that is REQUIRED. After an error the default, or else the zero,
+        stands in, so that every violation gets reported."""
+        if key in d:
+            value = d[key]
+            if self.check(value):
+                return value
+            r.fail(_at(path, key), self.message)
+            return self.zero if default is None or default is REQUIRED else default
+        if default is REQUIRED:
+            r.fail(_at(path, key), "missing")
+            return self.zero
+        return default
+
+
+class _Bounded(_Scalar):
+    """A scalar with a range bound, tested right after the value is read."""
+
+    def __init__(self, base: _Scalar, bound, message: str):
+        super().__init__(base.check, base.message, base.zero)
+        self.bound = bound
+        self.bound_message = message
+
+    def read(self, r, d, key, path, default):
+        value = super().read(r, d, key, path, default)
+        if not self.bound(value):
+            r.fail(_at(path, key), self.bound_message)
+        return value
+
+
+class _Durations(_Scalar):
+    """Ticks per object id, or one int for every object read (expanded once
+    the read set is known)."""
+
+    def read(self, r, d, key, path, default):
+        value = d.get(key)
+        if not isinstance(value, dict):
+            return super().read(r, d, key, path, default)
+        out = {}
+        for oid, ticks in value.items():
+            if _is_int(ticks):
+                out[oid] = ticks
+            else:
+                r.fail(f"{_at(path, key)}[{oid}]", "must be an integer")
+        return out
+
+
+INT = _Scalar(_is_int, "must be an integer", 0)
+NUM = _Scalar(_is_num, "must be a number", 0.0)
+STR = _Scalar(lambda v: isinstance(v, str), "must be a string", "")
+BOOL = _Scalar(lambda v: isinstance(v, bool), "must be a boolean", False)
+POSITIVE_INT = _Bounded(INT, lambda v: v > 0, "must be > 0")
+NONNEGATIVE_NUM = _Bounded(NUM, lambda v: v >= 0, "must be >= 0")
+IDS = _Scalar(lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+              "must be a list of object ids", [])
+DURATIONS = _Durations(_is_int, "must be an integer or an object id map", {})
+
+
+class _Record:
+    """The fields of one JSON object; `extra` names the keys it may also
+    hold that are read outside the table."""
+
+    def __init__(self, fields, extra=()):
+        self.fields = fields
+        self.keys = {key for key, *_ in fields} | set(extra)
+
+    def read(self, r: _Reader, d: dict, path: str) -> dict:
+        """{attribute: value} of every field, read in table order."""
+        out = {}
+        for key, attr, type_, default in self.fields:
+            out[attr] = type_.read(r, d, key, path, default)
+        return out
+
+    def dump(self, obj) -> dict:
+        out = {}
+        for key, attr, type_, _ in self.fields:
+            value = getattr(obj, attr)
+            if value is not None:
+                out[key] = type_.dump(value) if isinstance(type_, _Kinds) else value
+        return out
+
+
+class _Kinds:
+    """A JSON object tagged by "kind": each kind maps to the class it builds
+    (which takes `kind` as a field) and that class's record. The first kind,
+    with its defaults, stands in after an error."""
+
+    def __init__(self, noun: str, table: dict):
+        self.noun = noun
+        self.table = {kind: (cls, _Record(fields, ("kind",)))
+                      for kind, (cls, fields) in table.items()}
+        self.first = next(iter(table))
+
+    def zero(self):
+        return self.table[self.first][0](kind=self.first)
+
+    def read(self, r: _Reader, d: dict, key: str, path: str, default):
+        """Parse d[key], or the default document if the key is missing."""
+        doc = d.get(key, default)
+        path = _at(path, key)
+        if doc is REQUIRED:
+            r.fail(path, "missing")
+            return self.zero()
+        if not isinstance(doc, dict):
+            r.fail(path, "must be an object")
+            return self.zero()
+        kind = STR.read(r, doc, "kind", path, REQUIRED)
+        if kind not in self.table:
+            r.fail(f"{path}.kind", f"unknown {self.noun} kind {kind!r}")
+            return self.zero()
+        cls, record = self.table[kind]
+        r.check_keys(doc, record.keys, path)
+        return cls(kind=kind, **record.read(r, doc, path))
+
+    def dump(self, value) -> dict:
+        return {"kind": value.kind, **self.table[value.kind][1].dump(value)}
+
+
+PROCESSES = _Kinds("process", {
+    "constant": (ConstantProcess, (("value", "value", NUM, REQUIRED),)),
+    "randomwalk": (RandomWalkProcess, (
+        ("step_sigma", "step_sigma", NONNEGATIVE_NUM, REQUIRED),
+        ("start", "start", NUM, REQUIRED),
+        ("seed", "seed", INT, 0))),
+    "sinusoid": (SinusoidProcess, (
+        ("period", "period_ticks", POSITIVE_INT, REQUIRED),
+        ("amplitude", "amplitude", NUM, REQUIRED),
+        ("phase", "phase", NUM, 0.0),
+        ("offset", "offset", NUM, 0.0))),
+})
+
+POLICIES = _Kinds("policy", {
+    "periodic": (PeriodicPolicy, ()),
+    "ondemand": (OnDemandPolicy, ()),
+    "elastic": (ElasticPolicy, (
+        ("elasticity", "elasticity", NUM, None),
+        ("target_utilization", "target_utilization", NUM, REQUIRED))),
+    "mkfirm": (MKFirmPolicy, (("m", "m", INT, REQUIRED), ("k", "k", INT, REQUIRED))),
+    "similarity": (SimilarityPolicy, (("delta", "delta", NUM, REQUIRED),)),
+    "prediction": (PredictionPolicy, (
+        ("predictor", "predictor", STR, REQUIRED),
+        ("epsilon", "epsilon", NUM, REQUIRED))),
+})
+
+ARRIVALS = _Kinds("arrival", {
+    "oneshot": (Arrival, (("t", "t", INT, 0),)),
+    "periodic": (Arrival, (("start", "start", INT, 0),
+                           ("period", "period", INT, REQUIRED))),
+    "poisson": (Arrival, (("mean_gap", "mean_gap", INT, REQUIRED),)),
+})
+
+OBJECT = _Record((
+    ("id", "id", STR, REQUIRED),
+    ("vi", "vi", INT, REQUIRED),
+    ("period", "update_period", INT, REQUIRED),
+    ("cost", "update_cost", INT, 0),
+    ("access_weight", "access_weight", NUM, 1.0),
+    ("max_period", "max_period", INT, None),
+    ("process", "value_process", PROCESSES, {"kind": "constant", "value": 0.0}),
+), extra=("policy",))
+
+TRANSACTION = _Record((
+    ("read_set", "read_set", IDS, []),
+    ("id", "id", STR, REQUIRED),
+    ("retrieval", "retrieval_time", DURATIONS, REQUIRED),
+    ("analysis", "analysis_time", DURATIONS, REQUIRED),
+    ("deadline", "relative_deadline", INT, REQUIRED),
+    ("arrival", "arrival", ARRIVALS, {"kind": "oneshot", "t": 0}),
+    ("retrieval_mode", "retrieval_mode", STR, "source"),
+))
+
+TOP = _Record((
+    ("horizon", "horizon", INT, REQUIRED),
+    ("enforce_admission", "enforce_admission", BOOL, False),
+    ("seed", "seed", INT, 0),
+    ("name", "name", STR, "config"),
+    ("rng", "rng", STR, RNG_ALGORITHM),
+), extra=("mode", "objects", "transactions"))
+
+
+# ---------------------------------------------------------------------------
+# JSON parsing
 
 
 class _Reader:
@@ -302,148 +486,26 @@ class _Reader:
         self.errors.append((path, msg))
 
     def check_keys(self, d, allowed, path):
+        if d.keys() <= allowed:
+            return
         for k in sorted(set(d) - allowed):
-            self.fail(f"{path}.{k}" if path else k, "unknown key")
+            self.fail(_at(path, k), "unknown key")
 
-    def get_int(self, d, key, path, default=None, required=True):
-        if key not in d:
-            if required and default is None:
-                self.fail(f"{path}.{key}" if path else key, "missing")
-                return 0
-            return default
-        v = d[key]
-        if not _is_int(v):
-            self.fail(f"{path}.{key}" if path else key, "must be an integer")
-            return default if default is not None else 0
-        return v
+    def get(self, d, key, path, type_, default=REQUIRED):
+        """d[key] read as `type_`; see _Scalar.read."""
+        return type_.read(self, d, key, path, default)
 
-    def get_num(self, d, key, path, default=None, required=True):
-        if key not in d:
-            if required and default is None:
-                self.fail(f"{path}.{key}" if path else key, "missing")
-                return 0.0
-            return default
-        v = d[key]
-        if not _is_num(v):
-            self.fail(f"{path}.{key}" if path else key, "must be a number")
-            return default if default is not None else 0.0
-        return v
-
-    def get_str(self, d, key, path, default=None, required=True):
-        if key not in d:
-            if required and default is None:
-                self.fail(f"{path}.{key}" if path else key, "missing")
-                return ""
-            return default
-        v = d[key]
-        if not isinstance(v, str):
-            self.fail(f"{path}.{key}" if path else key, "must be a string")
-            return default if default is not None else ""
-        return v
-
-    def get_bool(self, d, key, path, default=None, required=True):
-        if key not in d:
-            if required and default is None:
-                self.fail(f"{path}.{key}" if path else key, "missing")
-                return False
-            return default
-        v = d[key]
-        if not isinstance(v, bool):
-            self.fail(f"{path}.{key}" if path else key, "must be a boolean")
-            return bool(default)
-        return v
-
-
-def _parse_process(r: _Reader, d, path) -> ValueProcess:
-    if not isinstance(d, dict):
-        r.fail(path, "must be an object")
-        return ConstantProcess()
-    kind = r.get_str(d, "kind", path)
-    allowed = _PROCESS_KEYS.get(kind)
-    if allowed is None:
-        r.fail(f"{path}.kind", f"unknown process kind {kind!r}")
-        return ConstantProcess()
-    r.check_keys(d, allowed, path)
-    if kind == "constant":
-        return ConstantProcess(value=r.get_num(d, "value", path))
-    if kind == "randomwalk":
-        sigma = r.get_num(d, "step_sigma", path)
-        if sigma < 0:
-            r.fail(f"{path}.step_sigma", "must be >= 0")
-        return RandomWalkProcess(start=r.get_num(d, "start", path),
-                                 step_sigma=sigma,
-                                 seed=r.get_int(d, "seed", path, default=0))
-    period = r.get_int(d, "period", path)
-    if period <= 0:
-        r.fail(f"{path}.period", "must be > 0")
-        period = 1
-    return SinusoidProcess(amplitude=r.get_num(d, "amplitude", path),
-                           period_ticks=period,
-                           phase=r.get_num(d, "phase", path, default=0.0),
-                           offset=r.get_num(d, "offset", path, default=0.0))
-
-
-def _parse_policy(r: _Reader, d, path) -> PolicyConfig:
-    if not isinstance(d, dict):
-        r.fail(path, "must be an object")
-        return PeriodicPolicy()
-    kind = r.get_str(d, "kind", path)
-    allowed = _POLICY_KEYS.get(kind)
-    if allowed is None:
-        r.fail(f"{path}.kind", f"unknown policy kind {kind!r}")
-        return PeriodicPolicy()
-    r.check_keys(d, allowed, path)
-    if kind == "periodic":
-        return PeriodicPolicy()
-    if kind == "ondemand":
-        return OnDemandPolicy()
-    if kind == "elastic":
-        e = r.get_num(d, "elasticity", path, required=False)
-        return ElasticPolicy(target_utilization=r.get_num(d, "target_utilization", path),
-                             elasticity=e)
-    if kind == "mkfirm":
-        return MKFirmPolicy(m=r.get_int(d, "m", path), k=r.get_int(d, "k", path))
-    if kind == "similarity":
-        return SimilarityPolicy(delta=r.get_num(d, "delta", path))
-    return PredictionPolicy(predictor=r.get_str(d, "predictor", path),
-                            epsilon=r.get_num(d, "epsilon", path))
-
-
-def _parse_arrival(r: _Reader, d, path) -> Arrival:
-    if not isinstance(d, dict):
-        r.fail(path, "must be an object")
-        return Arrival("oneshot", t=0)
-    kind = r.get_str(d, "kind", path)
-    allowed = _ARRIVAL_KEYS.get(kind)
-    if allowed is None:
-        r.fail(f"{path}.kind", f"unknown arrival kind {kind!r}")
-        return Arrival("oneshot", t=0)
-    r.check_keys(d, allowed, path)
-    if kind == "oneshot":
-        return Arrival("oneshot", t=r.get_int(d, "t", path, default=0))
-    if kind == "periodic":
-        return Arrival("periodic", start=r.get_int(d, "start", path, default=0),
-                       period=r.get_int(d, "period", path))
-    return Arrival("poisson", mean_gap=r.get_int(d, "mean_gap", path))
-
-
-def _parse_duration_map(r: _Reader, d, key, path, read_set) -> dict[str, Tick]:
-    if key not in d:
-        r.fail(f"{path}.{key}", "missing")
-        return {}
-    v = d[key]
-    if _is_int(v):
-        return {oid: v for oid in read_set}
-    if not isinstance(v, dict):
-        r.fail(f"{path}.{key}", "must be an integer or an object id map")
-        return {}
-    out = {}
-    for oid, ticks in v.items():
-        if not _is_int(ticks):
-            r.fail(f"{path}.{key}[{oid}]", "must be an integer")
-            continue
-        out[oid] = ticks
-    return out
+    def records(self, doc: dict, key: str):
+        """(path, object) for each object of the list doc[key]."""
+        items = doc.get(key, [])
+        if not isinstance(items, list):
+            self.fail(key, "must be a list")
+            return
+        for i, d in enumerate(items):
+            if isinstance(d, dict):
+                yield f"{key}[{i}]", d
+            else:
+                self.fail(f"{key}[{i}]", "must be an object")
 
 
 def config_from_dict(doc: dict) -> SimConfig:
@@ -451,9 +513,9 @@ def config_from_dict(doc: dict) -> SimConfig:
     r = _Reader()
     if not isinstance(doc, dict):
         raise ConfigError([("$", "top level must be an object")])
-    r.check_keys(doc, _TOP_KEYS, "")
+    r.check_keys(doc, TOP.keys, "")
 
-    mode_s = r.get_str(doc, "mode", "")
+    mode_s = r.get(doc, "mode", "", STR)
     mode = FreshnessMode.CLASSICAL
     if mode_s in (m.value for m in FreshnessMode):
         mode = FreshnessMode(mode_s)
@@ -462,160 +524,56 @@ def config_from_dict(doc: dict) -> SimConfig:
 
     objects = []
     policies: dict[str, PolicyConfig] = {}
-    raw_objects = doc.get("objects", [])
-    if not isinstance(raw_objects, list):
-        r.fail("objects", "must be a list")
-        raw_objects = []
-    for i, od in enumerate(raw_objects):
-        path = f"objects[{i}]"
-        if not isinstance(od, dict):
-            r.fail(path, "must be an object")
-            continue
-        r.check_keys(od, _OBJECT_KEYS, path)
-        oid = r.get_str(od, "id", path)
-        obj = ObjectSpec(
-            id=oid,
-            vi=r.get_int(od, "vi", path),
-            update_period=r.get_int(od, "period", path),
-            update_cost=r.get_int(od, "cost", path, default=0),
-            access_weight=r.get_num(od, "access_weight", path, default=1.0),
-            max_period=r.get_int(od, "max_period", path, required=False),
-            value_process=_parse_process(r, od.get("process", {"kind": "constant", "value": 0.0}),
-                                         f"{path}.process"),
-        )
+    for path, od in r.records(doc, "objects"):
+        r.check_keys(od, OBJECT.keys, path)
+        obj = ObjectSpec(**OBJECT.read(r, od, path))
         objects.append(obj)
-        if "policy" in od:
-            policies[oid] = _parse_policy(r, od["policy"], f"{path}.policy")
-        else:
-            r.fail(f"{path}.policy", "missing")
-            policies[oid] = PeriodicPolicy()
+        policies[obj.id] = r.get(od, "policy", path, POLICIES)
 
     transactions = []
-    raw_txns = doc.get("transactions", [])
-    if not isinstance(raw_txns, list):
-        r.fail("transactions", "must be a list")
-        raw_txns = []
-    for i, td in enumerate(raw_txns):
-        path = f"transactions[{i}]"
-        if not isinstance(td, dict):
-            r.fail(path, "must be an object")
-            continue
-        r.check_keys(td, _TXN_KEYS, path)
-        read_set = td.get("read_set", [])
-        if not (isinstance(read_set, list) and all(isinstance(x, str) for x in read_set)):
-            r.fail(f"{path}.read_set", "must be a list of object ids")
-            read_set = []
-        transactions.append(UserTxnSpec(
-            id=r.get_str(td, "id", path),
-            read_set=list(read_set),
-            retrieval_time=_parse_duration_map(r, td, "retrieval", path, read_set),
-            analysis_time=_parse_duration_map(r, td, "analysis", path, read_set),
-            relative_deadline=r.get_int(td, "deadline", path),
-            arrival=_parse_arrival(r, td.get("arrival", {"kind": "oneshot", "t": 0}),
-                                   f"{path}.arrival"),
-            retrieval_mode=r.get_str(td, "retrieval_mode", path, default="source"),
-        ))
+    for path, td in r.records(doc, "transactions"):
+        r.check_keys(td, TRANSACTION.keys, path)
+        txn = TRANSACTION.read(r, td, path)
+        read_set = txn["read_set"] = list(txn["read_set"])
+        for attr in ("retrieval_time", "analysis_time"):
+            if not isinstance(txn[attr], dict):
+                txn[attr] = dict.fromkeys(read_set, txn[attr])
+        transactions.append(UserTxnSpec(**txn))
 
-    cfg = SimConfig(
-        horizon=r.get_int(doc, "horizon", ""),
-        mode=mode,
-        enforce_admission=r.get_bool(doc, "enforce_admission", "", default=False),
-        seed=r.get_int(doc, "seed", "", default=0) & _MASK64,
-        objects=objects,
-        policies=policies,
-        transactions=transactions,
-        name=r.get_str(doc, "name", "", default="config"),
-        rng=r.get_str(doc, "rng", "", default=RNG_ALGORITHM),
-    )
+    top = TOP.read(r, doc, "")
+    top["seed"] &= _MASK64
+    cfg = SimConfig(mode=mode, objects=objects, policies=policies,
+                    transactions=transactions, **top)
     errors = r.errors + validate_config(cfg)
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
-def parse_config(text: str) -> SimConfig:
+def decode_json(text: str):
+    """The parsed document, or a ConfigError that locates the syntax error."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError([("$", f"JSON syntax error: {e.msg} "
                                  f"(line {e.lineno}, column {e.colno})")]) from None
-    return config_from_dict(doc)
+
+
+def parse_config(text: str) -> SimConfig:
+    return config_from_dict(decode_json(text))
 
 
 # ---------------------------------------------------------------------------
 # canonical emission
 
 
-def _process_to_dict(p: ValueProcess) -> dict:
-    if isinstance(p, ConstantProcess):
-        return {"kind": "constant", "value": p.value}
-    if isinstance(p, RandomWalkProcess):
-        return {"kind": "randomwalk", "start": p.start,
-                "step_sigma": p.step_sigma, "seed": p.seed}
-    return {"kind": "sinusoid", "amplitude": p.amplitude,
-            "period": p.period_ticks, "phase": p.phase, "offset": p.offset}
-
-
-def _policy_to_dict(p: PolicyConfig) -> dict:
-    if isinstance(p, PeriodicPolicy):
-        return {"kind": "periodic"}
-    if isinstance(p, OnDemandPolicy):
-        return {"kind": "ondemand"}
-    if isinstance(p, ElasticPolicy):
-        d = {"kind": "elastic", "target_utilization": p.target_utilization}
-        if p.elasticity is not None:
-            d["elasticity"] = p.elasticity
-        return d
-    if isinstance(p, MKFirmPolicy):
-        return {"kind": "mkfirm", "m": p.m, "k": p.k}
-    if isinstance(p, SimilarityPolicy):
-        return {"kind": "similarity", "delta": p.delta}
-    return {"kind": "prediction", "predictor": p.predictor, "epsilon": p.epsilon}
-
-
-def _arrival_to_dict(a: Arrival) -> dict:
-    if a.kind == "oneshot":
-        return {"kind": "oneshot", "t": a.t}
-    if a.kind == "periodic":
-        return {"kind": "periodic", "start": a.start, "period": a.period}
-    return {"kind": "poisson", "mean_gap": a.mean_gap}
-
-
 def config_to_dict(cfg: SimConfig) -> dict:
-    objects = []
-    for o in cfg.objects:
-        od = {
-            "id": o.id,
-            "vi": o.vi,
-            "period": o.update_period,
-            "cost": o.update_cost,
-            "access_weight": o.access_weight,
-            "process": _process_to_dict(o.value_process),
-            "policy": _policy_to_dict(cfg.policies[o.id]),
-        }
-        if o.max_period is not None:
-            od["max_period"] = o.max_period
-        objects.append(od)
     return {
-        "name": cfg.name,
-        "horizon": cfg.horizon,
+        **TOP.dump(cfg),
         "mode": cfg.mode.value,
-        "enforce_admission": cfg.enforce_admission,
-        "seed": cfg.seed,
-        "rng": cfg.rng,
-        "objects": objects,
-        "transactions": [
-            {
-                "id": t.id,
-                "read_set": list(t.read_set),
-                "retrieval": dict(t.retrieval_time),
-                "analysis": dict(t.analysis_time),
-                "deadline": t.relative_deadline,
-                "arrival": _arrival_to_dict(t.arrival),
-                "retrieval_mode": t.retrieval_mode,
-            }
-            for t in cfg.transactions
-        ],
+        "objects": [{**OBJECT.dump(o), "policy": POLICIES.dump(cfg.policies[o.id])}
+                    for o in cfg.objects],
+        "transactions": [TRANSACTION.dump(t) for t in cfg.transactions],
     }
 
 

@@ -89,6 +89,24 @@ def test_multiversion_reader_continues_past_expiry():
     assert commits[0]["detail"]["stale_at_commit"] is True
 
 
+def test_superseded_classical_reader_restarts_multiversion_continues():
+    # the reader pins the t=0 version at 3; the t=5 install replaces it
+    # while the analysis (3..7) runs, long before its expiry at 50
+    def run(mode):
+        return run_config(one_object_config(
+            vi=50, period=5, cost=0, retrieval=0, analysis=4, deadline=30,
+            arrival_t=3, retrieval_mode="store", mode=mode))
+
+    classical = run(FreshnessMode.CLASSICAL)
+    restarts = [(r["t"], r["detail"]) for r in classical.trace if r["kind"] == "restart"]
+    assert restarts == [(5, {"cause": "superseded", "object": "o1"})]
+    inst = classical.instances[0]
+    assert (inst.state, inst.commit_time, inst.vi_restart_count) == ("committed", 9, 0)
+
+    inst = run(FreshnessMode.MULTIVERSION).instances[0]
+    assert (inst.state, inst.commit_time, inst.restart_count) == ("committed", 7, 0)
+
+
 def test_admission_gate_blocks_infeasible_release():
     cfg = one_object_config(vi=5, retrieval=2, analysis=4, enforce=True)
     result = run_config(cfg)

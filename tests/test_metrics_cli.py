@@ -237,6 +237,18 @@ def test_cli_missing_file_is_invalid(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 1
 
 
+def test_cli_directory_config_is_invalid(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+
+def test_cli_non_utf8_config_is_invalid(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_cli_invalid_config_lists_paths(tmp_path, capsys):
     bad = json.loads(json.dumps(CONFIG_INFEASIBLE))
     bad["objects"][0]["policy"] = {"kind": "mkfirm", "m": 4, "k": 3}

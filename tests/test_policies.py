@@ -1,11 +1,20 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from freshsim.core import FreshnessMode, ObjectSpec, PolicyInfeasibleError
+from freshsim.core import (
+    Arrival,
+    FreshnessMode,
+    ObjectSpec,
+    PolicyInfeasibleError,
+    UserTxnSpec,
+)
 from freshsim.policies import (
+    MKFirmPolicy,
     MKHistory,
+    OnDemandPolicy,
     PERFORM,
     PredictorState,
     SKIP,
@@ -14,12 +23,13 @@ from freshsim.policies import (
     elastic_rescale,
     extend_vi_for_period,
     mk_firm_decision,
-    on_demand_decision,
     periodic_instances,
     prediction_decision,
     similarity_decision,
 )
-from freshsim.store import VersionStore
+from freshsim.workload import ConstantProcess, SimConfig
+
+from support import one_object_config, run_config
 
 
 def obj(oid="o1", vi=10, period=5, cost=1, weight=1.0, max_period=None):
@@ -40,17 +50,37 @@ def test_periodic_instances(period, horizon, expected):
 
 # -- on demand ----------------------------------------------------------------
 
+def on_demand_run(second_arrival):
+    """Two store readers of one on-demand object (vi 20, cost 3): the first
+    arrives at 0 to a cold store, the second at `second_arrival`."""
+    obj = ObjectSpec(id="o1", vi=20, update_period=10, update_cost=3,
+                     value_process=ConstantProcess(value=1.0))
+    txns = [UserTxnSpec(id=f"t{i}", read_set=["o1"], retrieval_time={"o1": 0},
+                        analysis_time={"o1": 2}, relative_deadline=30,
+                        arrival=Arrival("oneshot", t=t), retrieval_mode="store")
+            for i, t in enumerate((0, second_arrival))]
+    cfg = SimConfig(horizon=60, mode=FreshnessMode.MULTIVERSION,
+                    enforce_admission=False, seed=1, objects=[obj],
+                    policies={"o1": OnDemandPolicy()}, transactions=txns)
+    result = run_config(cfg)
+    assert all(i.state == "committed" for i in result.instances)
+    return ([r["t"] for r in result.trace if r["kind"] == "update_decision"],
+            [(r["t"], r["detail"]["staleness"]) for r in result.trace
+             if r["kind"] == "access"])
+
+
 def test_on_demand_serves_fresh_version():
-    store = VersionStore(FreshnessMode.MULTIVERSION, {"o1": 5})
-    store.install_version("o1", 1.0, 0)
-    assert on_demand_decision("o1", 3, store) is not None
+    # the t=0 sample is fresh until 20: the reader at 12 is served, no refresh
+    decisions, accesses = on_demand_run(12)
+    assert decisions == [0]
+    assert accesses == [(3, 3), (12, 12)]
 
 
 def test_on_demand_refresh_on_stale_and_cold():
-    store = VersionStore(FreshnessMode.MULTIVERSION, {"o1": 5})
-    assert on_demand_decision("o1", 0, store) is None  # cold start
-    store.install_version("o1", 1.0, 0)
-    assert on_demand_decision("o1", 6, store) is None  # expired
+    # cold store at 0 and expired version at 25: each launches a refresh
+    decisions, accesses = on_demand_run(25)
+    assert decisions == [0, 25]
+    assert accesses == [(3, 3), (28, 3)]
 
 
 # -- elastic -------------------------------------------------------------------
@@ -140,6 +170,19 @@ def test_mk_examples():
         assert mk_firm_decision(1, 1, history) == PERFORM  # no skipping at m=k
 
 
+def test_mk_large_window_costs_only_decisions_made():
+    # the k-1 performs before the run are counted, not stored
+    cfg = one_object_config(vi=20, period=10, horizon=100,
+                            policy=MKFirmPolicy(m=1, k=10 ** 6))
+    tracemalloc.start()
+    try:
+        run_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def window_property_holds(decisions, m, k):
     padded = [PERFORM] * (k - 1) + decisions
     for i in range(len(decisions)):
@@ -193,7 +236,7 @@ def test_prediction_lastvalue_examples():
 
     decision, predicted = prediction_decision(state, 11.2, 6, epsilon=1.0)
     assert decision == TRANSMIT
-    assert state.sink_points[-1] == (11.2, 6)
+    assert state.points[-1] == (11.2, 6)
 
 
 def test_prediction_linear_extrapolation():
@@ -210,16 +253,6 @@ def test_prediction_linear_falls_back_until_two_points():
     assert state.predict(3) is None
     state.record_transmit(4.0, 0)
     assert state.predict(9) == 4.0
-
-
-def test_prediction_mirrors_stay_identical():
-    rng = random.Random(11)
-    state = PredictorState("linear")
-    value = 0.0
-    for t in range(0, 400, 4):
-        value += rng.gauss(0, 0.5)
-        prediction_decision(state, value, t, epsilon=0.8)
-        assert state.mirrored()
 
 
 def test_prediction_divergence_bound():

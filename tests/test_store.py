@@ -19,7 +19,7 @@ def test_first_install():
 def test_mv_install_retains_pinned_predecessor():
     store = make_store()
     store.install_version("o1", 1.0, 0)
-    store.read_latest("o1", 1)  # pins seq 1
+    store.read_latest("o1", 1, "r")  # pins seq 1
     store.install_version("o1", 2.0, 10)
     assert [v.seq for v in store.chains["o1"]] == [1, 2]
 
@@ -35,12 +35,12 @@ def test_classical_install_notifies_pinned_readers():
     superseded = []
     store = make_store(FreshnessMode.CLASSICAL, cb=lambda v: superseded.append(v.seq))
     store.install_version("o1", 1.0, 0)
-    store.read_latest("o1", 1)
+    first = store.read_latest("o1", 1, "r")
     store.install_version("o1", 2.0, 3)
     assert superseded == [1]
     # still present until the reader unpins
     assert [v.seq for v in store.chains["o1"]] == [1, 2]
-    store.unpin("o1", 1)
+    store.unpin(first, "r")
     store.gc(3)
     assert [v.seq for v in store.chains["o1"]] == [2]
 
@@ -56,58 +56,33 @@ def test_install_rejects_non_monotone_sample_time():
 def test_read_latest_freshness(t, served):
     store = make_store(vi=5)
     store.install_version("o1", 1.0, 0)
-    result = store.read_latest("o1", t)
+    result = store.read_latest("o1", t, "r")
     assert (result is not None) is served
+    assert store.chains["o1"][0].holders == (["r"] if served else [])
     if served:
-        assert result.fresh_at_access
-        assert store.chains["o1"][0].pin_count == 1
+        assert result is store.chains["o1"][0]
 
 
 def test_read_latest_empty_chain():
     store = make_store()
-    assert store.read_latest("o1", 0) is None
+    assert store.read_latest("o1", 0, "r") is None
 
 
 def test_read_latest_never_serves_excluded_newest():
     store = make_store(vi=50)
     store.install_version("o1", 1.0, 0)
     store.install_version("o1", 2.0, 10)
-    store.read_latest("o1", 11)  # keep seq 1 alive through a pin
-    assert store.read_latest("o1", 12, exclude_seqs={2}) is None
-
-
-def test_may_continue_multiversion_survives_expiry():
-    store = make_store(vi=5)
-    store.install_version("o1", 1.0, 0)
-    version = store.read_latest("o1", 3).version
-    # validity ended at 5, access was fresh: analysis may finish at 7
-    assert store.may_continue(version, access_time=3, now=7)
-
-
-def test_may_continue_classical():
-    store = make_store(FreshnessMode.CLASSICAL, vi=5)
-    store.install_version("o1", 1.0, 0)
-    version = store.read_latest("o1", 3).version
-    assert store.may_continue(version, access_time=3, now=4)
-    assert not store.may_continue(version, access_time=3, now=5)  # expiry instant
-    assert not store.may_continue(version, access_time=3, now=7)
-
-
-def test_may_continue_classical_superseded():
-    store = make_store(FreshnessMode.CLASSICAL, vi=50)
-    store.install_version("o1", 1.0, 0)
-    version = store.read_latest("o1", 1).version
-    store.install_version("o1", 2.0, 2)
-    assert not store.may_continue(version, access_time=1, now=3)
+    store.read_latest("o1", 11, "r")  # keep seq 1 alive through a pin
+    assert store.read_latest("o1", 12, "r", exclude={2}) is None
 
 
 def test_gc_examples():
     store = make_store(vi=100)
     store.install_version("o1", 1.0, 0)
-    store.read_latest("o1", 1)
+    first = store.read_latest("o1", 1, "r")
     store.install_version("o1", 2.0, 10)
     assert store.gc(11) == 0          # pinned predecessor protected
-    store.unpin("o1", 1)
+    store.unpin(first, "r")
     assert store.gc(12) == 1          # superseded and unpinned
     assert store.gc(13) == 0          # newest never reclaimed
     assert [v.seq for v in store.chains["o1"]] == [2]
@@ -116,17 +91,25 @@ def test_gc_examples():
 def test_unpin_without_pin_is_internal_error():
     store = make_store()
     store.install_version("o1", 1.0, 0)
+    version = store.chains["o1"][0]
     with pytest.raises(SimInternalError):
-        store.unpin("o1", 1)
+        store.unpin(version, "r")
+    store.read_latest("o1", 1, "r")
+    with pytest.raises(SimInternalError):
+        store.unpin(version, "other")
+    # a pinned version that left its chain means the store lost it
+    store.chains["o1"] = []
+    with pytest.raises(SimInternalError):
+        store.unpin(version, "r")
 
 
 def test_extend_validity_defers_expiry():
     store = make_store(vi=5)
     store.install_version("o1", 1.0, 0)
-    assert store.read_latest("o1", 6) is None
-    store.chains["o1"][-1].pin_count = 0  # untouched by the failed read
+    assert store.read_latest("o1", 6, "r") is None
+    assert store.chains["o1"][-1].holders == []  # untouched by the failed read
     store.extend_validity("o1", 5)
-    assert store.read_latest("o1", 6) is not None
+    assert store.read_latest("o1", 6, "r") is not None
 
 
 def test_gc_never_reclaims_pinned_random_walkthrough():
@@ -134,27 +117,27 @@ def test_gc_never_reclaims_pinned_random_walkthrough():
     store = make_store(vi=8)
     pinned = []
     sample_time = 0
-    for _ in range(300):
+    for i in range(300):
         action = rng.random()
         if action < 0.4:
             sample_time += rng.randint(1, 3)
             store.install_version("o1", rng.random(), sample_time)
         elif action < 0.7:
-            result = store.read_latest("o1", sample_time)
-            if result is not None:
-                pinned.append(result.version.seq)
+            version = store.read_latest("o1", sample_time, f"r{i}")
+            if version is not None:
+                pinned.append((version, f"r{i}"))
         elif pinned:
-            store.unpin("o1", pinned.pop(rng.randrange(len(pinned))))
+            store.unpin(*pinned.pop(rng.randrange(len(pinned))))
         store.gc(sample_time)
         seqs = {v.seq for v in store.chains["o1"]}
-        assert set(pinned) <= seqs  # pinned versions never vanish
+        assert {v.seq for v, _ in pinned} <= seqs  # pinned versions never vanish
 
 
 def test_peak_live_versions_counts_coexisting_versions():
     store = make_store(vi=100)
     store.install_version("o1", 1.0, 0)
-    store.read_latest("o1", 1)
-    store.read_latest("o1", 2)
+    store.read_latest("o1", 1, "r1")
+    store.read_latest("o1", 2, "r2")
     store.install_version("o1", 2.0, 10)
     stats = store.stats["o1"]
     assert stats.peak_live_versions == 2
