@@ -5,6 +5,8 @@ import pytest
 from freshsim.core import FreshnessMode, SimInternalError
 from freshsim.store import VersionStore
 
+from support import one_object_config, run_config
+
 
 def make_store(mode=FreshnessMode.MULTIVERSION, vi=5, trace=None, cb=None):
     return VersionStore(mode, {"o1": vi}, trace=trace, on_superseded_pinned=cb)
@@ -74,6 +76,43 @@ def test_read_latest_never_serves_excluded_newest():
     store.install_version("o1", 2.0, 10)
     store.read_latest("o1", 11, "r")  # keep seq 1 alive through a pin
     assert store.read_latest("o1", 12, "r", exclude={2}) is None
+
+
+def reader_config(mode):
+    # one reader pins the t=0 version (vi 5) at 3 and analyses it until 7
+    return one_object_config(vi=5, period=5, cost=0, retrieval=0, analysis=4,
+                             deadline=17, arrival_t=3, retrieval_mode="store",
+                             mode=mode)
+
+
+def test_may_continue_multiversion_survives_expiry():
+    superseded = []
+    store = make_store(vi=5, cb=superseded.append)
+    store.install_version("o1", 1.0, 0)
+    version = store.read_latest("o1", 3, "r")
+    assert store.valid_until(version) == 5
+    # past its expiry and its replacement the pinned version stays and
+    # nobody is told to restart
+    store.install_version("o1", 2.0, 6)
+    store.gc(7)
+    assert superseded == []
+    assert [v.seq for v in store.chains["o1"]] == [1, 2]
+    store.unpin(version, "r")
+    # the access was fresh, so the analysis finishes at 7 on it
+    inst = run_config(reader_config(FreshnessMode.MULTIVERSION)).instances[0]
+    assert (inst.state, inst.commit_time, inst.restart_count) == ("committed", 7, 0)
+
+
+def test_may_continue_classical():
+    store = make_store(FreshnessMode.CLASSICAL, vi=5)
+    store.install_version("o1", 1.0, 0)
+    version = store.read_latest("o1", 3, "r")
+    assert store.valid_until(version) == 5
+    # the holder keeps going at 4 and restarts at the expiry instant itself
+    result = run_config(reader_config(FreshnessMode.CLASSICAL))
+    restarts = [(r["t"], r["detail"]["cause"]) for r in result.trace
+                if r["kind"] == "restart"]
+    assert restarts == [(5, "vi_expiry")]
 
 
 def test_gc_examples():
