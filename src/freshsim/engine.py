@@ -21,6 +21,7 @@ missed at its deadline only if nothing committed it earlier in the tick.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .core import (
@@ -40,10 +41,9 @@ from .policies import (
     default_elasticity,
     elastic_rescale,
     extend_vi_for_period,
-    periodic_instances,
 )
 from .store import VersionStore
-from .workload import SimConfig, ValueSampler, expand_arrivals, validate_config
+from .workload import SimConfig, ValueSampler, iter_arrivals, validate_config
 
 # Event kinds, in within-tick processing order.
 TXN_ARRIVAL = 0
@@ -192,6 +192,10 @@ class Simulator:
         self.queue = EventQueue()
         self.instances: list[TxnInstance] = []
         self._by_id: dict[str, TxnInstance] = {}
+        self._released: dict[str, int] = {}  # instances released per class
+        # (*edf_key, instance) for every instance that became READY; entries
+        # of instances that left READY since are skipped when popped
+        self._ready: list[tuple] = []
         self.running: tuple[str, int] | None = None  # (inst_id, epoch)
         self.waiting: dict[str, list[str]] = {o.id: [] for o in config.objects}
         self.refresh_inflight: set[str] = set()
@@ -208,6 +212,9 @@ class Simulator:
     # -- setup -------------------------------------------------------------
 
     def _schedule_workload(self) -> None:
+        """Queue the first release of each admitted class and of each
+        periodically updated object; each release queues the next one when
+        it fires, so the queue never holds more than one per stream."""
         for spec in self.config.transactions:
             decision = admit(spec, self.eff_objects, self.config.enforce_admission)
             if not decision.admitted:
@@ -216,14 +223,17 @@ class Simulator:
                            "detail": {"failing": decision.report.failing_objects()}})
                 continue
             self.admitted.append(spec)
-            for release in expand_arrivals(spec, self.horizon, self.config.seed):
-                self.queue.push(release, TXN_ARRIVAL, spec.id, {"spec": spec})
+            self._push_arrival(iter_arrivals(spec, self.horizon, self.config.seed),
+                               spec)
         for obj in self.config.objects:
-            if self.config.policies[obj.id].kind == "ondemand":
-                continue
-            eff = self.eff_objects[obj.id]
-            for release in periodic_instances(eff, self.horizon):
-                self.queue.push(release, UPDATE_RELEASE, obj.id, {})
+            if self.config.policies[obj.id].kind != "ondemand":
+                self.queue.push(0, UPDATE_RELEASE, obj.id, {})
+
+    def _push_arrival(self, releases: Iterator[Tick], spec: UserTxnSpec) -> None:
+        release = next(releases, None)
+        if release is not None:
+            self.queue.push(release, TXN_ARRIVAL, spec.id,
+                            {"spec": spec, "releases": releases})
 
     # -- main loop -----------------------------------------------------------
 
@@ -256,6 +266,7 @@ class Simulator:
     def _handle(self, t: Tick, kind: int, subject: str, payload: dict) -> None:
         if kind == TXN_ARRIVAL:
             self._on_arrival(t, payload["spec"])
+            self._push_arrival(payload["releases"], payload["spec"])
         elif kind == RETRIEVAL_DONE:
             self._on_retrieval_done(t, payload)
         elif kind == ANALYSIS_DONE:
@@ -275,11 +286,13 @@ class Simulator:
 
     def _on_arrival(self, t: Tick, spec: UserTxnSpec) -> None:
         ordinal = len(self.instances)
-        count = sum(1 for i in self.instances if i.spec.id == spec.id)
+        count = self._released.get(spec.id, 0)
+        self._released[spec.id] = count + 1
         inst = TxnInstance(inst_id=f"{spec.id}#{count}", spec=spec, release=t,
                            deadline=t + spec.relative_deadline, ordinal=ordinal)
         self.instances.append(inst)
         self._by_id[inst.inst_id] = inst
+        self._make_ready(inst)
         self.queue.push(inst.deadline, DEADLINE, inst.inst_id,
                         {"inst": inst.inst_id})
         self.emit({"t": t, "kind": "txn_released", "subject": inst.inst_id,
@@ -295,7 +308,7 @@ class Simulator:
         inst = self._guarded(payload)
         if inst is None:
             return
-        inst.state = READY
+        self._make_ready(inst)
         inst.phase = NEED_ANALYSIS
         self._free_processor(inst)
 
@@ -309,7 +322,7 @@ class Simulator:
         if inst.cursor >= len(inst.spec.read_set):
             self._commit(inst, t)
         else:
-            inst.state = READY
+            self._make_ready(inst)
 
     def _commit(self, inst: TxnInstance, t: Tick) -> None:
         stale = sorted(
@@ -378,7 +391,7 @@ class Simulator:
         inst.cursor = 0
         inst.phase = NEED_ACCESS
         inst.epoch += 1
-        inst.state = READY
+        self._make_ready(inst)
         self.store.gc(t)
 
     def _release_pins(self, inst: TxnInstance) -> None:
@@ -392,9 +405,10 @@ class Simulator:
             self.running = None
 
     def _leave_waiting(self, inst: TxnInstance) -> None:
-        for queue in self.waiting.values():
-            if inst.inst_id in queue:
-                queue.remove(inst.inst_id)
+        # a waiting instance waits on the object its cursor points at
+        queue = self.waiting[inst.current_object()]
+        if inst.inst_id in queue:
+            queue.remove(inst.inst_id)
 
     def _valid_until(self, access: Access) -> Tick:
         if access.version is not None:
@@ -406,6 +420,9 @@ class Simulator:
     def _on_update_release(self, t: Tick, object_id: str) -> None:
         policy = self.config.policies[object_id]
         eff = self.eff_objects[object_id]
+        following = t + eff.update_period
+        if policy.kind != "ondemand" and following <= self.horizon:
+            self.queue.push(following, UPDATE_RELEASE, object_id, {})
         sampled = self.sampler.sample(object_id, t)
         decision, sink_value, extra = policy.decide(
             self.policy_state[object_id], t, sampled, self.store.newest(object_id))
@@ -433,18 +450,25 @@ class Simulator:
         for inst_id in self.waiting[object_id]:
             inst = self._by_id[inst_id]
             if inst.state == WAITING:
-                inst.state = READY
+                self._make_ready(inst)
         self.waiting[object_id] = []
 
     # -- dispatch --------------------------------------------------------------
 
+    def _make_ready(self, inst: TxnInstance) -> None:
+        inst.state = READY
+        heapq.heappush(self._ready, (*inst.edf_key(), inst))
+
     def _dispatch(self, t: Tick) -> bool:
+        """Start segments, earliest deadline first, while the processor is
+        free. edf_key is unique per instance, so the heap's first READY
+        entry is the READY instance with the least key."""
         progress = False
-        while self.running is None:
-            ready = [i for i in self.instances if i.state == READY]
-            if not ready:
-                break
-            inst = min(ready, key=TxnInstance.edf_key)
+        ready = self._ready
+        while self.running is None and ready:
+            inst = heapq.heappop(ready)[-1]
+            if inst.state != READY:
+                continue
             self._start_segment(inst, t)
             progress = True
         return progress

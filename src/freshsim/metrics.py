@@ -108,10 +108,16 @@ class MetricsAggregator:
         self.rejected: list[str] = []
 
     def _cls(self, name: str) -> TxnClassStats:
-        return self.per_class.setdefault(name, TxnClassStats())
+        stats = self.per_class.get(name)
+        if stats is None:
+            stats = self.per_class[name] = TxnClassStats()
+        return stats
 
     def _obj(self, name: str) -> ObjectStats:
-        return self.per_object.setdefault(name, ObjectStats())
+        stats = self.per_object.get(name)
+        if stats is None:
+            stats = self.per_object[name] = ObjectStats()
+        return stats
 
     def record(self, rec: dict) -> None:
         t = rec["t"]
@@ -192,6 +198,9 @@ class MetricsAggregator:
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# one encoder for every record: json.dumps with these arguments builds a new
+# one per call, for the same bytes
+_encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def fnv1a64(data: bytes) -> int:
@@ -202,8 +211,7 @@ def fnv1a64(data: bytes) -> int:
 
 
 def trace_lines(trace: list[dict]) -> list[str]:
-    return [json.dumps(rec, sort_keys=True, separators=(",", ":"))
-            for rec in trace]
+    return [_encode_record(rec) for rec in trace]
 
 
 def emit_trace(trace: list[dict]) -> str:

@@ -58,6 +58,10 @@ class VersionStore:
         self.on_superseded_pinned = on_superseded_pinned
         self.chains: dict[str, list[Version]] = {oid: [] for oid in vis}
         self.stats: dict[str, ObjectStoreStats] = {oid: ObjectStoreStats() for oid in vis}
+        # chains that may hold a superseded unpinned version; gc visits only
+        # these, in declaration order
+        self._order = {oid: i for i, oid in enumerate(vis)}
+        self._dirty: set[str] = set()
 
     # -- helpers -----------------------------------------------------------
 
@@ -103,6 +107,8 @@ class VersionStore:
                           sample_time=sample_time, seq=seq)
         chain.append(version)
         stats.live_versions += 1
+        if prev is not None:
+            self._dirty.add(object_id)
         self._emit(now, "install", object_id,
                    {"seq": seq, "value": value, "sample_time": sample_time})
         if (self.mode is FreshnessMode.CLASSICAL and prev is not None
@@ -158,12 +164,21 @@ class VersionStore:
                                    f"after it left its chain")
         version.holders.remove(holder)
         self.stats[version.object_id].active_pins -= 1
+        self._dirty.add(version.object_id)
 
     def gc(self, now: Tick) -> int:
         """Reclaim every version that is superseded and unpinned; returns the
-        count removed. Pinned versions are never touched."""
+        count removed. Pinned versions are never touched.
+
+        Only a chain that was installed onto or unpinned since the last sweep
+        can hold such a version, so only those chains are visited."""
+        if not self._dirty:
+            return 0
+        dirty = sorted(self._dirty, key=self._order.__getitem__)
+        self._dirty.clear()
         reclaimed = 0
-        for object_id, chain in self.chains.items():
+        for object_id in dirty:
+            chain = self.chains[object_id]
             if len(chain) <= 1:
                 continue
             keep = [v for v in chain[:-1] if v.holders]

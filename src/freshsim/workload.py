@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -152,7 +153,8 @@ class ValueSampler:
     def __init__(self, seed: int, objects: list[ObjectSpec]):
         self.seed = seed
         self.specs = {o.id: o for o in objects}
-        self._walk_cache: dict[str, list[float]] = {}
+        # object id -> (stream key, walk values at ordinals 0, 1, ...)
+        self._walk_cache: dict[str, tuple[int, list[float]]] = {}
 
     def index_at(self, object_id: str, t: Tick) -> int:
         return t // self.specs[object_id].update_period
@@ -166,8 +168,12 @@ class ValueSampler:
 
     def _walk_value(self, obj: ObjectSpec, process: RandomWalkProcess,
                     index: int) -> float:
-        prefix = self._walk_cache.setdefault(obj.id, [float(process.start)])
-        key = stable_key(self.seed, process.seed, obj.id, "walk")
+        walk = self._walk_cache.get(obj.id)
+        if walk is None:
+            walk = self._walk_cache[obj.id] = (
+                stable_key(self.seed, process.seed, obj.id, "walk"),
+                [float(process.start)])
+        key, prefix = walk
         while len(prefix) <= index:
             j = len(prefix)
             step = process.step_sigma * _NORMAL.inv_cdf(uniform_at(key, j))
@@ -179,17 +185,19 @@ class ValueSampler:
 # arrivals
 
 
-def expand_arrivals(spec: UserTxnSpec, horizon: Tick, seed: int) -> list[Tick]:
-    """Release times of the transaction up to the horizon. Poisson gaps are
-    exponential by inverse transform, rounded up to whole ticks (so at least
-    one tick apart), from a stream keyed on (seed, txn id)."""
+def iter_arrivals(spec: UserTxnSpec, horizon: Tick, seed: int) -> Iterator[Tick]:
+    """Release times of the transaction up to the horizon, in order. Poisson
+    gaps are exponential by inverse transform, rounded up to whole ticks (so
+    at least one tick apart), from a stream keyed on (seed, txn id)."""
     a = spec.arrival
     if a.kind == "oneshot":
-        return [a.t] if a.t <= horizon else []
+        if a.t <= horizon:
+            yield a.t
+        return
     if a.kind == "periodic":
-        return list(range(a.start, horizon + 1, a.period))
+        yield from range(a.start, horizon + 1, a.period)
+        return
     key = stable_key(seed, spec.id, "arrivals")
-    times = []
     t = 0
     i = 0
     while True:
@@ -198,9 +206,13 @@ def expand_arrivals(spec: UserTxnSpec, horizon: Tick, seed: int) -> list[Tick]:
         t += gap
         i += 1
         if t > horizon:
-            break
-        times.append(t)
-    return times
+            return
+        yield t
+
+
+def expand_arrivals(spec: UserTxnSpec, horizon: Tick, seed: int) -> list[Tick]:
+    """Every release time of iter_arrivals, as a list."""
+    return list(iter_arrivals(spec, horizon, seed))
 
 
 # ---------------------------------------------------------------------------

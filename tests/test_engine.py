@@ -256,6 +256,33 @@ def test_elastic_policy_stretches_period_and_vi():
     assert installs_a == [1, 6, 11, 16, 21, 26, 31, 36]
 
 
+@pytest.mark.parametrize("horizon", [10**3, 10**9])
+def test_scheduling_queues_one_release_per_stream(horizon):
+    objects = [ObjectSpec(id=oid, vi=20, update_period=period, update_cost=1,
+                          value_process=ConstantProcess(value=0.0))
+               for oid, period in (("a", 3), ("b", 5), ("c", 7))]
+    policies = {"a": PeriodicPolicy(), "b": OnDemandPolicy(),
+                "c": ElasticPolicy(target_utilization=0.6)}
+    arrivals = [Arrival("oneshot", t=5), Arrival("periodic", start=0, period=4),
+                Arrival("poisson", mean_gap=3)]
+    transactions = [UserTxnSpec(id=f"t{i}", read_set=["a"], retrieval_time={"a": 1},
+                                analysis_time={"a": 1}, relative_deadline=10,
+                                arrival=arrival, retrieval_mode="source")
+                    for i, arrival in enumerate(arrivals)]
+    sim = Simulator(SimConfig(horizon=horizon, mode=FreshnessMode.CLASSICAL,
+                              enforce_admission=False, seed=1, objects=objects,
+                              policies=policies, transactions=transactions))
+    pushes = []
+    push = sim.queue.push
+    sim.queue.push = lambda *event: (pushes.append(event), push(*event))
+    sim._schedule_workload()
+    # one pending release per admitted class and per periodically updated
+    # object, whatever the horizon
+    streams = len(sim.admitted) + sum(p.kind != "ondemand" for p in policies.values())
+    assert streams == 5
+    assert len(pushes) == len(sim.queue) == streams
+
+
 def _always_skip_config(vi, analysis, arrival_t, deadline):
     from freshsim.policies import SimilarityPolicy
     obj = ObjectSpec(id="o1", vi=vi, update_period=4, update_cost=0,

@@ -182,3 +182,82 @@ def test_peak_live_versions_counts_coexisting_versions():
     assert stats.peak_live_versions == 2
     assert stats.peak_active_pins == 2
     assert stats.peak_live_versions <= 1 + stats.peak_active_pins
+
+
+class FullSweepStore(VersionStore):
+    """Reference GC: sweeps every chain, in declaration order."""
+
+    def gc(self, now):
+        reclaimed = 0
+        for object_id, chain in self.chains.items():
+            removed = [v for v in chain[:-1] if not v.holders]
+            if removed:
+                self.chains[object_id] = [v for v in chain[:-1] if v.holders] + [chain[-1]]
+                self.stats[object_id].live_versions -= len(removed)
+                self.stats[object_id].reclaimed += len(removed)
+                reclaimed += len(removed)
+                self._emit(now, "gc", object_id, {"reclaimed": len(removed)})
+        return reclaimed
+
+
+def _twin_stores(mode, vis):
+    traces = ([], [])
+    stores = (VersionStore(mode, vis, trace=traces[0].append),
+              FullSweepStore(mode, vis, trace=traces[1].append))
+    return stores, traces
+
+
+def _assert_twins_agree(stores, traces):
+    dirty, full = stores
+    assert traces[0] == traces[1]  # every record, gc records in sweep order
+    for oid in full.chains:
+        assert ([(v.seq, v.holders) for v in dirty.chains[oid]]
+                == [(v.seq, v.holders) for v in full.chains[oid]])
+        assert dirty.stats[oid] == full.stats[oid]
+
+
+@pytest.mark.parametrize("mode", list(FreshnessMode))
+@pytest.mark.parametrize("seed", range(4))
+def test_dirty_chain_gc_matches_full_sweep(mode, seed):
+    rng = random.Random(seed)
+    vis = {"o3": 6, "o1": 9, "o2": 4, "o4": 12}  # declaration order is not sorted
+    stores, traces = _twin_stores(mode, vis)
+    pins = []  # (object id, seq, holder), pinned in both stores
+    last_sample = dict.fromkeys(vis, -1)
+    now = 0
+    for i in range(600):
+        oid = rng.choice(list(vis))
+        action = rng.random()
+        if action < 0.35:
+            now = last_sample[oid] = max(now + rng.randint(0, 2), last_sample[oid] + 1)
+            for store in stores:
+                store.install_version(oid, float(i), now)
+        elif action < 0.65:
+            seqs = [v.seq if v else None for v in
+                    (store.read_latest(oid, now, f"r{i}") for store in stores)]
+            assert seqs[0] == seqs[1]
+            if seqs[0] is not None:
+                pins.append((oid, seqs[0], f"r{i}"))
+        elif action < 0.9 and pins:
+            oid, seq, holder = pins.pop(rng.randrange(len(pins)))
+            for store in stores:
+                store.unpin(next(v for v in store.chains[oid] if v.seq == seq), holder)
+        else:
+            assert stores[0].gc(now) == stores[1].gc(now)
+        _assert_twins_agree(stores, traces)
+
+
+def test_dirty_chain_gc_sweeps_in_declaration_order():
+    # "b" becomes reclaimable before "a", yet "a" is declared first
+    stores, traces = _twin_stores(FreshnessMode.MULTIVERSION, {"a": 50, "b": 50})
+    for store in stores:
+        pinned = {oid: (store.install_version(oid, 1.0, 0),
+                        store.read_latest(oid, 1, "r"))[1] for oid in ("a", "b")}
+        store.install_version("a", 2.0, 2)
+        store.install_version("b", 2.0, 2)
+        store.unpin(pinned["b"], "r")
+        store.unpin(pinned["a"], "r")
+        assert store.gc(3) == 2
+    gc_records = [r["subject"] for r in traces[0] if r["kind"] == "gc"]
+    assert gc_records == ["a", "b"]
+    _assert_twins_agree(stores, traces)

@@ -13,6 +13,7 @@ from freshsim.workload import (
     config_to_dict,
     emit_config,
     expand_arrivals,
+    iter_arrivals,
     parse_config,
     sample_process,
 )
@@ -112,6 +113,17 @@ def test_arrivals_poisson_deterministic_and_mean_scaled():
     assert all(y > x for x, y in zip(a, a[1:]))
     mean_gap = a[-1] / len(a)
     assert 40 < mean_gap < 60  # inverse-transform exponential, rounded up
+
+
+@pytest.mark.parametrize("arrival", [Arrival("oneshot", t=5),
+                                     Arrival("periodic", start=3, period=10),
+                                     Arrival("poisson", mean_gap=50)])
+def test_iter_arrivals_streams_expand_arrivals(arrival):
+    spec = _txn(arrival)
+    expanded = expand_arrivals(spec, 10_000, seed=7)
+    assert list(iter_arrivals(spec, 10_000, seed=7)) == expanded
+    # lazy: an effectively endless stream yields its first release at once
+    assert next(iter_arrivals(spec, 10**18, seed=7)) == expanded[0]
 
 
 # -- parsing / validation ----------------------------------------------------------
