@@ -29,6 +29,7 @@ from pathlib import Path
 from .core import ConfigError, feasibility_check
 from .engine import Simulator
 from .metrics import CSV_HEADER, emit_csv_rows, emit_trace, trace_hash
+from .policies import effective_objects
 from .workload import SimConfig, config_from_dict, decode_json
 
 EXIT_OK = 0
@@ -59,6 +60,15 @@ def _run_once(doc: dict):
     return cfg, result
 
 
+def _write_csv(rows: list[str], path: str | None) -> None:
+    """The header and `rows`, to the file at `path` or else to stdout."""
+    text = "\n".join([CSV_HEADER] + rows) + "\n"
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -67,9 +77,8 @@ def cmd_run(args) -> int:
     doc = _load_doc(args.config)
     cfg, result = _run_once(doc)
     rows = emit_csv_rows(result.report, cfg.name, cfg.mode.value, _policy_string(cfg))
-    csv_text = "\n".join([CSV_HEADER] + rows) + "\n"
     if args.csv:
-        Path(args.csv).write_text(csv_text, encoding="utf-8")
+        _write_csv(rows, args.csv)
     if args.trace:
         Path(args.trace).write_text(emit_trace(result.trace), encoding="utf-8")
     o = result.report.overall
@@ -82,7 +91,7 @@ def cmd_run(args) -> int:
         print(f"  rejected at admission: {', '.join(result.report.rejected)}")
     print(f"  trace hash {trace_hash(result.trace)}")
     if not args.csv:
-        sys.stdout.write(csv_text)
+        _write_csv(rows, None)
     return EXIT_OK
 
 
@@ -93,10 +102,10 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     doc = _load_doc(args.config)
     cfg = config_from_dict(doc)
-    sim = Simulator(cfg)  # applies elastic rescaling to the object table
+    objects = effective_objects(cfg.objects, cfg.policies)
     all_ok = True
     for txn in cfg.transactions:
-        report = feasibility_check(txn, sim.eff_objects)
+        report = feasibility_check(txn, objects)
         for entry in report.entries:
             verdict = "ok" if entry.ok else "INFEASIBLE"
             print(f"txn {txn.id} object {entry.object_id}: vi={entry.vi} "
@@ -146,7 +155,7 @@ def _parse_value(text: str):
 def cmd_sweep(args) -> int:
     base = _load_doc(args.config)
     values = [_parse_value(v) for v in args.values.split(",")]
-    rows = [CSV_HEADER]
+    rows = []
     for value in values:
         doc = json.loads(json.dumps(base))
         _set_path(doc, args.param, value)
@@ -154,11 +163,7 @@ def cmd_sweep(args) -> int:
         cfg, result = _run_once(doc)
         rows += emit_csv_rows(result.report, cfg.name, cfg.mode.value,
                               _policy_string(cfg))
-    text = "\n".join(rows) + "\n"
-    if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_csv(rows, args.csv)
     return EXIT_OK
 
 
@@ -203,7 +208,7 @@ def cmd_compare(args) -> int:
     base = _load_doc(args.config)
     modes = args.modes.split(",") if args.modes else [None]
     policies = args.policies.split(",") if args.policies else [None]
-    rows = [CSV_HEADER]
+    rows = []
     trajectories = []
     for mode in modes:
         for policy_token in policies:
@@ -229,11 +234,7 @@ def cmd_compare(args) -> int:
                     [("compare", f"value trajectories diverged at {key}: "
                                  f"{merged[key]} vs {(variant, value)}")])
             merged.setdefault(key, (variant, value))
-    text = "\n".join(rows) + "\n"
-    if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_csv(rows, args.csv)
     return EXIT_OK
 
 

@@ -94,7 +94,7 @@ class Version:
     value: float
     sample_time: Tick
     seq: int
-    holders: list[str] = field(default_factory=list)
+    holders: list = field(default_factory=list)
     vi_extend: Tick = 0
 
     def valid_until(self, vi: Tick) -> Tick:

@@ -22,37 +22,23 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .core import (
-    ConfigError,
-    FreshnessMode,
-    SimInternalError,
-    Tick,
-    UserTxnSpec,
-    Version,
-    admit,
-)
+from .core import ConfigError, FreshnessMode, Tick, UserTxnSpec, Version, admit
 from .metrics import MetricsAggregator, MetricsReport
-from .policies import (
-    PERFORM,
-    TRANSMIT,
-    ElasticPolicy,
-    default_elasticity,
-    elastic_rescale,
-    extend_vi_for_period,
-)
+from .policies import PERFORM, TRANSMIT, effective_objects
 from .store import VersionStore
 from .workload import SimConfig, ValueSampler, iter_arrivals, validate_config
 
-# Event kinds, in within-tick processing order.
-TXN_ARRIVAL = 0
-RETRIEVAL_DONE = 1
-ANALYSIS_DONE = 2
-VI_EXPIRY = 3
-UPDATE_RELEASE = 4
-UPDATE_INSTALLED = 5
-DEADLINE = 6
+# Event kinds, in within-tick processing order. Each event carries what it
+# is about as its payload; the string subject only orders the queue.
+TXN_ARRIVAL = 0       # (spec, remaining releases)
+RETRIEVAL_DONE = 1    # (inst, epoch)
+ANALYSIS_DONE = 2     # (inst, epoch)
+VI_EXPIRY = 3         # (inst, epoch, object id)
+UPDATE_RELEASE = 4    # None; the subject is the object id
+UPDATE_INSTALLED = 5  # (value, sample time); the subject is the object id
+DEADLINE = 6          # inst
 
 # Transaction states.
 READY = "ready"
@@ -68,20 +54,23 @@ NEED_ANALYSIS = "analysis"
 
 
 class EventQueue:
-    """Priority queue ordered by (time, kind rank, subject id, push order)."""
+    """Priority queue ordered by (time, kind rank, subject id, push order).
+
+    The payload rides along and is never compared: the push order is
+    unique."""
 
     def __init__(self):
-        self._heap: list[tuple[Tick, int, str, int, dict]] = []
+        self._heap: list[tuple[Tick, int, str, int, object]] = []
         self._counter = 0
 
-    def push(self, time: Tick, kind: int, subject: str, payload: dict) -> None:
+    def push(self, time: Tick, kind: int, subject: str, payload) -> None:
         self._counter += 1
         heapq.heappush(self._heap, (time, kind, subject, self._counter, payload))
 
     def peek_time(self) -> Tick | None:
         return self._heap[0][0] if self._heap else None
 
-    def pop(self) -> tuple[Tick, int, str, dict]:
+    def pop(self) -> tuple[Tick, int, str, object]:
         time, kind, subject, _, payload = heapq.heappop(self._heap)
         return time, kind, subject, payload
 
@@ -95,16 +84,15 @@ class Access:
     fetched from the source."""
 
     object_id: str
-    value: float
-    sample_time: Tick
-    access_time: Tick
     version: Version | None = None  # the pinned version; None for source samples
     private_valid_until: Tick = 0   # source samples only
 
 
-@dataclass
+@dataclass(eq=False)
 class TxnInstance:
-    """Runtime state of one released transaction instance."""
+    """Runtime state of one released transaction instance. Instances compare
+    by identity, so the store's pin holders and the wait lists hold them
+    directly."""
 
     inst_id: str
     spec: UserTxnSpec
@@ -157,51 +145,27 @@ class Simulator:
         self.trace: list[dict] = []
         self.metrics = MetricsAggregator()
         self._now: Tick = 0
-
-        # Elastic rescale happens at config time: stretched periods and the
-        # validity intervals that go with them.
-        self.eff_objects = {o.id: o for o in config.objects}
-        elastic = {oid: p for oid, p in config.policies.items()
-                   if isinstance(p, ElasticPolicy)}
-        if elastic:
-            target = next(iter(elastic.values())).target_utilization
-            emap = {}
-            for o in config.objects:
-                p = elastic.get(o.id)
-                if p is None:
-                    emap[o.id] = 0
-                else:
-                    emap[o.id] = (default_elasticity(o) if p.elasticity is None
-                                  else p.elasticity)
-            new_periods = elastic_rescale(config.objects, target, emap)
-            for oid in elastic:
-                o = self.eff_objects[oid]
-                if new_periods[oid] > o.update_period:
-                    self.eff_objects[oid] = replace(
-                        o, update_period=new_periods[oid],
-                        vi=extend_vi_for_period(o, new_periods[oid]))
-        self.eff_period = {oid: o.update_period for oid, o in self.eff_objects.items()}
-        self.eff_vi = {oid: o.vi for oid, o in self.eff_objects.items()}
+        self.eff_objects = effective_objects(config.objects, config.policies)
 
         # Value trajectories are keyed on the declared update grid, so policy
         # variants of one seeded workload sample identical values.
         self.sampler = ValueSampler(config.seed, config.objects)
-        self.store = VersionStore(config.mode, self.eff_vi, trace=self.emit,
+        self.store = VersionStore(config.mode,
+                                  {oid: o.vi for oid, o in self.eff_objects.items()},
+                                  trace=self.emit,
                                   on_superseded_pinned=self._on_superseded_pinned)
 
         self.queue = EventQueue()
         self.instances: list[TxnInstance] = []
-        self._by_id: dict[str, TxnInstance] = {}
         self._released: dict[str, int] = {}  # instances released per class
         # (*edf_key, instance) for every instance that became READY; entries
         # of instances that left READY since are skipped when popped
         self._ready: list[tuple] = []
-        self.running: tuple[str, int] | None = None  # (inst_id, epoch)
-        self.waiting: dict[str, list[str]] = {o.id: [] for o in config.objects}
+        self.running: TxnInstance | None = None
+        self.waiting: dict[str, list[TxnInstance]] = {o.id: [] for o in config.objects}
         self.refresh_inflight: set[str] = set()
         self.policy_state = {oid: p.new_state() for oid, p in config.policies.items()}
         self.admitted: list[UserTxnSpec] = []
-        self.rejected: list[str] = []
 
     # -- trace -------------------------------------------------------------
 
@@ -218,37 +182,35 @@ class Simulator:
         for spec in self.config.transactions:
             decision = admit(spec, self.eff_objects, self.config.enforce_admission)
             if not decision.admitted:
-                self.rejected.append(spec.id)
                 self.emit({"t": 0, "kind": "txn_rejected", "subject": spec.id,
                            "detail": {"failing": decision.report.failing_objects()}})
                 continue
             self.admitted.append(spec)
-            self._push_arrival(iter_arrivals(spec, self.horizon, self.config.seed),
-                               spec)
+            self._push_arrival(spec, iter_arrivals(spec, self.horizon, self.config.seed))
         for obj in self.config.objects:
             if self.config.policies[obj.id].kind != "ondemand":
-                self.queue.push(0, UPDATE_RELEASE, obj.id, {})
+                self.queue.push(0, UPDATE_RELEASE, obj.id, None)
 
-    def _push_arrival(self, releases: Iterator[Tick], spec: UserTxnSpec) -> None:
+    def _push_arrival(self, spec: UserTxnSpec, releases: Iterator[Tick]) -> None:
         release = next(releases, None)
         if release is not None:
-            self.queue.push(release, TXN_ARRIVAL, spec.id,
-                            {"spec": spec, "releases": releases})
+            self.queue.push(release, TXN_ARRIVAL, spec.id, (spec, releases))
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> RunResult:
         self._schedule_workload()
-        while len(self.queue):
-            t = self.queue.peek_time()
+        queue = self.queue
+        while len(queue):
+            t = queue.peek_time()
             if t is None or t > self.horizon:
                 break
             self._now = t
             while True:
                 did_work = False
-                while self.queue.peek_time() == t:
-                    _, kind, subject, payload = self.queue.pop()
-                    self._handle(t, kind, subject, payload)
+                while queue.peek_time() == t:
+                    _, kind, subject, payload = queue.pop()
+                    _HANDLERS[kind](self, t, subject, payload)
                     did_work = True
                 if self._dispatch(t):
                     did_work = True
@@ -260,61 +222,37 @@ class Simulator:
             update_costs={o.id: o.update_cost for o in self.eff_objects.values()},
         )
         return RunResult(report=report, trace=self.trace, instances=self.instances,
-                         effective_periods=dict(self.eff_period),
-                         effective_vis=dict(self.eff_vi))
-
-    def _handle(self, t: Tick, kind: int, subject: str, payload: dict) -> None:
-        if kind == TXN_ARRIVAL:
-            self._on_arrival(t, payload["spec"])
-            self._push_arrival(payload["releases"], payload["spec"])
-        elif kind == RETRIEVAL_DONE:
-            self._on_retrieval_done(t, payload)
-        elif kind == ANALYSIS_DONE:
-            self._on_analysis_done(t, payload)
-        elif kind == VI_EXPIRY:
-            self._on_vi_expiry(t, payload)
-        elif kind == UPDATE_RELEASE:
-            self._on_update_release(t, subject)
-        elif kind == UPDATE_INSTALLED:
-            self._on_update_installed(t, payload)
-        elif kind == DEADLINE:
-            self._on_deadline(t, payload)
-        else:
-            raise SimInternalError(f"unknown event kind {kind}")
+                         effective_periods={oid: o.update_period
+                                            for oid, o in self.eff_objects.items()},
+                         effective_vis=dict(self.store.vis))
 
     # -- transaction lifecycle ----------------------------------------------
 
-    def _on_arrival(self, t: Tick, spec: UserTxnSpec) -> None:
+    def _on_arrival(self, t: Tick, subject: str, payload) -> None:
+        spec, releases = payload
         ordinal = len(self.instances)
         count = self._released.get(spec.id, 0)
         self._released[spec.id] = count + 1
         inst = TxnInstance(inst_id=f"{spec.id}#{count}", spec=spec, release=t,
                            deadline=t + spec.relative_deadline, ordinal=ordinal)
         self.instances.append(inst)
-        self._by_id[inst.inst_id] = inst
         self._make_ready(inst)
-        self.queue.push(inst.deadline, DEADLINE, inst.inst_id,
-                        {"inst": inst.inst_id})
+        self.queue.push(inst.deadline, DEADLINE, inst.inst_id, inst)
         self.emit({"t": t, "kind": "txn_released", "subject": inst.inst_id,
                    "detail": {"class": spec.id, "deadline": inst.deadline}})
+        self._push_arrival(spec, releases)
 
-    def _guarded(self, payload: dict) -> TxnInstance | None:
-        inst = self._by_id[payload["inst"]]
-        if inst.terminal() or inst.epoch != payload["epoch"]:
-            return None
-        return inst
-
-    def _on_retrieval_done(self, t: Tick, payload: dict) -> None:
-        inst = self._guarded(payload)
-        if inst is None:
+    def _on_retrieval_done(self, t: Tick, subject: str, payload) -> None:
+        inst, epoch = payload
+        if inst.terminal() or inst.epoch != epoch:
             return
         self._make_ready(inst)
         inst.phase = NEED_ANALYSIS
         self._free_processor(inst)
 
-    def _on_analysis_done(self, t: Tick, payload: dict) -> None:
-        inst = self._guarded(payload)
-        if inst is None:
+    def _on_analysis_done(self, t: Tick, subject: str, payload) -> None:
+        inst, epoch = payload
+        if inst.terminal() or inst.epoch != epoch:
             return
         self._free_processor(inst)
         inst.cursor += 1
@@ -335,8 +273,7 @@ class Simulator:
         self._release_pins(inst)
         self.store.gc(t)
 
-    def _on_deadline(self, t: Tick, payload: dict) -> None:
-        inst = self._by_id[payload["inst"]]
+    def _on_deadline(self, t: Tick, subject: str, inst: TxnInstance) -> None:
         if inst.terminal():
             return
         inst.state = MISSED
@@ -347,16 +284,16 @@ class Simulator:
         self._release_pins(inst)
         self.store.gc(t)
 
-    def _on_vi_expiry(self, t: Tick, payload: dict) -> None:
-        inst = self._guarded(payload)
-        if inst is None:
+    def _on_vi_expiry(self, t: Tick, subject: str, payload) -> None:
+        inst, epoch, object_id = payload
+        if inst.terminal() or inst.epoch != epoch:
             return
         # same epoch, so the access that scheduled this expiry is still held
-        access = inst.accesses[payload["object"]]
+        access = inst.accesses[object_id]
         until = self._valid_until(access)
         if t < until:
             # a skipped update extended the version; check again at the new end
-            self.queue.push(until, VI_EXPIRY, inst.inst_id, dict(payload))
+            self.queue.push(until, VI_EXPIRY, subject, payload)
             return
         self._restart(inst, t, cause="vi_expiry", access=access)
 
@@ -364,8 +301,7 @@ class Simulator:
         """Classical install replaced a version someone still pins: every
         pinning transaction restarts (update transactions are never delayed
         by readers)."""
-        for inst_id in list(version.holders):
-            inst = self._by_id[inst_id]
+        for inst in list(version.holders):
             if not inst.terminal():
                 self._restart(inst, self._now, cause="superseded",
                               access=inst.accesses.get(version.object_id))
@@ -397,18 +333,18 @@ class Simulator:
     def _release_pins(self, inst: TxnInstance) -> None:
         for access in inst.accesses.values():
             if access.version is not None:
-                self.store.unpin(access.version, inst.inst_id)
+                self.store.unpin(access.version, inst)
         inst.accesses.clear()
 
     def _free_processor(self, inst: TxnInstance) -> None:
-        if self.running is not None and self.running[0] == inst.inst_id:
+        if self.running is inst:
             self.running = None
 
     def _leave_waiting(self, inst: TxnInstance) -> None:
         # a waiting instance waits on the object its cursor points at
         queue = self.waiting[inst.current_object()]
-        if inst.inst_id in queue:
-            queue.remove(inst.inst_id)
+        if inst in queue:
+            queue.remove(inst)
 
     def _valid_until(self, access: Access) -> Tick:
         if access.version is not None:
@@ -417,12 +353,12 @@ class Simulator:
 
     # -- update server -------------------------------------------------------
 
-    def _on_update_release(self, t: Tick, object_id: str) -> None:
+    def _on_update_release(self, t: Tick, object_id: str, payload: None) -> None:
         policy = self.config.policies[object_id]
         eff = self.eff_objects[object_id]
         following = t + eff.update_period
         if policy.kind != "ondemand" and following <= self.horizon:
-            self.queue.push(following, UPDATE_RELEASE, object_id, {})
+            self.queue.push(following, UPDATE_RELEASE, object_id, None)
         sampled = self.sampler.sample(object_id, t)
         decision, sink_value, extra = policy.decide(
             self.policy_state[object_id], t, sampled, self.store.newest(object_id))
@@ -433,22 +369,19 @@ class Simulator:
 
         if decision in (PERFORM, TRANSMIT):
             self.queue.push(t + eff.update_cost, UPDATE_INSTALLED, object_id,
-                            {"object": object_id, "value": sampled,
-                             "sample_time": t})
+                            (sampled, t))
         else:
             self.store.extend_validity(object_id, eff.update_period)
             self._wake_waiters(object_id)
 
-    def _on_update_installed(self, t: Tick, payload: dict) -> None:
-        object_id = payload["object"]
-        self.store.install_version(object_id, payload["value"],
-                                   payload["sample_time"], now=t)
+    def _on_update_installed(self, t: Tick, object_id: str, payload) -> None:
+        value, sample_time = payload
+        self.store.install_version(object_id, value, sample_time, now=t)
         self.refresh_inflight.discard(object_id)
         self._wake_waiters(object_id)
 
     def _wake_waiters(self, object_id: str) -> None:
-        for inst_id in self.waiting[object_id]:
-            inst = self._by_id[inst_id]
+        for inst in self.waiting[object_id]:
             if inst.state == WAITING:
                 self._make_ready(inst)
         self.waiting[object_id] = []
@@ -476,70 +409,67 @@ class Simulator:
     def _start_segment(self, inst: TxnInstance, t: Tick) -> None:
         obj = inst.current_object()
         if inst.phase == NEED_ANALYSIS:
-            inst.state = ANALYZING
-            self.running = (inst.inst_id, inst.epoch)
-            self.queue.push(t + inst.spec.analysis_time[obj], ANALYSIS_DONE,
-                            inst.inst_id,
-                            {"inst": inst.inst_id, "epoch": inst.epoch})
+            self._run_segment(inst, ANALYZING, ANALYSIS_DONE,
+                              t + inst.spec.analysis_time[obj])
             return
 
-        mode = inst.spec.retrieval_mode
-        if obj in inst.source_only:
-            mode = "source"
-        if mode == "source":
-            self._start_source_fetch(inst, t, obj)
-            return
+        mode = "source" if obj in inst.source_only else inst.spec.retrieval_mode
+        if mode != "source":
+            version = self.store.read_latest(obj, t, inst,
+                                             inst.burned.get(obj, frozenset()))
+            if version is not None:
+                self._acquire(inst, t, Access(obj, version=version), "store",
+                              version.value, version.sample_time)
+                self._run_segment(inst, ANALYZING, ANALYSIS_DONE,
+                                  t + inst.spec.analysis_time[obj])
+                return
 
-        version = self.store.read_latest(obj, t, inst.inst_id,
-                                         inst.burned.get(obj, frozenset()))
-        if version is not None:
-            inst.accesses[obj] = Access(object_id=obj, value=version.value,
-                                        sample_time=version.sample_time,
-                                        access_time=t, version=version)
-            self.emit({"t": t, "kind": "access", "subject": inst.inst_id,
-                       "detail": {"object": obj, "via": "store",
-                                  "value": version.value,
-                                  "staleness": t - version.sample_time}})
-            if self.mode is FreshnessMode.CLASSICAL:
-                self.queue.push(self.store.valid_until(version), VI_EXPIRY,
-                                inst.inst_id,
-                                {"inst": inst.inst_id, "epoch": inst.epoch,
-                                 "object": obj})
-            inst.state = ANALYZING
-            self.running = (inst.inst_id, inst.epoch)
-            self.queue.push(t + inst.spec.analysis_time[obj], ANALYSIS_DONE,
-                            inst.inst_id,
-                            {"inst": inst.inst_id, "epoch": inst.epoch})
-            return
-
-        if mode == "store_then_source":
-            self._start_source_fetch(inst, t, obj)
+        if mode != "store":
+            # the source, directly or when the store cannot serve
+            vi = self.eff_objects[obj].vi
+            self._acquire(inst, t, Access(obj, private_valid_until=t + vi), "source",
+                          self.sampler.sample(obj, t), t)
+            self._run_segment(inst, RETRIEVING, RETRIEVAL_DONE,
+                              t + inst.spec.retrieval_time[obj])
             return
 
         # pure store mode: block until the object is refreshed or confirmed
         if (self.config.policies[obj].kind == "ondemand"
                 and obj not in self.refresh_inflight):
             self.refresh_inflight.add(obj)
-            self.queue.push(t, UPDATE_RELEASE, obj, {})
+            self.queue.push(t, UPDATE_RELEASE, obj, None)
         inst.state = WAITING
-        self.waiting[obj].append(inst.inst_id)
+        self.waiting[obj].append(inst)
 
-    def _start_source_fetch(self, inst: TxnInstance, t: Tick, obj: str) -> None:
-        value = self.sampler.sample(obj, t)
-        vi = self.eff_vi[obj]
-        inst.accesses[obj] = Access(object_id=obj, value=value, sample_time=t,
-                                    access_time=t, private_valid_until=t + vi)
+    def _acquire(self, inst: TxnInstance, t: Tick, access: Access, via: str,
+                 value: float, sample_time: Tick) -> None:
+        """Hold the access, record it and, in classical mode, queue the
+        check at the instant its validity ends."""
+        inst.accesses[access.object_id] = access
         self.emit({"t": t, "kind": "access", "subject": inst.inst_id,
-                   "detail": {"object": obj, "via": "source", "value": value,
-                              "staleness": 0}})
+                   "detail": {"object": access.object_id, "via": via,
+                              "value": value, "staleness": t - sample_time}})
         if self.mode is FreshnessMode.CLASSICAL:
-            self.queue.push(t + vi, VI_EXPIRY, inst.inst_id,
-                            {"inst": inst.inst_id, "epoch": inst.epoch,
-                             "object": obj})
-        inst.state = RETRIEVING
-        self.running = (inst.inst_id, inst.epoch)
-        self.queue.push(t + inst.spec.retrieval_time[obj], RETRIEVAL_DONE,
-                        inst.inst_id, {"inst": inst.inst_id, "epoch": inst.epoch})
+            self.queue.push(self._valid_until(access), VI_EXPIRY, inst.inst_id,
+                            (inst, inst.epoch, access.object_id))
+
+    def _run_segment(self, inst: TxnInstance, state: str, kind: int,
+                     end: Tick) -> None:
+        inst.state = state
+        self.running = inst
+        self.queue.push(end, kind, inst.inst_id, (inst, inst.epoch))
+
+
+# event handlers, indexed by event kind
+_HANDLERS = (
+    Simulator._on_arrival,           # TXN_ARRIVAL
+    Simulator._on_retrieval_done,    # RETRIEVAL_DONE
+    Simulator._on_analysis_done,     # ANALYSIS_DONE
+    Simulator._on_vi_expiry,         # VI_EXPIRY
+    Simulator._on_update_release,    # UPDATE_RELEASE
+    Simulator._on_update_installed,  # UPDATE_INSTALLED
+    Simulator._on_deadline,          # DEADLINE
+)
 
 
 def run(config: SimConfig) -> RunResult:

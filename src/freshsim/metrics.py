@@ -210,13 +210,9 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def trace_lines(trace: list[dict]) -> list[str]:
-    return [_encode_record(rec) for rec in trace]
-
-
 def emit_trace(trace: list[dict]) -> str:
     """Line-delimited JSON, one record per line."""
-    lines = trace_lines(trace)
+    lines = [_encode_record(rec) for rec in trace]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -232,8 +228,6 @@ def trace_hash(trace: list[dict]) -> str:
 def _num(x) -> str:
     if isinstance(x, bool):
         return str(int(x))
-    if isinstance(x, float):
-        return str(x)
     return str(x)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import ObjectSpec, PolicyInfeasibleError, Tick, Version
@@ -181,15 +181,6 @@ PolicyConfig = (PeriodicPolicy | OnDemandPolicy | ElasticPolicy
 
 
 # ---------------------------------------------------------------------------
-# periodic and on-demand
-
-
-def periodic_instances(obj: ObjectSpec, horizon: Tick) -> list[Tick]:
-    """Release times 0, P, 2P, ... up to and including the horizon."""
-    return list(range(0, horizon + 1, obj.update_period))
-
-
-# ---------------------------------------------------------------------------
 # elastic period rescaling
 
 
@@ -272,6 +263,33 @@ def extend_vi_for_period(obj: ObjectSpec, new_period: Tick) -> Tick:
     half-period rule vi = 2P so a fresh version always exists under jitter
     free periodic updates. Never shrinks the declared interval."""
     return max(obj.vi, 2 * new_period)
+
+
+def effective_objects(objects: list[ObjectSpec],
+                      policies: dict[str, PolicyConfig]) -> dict[str, ObjectSpec]:
+    """The object table a run uses, by id. Rescaling happens at config time:
+    an elastic object whose period the rescale stretches is replaced by a
+    copy with the stretched period and the validity interval that goes with
+    it; every other object is the declared one."""
+    table = {o.id: o for o in objects}
+    elastic = {oid: p for oid, p in policies.items() if isinstance(p, ElasticPolicy)}
+    if not elastic:
+        return table
+    elasticity = {}
+    for oid, policy in elastic.items():
+        if policy.elasticity is None:
+            elasticity[oid] = default_elasticity(table[oid])
+        else:
+            elasticity[oid] = policy.elasticity
+    # elastic objects share one target (validate_config)
+    target = next(iter(elastic.values())).target_utilization
+    periods = elastic_rescale(objects, target, elasticity)
+    for oid in elastic:
+        obj = table[oid]
+        if periods[oid] > obj.update_period:
+            table[oid] = replace(obj, update_period=periods[oid],
+                                 vi=extend_vi_for_period(obj, periods[oid]))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,9 @@ TraceFn = Callable[[dict], None]
 
 @dataclass
 class ObjectStoreStats:
-    live_versions: int = 0
     peak_live_versions: int = 0
     active_pins: int = 0
     peak_active_pins: int = 0
-    reclaimed: int = 0
 
 
 class VersionStore:
@@ -96,7 +94,6 @@ class VersionStore:
         if now is None:
             now = sample_time
         chain = self._chain(object_id)
-        stats = self.stats[object_id]
         if chain and chain[-1].sample_time >= sample_time:
             raise SimInternalError(
                 f"non-monotone install on {object_id!r}: "
@@ -106,7 +103,6 @@ class VersionStore:
         version = Version(object_id=object_id, value=value,
                           sample_time=sample_time, seq=seq)
         chain.append(version)
-        stats.live_versions += 1
         if prev is not None:
             self._dirty.add(object_id)
         self._emit(now, "install", object_id,
@@ -115,12 +111,15 @@ class VersionStore:
                 and prev.holders and self.on_superseded_pinned is not None):
             self.on_superseded_pinned(prev)
         self.gc(now)
+        stats = self.stats[object_id]
         # the peak statistic is sampled between events, after the piggybacked
-        # sweep, so it reflects versions that actually coexist
-        stats.peak_live_versions = max(stats.peak_live_versions, stats.live_versions)
+        # sweep (which replaces the chain), so it reflects versions that
+        # actually coexist
+        stats.peak_live_versions = max(stats.peak_live_versions,
+                                       len(self.chains[object_id]))
         return seq
 
-    def read_latest(self, object_id: str, t: Tick, holder: str,
+    def read_latest(self, object_id: str, t: Tick, holder,
                     exclude: frozenset[int] | set[int] = frozenset()) -> Version | None:
         """Serve the newest version if it is fresh at t, pinned for `holder`.
 
@@ -154,7 +153,7 @@ class VersionStore:
             raise SimInternalError(f"validity extension on empty chain {object_id!r}")
         version.vi_extend += ticks
 
-    def unpin(self, version: Version, holder: str) -> None:
+    def unpin(self, version: Version, holder) -> None:
         """Drop `holder`'s pin on `version`, which must still be in its chain."""
         if holder not in version.holders:
             raise SimInternalError(f"unpin of {version.object_id!r}#{version.seq} "
@@ -189,9 +188,6 @@ class VersionStore:
                         raise SimInternalError(
                             f"gc would reclaim pinned {object_id!r}#{version.seq}")
                 self.chains[object_id] = keep + [chain[-1]]
-                stats = self.stats[object_id]
-                stats.live_versions -= len(removed)
-                stats.reclaimed += len(removed)
                 reclaimed += len(removed)
                 self._emit(now, "gc", object_id, {"reclaimed": len(removed)})
         return reclaimed

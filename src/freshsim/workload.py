@@ -156,14 +156,11 @@ class ValueSampler:
         # object id -> (stream key, walk values at ordinals 0, 1, ...)
         self._walk_cache: dict[str, tuple[int, list[float]]] = {}
 
-    def index_at(self, object_id: str, t: Tick) -> int:
-        return t // self.specs[object_id].update_period
-
     def sample(self, object_id: str, t: Tick) -> float:
         obj = self.specs[object_id]
         process = obj.value_process
         if isinstance(process, RandomWalkProcess):
-            return self._walk_value(obj, process, self.index_at(object_id, t))
+            return self._walk_value(obj, process, t // obj.update_period)
         return sample_process(process, t, 0, self.seed, object_id)
 
     def _walk_value(self, obj: ObjectSpec, process: RandomWalkProcess,
@@ -230,9 +227,6 @@ class SimConfig:
     transactions: list[UserTxnSpec]
     name: str = "config"
     rng: str = RNG_ALGORITHM
-
-    def object_table(self) -> dict[str, ObjectSpec]:
-        return {o.id: o for o in self.objects}
 
 
 def validate_config(cfg: SimConfig) -> list[tuple[str, str]]:

@@ -107,6 +107,33 @@ def test_superseded_classical_reader_restarts_multiversion_continues():
     assert (inst.state, inst.commit_time, inst.restart_count) == ("committed", 7, 0)
 
 
+def test_superseded_version_restarts_every_classical_holder_in_pin_order():
+    # a pins o1's t=0 version at 1; b, with the earlier deadline, pins it at
+    # 5 after a's first analysis; the t=6 install replaces it under both
+    objects = [ObjectSpec(id=oid, vi=20, update_period=6, update_cost=0,
+                          value_process=ConstantProcess(value=1.0))
+               for oid in ("o1", "o2")]
+    txns = [UserTxnSpec(id=tid, read_set=read_set,
+                        retrieval_time=dict.fromkeys(read_set, 0),
+                        analysis_time=dict.fromkeys(read_set, 4),
+                        relative_deadline=deadline - release,
+                        arrival=Arrival("oneshot", t=release), retrieval_mode="store")
+            for tid, read_set, release, deadline in (("a", ["o1", "o2"], 1, 29),
+                                                     ("b", ["o1"], 2, 20))]
+    cfg = SimConfig(horizon=30, mode=FreshnessMode.CLASSICAL, enforce_admission=False,
+                    seed=1, objects=objects,
+                    policies={"o1": PeriodicPolicy(), "o2": PeriodicPolicy()},
+                    transactions=txns)
+    at_6 = [(r["kind"], r["subject"], r["detail"].get("cause", r["detail"].get("reclaimed")))
+            for r in run_config(cfg).trace
+            if r["t"] == 6 and r["kind"] in ("install", "restart", "gc")
+            and r["subject"] != "o2"]
+    assert at_6 == [("install", "o1", None),
+                    ("restart", "a#0", "superseded"),
+                    ("restart", "b#0", "superseded"),
+                    ("gc", "o1", 1)]
+
+
 def test_admission_gate_blocks_infeasible_release():
     cfg = one_object_config(vi=5, retrieval=2, analysis=4, enforce=True)
     result = run_config(cfg)

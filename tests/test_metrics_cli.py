@@ -149,6 +149,19 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert main(["check", path]) == 0
 
 
+def test_cli_check_uses_the_rescaled_objects(tmp_path, capsys):
+    # elastic at target 0.5 stretches the period 2 -> 4 and vi 4 -> 8, so
+    # R + A = 6 fits; the declared vi of 4 would not
+    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
+    doc["objects"][0].update(vi=4, period=2, cost=2, policy={
+        "kind": "elastic", "target_utilization": 0.5})
+    doc["transactions"][0].update(retrieval={"o1": 3}, analysis={"o1": 3})
+    path = write_config(tmp_path, doc)
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert "txn t1 object o1: vi=8 retrieval=3 analysis=3 [ok]" in out
+
+
 def test_cli_check_reports_validation_errors(tmp_path, capsys):
     bad = json.loads(json.dumps(CONFIG_INFEASIBLE))
     bad["objects"][0]["vi"] = 0

@@ -23,7 +23,6 @@ from freshsim.policies import (
     elastic_rescale,
     extend_vi_for_period,
     mk_firm_decision,
-    periodic_instances,
     prediction_decision,
     similarity_decision,
 )
@@ -41,11 +40,13 @@ def obj(oid="o1", vi=10, period=5, cost=1, weight=1.0, max_period=None):
 
 @pytest.mark.parametrize("period,horizon,expected", [
     (10, 25, [0, 10, 20]),
-    (10, 0, [0]),
     (3, 9, [0, 3, 6, 9]),
 ])
 def test_periodic_instances(period, horizon, expected):
-    assert periodic_instances(obj(period=period), horizon) == expected
+    # the engine releases a periodic object's instances at 0, P, 2P, ... up
+    # to and including the horizon
+    result = run_config(one_object_config(period=period, horizon=horizon))
+    assert [r["t"] for r in result.trace if r["kind"] == "update_decision"] == expected
 
 
 # -- on demand ----------------------------------------------------------------

@@ -193,8 +193,6 @@ class FullSweepStore(VersionStore):
             removed = [v for v in chain[:-1] if not v.holders]
             if removed:
                 self.chains[object_id] = [v for v in chain[:-1] if v.holders] + [chain[-1]]
-                self.stats[object_id].live_versions -= len(removed)
-                self.stats[object_id].reclaimed += len(removed)
                 reclaimed += len(removed)
                 self._emit(now, "gc", object_id, {"reclaimed": len(removed)})
         return reclaimed

@@ -76,7 +76,7 @@ class TickOracle:
     def __init__(self, config: SimConfig):
         self.cfg = config
         self.mode = config.mode
-        self.objects = config.object_table()
+        self.objects = {o.id: o for o in config.objects}
         self.vi = {o.id: o.vi for o in config.objects}
         self.period = {o.id: o.update_period for o in config.objects}
         self.cost = {o.id: o.update_cost for o in config.objects}
