@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .core import ConfigError, feasibility_check
 from .engine import Simulator
-from .metrics import CSV_HEADER, emit_csv_rows, emit_trace, trace_hash
+from .metrics import CSV_HEADER, TraceLines, emit_csv_rows, trace_blocks, trace_hash
 from .policies import effective_objects
 from .workload import SimConfig, config_from_dict, decode_json
 
@@ -54,10 +54,15 @@ def _policy_string(cfg: SimConfig) -> str:
     return "+".join(sorted({p.kind for p in cfg.policies.values()})) or "none"
 
 
-def _run_once(doc: dict):
+def _run_once(doc: dict, sink):
+    """Run the config `doc`, passing each trace record to `sink`."""
     cfg = config_from_dict(doc)
-    result = Simulator(cfg).run()
+    result = Simulator(cfg, sink=sink).run()
     return cfg, result
+
+
+def _drop(record: dict) -> None:
+    """Trace sink for commands that read only the report."""
 
 
 def _write_csv(rows: list[str], path: str | None) -> None:
@@ -75,12 +80,14 @@ def _write_csv(rows: list[str], path: str | None) -> None:
 
 def cmd_run(args) -> int:
     doc = _load_doc(args.config)
-    cfg, result = _run_once(doc)
+    lines = TraceLines()
+    cfg, result = _run_once(doc, lines)
     rows = emit_csv_rows(result.report, cfg.name, cfg.mode.value, _policy_string(cfg))
     if args.csv:
         _write_csv(rows, args.csv)
     if args.trace:
-        Path(args.trace).write_text(emit_trace(result.trace), encoding="utf-8")
+        with open(args.trace, "wb") as out:
+            out.writelines(trace_blocks(lines))
     o = result.report.overall
     print(f"scenario {cfg.name}: mode={cfg.mode.value} policy={_policy_string(cfg)}")
     print(f"  released={o.released} committed={o.committed} missed={o.missed} "
@@ -89,7 +96,7 @@ def cmd_run(args) -> int:
           f"skipped={result.report.updates_skipped}")
     if result.report.rejected:
         print(f"  rejected at admission: {', '.join(result.report.rejected)}")
-    print(f"  trace hash {trace_hash(result.trace)}")
+    print(f"  trace hash {trace_hash(lines)}")
     if not args.csv:
         _write_csv(rows, None)
     return EXIT_OK
@@ -160,7 +167,7 @@ def cmd_sweep(args) -> int:
         doc = json.loads(json.dumps(base))
         _set_path(doc, args.param, value)
         doc["name"] = f"{base.get('name', 'config')}[{args.param}={value}]"
-        cfg, result = _run_once(doc)
+        cfg, result = _run_once(doc, _drop)
         rows += emit_csv_rows(result.report, cfg.name, cfg.mode.value,
                               _policy_string(cfg))
     _write_csv(rows, args.csv)
@@ -194,14 +201,17 @@ def _parse_policy_token(token: str) -> dict:
     raise ConfigError([("policies", f"cannot parse policy token {token!r}")])
 
 
-def _sampled_values(trace: list[dict]) -> dict:
-    seen = {}
-    for rec in trace:
-        if rec["kind"] == "update_decision":
-            seen[(rec["subject"], rec["t"])] = rec["detail"]["sampled"]
-        elif rec["kind"] == "access" and rec["detail"]["via"] == "source":
-            seen[(rec["detail"]["object"], rec["t"])] = rec["detail"]["value"]
-    return seen
+class SampledValues(dict):
+    """Trace sink of `compare`: keeps (object id, t) -> value for every
+    sampled value in the trace (update decisions and source accesses) and
+    drops the records."""
+
+    def __call__(self, rec: dict) -> None:
+        kind = rec["kind"]
+        if kind == "update_decision":
+            self[(rec["subject"], rec["t"])] = rec["detail"]["sampled"]
+        elif kind == "access" and rec["detail"]["via"] == "source":
+            self[(rec["detail"]["object"], rec["t"])] = rec["detail"]["value"]
 
 
 def cmd_compare(args) -> int:
@@ -220,10 +230,11 @@ def cmd_compare(args) -> int:
                 for od in doc.get("objects", []):
                     if isinstance(od, dict):
                         od["policy"] = dict(policy)
-            cfg, result = _run_once(doc)
+            values = SampledValues()
+            cfg, result = _run_once(doc, values)
             label = policy_token if policy_token is not None else _policy_string(cfg)
             rows += emit_csv_rows(result.report, cfg.name, cfg.mode.value, label)
-            trajectories.append(((cfg.mode.value, label), _sampled_values(result.trace)))
+            trajectories.append(((cfg.mode.value, label), values))
     # the shared seed pins the value trajectory: any instant sampled by two
     # variants must have produced the same value
     merged: dict = {}

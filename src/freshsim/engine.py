@@ -21,7 +21,7 @@ missed at its deadline only if nothing committed it earlier in the tick.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .core import ConfigError, FreshnessMode, Tick, UserTxnSpec, Version, admit
@@ -126,16 +126,21 @@ class TxnInstance:
 @dataclass
 class RunResult:
     report: MetricsReport
-    trace: list[dict]
+    trace: list[dict]  # empty when the run was given a sink
     instances: list[TxnInstance]
     effective_periods: dict[str, Tick]
     effective_vis: dict[str, Tick]
 
 
 class Simulator:
-    """One simulation run. Build, call run() once, read the result."""
+    """One simulation run. Build, call run() once, read the result.
 
-    def __init__(self, config: SimConfig):
+    Each trace record goes to `sink` (a callable taking the record dict), then
+    to the metrics aggregator. Without a sink the records are kept in
+    `self.trace` and returned as `RunResult.trace`. A sink must not change
+    the record."""
+
+    def __init__(self, config: SimConfig, sink: Callable[[dict], None] | None = None):
         errors = validate_config(config)
         if errors:
             raise ConfigError(errors)
@@ -143,6 +148,7 @@ class Simulator:
         self.horizon = config.horizon
         self.mode = config.mode
         self.trace: list[dict] = []
+        self._sink = self.trace.append if sink is None else sink
         self.metrics = MetricsAggregator()
         self._now: Tick = 0
         self.eff_objects = effective_objects(config.objects, config.policies)
@@ -165,12 +171,11 @@ class Simulator:
         self.waiting: dict[str, list[TxnInstance]] = {o.id: [] for o in config.objects}
         self.refresh_inflight: set[str] = set()
         self.policy_state = {oid: p.new_state() for oid, p in config.policies.items()}
-        self.admitted: list[UserTxnSpec] = []
 
     # -- trace -------------------------------------------------------------
 
     def emit(self, record: dict) -> None:
-        self.trace.append(record)
+        self._sink(record)
         self.metrics.record(record)
 
     # -- setup -------------------------------------------------------------
@@ -185,7 +190,6 @@ class Simulator:
                 self.emit({"t": 0, "kind": "txn_rejected", "subject": spec.id,
                            "detail": {"failing": decision.report.failing_objects()}})
                 continue
-            self.admitted.append(spec)
             self._push_arrival(spec, iter_arrivals(spec, self.horizon, self.config.seed))
         for obj in self.config.objects:
             if self.config.policies[obj.id].kind != "ondemand":

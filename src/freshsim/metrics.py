@@ -10,6 +10,7 @@ seeds must produce identical hashes.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .core import SimInternalError, Tick
@@ -203,10 +204,25 @@ _MASK64 = (1 << 64) - 1
 _encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+# lines hashed per block: bounds the bytes held at once while hashing
+_BLOCK_LINES = 1024
+
+
+def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a of `data`, continuing from the state `h`, so blocks
+    chain: fnv1a64(a + b) == fnv1a64(b, fnv1a64(a)).
+
+    The loop takes 8 bytes per pass and masks once per pass. That gives the
+    bytewise result, because the low 64 bits of XOR and multiply depend only
+    on the low 64 bits of their operands."""
+    p = _FNV_PRIME
+    m = _MASK64
+    it = iter(data)
+    for b0, b1, b2, b3, b4, b5, b6, b7 in zip(it, it, it, it, it, it, it, it):
+        h = ((((((((h ^ b0) * p ^ b1) * p ^ b2) * p ^ b3) * p ^ b4) * p ^ b5)
+               * p ^ b6) * p ^ b7) * p & m
+    for byte in data[len(data) & ~7:]:
+        h = (h ^ byte) * p & m
     return h
 
 
@@ -216,9 +232,31 @@ def emit_trace(trace: list[dict]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def trace_hash(trace: list[dict]) -> str:
+def trace_blocks(trace: list[dict] | list[str]) -> Iterator[bytes]:
+    """The bytes of `emit_trace`, in blocks of whole lines, so no string of
+    the whole trace is built. `trace` holds either the records or their
+    canonical lines, as kept by `TraceLines`."""
+    for start in range(0, len(trace), _BLOCK_LINES):
+        block = trace[start:start + _BLOCK_LINES]
+        if not isinstance(block[0], str):
+            block = map(_encode_record, block)
+        yield ("\n".join(block) + "\n").encode("utf-8")
+
+
+def trace_hash(trace: list[dict] | list[str]) -> str:
     """64-bit FNV-1a over the canonical trace bytes, as fixed-width hex."""
-    return format(fnv1a64(emit_trace(trace).encode("utf-8")), "016x")
+    h = _FNV_OFFSET
+    for block in trace_blocks(trace):
+        h = fnv1a64(block, h)
+    return format(h, "016x")
+
+
+class TraceLines(list):
+    """Trace sink (see `Simulator`) that keeps each record's canonical line,
+    the line `emit_trace` writes for it."""
+
+    def __call__(self, record: dict) -> None:
+        self.append(_encode_record(record))
 
 
 # ---------------------------------------------------------------------------

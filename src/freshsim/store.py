@@ -181,13 +181,10 @@ class VersionStore:
             if len(chain) <= 1:
                 continue
             keep = [v for v in chain[:-1] if v.holders]
-            removed = [v for v in chain[:-1] if not v.holders]
+            removed = len(chain) - 1 - len(keep)
             if removed:
-                for version in removed:
-                    if version.holders:
-                        raise SimInternalError(
-                            f"gc would reclaim pinned {object_id!r}#{version.seq}")
-                self.chains[object_id] = keep + [chain[-1]]
-                reclaimed += len(removed)
-                self._emit(now, "gc", object_id, {"reclaimed": len(removed)})
+                keep.append(chain[-1])
+                self.chains[object_id] = keep
+                reclaimed += removed
+                self._emit(now, "gc", object_id, {"reclaimed": removed})
         return reclaimed

@@ -305,7 +305,8 @@ def test_scheduling_queues_one_release_per_stream(horizon):
     sim._schedule_workload()
     # one pending release per admitted class and per periodically updated
     # object, whatever the horizon
-    streams = len(sim.admitted) + sum(p.kind != "ondemand" for p in policies.values())
+    admitted = len(transactions) - len(sim.metrics.rejected)
+    streams = admitted + sum(p.kind != "ondemand" for p in policies.values())
     assert streams == 5
     assert len(pushes) == len(sim.queue) == streams
 

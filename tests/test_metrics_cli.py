@@ -1,10 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from freshsim.cli import main
+import freshsim.cli
+from freshsim.cli import SampledValues, main
 from freshsim.core import SimInternalError
+from freshsim.engine import Simulator
 from freshsim.metrics import (
     CSV_HEADER,
     MetricsAggregator,
@@ -13,6 +16,7 @@ from freshsim.metrics import (
     fnv1a64,
     trace_hash,
 )
+from freshsim.workload import config_from_dict
 
 from support import one_object_config, run_config
 
@@ -127,6 +131,16 @@ def test_fnv1a64_reference_values():
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
+@pytest.mark.parametrize("length", range(21))
+def test_fnv1a64_chains_across_every_split(length):
+    # lengths 0-20 cross the 8-byte unrolled pass and its remainder loop
+    data = bytes((37 * i + 11) % 256 for i in range(length))
+    whole = fnv1a64(data)
+    for split in range(length + 1):
+        a, b = data[:split], data[split:]
+        assert fnv1a64(b, fnv1a64(a)) == whole
+
+
 def test_trace_roundtrip_and_hash_stability():
     result = run_config(one_object_config())
     text = emit_trace(result.trace)
@@ -179,6 +193,24 @@ def test_cli_run_writes_csv_and_trace(tmp_path, capsys):
     assert csv_out.read_text().startswith(CSV_HEADER)
     assert "trace hash" in capsys.readouterr().out
     assert trace_out.read_text().count("\n") > 5
+
+
+def test_cli_run_trace_file_matches_printed_and_library_hash(tmp_path, capsys):
+    # endless vi restarts; about 2.7k records, so the hash spans blocks
+    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
+    doc["horizon"] = 3000
+    doc["transactions"][0]["arrival"] = {"kind": "periodic", "start": 0, "period": 10}
+    path = write_config(tmp_path, doc)
+    trace_out = tmp_path / "out.trace"
+    assert main(["run", path, "--trace", str(trace_out), "--csv",
+                 str(tmp_path / "out.csv")]) == 0
+    printed = re.search(r"trace hash ([0-9a-f]{16})", capsys.readouterr().out).group(1)
+    trace = Simulator(config_from_dict(doc)).run().trace
+    assert sum(rec["kind"] == "restart" for rec in trace) > 0
+    assert len(trace) > 2048
+    data = trace_out.read_bytes()
+    assert format(fnv1a64(data), "016x") == printed == trace_hash(trace)
+    assert data.decode("utf-8") == emit_trace(trace)
 
 
 def test_cli_run_is_deterministic(tmp_path, capsys):
@@ -239,6 +271,69 @@ def test_cli_compare_policies(tmp_path, capsys):
         if cells[3] == "overall":
             by_policy[cells[2]] = int(cells[idx])
     assert by_policy["ondemand"] < by_policy["periodic"]
+
+
+def _walk_doc() -> dict:
+    """Two random-walk objects, one skipping updates; t1 reads from the store
+    and falls back to the source, t2 reads the source only."""
+    walk = {"kind": "randomwalk", "start": 0.0, "step_sigma": 1.0}
+    return {
+        "horizon": 200, "mode": "classical", "enforce_admission": False,
+        "seed": 5,
+        "objects": [
+            {"id": "a", "vi": 6, "period": 5, "cost": 1, "process": walk,
+             "policy": {"kind": "periodic"}},
+            {"id": "b", "vi": 3, "period": 8, "cost": 1, "process": walk,
+             "policy": {"kind": "similarity", "delta": 0.8}},
+        ],
+        "transactions": [
+            {"id": "t1", "read_set": ["a", "b"], "retrieval": {"a": 1, "b": 2},
+             "analysis": {"a": 2, "b": 1}, "deadline": 20,
+             "arrival": {"kind": "periodic", "start": 1, "period": 7},
+             "retrieval_mode": "store_then_source"},
+            {"id": "t2", "read_set": ["b"], "retrieval": {"b": 1},
+             "analysis": {"b": 1}, "deadline": 9,
+             "arrival": {"kind": "periodic", "start": 2, "period": 11},
+             "retrieval_mode": "source"},
+        ],
+    }
+
+
+def test_compare_sink_keeps_exactly_the_sampled_values():
+    cfg = config_from_dict(_walk_doc())
+    trace = Simulator(cfg).run().trace
+    expected = {}
+    for rec in trace:
+        if rec["kind"] == "update_decision":
+            expected[(rec["subject"], rec["t"])] = rec["detail"]["sampled"]
+        elif rec["kind"] == "access" and rec["detail"]["via"] == "source":
+            expected[(rec["detail"]["object"], rec["t"])] = rec["detail"]["value"]
+    vias = {rec["detail"]["via"] for rec in trace if rec["kind"] == "access"}
+    decisions = {rec["detail"]["decision"] for rec in trace
+                 if rec["kind"] == "update_decision"}
+    assert vias == {"store", "source"} and {"perform", "skip"} <= decisions
+    values = SampledValues()
+    result = Simulator(config_from_dict(_walk_doc()), sink=values).run()
+    assert values == expected
+    assert result.trace == []
+
+
+def test_cli_compare_rejects_diverged_value_trajectories(tmp_path, capsys, monkeypatch):
+    # the multiversion variant samples another seed's walk, so the two
+    # variants disagree on the value at a shared (object, t)
+    parse = freshsim.cli.config_from_dict
+
+    def reseeded(doc):
+        cfg = parse(doc)
+        if cfg.mode.value == "multiversion":
+            cfg.seed += 1
+        return cfg
+
+    path = write_config(tmp_path, _walk_doc())
+    assert main(["compare", path, "--modes", "classical,multiversion"]) == 0
+    monkeypatch.setattr(freshsim.cli, "config_from_dict", reseeded)
+    assert main(["compare", path, "--modes", "classical,multiversion"]) == 1
+    assert "value trajectories diverged" in capsys.readouterr().err
 
 
 def test_cli_compare_requires_a_variant_axis(tmp_path, capsys):
