@@ -1,9 +1,11 @@
-"""Golden corpus: the trace hash and emitted-config digest of a fixed set of
-configs, and the ordered error list of seeded malformed configs, pinned in
-golden_hashes.json.
+"""Golden corpus: the trace hash, emitted-config digest and metrics-report
+digest of a fixed set of configs, and the ordered error list of seeded
+malformed configs, pinned in golden_hashes.json.
 
-A change that alters any of them on purpose must re-pin the file in the
-same change and say why:
+The report digest covers the `emit_csv_rows` output, so a change of trace
+format, which re-pins only the trace hashes, shows that every report stays
+the same. A change that alters any of them on purpose must re-pin the file
+in the same change and say why:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from freshsim.core import ConfigError, FreshnessMode
 from freshsim.engine import Simulator
-from freshsim.metrics import trace_hash
+from freshsim.metrics import emit_csv_rows, trace_hash
 from freshsim.policies import (
     ElasticPolicy,
     OnDemandPolicy,
@@ -84,17 +86,23 @@ def corpus():
         yield f"acceptance/{name}", cfg
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 def fingerprint(cfg) -> dict:
-    """Trace hash and config digest. The same config object runs twice and
-    must give the same trace both times: per-run state must not leak into
-    the config."""
-    digest = hashlib.sha256(emit_config(cfg).encode("utf-8")).hexdigest()[:16]
+    """Config digest, trace hash and report digest. The same config object
+    runs twice and must give the same trace both times: per-run state must
+    not leak into the config."""
+    digest = _digest(emit_config(cfg))
     try:
-        first = trace_hash(Simulator(cfg).run().trace)
+        result = Simulator(cfg).run()
     except ConfigError as e:
         return {"config": digest, "error": str(e)}
+    first = trace_hash(result.trace)
     assert trace_hash(Simulator(cfg).run().trace) == first
-    return {"config": digest, "trace": first}
+    rows = emit_csv_rows(result.report, cfg.name, cfg.mode.value, "golden")
+    return {"config": digest, "trace": first, "report": _digest("\n".join(rows))}
 
 
 # -- malformed configs ----------------------------------------------------------
