@@ -61,7 +61,7 @@ def _run_once(doc: dict, sink):
     return cfg, result
 
 
-def _drop(record: dict) -> None:
+def _drop(record: tuple) -> None:
     """Trace sink for commands that read only the report."""
 
 
@@ -206,12 +206,12 @@ class SampledValues(dict):
     sampled value in the trace (update decisions and source accesses) and
     drops the records."""
 
-    def __call__(self, rec: dict) -> None:
-        kind = rec["kind"]
+    def __call__(self, rec: tuple) -> None:
+        t, kind, subject, detail = rec
         if kind == "update_decision":
-            self[(rec["subject"], rec["t"])] = rec["detail"]["sampled"]
-        elif kind == "access" and rec["detail"]["via"] == "source":
-            self[(rec["detail"]["object"], rec["t"])] = rec["detail"]["value"]
+            self[(subject, t)] = detail["sampled"]
+        elif kind == "access" and detail["via"] == "source":
+            self[(detail["object"], t)] = detail["value"]
 
 
 def cmd_compare(args) -> int:

@@ -126,7 +126,7 @@ class TxnInstance:
 @dataclass
 class RunResult:
     report: MetricsReport
-    trace: list[dict]  # empty when the run was given a sink
+    trace: list[tuple]  # empty when the run was given a sink
     instances: list[TxnInstance]
     effective_periods: dict[str, Tick]
     effective_vis: dict[str, Tick]
@@ -135,31 +135,28 @@ class RunResult:
 class Simulator:
     """One simulation run. Build, call run() once, read the result.
 
-    Each trace record goes to `sink` (a callable taking the record dict), then
-    to the metrics aggregator. Without a sink the records are kept in
-    `self.trace` and returned as `RunResult.trace`. A sink must not change
-    the record."""
+    Each trace record is a `(t, kind, subject, detail)` tuple. It goes to
+    `sink` (a callable taking the record), then to the metrics aggregator.
+    Without a sink the records are kept in `self.trace` and returned as
+    `RunResult.trace`. A sink must not change the record."""
 
-    def __init__(self, config: SimConfig, sink: Callable[[dict], None] | None = None):
+    def __init__(self, config: SimConfig, sink: Callable[[tuple], None] | None = None):
         errors = validate_config(config)
         if errors:
             raise ConfigError(errors)
         self.config = config
         self.horizon = config.horizon
         self.mode = config.mode
-        self.trace: list[dict] = []
+        self.trace: list[tuple] = []
         self._sink = self.trace.append if sink is None else sink
         self.metrics = MetricsAggregator()
-        self._now: Tick = 0
         self.eff_objects = effective_objects(config.objects, config.policies)
 
         # Value trajectories are keyed on the declared update grid, so policy
         # variants of one seeded workload sample identical values.
         self.sampler = ValueSampler(config.seed, config.objects)
         self.store = VersionStore(config.mode,
-                                  {oid: o.vi for oid, o in self.eff_objects.items()},
-                                  trace=self.emit,
-                                  on_superseded_pinned=self._on_superseded_pinned)
+                                  {oid: o.vi for oid, o in self.eff_objects.items()})
 
         self.queue = EventQueue()
         self.instances: list[TxnInstance] = []
@@ -174,9 +171,15 @@ class Simulator:
 
     # -- trace -------------------------------------------------------------
 
-    def emit(self, record: dict) -> None:
+    def emit(self, t: Tick, kind: str, subject: str, detail: dict) -> None:
+        record = (t, kind, subject, detail)
         self._sink(record)
         self.metrics.record(record)
+
+    def _sweep(self, t: Tick) -> None:
+        """Garbage-collect the store and record what it reclaimed."""
+        for object_id, reclaimed in self.store.gc():
+            self.emit(t, "gc", object_id, {"reclaimed": reclaimed})
 
     # -- setup -------------------------------------------------------------
 
@@ -187,8 +190,8 @@ class Simulator:
         for spec in self.config.transactions:
             decision = admit(spec, self.eff_objects, self.config.enforce_admission)
             if not decision.admitted:
-                self.emit({"t": 0, "kind": "txn_rejected", "subject": spec.id,
-                           "detail": {"failing": decision.report.failing_objects()}})
+                self.emit(0, "txn_rejected", spec.id,
+                          {"failing": decision.report.failing_objects()})
                 continue
             self._push_arrival(spec, iter_arrivals(spec, self.horizon, self.config.seed))
         for obj in self.config.objects:
@@ -209,7 +212,6 @@ class Simulator:
             t = queue.peek_time()
             if t is None or t > self.horizon:
                 break
-            self._now = t
             while True:
                 did_work = False
                 while queue.peek_time() == t:
@@ -242,8 +244,8 @@ class Simulator:
         self.instances.append(inst)
         self._make_ready(inst)
         self.queue.push(inst.deadline, DEADLINE, inst.inst_id, inst)
-        self.emit({"t": t, "kind": "txn_released", "subject": inst.inst_id,
-                   "detail": {"class": spec.id, "deadline": inst.deadline}})
+        self.emit(t, "txn_released", inst.inst_id,
+                  {"class": spec.id, "deadline": inst.deadline})
         self._push_arrival(spec, releases)
 
     def _on_retrieval_done(self, t: Tick, subject: str, payload) -> None:
@@ -272,10 +274,10 @@ class Simulator:
             if self._valid_until(a) < t)
         inst.state = COMMITTED
         inst.commit_time = t
-        self.emit({"t": t, "kind": "commit", "subject": inst.inst_id,
-                   "detail": {"stale_at_commit": bool(stale), "stale_objects": stale}})
+        self.emit(t, "commit", inst.inst_id,
+                  {"stale_at_commit": bool(stale), "stale_objects": stale})
         self._release_pins(inst)
-        self.store.gc(t)
+        self._sweep(t)
 
     def _on_deadline(self, t: Tick, subject: str, inst: TxnInstance) -> None:
         if inst.terminal():
@@ -284,9 +286,9 @@ class Simulator:
         inst.miss_time = t
         self._free_processor(inst)
         self._leave_waiting(inst)
-        self.emit({"t": t, "kind": "miss", "subject": inst.inst_id, "detail": {}})
+        self.emit(t, "miss", inst.inst_id, {})
         self._release_pins(inst)
-        self.store.gc(t)
+        self._sweep(t)
 
     def _on_vi_expiry(self, t: Tick, subject: str, payload) -> None:
         inst, epoch, object_id = payload
@@ -301,15 +303,6 @@ class Simulator:
             return
         self._restart(inst, t, cause="vi_expiry", access=access)
 
-    def _on_superseded_pinned(self, version: Version) -> None:
-        """Classical install replaced a version someone still pins: every
-        pinning transaction restarts (update transactions are never delayed
-        by readers)."""
-        for inst in list(version.holders):
-            if not inst.terminal():
-                self._restart(inst, self._now, cause="superseded",
-                              access=inst.accesses.get(version.object_id))
-
     def _restart(self, inst: TxnInstance, t: Tick, cause: str,
                  access: Access | None) -> None:
         """Abort and reissue from the first object: the whole read set is
@@ -322,9 +315,8 @@ class Simulator:
         inst.restart_count += 1
         if cause == "vi_expiry":
             inst.vi_restart_count += 1
-        self.emit({"t": t, "kind": "restart", "subject": inst.inst_id,
-                   "detail": {"cause": cause,
-                              "object": access.object_id if access else None}})
+        self.emit(t, "restart", inst.inst_id,
+                  {"cause": cause, "object": access.object_id if access else None})
         self._release_pins(inst)
         self._free_processor(inst)
         self._leave_waiting(inst)
@@ -332,7 +324,7 @@ class Simulator:
         inst.phase = NEED_ACCESS
         inst.epoch += 1
         self._make_ready(inst)
-        self.store.gc(t)
+        self._sweep(t)
 
     def _release_pins(self, inst: TxnInstance) -> None:
         for access in inst.accesses.values():
@@ -366,10 +358,12 @@ class Simulator:
         sampled = self.sampler.sample(object_id, t)
         decision, sink_value, extra = policy.decide(
             self.policy_state[object_id], t, sampled, self.store.newest(object_id))
-        self.emit({"t": t, "kind": "update_decision", "subject": object_id,
-                   "detail": {"policy": policy.kind, "decision": decision,
-                              "sampled": sampled, "sink_value": sink_value,
-                              "sink_error": abs(sampled - sink_value), **extra}})
+        # the policy, the sink error and an unchanged sink value follow from
+        # the config and the sampled value, so the record leaves them out
+        detail = {"decision": decision, "sampled": sampled, **extra}
+        if sink_value != sampled:
+            detail["sink_value"] = sink_value
+        self.emit(t, "update_decision", object_id, detail)
 
         if decision in (PERFORM, TRANSMIT):
             self.queue.push(t + eff.update_cost, UPDATE_INSTALLED, object_id,
@@ -380,7 +374,19 @@ class Simulator:
 
     def _on_update_installed(self, t: Tick, object_id: str, payload) -> None:
         value, sample_time = payload
-        self.store.install_version(object_id, value, sample_time, now=t)
+        store = self.store
+        superseded = store.install_version(object_id, value, sample_time)
+        self.emit(t, "install", object_id,
+                  {"seq": store.chains[object_id][-1].seq, "sample_time": sample_time})
+        if superseded is not None:
+            # a classical install replaced a version someone still pins: every
+            # holder restarts (update transactions are never delayed by readers)
+            for inst in list(superseded.holders):
+                if not inst.terminal():
+                    self._restart(inst, t, cause="superseded",
+                                  access=inst.accesses.get(object_id))
+        self._sweep(t)
+        store.sample_peak(object_id)
         self.refresh_inflight.discard(object_id)
         self._wake_waiters(object_id)
 
@@ -450,9 +456,9 @@ class Simulator:
         """Hold the access, record it and, in classical mode, queue the
         check at the instant its validity ends."""
         inst.accesses[access.object_id] = access
-        self.emit({"t": t, "kind": "access", "subject": inst.inst_id,
-                   "detail": {"object": access.object_id, "via": via,
-                              "value": value, "staleness": t - sample_time}})
+        self.emit(t, "access", inst.inst_id,
+                  {"object": access.object_id, "via": via,
+                   "value": value, "staleness": t - sample_time})
         if self.mode is FreshnessMode.CLASSICAL:
             self.queue.push(self._valid_until(access), VI_EXPIRY, inst.inst_id,
                             (inst, inst.epoch, access.object_id))

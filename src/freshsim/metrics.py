@@ -2,9 +2,10 @@
 
 The aggregator consumes the run's trace records in order; everything in the
 report is derived from that stream plus the store's end-of-run statistics.
-The trace itself is line-delimited canonical JSON, and a 64-bit FNV-1a hash
-over those bytes is the run's determinism fingerprint: identical configs and
-seeds must produce identical hashes.
+A record is a `(t, kind, subject, detail)` tuple. The trace itself is
+line-delimited canonical JSON, one `[t,kind,subject,{...}]` array per record,
+and a 64-bit FNV-1a hash over those bytes is the run's determinism
+fingerprint: identical configs and seeds must produce identical hashes.
 """
 
 from __future__ import annotations
@@ -102,7 +103,9 @@ class MetricsAggregator:
 
     def __init__(self):
         self._last_t: Tick = 0
-        self._class_of: dict[str, str] = {}
+        # in-flight instance id -> the stats of its class; an instance is
+        # forgotten at its commit or miss
+        self._class_of: dict[str, TxnClassStats] = {}
         self.overall = TxnClassStats()
         self.per_class: dict[str, TxnClassStats] = {}
         self.per_object: dict[str, ObjectStats] = {}
@@ -120,57 +123,56 @@ class MetricsAggregator:
             stats = self.per_object[name] = ObjectStats()
         return stats
 
-    def record(self, rec: dict) -> None:
-        t = rec["t"]
+    def record(self, rec: tuple) -> None:
+        t, kind, subject, detail = rec
         if t < self._last_t:
             raise SimInternalError(
                 f"trace record out of order: {t} after {self._last_t}")
         self._last_t = t
-        kind = rec["kind"]
-        subject = rec["subject"]
-        detail = rec.get("detail", {})
 
-        if kind == "txn_released":
-            self._class_of[subject] = detail["class"]
-            self.overall.released += 1
-            self._cls(detail["class"]).released += 1
-        elif kind == "txn_rejected":
-            self.rejected.append(subject)
-        elif kind == "access":
-            staleness = detail["staleness"]
-            self.overall.merge_access(staleness)
-            self._cls(self._class_of[subject]).merge_access(staleness)
-            obj = self._obj(detail["object"])
-            obj.staleness_sum += staleness
-            obj.staleness_count += 1
-            obj.max_staleness = max(obj.max_staleness, staleness)
-        elif kind == "restart":
-            cls = self._cls(self._class_of[subject])
-            cls.restarts += 1
-            self.overall.restarts += 1
-            if detail["cause"] == "vi_expiry":
-                cls.vi_restarts += 1
-                self.overall.vi_restarts += 1
-        elif kind == "commit":
-            cls = self._cls(self._class_of[subject])
-            cls.committed += 1
-            self.overall.committed += 1
-            if detail.get("stale_at_commit"):
-                cls.stale_at_commit += 1
-                self.overall.stale_at_commit += 1
-                for obj_id in detail.get("stale_objects", ()):
-                    self._obj(obj_id).stale_at_commit += 1
-        elif kind == "miss":
-            self._cls(self._class_of[subject]).missed += 1
-            self.overall.missed += 1
-        elif kind == "update_decision":
+        if kind == "update_decision":
             obj = self._obj(subject)
             if detail["decision"] in ("perform", "transmit"):
                 obj.updates_performed += 1
             else:
                 obj.updates_skipped += 1
-            obj.max_sink_error = max(obj.max_sink_error, detail["sink_error"])
-        # install / read / gc records carry no aggregate beyond store stats
+            sampled = detail["sampled"]
+            obj.max_sink_error = max(obj.max_sink_error,
+                                     abs(sampled - detail.get("sink_value", sampled)))
+        elif kind == "access":
+            staleness = detail["staleness"]
+            self.overall.merge_access(staleness)
+            self._class_of[subject].merge_access(staleness)
+            obj = self._obj(detail["object"])
+            obj.staleness_sum += staleness
+            obj.staleness_count += 1
+            obj.max_staleness = max(obj.max_staleness, staleness)
+        elif kind == "restart":
+            cls = self._class_of[subject]
+            cls.restarts += 1
+            self.overall.restarts += 1
+            if detail["cause"] == "vi_expiry":
+                cls.vi_restarts += 1
+                self.overall.vi_restarts += 1
+        elif kind == "txn_released":
+            cls = self._class_of[subject] = self._cls(detail["class"])
+            cls.released += 1
+            self.overall.released += 1
+        elif kind == "commit":
+            cls = self._class_of.pop(subject)
+            cls.committed += 1
+            self.overall.committed += 1
+            if detail["stale_at_commit"]:
+                cls.stale_at_commit += 1
+                self.overall.stale_at_commit += 1
+                for obj_id in detail["stale_objects"]:
+                    self._obj(obj_id).stale_at_commit += 1
+        elif kind == "miss":
+            self._class_of.pop(subject).missed += 1
+            self.overall.missed += 1
+        elif kind == "txn_rejected":
+            self.rejected.append(subject)
+        # install / gc records carry no aggregate beyond store stats
 
     def finalize(self, horizon: Tick, store_stats=None,
                  update_costs: dict[str, int] | None = None) -> MetricsReport:
@@ -226,13 +228,13 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     return h
 
 
-def emit_trace(trace: list[dict]) -> str:
-    """Line-delimited JSON, one record per line."""
+def emit_trace(trace: list[tuple]) -> str:
+    """Line-delimited JSON, one `[t,kind,subject,{...}]` array per line."""
     lines = [_encode_record(rec) for rec in trace]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def trace_blocks(trace: list[dict] | list[str]) -> Iterator[bytes]:
+def trace_blocks(trace: list[tuple] | list[str]) -> Iterator[bytes]:
     """The bytes of `emit_trace`, in blocks of whole lines, so no string of
     the whole trace is built. `trace` holds either the records or their
     canonical lines, as kept by `TraceLines`."""
@@ -243,7 +245,7 @@ def trace_blocks(trace: list[dict] | list[str]) -> Iterator[bytes]:
         yield ("\n".join(block) + "\n").encode("utf-8")
 
 
-def trace_hash(trace: list[dict] | list[str]) -> str:
+def trace_hash(trace: list[tuple] | list[str]) -> str:
     """64-bit FNV-1a over the canonical trace bytes, as fixed-width hex."""
     h = _FNV_OFFSET
     for block in trace_blocks(trace):
@@ -255,7 +257,7 @@ class TraceLines(list):
     """Trace sink (see `Simulator`) that keeps each record's canonical line,
     the line `emit_trace` writes for it."""
 
-    def __call__(self, record: dict) -> None:
+    def __call__(self, record: tuple) -> None:
         self.append(_encode_record(record))
 
 

@@ -4,8 +4,8 @@ Keeps an ascending chain of versions per object and implements the two read
 disciplines:
 
 * classical: one live version per object; installing a new version replaces
-  the previous one, and any transaction still pinning the replaced version is
-  told to restart.
+  the previous one, and a replaced version that is still pinned is handed
+  back to the caller, whose holders must restart.
 * multiversion: superseded versions are retained while pinned, so an in-flight
   transaction may finish its analysis on the version that was fresh when it
   accessed the object, even if that version expires or is replaced before the
@@ -13,12 +13,13 @@ disciplines:
 
 New accesses are only ever served the newest version; history exists purely to
 let in-flight readers finish. All mutation happens on the simulation thread.
+Operations return what they did and never call back: the engine writes the
+trace records and restarts the readers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import (
     ConfigError,
@@ -28,9 +29,6 @@ from .core import (
     Version,
     is_fresh,
 )
-
-TraceFn = Callable[[dict], None]
-
 
 @dataclass
 class ObjectStoreStats:
@@ -47,13 +45,9 @@ class VersionStore:
     includes per-version extensions granted by skipped updates.
     """
 
-    def __init__(self, mode: FreshnessMode, vis: dict[str, Tick],
-                 trace: TraceFn | None = None,
-                 on_superseded_pinned: Callable[[Version], None] | None = None):
+    def __init__(self, mode: FreshnessMode, vis: dict[str, Tick]):
         self.mode = mode
         self.vis = dict(vis)
-        self.trace = trace
-        self.on_superseded_pinned = on_superseded_pinned
         self.chains: dict[str, list[Version]] = {oid: [] for oid in vis}
         self.stats: dict[str, ObjectStoreStats] = {oid: ObjectStoreStats() for oid in vis}
         # chains that may hold a superseded unpinned version; gc visits only
@@ -76,48 +70,40 @@ class VersionStore:
     def valid_until(self, version: Version) -> Tick:
         return version.valid_until(self.vis[version.object_id])
 
-    def _emit(self, t: Tick, kind: str, object_id: str, detail: dict) -> None:
-        if self.trace is not None:
-            self.trace({"t": t, "kind": kind, "subject": object_id, "detail": detail})
-
     # -- operations --------------------------------------------------------
 
-    def install_version(self, object_id: str, value: float, sample_time: Tick,
-                        now: Tick | None = None) -> int:
-        """Append a new version sampled at `sample_time`; returns its seq.
+    def install_version(self, object_id: str, value: float,
+                        sample_time: Tick) -> Version | None:
+        """Append a new version sampled at `sample_time`.
 
-        `now` is the install completion instant (sample_time plus transmission
-        cost); it defaults to sample_time. Sample times must strictly increase
-        per object. In classical mode a pinned predecessor triggers restart
-        notification before the follow-up sweep reclaims whatever is unpinned.
+        Sample times must strictly increase per object. Returns the replaced
+        version when it is still pinned in classical mode: its holders must
+        restart. The caller then sweeps (`gc`) and samples the peak
+        (`sample_peak`), in that order.
         """
-        if now is None:
-            now = sample_time
         chain = self._chain(object_id)
         if chain and chain[-1].sample_time >= sample_time:
             raise SimInternalError(
                 f"non-monotone install on {object_id!r}: "
                 f"{sample_time} after {chain[-1].sample_time}")
         prev = chain[-1] if chain else None
-        seq = prev.seq + 1 if prev else 1
-        version = Version(object_id=object_id, value=value,
-                          sample_time=sample_time, seq=seq)
-        chain.append(version)
-        if prev is not None:
-            self._dirty.add(object_id)
-        self._emit(now, "install", object_id,
-                   {"seq": seq, "value": value, "sample_time": sample_time})
-        if (self.mode is FreshnessMode.CLASSICAL and prev is not None
-                and prev.holders and self.on_superseded_pinned is not None):
-            self.on_superseded_pinned(prev)
-        self.gc(now)
+        chain.append(Version(object_id=object_id, value=value,
+                             sample_time=sample_time,
+                             seq=prev.seq + 1 if prev else 1))
+        if prev is None:
+            return None
+        self._dirty.add(object_id)
+        if self.mode is FreshnessMode.CLASSICAL and prev.holders:
+            return prev
+        return None
+
+    def sample_peak(self, object_id: str) -> None:
+        """Count the chain's length towards its peak. Sampled after the
+        sweep that follows an install, it counts only versions that
+        actually coexist between events."""
         stats = self.stats[object_id]
-        # the peak statistic is sampled between events, after the piggybacked
-        # sweep (which replaces the chain), so it reflects versions that
-        # actually coexist
         stats.peak_live_versions = max(stats.peak_live_versions,
                                        len(self.chains[object_id]))
-        return seq
 
     def read_latest(self, object_id: str, t: Tick, holder,
                     exclude: frozenset[int] | set[int] = frozenset()) -> Version | None:
@@ -140,9 +126,6 @@ class VersionStore:
         stats = self.stats[object_id]
         stats.active_pins += 1
         stats.peak_active_pins = max(stats.peak_active_pins, stats.active_pins)
-        self._emit(t, "read", object_id,
-                   {"seq": version.seq, "sample_time": version.sample_time,
-                    "staleness": t - version.sample_time})
         return version
 
     def extend_validity(self, object_id: str, ticks: Tick) -> None:
@@ -165,17 +148,18 @@ class VersionStore:
         self.stats[version.object_id].active_pins -= 1
         self._dirty.add(version.object_id)
 
-    def gc(self, now: Tick) -> int:
-        """Reclaim every version that is superseded and unpinned; returns the
-        count removed. Pinned versions are never touched.
+    def gc(self) -> list[tuple[str, int]]:
+        """Reclaim every version that is superseded and unpinned; returns
+        (object id, count removed) per chain that lost any, in declaration
+        order. Pinned versions are never touched.
 
         Only a chain that was installed onto or unpinned since the last sweep
         can hold such a version, so only those chains are visited."""
         if not self._dirty:
-            return 0
+            return []
         dirty = sorted(self._dirty, key=self._order.__getitem__)
         self._dirty.clear()
-        reclaimed = 0
+        reclaimed = []
         for object_id in dirty:
             chain = self.chains[object_id]
             if len(chain) <= 1:
@@ -185,6 +169,5 @@ class VersionStore:
             if removed:
                 keep.append(chain[-1])
                 self.chains[object_id] = keep
-                reclaimed += removed
-                self._emit(now, "gc", object_id, {"reclaimed": removed})
+                reclaimed.append((object_id, removed))
         return reclaimed

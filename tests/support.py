@@ -40,10 +40,10 @@ def engine_outcomes(result: RunResult, object_ids: list[str]) -> dict:
     installs = {oid: [] for oid in object_ids}
     decisions = {oid: [] for oid in object_ids}
     norm = {"transmit": "perform", "suppress": "skip"}
-    for rec in result.trace:
-        if rec["kind"] == "install":
-            installs[rec["subject"]].append((rec["t"], rec["detail"]["sample_time"]))
-        elif rec["kind"] == "update_decision":
-            d = rec["detail"]["decision"]
-            decisions[rec["subject"]].append((rec["t"], norm.get(d, d)))
+    for t, kind, subject, detail in result.trace:
+        if kind == "install":
+            installs[subject].append((t, detail["sample_time"]))
+        elif kind == "update_decision":
+            d = detail["decision"]
+            decisions[subject].append((t, norm.get(d, d)))
     return {"txns": txns, "installs": installs, "decisions": decisions}

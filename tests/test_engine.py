@@ -41,7 +41,7 @@ def test_infeasible_source_txn_cycles_until_deadline():
     assert inst.state == "missed"
     assert inst.miss_time == 30
     assert inst.vi_restart_count == 6
-    restarts = [rec["t"] for rec in result.trace if rec["kind"] == "restart"]
+    restarts = [t for t, kind, _, _ in result.trace if kind == "restart"]
     assert restarts == [5, 10, 15, 20, 25, 30]
 
 
@@ -85,8 +85,8 @@ def test_multiversion_reader_continues_past_expiry():
     assert inst.state == "committed"
     assert inst.commit_time == 7
     assert inst.restart_count == 0
-    commits = [r for r in result.trace if r["kind"] == "commit"]
-    assert commits[0]["detail"]["stale_at_commit"] is True
+    commits = [detail for _, kind, _, detail in result.trace if kind == "commit"]
+    assert commits[0]["stale_at_commit"] is True
 
 
 def test_superseded_classical_reader_restarts_multiversion_continues():
@@ -98,7 +98,7 @@ def test_superseded_classical_reader_restarts_multiversion_continues():
             arrival_t=3, retrieval_mode="store", mode=mode))
 
     classical = run(FreshnessMode.CLASSICAL)
-    restarts = [(r["t"], r["detail"]) for r in classical.trace if r["kind"] == "restart"]
+    restarts = [(t, detail) for t, kind, _, detail in classical.trace if kind == "restart"]
     assert restarts == [(5, {"cause": "superseded", "object": "o1"})]
     inst = classical.instances[0]
     assert (inst.state, inst.commit_time, inst.vi_restart_count) == ("committed", 9, 0)
@@ -124,10 +124,10 @@ def test_superseded_version_restarts_every_classical_holder_in_pin_order():
                     seed=1, objects=objects,
                     policies={"o1": PeriodicPolicy(), "o2": PeriodicPolicy()},
                     transactions=txns)
-    at_6 = [(r["kind"], r["subject"], r["detail"].get("cause", r["detail"].get("reclaimed")))
-            for r in run_config(cfg).trace
-            if r["t"] == 6 and r["kind"] in ("install", "restart", "gc")
-            and r["subject"] != "o2"]
+    at_6 = [(kind, subject, detail.get("cause", detail.get("reclaimed")))
+            for t, kind, subject, detail in run_config(cfg).trace
+            if t == 6 and kind in ("install", "restart", "gc")
+            and subject != "o2"]
     assert at_6 == [("install", "o1", None),
                     ("restart", "a#0", "superseded"),
                     ("restart", "b#0", "superseded"),
@@ -150,8 +150,8 @@ def test_store_then_source_falls_back_and_commits():
     inst = result.instances[0]
     assert inst.state == "committed"
     assert inst.commit_time == 5
-    access = [r for r in result.trace if r["kind"] == "access"]
-    assert access[0]["detail"]["via"] == "source"
+    access = [detail for _, kind, _, detail in result.trace if kind == "access"]
+    assert access[0]["via"] == "source"
 
 
 def test_cached_read_bound_single_vi_restart_then_source():
@@ -164,7 +164,7 @@ def test_cached_read_bound_single_vi_restart_then_source():
     inst = result.instances[0]
     assert inst.state == "committed"
     assert inst.vi_restart_count <= 1
-    vias = [r["detail"]["via"] for r in result.trace if r["kind"] == "access"]
+    vias = [detail["via"] for _, kind, _, detail in result.trace if kind == "access"]
     assert vias == ["store", "source"]
 
 
@@ -177,8 +177,9 @@ def test_on_demand_refresh_blocks_until_install():
     assert inst.state == "committed"
     # refresh launched at 0, installed at 3, analysis 3..5
     assert inst.commit_time == 5
-    installs = [r for r in result.trace if r["kind"] == "install"]
-    assert [(r["t"], r["detail"]["sample_time"]) for r in installs] == [(3, 0)]
+    installs = [(t, detail["sample_time"]) for t, kind, _, detail in result.trace
+                if kind == "install"]
+    assert installs == [(3, 0)]
 
 
 def test_on_demand_shared_refresh_among_waiters():
@@ -194,7 +195,7 @@ def test_on_demand_shared_refresh_among_waiters():
                     enforce_admission=False, seed=1, objects=[obj],
                     policies={"o1": OnDemandPolicy()}, transactions=txns)
     result = run_config(cfg)
-    decisions = [r for r in result.trace if r["kind"] == "update_decision"]
+    decisions = [rec for rec in result.trace if rec[1] == "update_decision"]
     assert len(decisions) == 1  # one refresh serves both waiters
     assert all(i.state == "committed" for i in result.instances)
 
@@ -211,7 +212,7 @@ def test_edf_prefers_earlier_absolute_deadline():
                     policies={"o1": PeriodicPolicy()},
                     transactions=[mk("a", 30), mk("b", 20), mk("c", 25)])
     result = run_config(cfg)
-    order = [r["subject"] for r in result.trace if r["kind"] == "access"]
+    order = [subject for _, kind, subject, _ in result.trace if kind == "access"]
     assert [s.split("#")[0] for s in order[:3]] == ["b", "c", "a"]
     commits = {i.spec.id: i.commit_time for i in result.instances}
     assert commits == {"b": 4, "c": 8, "a": 12}
@@ -229,7 +230,7 @@ def test_edf_tie_broken_by_spec_id():
                     policies={"o1": PeriodicPolicy()},
                     transactions=[mk("z"), mk("a")])
     result = run_config(cfg)
-    order = [r["subject"] for r in result.trace if r["kind"] == "access"]
+    order = [subject for _, kind, subject, _ in result.trace if kind == "access"]
     assert [s.split("#")[0] for s in order[:2]] == ["a", "z"]
 
 
@@ -276,8 +277,8 @@ def test_elastic_policy_stretches_period_and_vi():
     result = run_config(cfg)
     assert result.effective_periods == {"a": 5, "b": 5}
     assert result.effective_vis == {"a": 10, "b": 10}
-    installs_a = [r["t"] for r in result.trace
-                  if r["kind"] == "install" and r["subject"] == "a"]
+    installs_a = [t for t, kind, subject, _ in result.trace
+                  if kind == "install" and subject == "a"]
     # releases on the stretched grid 0,5,...,40; the install launched at 40
     # lands past the horizon and never executes
     assert installs_a == [1, 6, 11, 16, 21, 26, 31, 36]
@@ -334,8 +335,9 @@ def test_skip_extension_wakes_waiting_reader():
     inst = result.instances[0]
     assert inst.state == "committed"
     assert inst.commit_time == 6
-    access = [r for r in result.trace if r["kind"] == "access"]
-    assert [(r["t"], r["detail"]["staleness"]) for r in access] == [(4, 4)]
+    access = [(t, detail["staleness"]) for t, kind, _, detail in result.trace
+              if kind == "access"]
+    assert access == [(4, 4)]
 
 
 def test_skip_extension_defers_pinned_expiry():
@@ -352,7 +354,7 @@ def test_skip_extension_defers_pinned_expiry():
 def test_trace_times_nondecreasing():
     cfg = one_object_config(vi=5, retrieval=2, analysis=4, deadline=30)
     result = run_config(cfg)
-    times = [rec["t"] for rec in result.trace]
+    times = [t for t, _, _, _ in result.trace]
     assert times == sorted(times)
 
 
@@ -384,8 +386,8 @@ def test_classical_serves_only_fresh_data():
         # skip-capable policies legitimately extend validity past the base vi
         rigid = {oid for oid, p in cfg.policies.items()
                  if p.kind in ("periodic", "ondemand", "elastic")}
-        for rec in result.trace:
-            if rec["kind"] == "access" and rec["detail"]["via"] == "store":
-                obj = rec["detail"]["object"]
+        for _, kind, _, detail in result.trace:
+            if kind == "access" and detail["via"] == "store":
+                obj = detail["object"]
                 if obj in rigid:
-                    assert rec["detail"]["staleness"] <= vis[obj]
+                    assert detail["staleness"] <= vis[obj]

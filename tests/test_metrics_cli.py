@@ -47,15 +47,14 @@ def write_config(tmp_path: Path, doc, name="config.json") -> str:
 
 def released(agg, n, cls="t1"):
     for i in range(n):
-        agg.record({"t": 0, "kind": "txn_released", "subject": f"{cls}#{i}",
-                    "detail": {"class": cls, "deadline": 10}})
+        agg.record((0, "txn_released", f"{cls}#{i}", {"class": cls, "deadline": 10}))
 
 
 def test_miss_ratio():
     agg = MetricsAggregator()
     released(agg, 10)
     for i in range(2):
-        agg.record({"t": 5, "kind": "miss", "subject": f"t1#{i}", "detail": {}})
+        agg.record((5, "miss", f"t1#{i}", {}))
     report = agg.finalize(100)
     assert report.overall.miss_ratio == pytest.approx(0.2)
     assert report.overall.in_flight == 8
@@ -71,9 +70,8 @@ def test_empty_report_all_zero():
 def test_staleness_aggregation():
     agg = MetricsAggregator()
     released(agg, 1)
-    agg.record({"t": 7, "kind": "access", "subject": "t1#0",
-                "detail": {"object": "o1", "via": "store", "value": 0.0,
-                           "staleness": 4}})
+    agg.record((7, "access", "t1#0",
+                {"object": "o1", "via": "store", "value": 0.0, "staleness": 4}))
     report = agg.finalize(100)
     assert report.per_object["o1"].max_staleness == 4
     assert report.per_class["t1"].mean_staleness == pytest.approx(4.0)
@@ -82,15 +80,15 @@ def test_staleness_aggregation():
 def test_out_of_order_records_rejected():
     agg = MetricsAggregator()
     released(agg, 1)
-    agg.record({"t": 9, "kind": "miss", "subject": "t1#0", "detail": {}})
+    agg.record((9, "miss", "t1#0", {}))
     with pytest.raises(SimInternalError):
-        agg.record({"t": 8, "kind": "miss", "subject": "t1#0", "detail": {}})
+        agg.record((8, "miss", "t1#0", {}))
 
 
 def test_finalize_is_idempotent():
     agg = MetricsAggregator()
     released(agg, 3)
-    agg.record({"t": 4, "kind": "miss", "subject": "t1#0", "detail": {}})
+    agg.record((4, "miss", "t1#0", {}))
     first = agg.finalize(100)
     second = agg.finalize(100)
     assert emit_csv(first) == emit_csv(second)
@@ -145,7 +143,7 @@ def test_trace_roundtrip_and_hash_stability():
     result = run_config(one_object_config())
     text = emit_trace(result.trace)
     parsed = [json.loads(line) for line in text.strip().split("\n")]
-    assert parsed == result.trace
+    assert parsed == [list(rec) for rec in result.trace]
     assert trace_hash(result.trace) == trace_hash(parsed)
 
 
@@ -206,7 +204,7 @@ def test_cli_run_trace_file_matches_printed_and_library_hash(tmp_path, capsys):
                  str(tmp_path / "out.csv")]) == 0
     printed = re.search(r"trace hash ([0-9a-f]{16})", capsys.readouterr().out).group(1)
     trace = Simulator(config_from_dict(doc)).run().trace
-    assert sum(rec["kind"] == "restart" for rec in trace) > 0
+    assert sum(kind == "restart" for _, kind, _, _ in trace) > 0
     assert len(trace) > 2048
     data = trace_out.read_bytes()
     assert format(fnv1a64(data), "016x") == printed == trace_hash(trace)
@@ -303,14 +301,14 @@ def test_compare_sink_keeps_exactly_the_sampled_values():
     cfg = config_from_dict(_walk_doc())
     trace = Simulator(cfg).run().trace
     expected = {}
-    for rec in trace:
-        if rec["kind"] == "update_decision":
-            expected[(rec["subject"], rec["t"])] = rec["detail"]["sampled"]
-        elif rec["kind"] == "access" and rec["detail"]["via"] == "source":
-            expected[(rec["detail"]["object"], rec["t"])] = rec["detail"]["value"]
-    vias = {rec["detail"]["via"] for rec in trace if rec["kind"] == "access"}
-    decisions = {rec["detail"]["decision"] for rec in trace
-                 if rec["kind"] == "update_decision"}
+    for t, kind, subject, detail in trace:
+        if kind == "update_decision":
+            expected[(subject, t)] = detail["sampled"]
+        elif kind == "access" and detail["via"] == "source":
+            expected[(detail["object"], t)] = detail["value"]
+    vias = {detail["via"] for _, kind, _, detail in trace if kind == "access"}
+    decisions = {detail["decision"] for _, kind, _, detail in trace
+                 if kind == "update_decision"}
     assert vias == {"store", "source"} and {"perform", "skip"} <= decisions
     values = SampledValues()
     result = Simulator(config_from_dict(_walk_doc()), sink=values).run()

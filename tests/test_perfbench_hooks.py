@@ -28,8 +28,8 @@ def test_layer_target_resolves(name):
 
 
 def test_restart_cycle_default_seed_trace_hash(tmp_path, capsys):
-    # a 2.9 MB trace streamed through the run command's sink and block hash
+    # a 1.5 MB trace streamed through the run command's sink and block hash
     config = tmp_path / "restart_cycle.json"
     config.write_text(json.dumps(gen.generate("restart_cycle", 1)), encoding="utf-8")
     assert main(["run", str(config), "--csv", str(tmp_path / "out.csv")]) == 0
-    assert "trace hash e746f582333ef711" in capsys.readouterr().out
+    assert "trace hash 27cc95db8d131847" in capsys.readouterr().out

@@ -46,7 +46,7 @@ def test_periodic_instances(period, horizon, expected):
     # the engine releases a periodic object's instances at 0, P, 2P, ... up
     # to and including the horizon
     result = run_config(one_object_config(period=period, horizon=horizon))
-    assert [r["t"] for r in result.trace if r["kind"] == "update_decision"] == expected
+    assert [t for t, kind, _, _ in result.trace if kind == "update_decision"] == expected
 
 
 # -- on demand ----------------------------------------------------------------
@@ -65,9 +65,9 @@ def on_demand_run(second_arrival):
                     policies={"o1": OnDemandPolicy()}, transactions=txns)
     result = run_config(cfg)
     assert all(i.state == "committed" for i in result.instances)
-    return ([r["t"] for r in result.trace if r["kind"] == "update_decision"],
-            [(r["t"], r["detail"]["staleness"]) for r in result.trace
-             if r["kind"] == "access"])
+    return ([t for t, kind, _, _ in result.trace if kind == "update_decision"],
+            [(t, detail["staleness"]) for t, kind, _, detail in result.trace
+             if kind == "access"])
 
 
 def test_on_demand_serves_fresh_version():

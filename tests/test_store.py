@@ -8,42 +8,50 @@ from freshsim.store import VersionStore
 from support import one_object_config, run_config
 
 
-def make_store(mode=FreshnessMode.MULTIVERSION, vi=5, trace=None, cb=None):
-    return VersionStore(mode, {"o1": vi}, trace=trace, on_superseded_pinned=cb)
+def make_store(mode=FreshnessMode.MULTIVERSION, vi=5):
+    return VersionStore(mode, {"o1": vi})
+
+
+def install(store, object_id, value, sample_time):
+    """Install as the engine does: the install, then the sweep, then the
+    peak sample. Returns the superseded pinned version, if any."""
+    superseded = store.install_version(object_id, value, sample_time)
+    store.gc()
+    store.sample_peak(object_id)
+    return superseded
 
 
 def test_first_install():
     store = make_store()
-    assert store.install_version("o1", 1.0, 0) == 1
-    assert len(store.chains["o1"]) == 1
+    assert store.install_version("o1", 1.0, 0) is None
+    assert [v.seq for v in store.chains["o1"]] == [1]
 
 
 def test_mv_install_retains_pinned_predecessor():
     store = make_store()
-    store.install_version("o1", 1.0, 0)
+    install(store, "o1", 1.0, 0)
     store.read_latest("o1", 1, "r")  # pins seq 1
-    store.install_version("o1", 2.0, 10)
+    assert install(store, "o1", 2.0, 10) is None  # never handed back
     assert [v.seq for v in store.chains["o1"]] == [1, 2]
 
 
 def test_classical_install_replaces_unpinned():
     store = make_store(FreshnessMode.CLASSICAL)
-    store.install_version("o1", 1.0, 0)
-    store.install_version("o1", 2.0, 10)
+    install(store, "o1", 1.0, 0)
+    install(store, "o1", 2.0, 10)
     assert [v.seq for v in store.chains["o1"]] == [2]
 
 
 def test_classical_install_notifies_pinned_readers():
-    superseded = []
-    store = make_store(FreshnessMode.CLASSICAL, cb=lambda v: superseded.append(v.seq))
-    store.install_version("o1", 1.0, 0)
+    store = make_store(FreshnessMode.CLASSICAL)
+    install(store, "o1", 1.0, 0)
     first = store.read_latest("o1", 1, "r")
-    store.install_version("o1", 2.0, 3)
-    assert superseded == [1]
+    superseded = install(store, "o1", 2.0, 3)
+    assert superseded is first and superseded.seq == 1
     # still present until the reader unpins
     assert [v.seq for v in store.chains["o1"]] == [1, 2]
     store.unpin(first, "r")
-    store.gc(3)
+    assert store.gc() == [("o1", 1)]
     assert [v.seq for v in store.chains["o1"]] == [2]
 
 
@@ -86,16 +94,15 @@ def reader_config(mode):
 
 
 def test_may_continue_multiversion_survives_expiry():
-    superseded = []
-    store = make_store(vi=5, cb=superseded.append)
-    store.install_version("o1", 1.0, 0)
+    store = make_store(vi=5)
+    install(store, "o1", 1.0, 0)
     version = store.read_latest("o1", 3, "r")
     assert store.valid_until(version) == 5
     # past its expiry and its replacement the pinned version stays and
     # nobody is told to restart
-    store.install_version("o1", 2.0, 6)
-    store.gc(7)
-    assert superseded == []
+    superseded = install(store, "o1", 2.0, 6)
+    store.gc()
+    assert superseded is None
     assert [v.seq for v in store.chains["o1"]] == [1, 2]
     store.unpin(version, "r")
     # the access was fresh, so the analysis finishes at 7 on it
@@ -110,8 +117,8 @@ def test_may_continue_classical():
     assert store.valid_until(version) == 5
     # the holder keeps going at 4 and restarts at the expiry instant itself
     result = run_config(reader_config(FreshnessMode.CLASSICAL))
-    restarts = [(r["t"], r["detail"]["cause"]) for r in result.trace
-                if r["kind"] == "restart"]
+    restarts = [(t, detail["cause"]) for t, kind, _, detail in result.trace
+                if kind == "restart"]
     assert restarts == [(5, "vi_expiry")]
 
 
@@ -120,10 +127,10 @@ def test_gc_examples():
     store.install_version("o1", 1.0, 0)
     first = store.read_latest("o1", 1, "r")
     store.install_version("o1", 2.0, 10)
-    assert store.gc(11) == 0          # pinned predecessor protected
+    assert store.gc() == []           # pinned predecessor protected
     store.unpin(first, "r")
-    assert store.gc(12) == 1          # superseded and unpinned
-    assert store.gc(13) == 0          # newest never reclaimed
+    assert store.gc() == [("o1", 1)]  # superseded and unpinned
+    assert store.gc() == []           # newest never reclaimed
     assert [v.seq for v in store.chains["o1"]] == [2]
 
 
@@ -160,24 +167,24 @@ def test_gc_never_reclaims_pinned_random_walkthrough():
         action = rng.random()
         if action < 0.4:
             sample_time += rng.randint(1, 3)
-            store.install_version("o1", rng.random(), sample_time)
+            install(store, "o1", rng.random(), sample_time)
         elif action < 0.7:
             version = store.read_latest("o1", sample_time, f"r{i}")
             if version is not None:
                 pinned.append((version, f"r{i}"))
         elif pinned:
             store.unpin(*pinned.pop(rng.randrange(len(pinned))))
-        store.gc(sample_time)
+        store.gc()
         seqs = {v.seq for v in store.chains["o1"]}
         assert {v.seq for v, _ in pinned} <= seqs  # pinned versions never vanish
 
 
 def test_peak_live_versions_counts_coexisting_versions():
     store = make_store(vi=100)
-    store.install_version("o1", 1.0, 0)
+    install(store, "o1", 1.0, 0)
     store.read_latest("o1", 1, "r1")
     store.read_latest("o1", 2, "r2")
-    store.install_version("o1", 2.0, 10)
+    install(store, "o1", 2.0, 10)
     stats = store.stats["o1"]
     assert stats.peak_live_versions == 2
     assert stats.peak_active_pins == 2
@@ -187,27 +194,22 @@ def test_peak_live_versions_counts_coexisting_versions():
 class FullSweepStore(VersionStore):
     """Reference GC: sweeps every chain, in declaration order."""
 
-    def gc(self, now):
-        reclaimed = 0
+    def gc(self):
+        reclaimed = []
         for object_id, chain in self.chains.items():
             removed = [v for v in chain[:-1] if not v.holders]
             if removed:
                 self.chains[object_id] = [v for v in chain[:-1] if v.holders] + [chain[-1]]
-                reclaimed += len(removed)
-                self._emit(now, "gc", object_id, {"reclaimed": len(removed)})
+                reclaimed.append((object_id, len(removed)))
         return reclaimed
 
 
 def _twin_stores(mode, vis):
-    traces = ([], [])
-    stores = (VersionStore(mode, vis, trace=traces[0].append),
-              FullSweepStore(mode, vis, trace=traces[1].append))
-    return stores, traces
+    return VersionStore(mode, vis), FullSweepStore(mode, vis)
 
 
-def _assert_twins_agree(stores, traces):
+def _assert_twins_agree(stores):
     dirty, full = stores
-    assert traces[0] == traces[1]  # every record, gc records in sweep order
     for oid in full.chains:
         assert ([(v.seq, v.holders) for v in dirty.chains[oid]]
                 == [(v.seq, v.holders) for v in full.chains[oid]])
@@ -219,7 +221,7 @@ def _assert_twins_agree(stores, traces):
 def test_dirty_chain_gc_matches_full_sweep(mode, seed):
     rng = random.Random(seed)
     vis = {"o3": 6, "o1": 9, "o2": 4, "o4": 12}  # declaration order is not sorted
-    stores, traces = _twin_stores(mode, vis)
+    stores = _twin_stores(mode, vis)
     pins = []  # (object id, seq, holder), pinned in both stores
     last_sample = dict.fromkeys(vis, -1)
     now = 0
@@ -228,8 +230,8 @@ def test_dirty_chain_gc_matches_full_sweep(mode, seed):
         action = rng.random()
         if action < 0.35:
             now = last_sample[oid] = max(now + rng.randint(0, 2), last_sample[oid] + 1)
-            for store in stores:
-                store.install_version(oid, float(i), now)
+            superseded = [install(store, oid, float(i), now) for store in stores]
+            assert len({v.seq if v else None for v in superseded}) == 1
         elif action < 0.65:
             seqs = [v.seq if v else None for v in
                     (store.read_latest(oid, now, f"r{i}") for store in stores)]
@@ -241,21 +243,20 @@ def test_dirty_chain_gc_matches_full_sweep(mode, seed):
             for store in stores:
                 store.unpin(next(v for v in store.chains[oid] if v.seq == seq), holder)
         else:
-            assert stores[0].gc(now) == stores[1].gc(now)
-        _assert_twins_agree(stores, traces)
+            # every reclaimed count, chains in sweep order
+            assert stores[0].gc() == stores[1].gc()
+        _assert_twins_agree(stores)
 
 
 def test_dirty_chain_gc_sweeps_in_declaration_order():
     # "b" becomes reclaimable before "a", yet "a" is declared first
-    stores, traces = _twin_stores(FreshnessMode.MULTIVERSION, {"a": 50, "b": 50})
+    stores = _twin_stores(FreshnessMode.MULTIVERSION, {"a": 50, "b": 50})
     for store in stores:
-        pinned = {oid: (store.install_version(oid, 1.0, 0),
+        pinned = {oid: (install(store, oid, 1.0, 0),
                         store.read_latest(oid, 1, "r"))[1] for oid in ("a", "b")}
-        store.install_version("a", 2.0, 2)
-        store.install_version("b", 2.0, 2)
+        install(store, "a", 2.0, 2)
+        install(store, "b", 2.0, 2)
         store.unpin(pinned["b"], "r")
         store.unpin(pinned["a"], "r")
-        assert store.gc(3) == 2
-    gc_records = [r["subject"] for r in traces[0] if r["kind"] == "gc"]
-    assert gc_records == ["a", "b"]
-    _assert_twins_agree(stores, traces)
+        assert store.gc() == [("a", 1), ("b", 1)]
+    _assert_twins_agree(stores)
