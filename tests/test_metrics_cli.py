@@ -98,6 +98,21 @@ def test_finalize_is_idempotent():
     assert emit_csv(report) == emit_csv(again)
 
 
+def test_aggregator_keeps_only_in_flight_instances():
+    # an instance is forgotten at its commit or miss, so what is left at
+    # the end is the work the horizon cut off
+    from randgen import random_config
+    left, finished = [], 0
+    for seed in range(40):
+        sim = Simulator(random_config(seed))
+        report = sim.run().report
+        in_flight = sum(cls.in_flight for cls in report.per_class.values())
+        assert len(sim.metrics._class_of) == in_flight, seed
+        left.append(in_flight)
+        finished += report.overall.committed + report.overall.missed
+    assert finished > 0 and 0 in left and max(left) > 0
+
+
 # -- csv / trace -----------------------------------------------------------------
 
 def test_csv_header_is_pinned():
@@ -209,6 +224,51 @@ def test_cli_run_trace_file_matches_printed_and_library_hash(tmp_path, capsys):
     data = trace_out.read_bytes()
     assert format(fnv1a64(data), "016x") == printed == trace_hash(trace)
     assert data.decode("utf-8") == emit_trace(trace)
+
+
+def _readme_trace_table() -> dict[str, set[str]]:
+    """kind -> detail keys, parsed from the README's trace table."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text[text.index("### Trace"):]
+    section = section[:section.index("\n## ")]
+    table = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        kind = re.fullmatch(r"`(\w+)`", cells[0])
+        if line.startswith("|") and len(cells) == 3 and kind:
+            table[kind.group(1)] = set(re.findall(r"`(\w+)`", cells[2]))
+    return table
+
+
+def test_cli_run_trace_lines_match_the_readme_table(tmp_path):
+    from freshsim.core import FreshnessMode
+    from freshsim.workload import emit_config
+    from test_worked_trace import worked_config
+
+    table = _readme_trace_table()
+    assert len(table) == 9 and table["miss"] == set()
+    docs = [json.loads(emit_config(worked_config(FreshnessMode.CLASSICAL))), _walk_doc()]
+    docs.append(dict(_walk_doc(), objects=[
+        dict(od, policy={"kind": "prediction", "predictor": "linear", "epsilon": 0.5})
+        for od in _walk_doc()["objects"]]))
+    kinds, keys = set(), set()
+    for i, doc in enumerate(docs):
+        trace_out = tmp_path / f"{i}.trace"
+        assert main(["run", write_config(tmp_path, doc, f"{i}.json"),
+                     "--trace", str(trace_out), "--csv", str(tmp_path / "out.csv")]) == 0
+        for line in trace_out.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            assert isinstance(record, list) and len(record) == 4, line
+            t, kind, subject, detail = record
+            assert isinstance(t, int) and isinstance(subject, str), line
+            assert isinstance(detail, dict) and kind in table, line
+            assert set(detail) <= table[kind], line
+            kinds.add(kind)
+            keys |= set(detail)
+    # the configs between them write every kind and every key listed
+    assert kinds == set(table)
+    assert keys == set().union(*table.values())
 
 
 def test_cli_run_is_deterministic(tmp_path, capsys):
