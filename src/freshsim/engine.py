@@ -377,7 +377,7 @@ class Simulator:
         store = self.store
         superseded = store.install_version(object_id, value, sample_time)
         self.emit(t, "install", object_id,
-                  {"seq": store.chains[object_id][-1].seq, "sample_time": sample_time})
+                  {"seq": store.newest(object_id).seq, "sample_time": sample_time})
         if superseded is not None:
             # a classical install replaced a version someone still pins: every
             # holder restarts (update transactions are never delayed by readers)
