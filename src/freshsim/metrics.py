@@ -130,15 +130,12 @@ class MetricsAggregator:
                 f"trace record out of order: {t} after {self._last_t}")
         self._last_t = t
 
-        if kind == "update_decision":
-            obj = self._obj(subject)
-            if detail["decision"] in ("perform", "transmit"):
-                obj.updates_performed += 1
-            else:
-                obj.updates_skipped += 1
-            sampled = detail["sampled"]
-            obj.max_sink_error = max(obj.max_sink_error,
-                                     abs(sampled - detail.get("sink_value", sampled)))
+        if kind == "txn_released":
+            cls = self._class_of[subject] = self._cls(detail["class"])
+            cls.released += 1
+            self.overall.released += 1
+        elif kind == "txn_rejected":
+            self.rejected.append(subject)
         elif kind == "access":
             staleness = detail["staleness"]
             self.overall.merge_access(staleness)
@@ -154,24 +151,28 @@ class MetricsAggregator:
             if detail["cause"] == "vi_expiry":
                 cls.vi_restarts += 1
                 self.overall.vi_restarts += 1
-        elif kind == "txn_released":
-            cls = self._class_of[subject] = self._cls(detail["class"])
-            cls.released += 1
-            self.overall.released += 1
         elif kind == "commit":
             cls = self._class_of.pop(subject)
             cls.committed += 1
             self.overall.committed += 1
-            if detail["stale_at_commit"]:
+            if detail.get("stale_at_commit"):
                 cls.stale_at_commit += 1
                 self.overall.stale_at_commit += 1
-                for obj_id in detail["stale_objects"]:
+                for obj_id in detail.get("stale_objects", ()):
                     self._obj(obj_id).stale_at_commit += 1
         elif kind == "miss":
             self._class_of.pop(subject).missed += 1
             self.overall.missed += 1
-        elif kind == "txn_rejected":
-            self.rejected.append(subject)
+        elif kind == "update_decision":
+            obj = self._obj(subject)
+            if detail["decision"] in ("perform", "transmit"):
+                obj.updates_performed += 1
+            else:
+                obj.updates_skipped += 1
+            # sink_value is left out of the record when it equals sampled
+            sampled = detail["sampled"]
+            obj.max_sink_error = max(obj.max_sink_error,
+                                     abs(sampled - detail.get("sink_value", sampled)))
         # install / gc records carry no aggregate beyond store stats
 
     def finalize(self, horizon: Tick, store_stats=None,
