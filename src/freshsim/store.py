@@ -30,6 +30,7 @@ from .core import (
     is_fresh,
 )
 
+
 @dataclass
 class ObjectStoreStats:
     peak_live_versions: int = 0
@@ -90,11 +91,10 @@ class VersionStore:
         chain.append(Version(object_id=object_id, value=value,
                              sample_time=sample_time,
                              seq=prev.seq + 1 if prev else 1))
-        if prev is None:
-            return None
-        self._dirty.add(object_id)
-        if self.mode is FreshnessMode.CLASSICAL and prev.holders:
-            return prev
+        if prev is not None:
+            self._dirty.add(object_id)
+            if self.mode is FreshnessMode.CLASSICAL and prev.holders:
+                return prev
         return None
 
     def sample_peak(self, object_id: str) -> None:
