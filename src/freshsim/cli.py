@@ -45,8 +45,9 @@ def _load_doc(path: str) -> dict:
     except UnicodeDecodeError as e:
         raise ConfigError([(path, f"not UTF-8 text ({e.reason} at byte {e.start})")]) from None
     doc = decode_json(text)
-    if isinstance(doc, dict) and "name" not in doc:
-        doc["name"] = Path(path).stem
+    if not isinstance(doc, dict):
+        raise ConfigError([("$", "top level must be an object")])
+    doc.setdefault("name", Path(path).stem)
     return doc
 
 

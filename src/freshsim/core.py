@@ -88,6 +88,10 @@ class Version:
     confirms the stored value, so the effective validity grows by one update
     period). The expiry instant is always derived: sample_time + vi +
     vi_extend, never stored.
+
+    A store numbers the versions of each chain from 1. `seq` 0 marks a
+    sample a transaction fetched from the source for itself: it sits in no
+    chain and is never pinned.
     """
 
     object_id: str

@@ -78,16 +78,6 @@ class EventQueue:
         return len(self._heap)
 
 
-@dataclass
-class Access:
-    """One acquired read: either a pinned store version or a private sample
-    fetched from the source."""
-
-    object_id: str
-    version: Version | None = None  # the pinned version; None for source samples
-    private_valid_until: Tick = 0   # source samples only
-
-
 @dataclass(eq=False)
 class TxnInstance:
     """Runtime state of one released transaction instance. Instances compare
@@ -98,16 +88,12 @@ class TxnInstance:
     spec: UserTxnSpec
     release: Tick
     deadline: Tick
-    ordinal: int
     state: str = READY
     cursor: int = 0
     phase: str = NEED_ACCESS
     epoch: int = 0
-    accesses: dict[str, Access] = field(default_factory=dict)
-    restart_count: int = 0
-    vi_restart_count: int = 0
-    commit_time: Tick | None = None
-    miss_time: Tick | None = None
+    # object id -> the version read: pinned in the store, or a source sample
+    accesses: dict[str, Version] = field(default_factory=dict)
     # versions this instance was already expired off: never re-pinned
     burned: dict[str, set[int]] = field(default_factory=dict)
     # objects this instance now acquires from the source after a vi restart
@@ -120,16 +106,14 @@ class TxnInstance:
         return self.state in (COMMITTED, MISSED)
 
     def edf_key(self):
-        return (self.deadline, self.spec.id, self.release, self.ordinal)
+        # unique: a class never releases twice in one tick
+        return (self.deadline, self.spec.id, self.release)
 
 
 @dataclass
 class RunResult:
     report: MetricsReport
     trace: list[tuple]  # empty when the run was given a sink
-    instances: list[TxnInstance]
-    effective_periods: dict[str, Tick]
-    effective_vis: dict[str, Tick]
 
 
 class Simulator:
@@ -159,7 +143,6 @@ class Simulator:
                                   {oid: o.vi for oid, o in self.eff_objects.items()})
 
         self.queue = EventQueue()
-        self.instances: list[TxnInstance] = []
         self._released: dict[str, int] = {}  # instances released per class
         # (*edf_key, instance) for every instance that became READY; entries
         # of instances that left READY since are skipped when popped
@@ -227,21 +210,16 @@ class Simulator:
             store_stats=self.store.stats,
             update_costs={o.id: o.update_cost for o in self.eff_objects.values()},
         )
-        return RunResult(report=report, trace=self.trace, instances=self.instances,
-                         effective_periods={oid: o.update_period
-                                            for oid, o in self.eff_objects.items()},
-                         effective_vis=dict(self.store.vis))
+        return RunResult(report=report, trace=self.trace)
 
     # -- transaction lifecycle ----------------------------------------------
 
     def _on_arrival(self, t: Tick, subject: str, payload) -> None:
         spec, releases = payload
-        ordinal = len(self.instances)
         count = self._released.get(spec.id, 0)
         self._released[spec.id] = count + 1
         inst = TxnInstance(inst_id=f"{spec.id}#{count}", spec=spec, release=t,
-                           deadline=t + spec.relative_deadline, ordinal=ordinal)
-        self.instances.append(inst)
+                           deadline=t + spec.relative_deadline)
         self._make_ready(inst)
         self.queue.push(inst.deadline, DEADLINE, inst.inst_id, inst)
         self.emit(t, "txn_released", inst.inst_id,
@@ -270,10 +248,9 @@ class Simulator:
 
     def _commit(self, inst: TxnInstance, t: Tick) -> None:
         stale = sorted(
-            a.object_id for a in inst.accesses.values()
-            if self._valid_until(a) < t)
+            v.object_id for v in inst.accesses.values()
+            if self.store.valid_until(v) < t)
         inst.state = COMMITTED
-        inst.commit_time = t
         self.emit(t, "commit", inst.inst_id,
                   {"stale_at_commit": bool(stale), "stale_objects": stale})
         self._release_pins(inst)
@@ -283,7 +260,6 @@ class Simulator:
         if inst.terminal():
             return
         inst.state = MISSED
-        inst.miss_time = t
         self._free_processor(inst)
         self._leave_waiting(inst)
         self.emit(t, "miss", inst.inst_id, {})
@@ -294,29 +270,26 @@ class Simulator:
         inst, epoch, object_id = payload
         if inst.terminal() or inst.epoch != epoch:
             return
-        # same epoch, so the access that scheduled this expiry is still held
-        access = inst.accesses[object_id]
-        until = self._valid_until(access)
+        # same epoch, so the version read that scheduled this expiry is still held
+        version = inst.accesses[object_id]
+        until = self.store.valid_until(version)
         if t < until:
             # a skipped update extended the version; check again at the new end
             self.queue.push(until, VI_EXPIRY, subject, payload)
             return
-        self._restart(inst, t, cause="vi_expiry", access=access)
+        self._restart(inst, t, cause="vi_expiry", version=version)
 
     def _restart(self, inst: TxnInstance, t: Tick, cause: str,
-                 access: Access | None) -> None:
+                 version: Version | None) -> None:
         """Abort and reissue from the first object: the whole read set is
         reacquired and reanalyzed."""
-        if cause == "vi_expiry" and access is not None:
-            if access.version is not None:
-                inst.burned.setdefault(access.object_id, set()).add(access.version.seq)
+        if cause == "vi_expiry" and version is not None:
+            if version.seq:
+                inst.burned.setdefault(version.object_id, set()).add(version.seq)
             if inst.spec.retrieval_mode == "store_then_source":
-                inst.source_only.add(access.object_id)
-        inst.restart_count += 1
-        if cause == "vi_expiry":
-            inst.vi_restart_count += 1
+                inst.source_only.add(version.object_id)
         self.emit(t, "restart", inst.inst_id,
-                  {"cause": cause, "object": access.object_id if access else None})
+                  {"cause": cause, "object": version.object_id if version else None})
         self._release_pins(inst)
         self._free_processor(inst)
         self._leave_waiting(inst)
@@ -327,9 +300,9 @@ class Simulator:
         self._sweep(t)
 
     def _release_pins(self, inst: TxnInstance) -> None:
-        for access in inst.accesses.values():
-            if access.version is not None:
-                self.store.unpin(access.version, inst)
+        for version in inst.accesses.values():
+            if version.seq:
+                self.store.unpin(version, inst)
         inst.accesses.clear()
 
     def _free_processor(self, inst: TxnInstance) -> None:
@@ -341,11 +314,6 @@ class Simulator:
         queue = self.waiting[inst.current_object()]
         if inst in queue:
             queue.remove(inst)
-
-    def _valid_until(self, access: Access) -> Tick:
-        if access.version is not None:
-            return self.store.valid_until(access.version)
-        return access.private_valid_until
 
     # -- update server -------------------------------------------------------
 
@@ -384,7 +352,7 @@ class Simulator:
             for inst in list(superseded.holders):
                 if not inst.terminal():
                     self._restart(inst, t, cause="superseded",
-                                  access=inst.accesses.get(object_id))
+                                  version=inst.accesses.get(object_id))
         self._sweep(t)
         store.sample_peak(object_id)
         self.refresh_inflight.discard(object_id)
@@ -428,17 +396,16 @@ class Simulator:
             version = self.store.read_latest(obj, t, inst,
                                              inst.burned.get(obj, frozenset()))
             if version is not None:
-                self._acquire(inst, t, Access(obj, version=version), "store",
-                              version.value, version.sample_time)
+                self._acquire(inst, t, version, "store")
                 self._run_segment(inst, ANALYZING, ANALYSIS_DONE,
                                   t + inst.spec.analysis_time[obj])
                 return
 
         if mode != "store":
             # the source, directly or when the store cannot serve
-            vi = self.eff_objects[obj].vi
-            self._acquire(inst, t, Access(obj, private_valid_until=t + vi), "source",
-                          self.sampler.sample(obj, t), t)
+            sample = Version(object_id=obj, value=self.sampler.sample(obj, t),
+                             sample_time=t, seq=0)
+            self._acquire(inst, t, sample, "source")
             self._run_segment(inst, RETRIEVING, RETRIEVAL_DONE,
                               t + inst.spec.retrieval_time[obj])
             return
@@ -451,17 +418,17 @@ class Simulator:
         inst.state = WAITING
         self.waiting[obj].append(inst)
 
-    def _acquire(self, inst: TxnInstance, t: Tick, access: Access, via: str,
-                 value: float, sample_time: Tick) -> None:
-        """Hold the access, record it and, in classical mode, queue the
+    def _acquire(self, inst: TxnInstance, t: Tick, version: Version,
+                 via: str) -> None:
+        """Hold the version read, record it and, in classical mode, queue the
         check at the instant its validity ends."""
-        inst.accesses[access.object_id] = access
+        inst.accesses[version.object_id] = version
         self.emit(t, "access", inst.inst_id,
-                  {"object": access.object_id, "via": via,
-                   "value": value, "staleness": t - sample_time})
+                  {"object": version.object_id, "via": via,
+                   "value": version.value, "staleness": t - version.sample_time})
         if self.mode is FreshnessMode.CLASSICAL:
-            self.queue.push(self._valid_until(access), VI_EXPIRY, inst.inst_id,
-                            (inst, inst.epoch, access.object_id))
+            self.queue.push(self.store.valid_until(version), VI_EXPIRY, inst.inst_id,
+                            (inst, inst.epoch, version.object_id))
 
     def _run_segment(self, inst: TxnInstance, state: str, kind: int,
                      end: Tick) -> None:

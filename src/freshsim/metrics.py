@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import SimInternalError, Tick
 
@@ -26,28 +26,16 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass
-class TxnClassStats:
-    released: int = 0
-    committed: int = 0
-    missed: int = 0
-    restarts: int = 0
-    vi_restarts: int = 0
+class StalenessStats:
+    """Staleness of the accesses merged so far."""
+
     staleness_sum: int = 0
     staleness_count: int = 0
     max_staleness: int = 0
-    stale_at_commit: int = 0
-
-    @property
-    def miss_ratio(self) -> float:
-        return self.missed / self.released if self.released else 0.0
 
     @property
     def mean_staleness(self) -> float:
         return self.staleness_sum / self.staleness_count if self.staleness_count else 0.0
-
-    @property
-    def in_flight(self) -> int:
-        return self.released - self.committed - self.missed
 
     def merge_access(self, staleness: int) -> None:
         self.staleness_sum += staleness
@@ -56,21 +44,32 @@ class TxnClassStats:
 
 
 @dataclass
-class ObjectStats:
+class TxnClassStats(StalenessStats):
+    released: int = 0
+    committed: int = 0
+    missed: int = 0
+    restarts: int = 0
+    vi_restarts: int = 0
+    stale_at_commit: int = 0
+
+    @property
+    def miss_ratio(self) -> float:
+        return self.missed / self.released if self.released else 0.0
+
+    @property
+    def in_flight(self) -> int:
+        return self.released - self.committed - self.missed
+
+
+@dataclass
+class ObjectStats(StalenessStats):
     updates_performed: int = 0
     updates_skipped: int = 0
     update_utilization: float = 0.0
-    staleness_sum: int = 0
-    staleness_count: int = 0
-    max_staleness: int = 0
     max_sink_error: float = 0.0
     peak_live_versions: int = 0
     peak_concurrent_pinners: int = 0
     stale_at_commit: int = 0
-
-    @property
-    def mean_staleness(self) -> float:
-        return self.staleness_sum / self.staleness_count if self.staleness_count else 0.0
 
 
 @dataclass
@@ -106,7 +105,6 @@ class MetricsAggregator:
         # in-flight instance id -> the stats of its class; an instance is
         # forgotten at its commit or miss
         self._class_of: dict[str, TxnClassStats] = {}
-        self.overall = TxnClassStats()
         self.per_class: dict[str, TxnClassStats] = {}
         self.per_object: dict[str, ObjectStats] = {}
         self.rejected: list[str] = []
@@ -133,36 +131,26 @@ class MetricsAggregator:
         if kind == "txn_released":
             cls = self._class_of[subject] = self._cls(detail["class"])
             cls.released += 1
-            self.overall.released += 1
         elif kind == "txn_rejected":
             self.rejected.append(subject)
         elif kind == "access":
             staleness = detail["staleness"]
-            self.overall.merge_access(staleness)
             self._class_of[subject].merge_access(staleness)
-            obj = self._obj(detail["object"])
-            obj.staleness_sum += staleness
-            obj.staleness_count += 1
-            obj.max_staleness = max(obj.max_staleness, staleness)
+            self._obj(detail["object"]).merge_access(staleness)
         elif kind == "restart":
             cls = self._class_of[subject]
             cls.restarts += 1
-            self.overall.restarts += 1
             if detail["cause"] == "vi_expiry":
                 cls.vi_restarts += 1
-                self.overall.vi_restarts += 1
         elif kind == "commit":
             cls = self._class_of.pop(subject)
             cls.committed += 1
-            self.overall.committed += 1
             if detail.get("stale_at_commit"):
                 cls.stale_at_commit += 1
-                self.overall.stale_at_commit += 1
                 for obj_id in detail.get("stale_objects", ()):
                     self._obj(obj_id).stale_at_commit += 1
         elif kind == "miss":
             self._class_of.pop(subject).missed += 1
-            self.overall.missed += 1
         elif kind == "update_decision":
             obj = self._obj(subject)
             if detail["decision"] in ("perform", "transmit"):
@@ -187,9 +175,14 @@ class MetricsAggregator:
                 obj = self._obj(oid)
                 obj.update_utilization = (obj.updates_performed * cost / horizon
                                           if horizon else 0.0)
+        # the run-wide totals: each count is the sum over classes
+        classes = self.per_class.values()
+        overall = TxnClassStats(**{f.name: sum(getattr(c, f.name) for c in classes)
+                                   for f in fields(TxnClassStats)})
+        overall.max_staleness = max((c.max_staleness for c in classes), default=0)
         return MetricsReport(
             horizon=horizon,
-            overall=self.overall,
+            overall=overall,
             per_class=dict(sorted(self.per_class.items())),
             per_object=dict(sorted(self.per_object.items())),
             rejected=list(self.rejected),
@@ -231,8 +224,7 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
 
 def emit_trace(trace: list[tuple]) -> str:
     """Line-delimited JSON, one `[t,kind,subject,{...}]` array per line."""
-    lines = [_encode_record(rec) for rec in trace]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return b"".join(trace_blocks(trace)).decode("utf-8")
 
 
 def trace_blocks(trace: list[tuple] | list[str]) -> Iterator[bytes]:

@@ -142,19 +142,22 @@ def sample_process(process: ValueProcess, t: Tick, index: int,
 
 
 class ValueSampler:
-    """Per-run sampler with memoized random-walk prefixes.
+    """Per-run sampler that keeps each random walk's last sample.
 
     The walk steps once per declared update period, so the sample at time t
     has ordinal t // period regardless of which policy runs or which instants
     it chooses to sample; that pins the real-world trajectory across policy
-    variants of the same seeded workload.
+    variants of the same seeded workload. A run asks for nondecreasing
+    ordinals, so each walk steps on from its last sample; an earlier ordinal
+    walks again from the start. The steps add up in the order
+    `sample_process` adds them, so the values are the same floats.
     """
 
     def __init__(self, seed: int, objects: list[ObjectSpec]):
         self.seed = seed
         self.specs = {o.id: o for o in objects}
-        # object id -> (stream key, walk values at ordinals 0, 1, ...)
-        self._walk_cache: dict[str, tuple[int, list[float]]] = {}
+        # object id -> (stream key, ordinal, walk value at that ordinal)
+        self._walks: dict[str, tuple[int, int, float]] = {}
 
     def sample(self, object_id: str, t: Tick) -> float:
         obj = self.specs[object_id]
@@ -165,17 +168,16 @@ class ValueSampler:
 
     def _walk_value(self, obj: ObjectSpec, process: RandomWalkProcess,
                     index: int) -> float:
-        walk = self._walk_cache.get(obj.id)
-        if walk is None:
-            walk = self._walk_cache[obj.id] = (
-                stable_key(self.seed, process.seed, obj.id, "walk"),
-                [float(process.start)])
-        key, prefix = walk
-        while len(prefix) <= index:
-            j = len(prefix)
-            step = process.step_sigma * _NORMAL.inv_cdf(uniform_at(key, j))
-            prefix.append(prefix[-1] + step)
-        return prefix[index]
+        walk = self._walks.get(obj.id)
+        if walk is None or walk[1] > index:
+            walk = (stable_key(self.seed, process.seed, obj.id, "walk"),
+                    0, float(process.start))
+        key, j, value = walk
+        while j < index:
+            j += 1
+            value += process.step_sigma * _NORMAL.inv_cdf(uniform_at(key, j))
+        self._walks[obj.id] = (key, j, value)
+        return value
 
 
 # ---------------------------------------------------------------------------

@@ -31,19 +31,52 @@ def run_config(cfg: SimConfig) -> RunResult:
     return Simulator(cfg).run()
 
 
-def engine_outcomes(result: RunResult, object_ids: list[str]) -> dict:
-    """The same outcome shape the tick oracle reports, for equality checks."""
-    txns = {i.inst_id: {"state": i.state, "commit_time": i.commit_time,
-                        "miss_time": i.miss_time, "restarts": i.restart_count,
-                        "vi_restarts": i.vi_restart_count}
-            for i in result.instances}
-    installs = {oid: [] for oid in object_ids}
-    decisions = {oid: [] for oid in object_ids}
+def outcomes(sim: Simulator) -> dict[str, dict]:
+    """Each released instance's outcome, by instance id, rebuilt from the
+    trace of `sim`, a finished run without a sink: its `commit` or `miss`
+    record gives the state and time, its `restart` records the restarts
+    (`vi_restarts` counts those with cause `vi_expiry`). An instance with
+    neither record is in flight: the running one, a waiting one (in
+    `sim.waiting`), or else ready."""
+    in_flight = {inst.inst_id: "waiting"
+                 for queue in sim.waiting.values() for inst in queue}
+    if sim.running is not None:
+        in_flight[sim.running.inst_id] = sim.running.state
+    txns = {}
+    for t, kind, subject, detail in sim.trace:
+        if kind == "txn_released":
+            txns[subject] = {"state": in_flight.get(subject, "ready"),
+                             "commit_time": None, "miss_time": None,
+                             "restarts": 0, "vi_restarts": 0}
+        elif kind == "restart":
+            txns[subject]["restarts"] += 1
+            if detail["cause"] == "vi_expiry":
+                txns[subject]["vi_restarts"] += 1
+        elif kind == "commit":
+            txns[subject].update(state="committed", commit_time=t)
+        elif kind == "miss":
+            txns[subject].update(state="missed", miss_time=t)
+    return txns
+
+
+def run_outcomes(cfg: SimConfig) -> tuple[RunResult, dict[str, dict]]:
+    """Run `cfg`; return the result and the `outcomes` of its instances."""
+    sim = Simulator(cfg)
+    return sim.run(), outcomes(sim)
+
+
+def engine_outcomes(cfg: SimConfig) -> dict:
+    """Run `cfg`; the same outcome shape the tick oracle reports, for
+    equality checks."""
+    sim = Simulator(cfg)
+    sim.run()
+    installs = {o.id: [] for o in cfg.objects}
+    decisions = {o.id: [] for o in cfg.objects}
     norm = {"transmit": "perform", "suppress": "skip"}
-    for t, kind, subject, detail in result.trace:
+    for t, kind, subject, detail in sim.trace:
         if kind == "install":
             installs[subject].append((t, detail["sample_time"]))
         elif kind == "update_decision":
             d = detail["decision"]
             decisions[subject].append((t, norm.get(d, d)))
-    return {"txns": txns, "installs": installs, "decisions": decisions}
+    return {"txns": outcomes(sim), "installs": installs, "decisions": decisions}

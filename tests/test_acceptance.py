@@ -8,7 +8,6 @@ from contextlib import contextmanager
 
 from freshsim.cli import main
 from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
-from freshsim.engine import Simulator
 from freshsim.metrics import emit_csv, trace_hash
 from freshsim.policies import (
     MKFirmPolicy,
@@ -21,7 +20,7 @@ from freshsim.policies import (
 from freshsim.workload import ConstantProcess, RandomWalkProcess, SimConfig
 
 from randgen import feasible_isolated_config, random_config
-from support import engine_outcomes, one_object_config, run_config
+from support import engine_outcomes, one_object_config, run_config, run_outcomes
 from tick_oracle import oracle_outcomes
 
 
@@ -106,27 +105,26 @@ def test_criterion_1_infeasible_restart_reproduction():
         assert oracle["miss_time"] == 30
         assert oracle["vi_restarts"] == GOLDEN_VI_RESTARTS
 
-        inst = run_config(cfg).instances[0]
-        assert inst.state == "missed"
-        assert inst.miss_time == 30
-        assert inst.vi_restart_count == GOLDEN_VI_RESTARTS
-        assert inst.restart_count == GOLDEN_VI_RESTARTS
+        inst = run_outcomes(cfg)[1]["t1#0"]
+        assert inst["state"] == "missed"
+        assert inst["miss_time"] == 30
+        assert inst["vi_restarts"] == GOLDEN_VI_RESTARTS
+        assert inst["restarts"] == GOLDEN_VI_RESTARTS
 
 
 def test_criterion_2_multiversion_continuation():
     with criterion(2, "classical restarts where multiversion continues"):
-        classical = run_config(mv_continuation_config(FreshnessMode.CLASSICAL))
-        inst = classical.instances[0]
-        assert inst.vi_restart_count == 1
+        classical, txns = run_outcomes(mv_continuation_config(FreshnessMode.CLASSICAL))
+        inst = txns["t1#0"]
+        assert inst["vi_restarts"] == 1
         restarts = [t for t, kind, _, _ in classical.trace if kind == "restart"]
         assert restarts == [5]            # expiry instant of the t=0 version
-        assert inst.commit_time == 9      # re-read of the t=5 version
+        assert inst["commit_time"] == 9   # re-read of the t=5 version
 
-        mv = run_config(mv_continuation_config(FreshnessMode.MULTIVERSION))
-        inst = mv.instances[0]
-        assert inst.state == "committed"
-        assert inst.commit_time == 7
-        assert inst.vi_restart_count == 0
+        inst = run_outcomes(mv_continuation_config(FreshnessMode.MULTIVERSION))[1]["t1#0"]
+        assert inst["state"] == "committed"
+        assert inst["commit_time"] == 7
+        assert inst["vi_restarts"] == 0
 
 
 def test_criterion_3_admission_gate_exit_codes(tmp_path):
@@ -146,13 +144,13 @@ def test_criterion_4_feasible_commit_bound():
     with criterion(4, "feasible isolated source reads commit on first attempt"):
         for seed in range(200):
             cfg = feasible_isolated_config(seed)
-            inst = run_config(cfg).instances[0]
-            assert inst.state == "committed", f"seed {seed}"
-            assert inst.restart_count == 0, f"seed {seed}"
-            first_work = inst.release
+            inst = run_outcomes(cfg)[1]["t0#0"]
+            assert inst["state"] == "committed", f"seed {seed}"
+            assert inst["restarts"] == 0, f"seed {seed}"
+            first_work = cfg.transactions[0].arrival.t  # the one release
             expected = (first_work + cfg.transactions[0].retrieval_time["o0"]
                         + cfg.transactions[0].analysis_time["o0"])
-            assert inst.commit_time == expected, f"seed {seed}"
+            assert inst["commit_time"] == expected, f"seed {seed}"
 
 
 MV_SWEEP_RESULTS = []
@@ -163,15 +161,15 @@ def mv_sweep_runs():
         for seed in range(200):
             cfg = random_config(seed, mode=FreshnessMode.MULTIVERSION,
                                 horizon_range=(30, 150))
-            MV_SWEEP_RESULTS.append(run_config(cfg))
+            MV_SWEEP_RESULTS.append(run_outcomes(cfg))
     return MV_SWEEP_RESULTS
 
 
 def test_criterion_5_multiversion_zero_restart_sweep():
     with criterion(5, "multiversion never restarts across 200 random configs"):
         total = 0
-        for result in mv_sweep_runs():
-            total += sum(i.vi_restart_count for i in result.instances)
+        for _, txns in mv_sweep_runs():
+            total += sum(inst["vi_restarts"] for inst in txns.values())
         assert total == 0
 
 
@@ -251,8 +249,7 @@ def test_criterion_10_oracle_equivalence():
     with criterion(10, "event engine equals tick oracle on 150 random configs"):
         for seed in range(150):
             cfg = random_config(seed, horizon_range=(30, 200))
-            object_ids = [o.id for o in cfg.objects]
-            engine = engine_outcomes(Simulator(cfg).run(), object_ids)
+            engine = engine_outcomes(cfg)
             oracle = oracle_outcomes(cfg)
             assert engine == oracle, f"generator seed {seed}"
 
@@ -278,6 +275,6 @@ def test_criterion_11_determinism():
 def test_criterion_12_gc_safety_and_bounded_chains():
     with criterion(12, "no pinned version reclaimed; chains bounded by pinners"):
         # reuses the criterion-5 sweep: any pinned reclaim raises inside gc
-        for result in mv_sweep_runs():
+        for result, _ in mv_sweep_runs():
             for oid, stats in result.report.per_object.items():
                 assert stats.peak_live_versions <= 1 + stats.peak_concurrent_pinners, oid

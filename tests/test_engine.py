@@ -1,22 +1,23 @@
+import gc
 import json
 
 import pytest
 
 from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
-from freshsim.engine import Simulator
+from freshsim.engine import Simulator, TxnInstance
 from freshsim.metrics import trace_hash
 from freshsim.policies import ElasticPolicy, OnDemandPolicy, PeriodicPolicy
 from freshsim.workload import ConstantProcess, SimConfig
 
-from support import engine_outcomes, one_object_config, run_config
+from support import one_object_config, run_config, run_outcomes
 
 
 def test_empty_workload_is_vacuous():
     cfg = SimConfig(horizon=100, mode=FreshnessMode.CLASSICAL,
                     enforce_admission=False, seed=1, objects=[], policies={},
                     transactions=[])
-    result = run_config(cfg)
-    assert result.instances == []
+    result, txns = run_outcomes(cfg)
+    assert txns == {}
     assert result.trace == []
     assert result.report.overall.released == 0
     assert result.report.overall.miss_ratio == 0.0
@@ -26,21 +27,20 @@ def test_feasible_source_txn_commits_first_attempt():
     # vi=10, R=2, A=3: sample at 0 stays fresh through the commit at 5
     cfg = one_object_config(vi=10, period=5, cost=0, retrieval=2, analysis=3,
                             deadline=20)
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "committed"
-    assert inst.commit_time == 5
-    assert inst.restart_count == 0
+    inst = run_outcomes(cfg)[1]["t1#0"]
+    assert inst["state"] == "committed"
+    assert inst["commit_time"] == 5
+    assert inst["restarts"] == 0
 
 
 def test_infeasible_source_txn_cycles_until_deadline():
     # the unbounded reacquire/reanalyze cycle: restart every vi ticks
     cfg = one_object_config(vi=5, retrieval=2, analysis=4, deadline=30)
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "missed"
-    assert inst.miss_time == 30
-    assert inst.vi_restart_count == 6
+    result, txns = run_outcomes(cfg)
+    inst = txns["t1#0"]
+    assert inst["state"] == "missed"
+    assert inst["miss_time"] == 30
+    assert inst["vi_restarts"] == 6
     restarts = [t for t, kind, _, _ in result.trace if kind == "restart"]
     assert restarts == [5, 10, 15, 20, 25, 30]
 
@@ -48,43 +48,40 @@ def test_infeasible_source_txn_cycles_until_deadline():
 def test_boundary_feasibility_commits_exactly_at_expiry():
     # R + A == vi: analysis completes at the expiry instant and still commits
     cfg = one_object_config(vi=6, retrieval=2, analysis=4, deadline=30)
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "committed"
-    assert inst.commit_time == 6
-    assert inst.vi_restart_count == 0
+    inst = run_outcomes(cfg)[1]["t1#0"]
+    assert inst["state"] == "committed"
+    assert inst["commit_time"] == 6
+    assert inst["vi_restarts"] == 0
 
 
 def test_store_serve_costs_only_analysis_time():
     # cached read: analysis starts at the access instant
     cfg = one_object_config(vi=5, period=5, cost=0, retrieval=0, analysis=4,
                             deadline=18, retrieval_mode="store")
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "committed"
-    assert inst.commit_time == 4
-    assert inst.restart_count == 0
+    inst = run_outcomes(cfg)[1]["t1#0"]
+    assert inst["state"] == "committed"
+    assert inst["commit_time"] == 4
+    assert inst["restarts"] == 0
 
 
 def test_classical_store_reader_restarts_on_expiry_then_rereads():
     cfg = one_object_config(vi=5, period=5, cost=0, retrieval=0, analysis=4,
                             deadline=17, arrival_t=3, retrieval_mode="store")
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "committed"
-    assert inst.vi_restart_count == 1
-    assert inst.commit_time == 9  # restarted at 5, re-read the t=5 version
+    inst = run_outcomes(cfg)[1]["t1#0"]
+    assert inst["state"] == "committed"
+    assert inst["vi_restarts"] == 1
+    assert inst["commit_time"] == 9  # restarted at 5, re-read the t=5 version
 
 
 def test_multiversion_reader_continues_past_expiry():
     cfg = one_object_config(vi=5, period=5, cost=0, retrieval=0, analysis=4,
                             deadline=17, arrival_t=3, retrieval_mode="store",
                             mode=FreshnessMode.MULTIVERSION)
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "committed"
-    assert inst.commit_time == 7
-    assert inst.restart_count == 0
+    result, txns = run_outcomes(cfg)
+    inst = txns["t1#0"]
+    assert inst["state"] == "committed"
+    assert inst["commit_time"] == 7
+    assert inst["restarts"] == 0
     commits = [detail for _, kind, _, detail in result.trace if kind == "commit"]
     assert commits[0]["stale_at_commit"] is True
 
@@ -93,18 +90,18 @@ def test_superseded_classical_reader_restarts_multiversion_continues():
     # the reader pins the t=0 version at 3; the t=5 install replaces it
     # while the analysis (3..7) runs, long before its expiry at 50
     def run(mode):
-        return run_config(one_object_config(
+        return run_outcomes(one_object_config(
             vi=50, period=5, cost=0, retrieval=0, analysis=4, deadline=30,
             arrival_t=3, retrieval_mode="store", mode=mode))
 
-    classical = run(FreshnessMode.CLASSICAL)
+    classical, txns = run(FreshnessMode.CLASSICAL)
     restarts = [(t, detail) for t, kind, _, detail in classical.trace if kind == "restart"]
     assert restarts == [(5, {"cause": "superseded", "object": "o1"})]
-    inst = classical.instances[0]
-    assert (inst.state, inst.commit_time, inst.vi_restart_count) == ("committed", 9, 0)
+    inst = txns["t1#0"]
+    assert (inst["state"], inst["commit_time"], inst["vi_restarts"]) == ("committed", 9, 0)
 
-    inst = run(FreshnessMode.MULTIVERSION).instances[0]
-    assert (inst.state, inst.commit_time, inst.restart_count) == ("committed", 7, 0)
+    inst = run(FreshnessMode.MULTIVERSION)[1]["t1#0"]
+    assert (inst["state"], inst["commit_time"], inst["restarts"]) == ("committed", 7, 0)
 
 
 def test_superseded_version_restarts_every_classical_holder_in_pin_order():
@@ -136,8 +133,8 @@ def test_superseded_version_restarts_every_classical_holder_in_pin_order():
 
 def test_admission_gate_blocks_infeasible_release():
     cfg = one_object_config(vi=5, retrieval=2, analysis=4, enforce=True)
-    result = run_config(cfg)
-    assert result.instances == []
+    result, txns = run_outcomes(cfg)
+    assert txns == {}
     assert result.report.rejected == ["t1"]
     assert result.report.overall.released == 0
 
@@ -146,10 +143,10 @@ def test_store_then_source_falls_back_and_commits():
     # cold store at t=0 with no periodic update until t=10: fetch from source
     cfg = one_object_config(vi=10, period=10, cost=5, retrieval=2, analysis=3,
                             deadline=20, retrieval_mode="store_then_source")
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "committed"
-    assert inst.commit_time == 5
+    result, txns = run_outcomes(cfg)
+    inst = txns["t1#0"]
+    assert inst["state"] == "committed"
+    assert inst["commit_time"] == 5
     access = [detail for _, kind, _, detail in result.trace if kind == "access"]
     assert access[0]["via"] == "source"
 
@@ -160,10 +157,10 @@ def test_cached_read_bound_single_vi_restart_then_source():
     cfg = one_object_config(vi=8, period=30, cost=0, retrieval=2, analysis=5,
                             deadline=25, arrival_t=4,
                             retrieval_mode="store_then_source", horizon=40)
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "committed"
-    assert inst.vi_restart_count <= 1
+    result, txns = run_outcomes(cfg)
+    inst = txns["t1#0"]
+    assert inst["state"] == "committed"
+    assert inst["vi_restarts"] <= 1
     vias = [detail["via"] for _, kind, _, detail in result.trace if kind == "access"]
     assert vias == ["store", "source"]
 
@@ -172,11 +169,11 @@ def test_on_demand_refresh_blocks_until_install():
     cfg = one_object_config(vi=20, period=10, cost=3, retrieval=0, analysis=2,
                             deadline=30, retrieval_mode="store",
                             policy=OnDemandPolicy())
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "committed"
+    result, txns = run_outcomes(cfg)
+    inst = txns["t1#0"]
+    assert inst["state"] == "committed"
     # refresh launched at 0, installed at 3, analysis 3..5
-    assert inst.commit_time == 5
+    assert inst["commit_time"] == 5
     installs = [(t, detail["sample_time"]) for t, kind, _, detail in result.trace
                 if kind == "install"]
     assert installs == [(3, 0)]
@@ -194,10 +191,10 @@ def test_on_demand_shared_refresh_among_waiters():
     cfg = SimConfig(horizon=40, mode=FreshnessMode.MULTIVERSION,
                     enforce_admission=False, seed=1, objects=[obj],
                     policies={"o1": OnDemandPolicy()}, transactions=txns)
-    result = run_config(cfg)
+    result, txns = run_outcomes(cfg)
     decisions = [rec for rec in result.trace if rec[1] == "update_decision"]
     assert len(decisions) == 1  # one refresh serves both waiters
-    assert all(i.state == "committed" for i in result.instances)
+    assert all(inst["state"] == "committed" for inst in txns.values())
 
 
 def test_edf_prefers_earlier_absolute_deadline():
@@ -211,10 +208,10 @@ def test_edf_prefers_earlier_absolute_deadline():
                     enforce_admission=False, seed=1, objects=[obj],
                     policies={"o1": PeriodicPolicy()},
                     transactions=[mk("a", 30), mk("b", 20), mk("c", 25)])
-    result = run_config(cfg)
+    result, txns = run_outcomes(cfg)
     order = [subject for _, kind, subject, _ in result.trace if kind == "access"]
     assert [s.split("#")[0] for s in order[:3]] == ["b", "c", "a"]
-    commits = {i.spec.id: i.commit_time for i in result.instances}
+    commits = {iid.split("#")[0]: inst["commit_time"] for iid, inst in txns.items()}
     assert commits == {"b": 4, "c": 8, "a": 12}
 
 
@@ -236,26 +233,24 @@ def test_edf_tie_broken_by_spec_id():
 
 def test_deadline_mid_analysis_means_missed():
     cfg = one_object_config(vi=30, retrieval=2, analysis=10, deadline=5)
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "missed"
-    assert inst.miss_time == 5
+    inst = run_outcomes(cfg)[1]["t1#0"]
+    assert inst["state"] == "missed"
+    assert inst["miss_time"] == 5
 
 
 def test_commit_exactly_at_deadline_is_met():
     cfg = one_object_config(vi=30, retrieval=2, analysis=3, deadline=5)
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state == "committed"
-    assert inst.commit_time == 5
+    inst = run_outcomes(cfg)[1]["t1#0"]
+    assert inst["state"] == "committed"
+    assert inst["commit_time"] == 5
 
 
 def test_in_flight_at_horizon_is_neither_committed_nor_missed():
     cfg = one_object_config(vi=30, retrieval=2, analysis=10, deadline=25,
                             arrival_t=35, horizon=40)
-    result = run_config(cfg)
-    inst = result.instances[0]
-    assert inst.state not in ("committed", "missed")
+    result, txns = run_outcomes(cfg)
+    inst = txns["t1#0"]
+    assert inst["state"] not in ("committed", "missed")
     overall = result.report.overall
     assert overall.released == 1
     assert overall.committed == overall.missed == 0
@@ -274,9 +269,10 @@ def test_elastic_policy_stretches_period_and_vi():
     cfg = SimConfig(horizon=40, mode=FreshnessMode.CLASSICAL,
                     enforce_admission=False, seed=1, objects=objects,
                     policies=policies, transactions=[])
-    result = run_config(cfg)
-    assert result.effective_periods == {"a": 5, "b": 5}
-    assert result.effective_vis == {"a": 10, "b": 10}
+    sim = Simulator(cfg)
+    result = sim.run()
+    assert {oid: o.update_period for oid, o in sim.eff_objects.items()} == {"a": 5, "b": 5}
+    assert sim.store.vis == {"a": 10, "b": 10}
     installs_a = [t for t, kind, subject, _ in result.trace
                   if kind == "install" and subject == "a"]
     # releases on the stretched grid 0,5,...,40; the install launched at 40
@@ -312,6 +308,29 @@ def test_scheduling_queues_one_release_per_stream(horizon):
     assert len(pushes) == len(sim.queue) == streams
 
 
+def test_run_keeps_no_finished_instance():
+    # a class that commits and one that cycles through vi restarts until it
+    # misses; after the run only in-flight work may still be referenced
+    obj = ObjectSpec(id="o1", vi=5, update_period=5, update_cost=1,
+                     value_process=ConstantProcess(value=1.0))
+    specs = [UserTxnSpec(id=tid, read_set=["o1"], retrieval_time={"o1": retrieval},
+                         analysis_time={"o1": analysis}, relative_deadline=deadline,
+                         arrival=Arrival("periodic", start=0, period=4),
+                         retrieval_mode="source")
+             for tid, retrieval, analysis, deadline in (("ok", 1, 1, 6),
+                                                        ("cycle", 2, 4, 8))]
+    sim = Simulator(SimConfig(horizon=2000, mode=FreshnessMode.CLASSICAL,
+                              enforce_admission=False, seed=1, objects=[obj],
+                              policies={"o1": PeriodicPolicy()}, transactions=specs),
+                    sink=lambda record: None)
+    overall = sim.run().report.overall
+    assert overall.released >= 1000 and overall.committed and overall.missed
+    gc.collect()
+    kept = [o for o in gc.get_objects()
+            if isinstance(o, TxnInstance) and any(o.spec is s for s in specs)]
+    assert len(kept) < 20
+
+
 def _always_skip_config(vi, analysis, arrival_t, deadline):
     from freshsim.policies import SimilarityPolicy
     obj = ObjectSpec(id="o1", vi=vi, update_period=4, update_cost=0,
@@ -330,11 +349,11 @@ def _always_skip_config(vi, analysis, arrival_t, deadline):
 def test_skip_extension_wakes_waiting_reader():
     # arrival at 3 finds the t=0 version expired (vi=2); the skip at 4
     # confirms it, stretching validity to 6, and the waiter reads at 4
-    result = run_config(_always_skip_config(vi=2, analysis=2, arrival_t=3,
-                                            deadline=20))
-    inst = result.instances[0]
-    assert inst.state == "committed"
-    assert inst.commit_time == 6
+    result, txns = run_outcomes(_always_skip_config(vi=2, analysis=2, arrival_t=3,
+                                                    deadline=20))
+    inst = txns["t1#0"]
+    assert inst["state"] == "committed"
+    assert inst["commit_time"] == 6
     access = [(t, detail["staleness"]) for t, kind, _, detail in result.trace
               if kind == "access"]
     assert access == [(4, 4)]
@@ -343,12 +362,11 @@ def test_skip_extension_wakes_waiting_reader():
 def test_skip_extension_defers_pinned_expiry():
     # the skip at 4 moves the pinned version's expiry from 6 to 10 while the
     # reader analyzes; the commit lands exactly on the extended boundary
-    result = run_config(_always_skip_config(vi=6, analysis=9, arrival_t=1,
-                                            deadline=30))
-    inst = result.instances[0]
-    assert inst.state == "committed"
-    assert inst.commit_time == 10
-    assert inst.restart_count == 0
+    inst = run_outcomes(_always_skip_config(vi=6, analysis=9, arrival_t=1,
+                                            deadline=30))[1]["t1#0"]
+    assert inst["state"] == "committed"
+    assert inst["commit_time"] == 10
+    assert inst["restarts"] == 0
 
 
 def test_trace_times_nondecreasing():
@@ -372,17 +390,18 @@ def test_multiversion_never_restarts_anything():
     from randgen import random_config
     for seed in range(40):
         cfg = random_config(seed, mode=FreshnessMode.MULTIVERSION)
-        result = run_config(cfg)
-        assert all(i.vi_restart_count == 0 for i in result.instances)
-        assert all(i.restart_count == 0 for i in result.instances)
+        txns = run_outcomes(cfg)[1]
+        assert all(inst["vi_restarts"] == 0 for inst in txns.values())
+        assert all(inst["restarts"] == 0 for inst in txns.values())
 
 
 def test_classical_serves_only_fresh_data():
     from randgen import random_config
     for seed in range(30):
         cfg = random_config(seed, mode=FreshnessMode.CLASSICAL)
-        result = run_config(cfg)
-        vis = result.effective_vis
+        sim = Simulator(cfg)
+        result = sim.run()
+        vis = sim.store.vis
         # skip-capable policies legitimately extend validity past the base vi
         rigid = {oid for oid, p in cfg.policies.items()
                  if p.kind in ("periodic", "ondemand", "elastic")}

@@ -421,3 +421,14 @@ def test_cli_invalid_config_lists_paths(tmp_path, capsys):
     path = write_config(tmp_path, bad)
     assert main(["run", path]) == 1
     assert "m <= k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["run"], ["check"],
+                                  ["sweep", "--param", "horizon", "--values", "10"],
+                                  ["compare", "--modes", "classical"]],
+                         ids=["run", "check", "sweep", "compare"])
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, args):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert main([args[0], str(path), *args[1:]]) == 1
+    assert capsys.readouterr().err == "error: $: top level must be an object\n"

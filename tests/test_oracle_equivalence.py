@@ -1,7 +1,6 @@
 """Event-driven engine vs tick-by-tick oracle on randomized small configs."""
 
 from freshsim.core import FreshnessMode
-from freshsim.engine import Simulator
 
 from randgen import random_config
 from support import engine_outcomes
@@ -10,8 +9,7 @@ from tick_oracle import oracle_outcomes
 
 def compare_seed(seed: int, **kwargs) -> None:
     cfg = random_config(seed, **kwargs)
-    object_ids = [o.id for o in cfg.objects]
-    engine = engine_outcomes(Simulator(cfg).run(), object_ids)
+    engine = engine_outcomes(cfg)
     oracle = oracle_outcomes(cfg)
     assert engine == oracle, f"divergence at generator seed {seed}"
 

@@ -28,7 +28,7 @@ from freshsim.policies import (
 )
 from freshsim.workload import ConstantProcess, SimConfig
 
-from support import one_object_config, run_config
+from support import one_object_config, run_config, run_outcomes
 
 
 def obj(oid="o1", vi=10, period=5, cost=1, weight=1.0, max_period=None):
@@ -63,8 +63,8 @@ def on_demand_run(second_arrival):
     cfg = SimConfig(horizon=60, mode=FreshnessMode.MULTIVERSION,
                     enforce_admission=False, seed=1, objects=[obj],
                     policies={"o1": OnDemandPolicy()}, transactions=txns)
-    result = run_config(cfg)
-    assert all(i.state == "committed" for i in result.instances)
+    result, txns = run_outcomes(cfg)
+    assert all(inst["state"] == "committed" for inst in txns.values())
     return ([t for t, kind, _, _ in result.trace if kind == "update_decision"],
             [(t, detail["staleness"]) for t, kind, _, detail in result.trace
              if kind == "access"])

@@ -5,7 +5,7 @@ import pytest
 from freshsim.core import FreshnessMode, SimInternalError
 from freshsim.store import VersionStore
 
-from support import one_object_config, run_config
+from support import one_object_config, run_config, run_outcomes
 
 
 def make_store(mode=FreshnessMode.MULTIVERSION, vi=5):
@@ -106,8 +106,8 @@ def test_may_continue_multiversion_survives_expiry():
     assert [v.seq for v in store.chains["o1"]] == [1, 2]
     store.unpin(version, "r")
     # the access was fresh, so the analysis finishes at 7 on it
-    inst = run_config(reader_config(FreshnessMode.MULTIVERSION)).instances[0]
-    assert (inst.state, inst.commit_time, inst.restart_count) == ("committed", 7, 0)
+    inst = run_outcomes(reader_config(FreshnessMode.MULTIVERSION))[1]["t1#0"]
+    assert (inst["state"], inst["commit_time"], inst["restarts"]) == ("committed", 7, 0)
 
 
 def test_may_continue_classical():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,21 @@ def test_sampler_walk_steps_on_declared_grid():
     assert sampler.sample("o1", 5) != sampler.sample("o1", 4)
 
 
+def test_sampler_memory_does_not_grow_with_the_ordinal():
+    from freshsim.core import ObjectSpec
+    walk = RandomWalkProcess(start=0.0, step_sigma=1.0, seed=2)
+    spec = ObjectSpec(id="o1", vi=10, update_period=1, value_process=walk)
+    sampler = ValueSampler(5, [spec])
+    tracemalloc.start()
+    try:
+        value = sampler.sample("o1", 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert value == sample_process(walk, 20_000, 20_000, run_seed=5, object_id="o1")
+
+
 # -- arrivals -------------------------------------------------------------------
 
 def _txn(arrival):
@@ -122,6 +138,9 @@ def test_iter_arrivals_streams_expand_arrivals(arrival):
     spec = _txn(arrival)
     expanded = expand_arrivals(spec, 10_000, seed=7)
     assert list(iter_arrivals(spec, 10_000, seed=7)) == expanded
+    # a class never releases twice in one tick, so (deadline, class,
+    # release) orders its instances without a tie
+    assert all(a < b for a, b in zip(expanded, expanded[1:]))
     # lazy: an effectively endless stream yields its first release at once
     assert next(iter_arrivals(spec, 10**18, seed=7)) == expanded[0]
 
