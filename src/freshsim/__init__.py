@@ -17,7 +17,7 @@ from .core import (
     feasibility_check,
     is_fresh,
 )
-from .engine import RunResult, Simulator, run
+from .engine import RunResult, Simulator
 from .metrics import MetricsReport, emit_csv, emit_trace, trace_hash
 from .store import VersionStore
 from .workload import SimConfig, emit_config, parse_config
@@ -30,5 +30,5 @@ __all__ = [
     "RunResult", "SimConfig", "SimInternalError", "Simulator", "Tick",
     "UserTxnSpec", "Version", "VersionStore", "admit", "emit_config",
     "emit_csv", "emit_trace", "feasibility_check", "is_fresh", "parse_config",
-    "run", "trace_hash", "__version__",
+    "trace_hash", "__version__",
 ]

@@ -139,15 +139,12 @@ def _set_path(doc, path: str, value) -> None:
               for m in _PATH_TOKEN.finditer(path)]
     if not tokens:
         raise ConfigError([("param", f"cannot parse path {path!r}")])
+    *parents, last = tokens
     target = doc
-    for tok in tokens[:-1]:
-        try:
-            target = target[tok]
-        except (KeyError, IndexError, TypeError):
-            raise ConfigError([("param", f"path {path!r} does not resolve")]) from None
-    last = tokens[-1]
     try:
-        target[last]
+        for tok in parents:
+            target = target[tok]
+        target[last]  # the path must exist already
     except (KeyError, IndexError, TypeError):
         raise ConfigError([("param", f"path {path!r} does not resolve")]) from None
     target[last] = value
@@ -156,7 +153,7 @@ def _set_path(doc, path: str, value) -> None:
 def _parse_value(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past int()'s digit limit
         return text
 
 
@@ -205,14 +202,27 @@ def _parse_policy_token(token: str) -> dict:
 class SampledValues(dict):
     """Trace sink of `compare`: keeps (object id, t) -> value for every
     sampled value in the trace (update decisions and source accesses) and
-    drops the records."""
+    drops the records.
+
+    One instance serves every variant of a compare, whose shared seed pins
+    the value trajectory: a value that differs from the one kept for its
+    instant raises ConfigError, naming `variant`, the variant being run."""
+
+    variant = None
 
     def __call__(self, rec: tuple) -> None:
         t, kind, subject, detail = rec
         if kind == "update_decision":
-            self[(subject, t)] = detail["sampled"]
+            key, value = (subject, t), detail["sampled"]
         elif kind == "access" and detail["via"] == "source":
-            self[(detail["object"], t)] = detail["value"]
+            key, value = (detail["object"], t), detail["value"]
+        else:
+            return
+        kept = self.setdefault(key, value)
+        if kept != value:
+            raise ConfigError(
+                [("compare", f"value trajectories diverged at {key}: "
+                             f"{kept} vs {value} under {self.variant}")])
 
 
 def cmd_compare(args) -> int:
@@ -220,7 +230,7 @@ def cmd_compare(args) -> int:
     modes = args.modes.split(",") if args.modes else [None]
     policies = args.policies.split(",") if args.policies else [None]
     rows = []
-    trajectories = []
+    values = SampledValues()
     for mode in modes:
         for policy_token in policies:
             doc = json.loads(json.dumps(base))
@@ -231,21 +241,11 @@ def cmd_compare(args) -> int:
                 for od in doc.get("objects", []):
                     if isinstance(od, dict):
                         od["policy"] = dict(policy)
-            values = SampledValues()
-            cfg, result = _run_once(doc, values)
+            cfg = config_from_dict(doc)
             label = policy_token if policy_token is not None else _policy_string(cfg)
+            values.variant = (cfg.mode.value, label)
+            result = Simulator(cfg, sink=values).run()
             rows += emit_csv_rows(result.report, cfg.name, cfg.mode.value, label)
-            trajectories.append(((cfg.mode.value, label), values))
-    # the shared seed pins the value trajectory: any instant sampled by two
-    # variants must have produced the same value
-    merged: dict = {}
-    for (variant, values) in trajectories:
-        for key, value in values.items():
-            if key in merged and merged[key][1] != value:
-                raise ConfigError(
-                    [("compare", f"value trajectories diverged at {key}: "
-                                 f"{merged[key]} vs {(variant, value)}")])
-            merged.setdefault(key, (variant, value))
     _write_csv(rows, args.csv)
     return EXIT_OK
 

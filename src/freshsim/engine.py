@@ -48,10 +48,6 @@ WAITING = "waiting"
 COMMITTED = "committed"
 MISSED = "missed"
 
-# Phases of the cursor object.
-NEED_ACCESS = "access"
-NEED_ANALYSIS = "analysis"
-
 
 class EventQueue:
     """Priority queue ordered by (time, kind rank, subject id, push order).
@@ -90,9 +86,9 @@ class TxnInstance:
     deadline: Tick
     state: str = READY
     cursor: int = 0
-    phase: str = NEED_ACCESS
     epoch: int = 0
-    # object id -> the version read: pinned in the store, or a source sample
+    # object id -> the version read: pinned in the store, or a source sample;
+    # once the cursor object is in it, its analysis is next
     accesses: dict[str, Version] = field(default_factory=dict)
     # versions this instance was already expired off: never re-pinned
     burned: dict[str, set[int]] = field(default_factory=dict)
@@ -193,18 +189,13 @@ class Simulator:
         queue = self.queue
         while len(queue):
             t = queue.peek_time()
-            if t is None or t > self.horizon:
+            if t > self.horizon:
                 break
-            while True:
-                did_work = False
-                while queue.peek_time() == t:
-                    _, kind, subject, payload = queue.pop()
-                    _HANDLERS[kind](self, t, subject, payload)
-                    did_work = True
-                if self._dispatch(t):
-                    did_work = True
-                if not did_work:
-                    break
+            while queue.peek_time() == t:
+                _, kind, subject, payload = queue.pop()
+                _HANDLERS[kind](self, t, subject, payload)
+            # events that dispatch queues at t run on the next pass
+            self._dispatch(t)
         report = self.metrics.finalize(
             self.horizon,
             store_stats=self.store.stats,
@@ -226,25 +217,19 @@ class Simulator:
                   {"class": spec.id, "deadline": inst.deadline})
         self._push_arrival(spec, releases)
 
-    def _on_retrieval_done(self, t: Tick, subject: str, payload) -> None:
+    def _on_segment_done(self, t: Tick, subject: str, payload) -> None:
+        """The end of a retrieval or an analysis; the state says which."""
         inst, epoch = payload
         if inst.terminal() or inst.epoch != epoch:
             return
+        # same epoch and unfinished, so the segment still runs
+        self.running = None
+        if inst.state == ANALYZING:
+            inst.cursor += 1
+            if inst.cursor == len(inst.spec.read_set):
+                self._commit(inst, t)
+                return
         self._make_ready(inst)
-        inst.phase = NEED_ANALYSIS
-        self._free_processor(inst)
-
-    def _on_analysis_done(self, t: Tick, subject: str, payload) -> None:
-        inst, epoch = payload
-        if inst.terminal() or inst.epoch != epoch:
-            return
-        self._free_processor(inst)
-        inst.cursor += 1
-        inst.phase = NEED_ACCESS
-        if inst.cursor >= len(inst.spec.read_set):
-            self._commit(inst, t)
-        else:
-            self._make_ready(inst)
 
     def _commit(self, inst: TxnInstance, t: Tick) -> None:
         stale = sorted(
@@ -280,21 +265,20 @@ class Simulator:
         self._restart(inst, t, cause="vi_expiry", version=version)
 
     def _restart(self, inst: TxnInstance, t: Tick, cause: str,
-                 version: Version | None) -> None:
+                 version: Version) -> None:
         """Abort and reissue from the first object: the whole read set is
-        reacquired and reanalyzed."""
-        if cause == "vi_expiry" and version is not None:
+        reacquired and reanalyzed. `version` is the read that caused it."""
+        if cause == "vi_expiry":
             if version.seq:
                 inst.burned.setdefault(version.object_id, set()).add(version.seq)
             if inst.spec.retrieval_mode == "store_then_source":
                 inst.source_only.add(version.object_id)
         self.emit(t, "restart", inst.inst_id,
-                  {"cause": cause, "object": version.object_id if version else None})
+                  {"cause": cause, "object": version.object_id})
         self._release_pins(inst)
         self._free_processor(inst)
         self._leave_waiting(inst)
         inst.cursor = 0
-        inst.phase = NEED_ACCESS
         inst.epoch += 1
         self._make_ready(inst)
         self._sweep(t)
@@ -348,20 +332,19 @@ class Simulator:
                   {"seq": store.newest(object_id).seq, "sample_time": sample_time})
         if superseded is not None:
             # a classical install replaced a version someone still pins: every
-            # holder restarts (update transactions are never delayed by readers)
+            # holder restarts (update transactions are never delayed by
+            # readers); only unfinished instances hold pins
             for inst in list(superseded.holders):
-                if not inst.terminal():
-                    self._restart(inst, t, cause="superseded",
-                                  version=inst.accesses.get(object_id))
+                self._restart(inst, t, cause="superseded", version=superseded)
         self._sweep(t)
         store.sample_peak(object_id)
         self.refresh_inflight.discard(object_id)
         self._wake_waiters(object_id)
 
     def _wake_waiters(self, object_id: str) -> None:
+        # an instance that stops waiting leaves its list (_leave_waiting)
         for inst in self.waiting[object_id]:
-            if inst.state == WAITING:
-                self._make_ready(inst)
+            self._make_ready(inst)
         self.waiting[object_id] = []
 
     # -- dispatch --------------------------------------------------------------
@@ -370,23 +353,21 @@ class Simulator:
         inst.state = READY
         heapq.heappush(self._ready, (*inst.edf_key(), inst))
 
-    def _dispatch(self, t: Tick) -> bool:
+    def _dispatch(self, t: Tick) -> None:
         """Start segments, earliest deadline first, while the processor is
         free. edf_key is unique per instance, so the heap's first READY
         entry is the READY instance with the least key."""
-        progress = False
         ready = self._ready
         while self.running is None and ready:
             inst = heapq.heappop(ready)[-1]
-            if inst.state != READY:
-                continue
-            self._start_segment(inst, t)
-            progress = True
-        return progress
+            if inst.state == READY:
+                self._start_segment(inst, t)
 
     def _start_segment(self, inst: TxnInstance, t: Tick) -> None:
         obj = inst.current_object()
-        if inst.phase == NEED_ANALYSIS:
+        if obj in inst.accesses:
+            # retrieved already: a read set holds each object once, and a
+            # restart clears the accesses
             self._run_segment(inst, ANALYZING, ANALYSIS_DONE,
                               t + inst.spec.analysis_time[obj])
             return
@@ -440,15 +421,10 @@ class Simulator:
 # event handlers, indexed by event kind
 _HANDLERS = (
     Simulator._on_arrival,           # TXN_ARRIVAL
-    Simulator._on_retrieval_done,    # RETRIEVAL_DONE
-    Simulator._on_analysis_done,     # ANALYSIS_DONE
+    Simulator._on_segment_done,      # RETRIEVAL_DONE
+    Simulator._on_segment_done,      # ANALYSIS_DONE
     Simulator._on_vi_expiry,         # VI_EXPIRY
     Simulator._on_update_release,    # UPDATE_RELEASE
     Simulator._on_update_installed,  # UPDATE_INSTALLED
     Simulator._on_deadline,          # DEADLINE
 )
-
-
-def run(config: SimConfig) -> RunResult:
-    """Execute one deterministic run of the configured workload."""
-    return Simulator(config).run()

@@ -258,14 +258,8 @@ class TraceLines(list):
 # CSV
 
 
-def _num(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
-    return str(x)
-
-
 def _row(values: list) -> str:
-    return ",".join(_num(v) if v is not None else "" for v in values)
+    return ",".join(str(v) if v is not None else "" for v in values)
 
 
 def emit_csv_rows(report: MetricsReport, scenario: str, mode: str,

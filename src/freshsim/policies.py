@@ -222,24 +222,23 @@ def elastic_rescale(objects: list[ObjectSpec], target_utilization,
     fixed = total - sum((util[oid] for oid in active), Fraction(0))
     clamped: dict[str, Fraction] = {}
 
+    # excess > 0 on every pass: on the first it is total - target, and the
+    # objects clamped on a pass shed less than the excess asked of them
     while True:
         budget = target - fixed - sum(clamped.values(), Fraction(0))
         demand = sum((util[oid] for oid in active), Fraction(0))
         excess = demand - budget
-        if excess <= 0:
-            new_util = {oid: util[oid] for oid in active}
-            break
-        esum = sum((elasticity[oid] for oid in active), Fraction(0))
-        if not active or esum <= 0:
+        if not active:
             raise PolicyInfeasibleError(
                 [("policy.elastic",
                   f"target utilization {target} unreachable even at maximal "
                   f"periods (residual over target: {float(excess)})")])
+        esum = sum((elasticity[oid] for oid in active), Fraction(0))
         new_util = {}
         violated = []
         for oid in active:
             u = util[oid] - excess * elasticity[oid] / esum
-            if u < floor[oid] or u <= 0:
+            if u < floor[oid]:
                 violated.append(oid)
             else:
                 new_util[oid] = u
@@ -249,10 +248,8 @@ def elastic_rescale(objects: list[ObjectSpec], target_utilization,
             clamped[oid] = floor[oid]
             active.remove(oid)
 
+    # every floor is cost / cap > 0, so u > 0
     for oid, u in list(new_util.items()) + list(clamped.items()):
-        if u <= 0:
-            raise PolicyInfeasibleError(
-                [("policy.elastic", f"object {oid!r} cannot absorb its share")])
         o = by_id[oid]
         new_periods[oid] = max(o.update_period, math.ceil(Fraction(o.update_cost) / u))
     return new_periods

@@ -21,14 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    ConfigError,
-    FreshnessMode,
-    SimInternalError,
-    Tick,
-    Version,
-    is_fresh,
-)
+from .core import FreshnessMode, SimInternalError, Tick, Version, is_fresh
 
 
 @dataclass
@@ -58,14 +51,8 @@ class VersionStore:
 
     # -- helpers -----------------------------------------------------------
 
-    def _chain(self, object_id: str) -> list[Version]:
-        try:
-            return self.chains[object_id]
-        except KeyError:
-            raise ConfigError([("store", f"unknown object id {object_id!r}")]) from None
-
     def newest(self, object_id: str) -> Version | None:
-        chain = self._chain(object_id)
+        chain = self.chains[object_id]
         return chain[-1] if chain else None
 
     def valid_until(self, version: Version) -> Tick:
@@ -82,7 +69,7 @@ class VersionStore:
         restart. The caller then sweeps (`gc`) and samples the peak
         (`sample_peak`), in that order.
         """
-        chain = self._chain(object_id)
+        chain = self.chains[object_id]
         if chain and chain[-1].sample_time >= sample_time:
             raise SimInternalError(
                 f"non-monotone install on {object_id!r}: "
@@ -114,7 +101,7 @@ class VersionStore:
         whose expiry already restarted it). The caller decides what stale
         means for it: refresh on demand, wait, or go to the source.
         """
-        chain = self._chain(object_id)
+        chain = self.chains[object_id]
         if not chain:
             return None
         version = chain[-1]
@@ -130,20 +117,16 @@ class VersionStore:
 
     def extend_validity(self, object_id: str, ticks: Tick) -> None:
         """Stretch the newest version's effective validity, used when an
-        update instance is skipped: the skip confirms the stored value."""
-        version = self.newest(object_id)
-        if version is None:
-            raise SimInternalError(f"validity extension on empty chain {object_id!r}")
-        version.vi_extend += ticks
+        update instance is skipped: the skip confirms the stored value, so
+        the chain is not empty (a policy performs while nothing is stored)."""
+        self.chains[object_id][-1].vi_extend += ticks
 
     def unpin(self, version: Version, holder) -> None:
-        """Drop `holder`'s pin on `version`, which must still be in its chain."""
+        """Drop `holder`'s pin on `version`. A pinned version is still in
+        its chain, since `gc` keeps every pinned version."""
         if holder not in version.holders:
             raise SimInternalError(f"unpin of {version.object_id!r}#{version.seq} "
                                    f"by non-holder {holder!r}")
-        if not any(v is version for v in self._chain(version.object_id)):
-            raise SimInternalError(f"unpin of {version.object_id!r}#{version.seq} "
-                                   f"after it left its chain")
         version.holders.remove(holder)
         self.stats[version.object_id].active_pins -= 1
         self._dirty.add(version.object_id)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -52,7 +53,6 @@ from .core import (
     ConfigError,
     FreshnessMode,
     ObjectSpec,
-    RETRIEVAL_MODES,
     Tick,
     UserTxnSpec,
 )
@@ -290,6 +290,11 @@ def _at(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+# No number may exceed the largest float in magnitude: runs sample, scale
+# and draw arrivals in floats, so a larger int would overflow mid-run.
+_FLOAT_MAX = sys.float_info.max
+
+
 class _Scalar:
     """A JSON value type: the check a value must pass, the error when it
     does not, and the stand-in used after an error so that parsing goes on."""
@@ -305,9 +310,13 @@ class _Scalar:
         stands in, so that every violation gets reported."""
         if key in d:
             value = d[key]
-            if self.check(value):
+            if not self.check(value):
+                r.fail(_at(path, key), self.message)
+            elif value.__class__ is int and abs(value) > _FLOAT_MAX:
+                r.fail(_at(path, key), "magnitude exceeds the largest float "
+                                       f"({_FLOAT_MAX:.4g})")
+            else:
                 return value
-            r.fail(_at(path, key), self.message)
             return self.zero if default is None or default is REQUIRED else default
         if default is REQUIRED:
             r.fail(_at(path, key), "missing")
@@ -499,10 +508,6 @@ class _Reader:
         for k in sorted(set(d) - allowed):
             self.fail(_at(path, k), "unknown key")
 
-    def get(self, d, key, path, type_, default=REQUIRED):
-        """d[key] read as `type_`; see _Scalar.read."""
-        return type_.read(self, d, key, path, default)
-
     def records(self, doc: dict, key: str):
         """(path, object) for each object of the list doc[key]."""
         items = doc.get(key, [])
@@ -523,7 +528,7 @@ def config_from_dict(doc: dict) -> SimConfig:
         raise ConfigError([("$", "top level must be an object")])
     r.check_keys(doc, TOP.keys, "")
 
-    mode_s = r.get(doc, "mode", "", STR)
+    mode_s = STR.read(r, doc, "mode", "", REQUIRED)
     mode = FreshnessMode.CLASSICAL
     if mode_s in (m.value for m in FreshnessMode):
         mode = FreshnessMode(mode_s)
@@ -536,7 +541,7 @@ def config_from_dict(doc: dict) -> SimConfig:
         r.check_keys(od, OBJECT.keys, path)
         obj = ObjectSpec(**OBJECT.read(r, od, path))
         objects.append(obj)
-        policies[obj.id] = r.get(od, "policy", path, POLICIES)
+        policies[obj.id] = POLICIES.read(r, od, "policy", path, REQUIRED)
 
     transactions = []
     for path, td in r.records(doc, "transactions"):
@@ -565,6 +570,10 @@ def decode_json(text: str):
     except json.JSONDecodeError as e:
         raise ConfigError([("$", f"JSON syntax error: {e.msg} "
                                  f"(line {e.lineno}, column {e.colno})")]) from None
+    except ValueError:
+        # the only other failure: an integer literal past int()'s digit limit
+        raise ConfigError([("$", "integer literal longer than "
+                                 f"{sys.get_int_max_str_digits()} digits")]) from None
 
 
 def parse_config(text: str) -> SimConfig:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
+from freshsim.core import Arrival, ConfigError, FreshnessMode, ObjectSpec, UserTxnSpec
 from freshsim.engine import Simulator, TxnInstance
 from freshsim.metrics import trace_hash
 from freshsim.policies import ElasticPolicy, OnDemandPolicy, PeriodicPolicy
@@ -21,6 +21,17 @@ def test_empty_workload_is_vacuous():
     assert result.trace == []
     assert result.report.overall.released == 0
     assert result.report.overall.miss_ratio == 0.0
+
+
+def test_simulator_rejects_an_invalid_config_with_every_violation():
+    cfg = one_object_config(vi=0, deadline=0, horizon=0)
+    with pytest.raises(ConfigError) as e:
+        Simulator(cfg)
+    assert e.value.errors == [
+        ("horizon", "must be > 0"),
+        ("objects[0].vi", "validity interval must be > 0"),
+        ("transactions[0].deadline", "relative deadline must be > 0"),
+    ]
 
 
 def test_feasible_source_txn_commits_first_attempt():

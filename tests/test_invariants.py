@@ -1,0 +1,98 @@
+"""The engine's invariants, checked after every dispatch.
+
+The engine leans on these instead of testing for them at run time: a
+superseded version's holders all restart without a `terminal()` test, a wait
+list is woken without a state test, and `VersionStore.unpin` trusts that a
+pinned version is still in its chain."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from freshsim.core import FreshnessMode
+from freshsim.engine import ANALYZING, RETRIEVING, WAITING, Simulator
+from freshsim.workload import config_from_dict
+
+from randgen import random_config
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
+
+import gen  # noqa: E402
+
+
+class CheckedSimulator(Simulator):
+    """A Simulator that checks every invariant after each `_dispatch`."""
+
+    def __init__(self, config):
+        super().__init__(config, sink=lambda record: None)
+        self.unfinished = {}  # instance id -> instance, pruned at each check
+        self.checks = 0
+
+    def _make_ready(self, inst):
+        # every instance becomes ready at its release
+        self.unfinished[inst.inst_id] = inst
+        super()._make_ready(inst)
+
+    def _dispatch(self, t):
+        super()._dispatch(t)
+        self.check(t)
+
+    def check(self, t):
+        self.checks += 1
+        where = f"at t={t}"
+        self.unfinished = {i: inst for i, inst in self.unfinished.items()
+                           if not inst.terminal()}
+        for object_id, chain in self.store.chains.items():
+            for version in chain[:-1]:
+                assert version.holders, f"unpinned superseded {object_id} {where}"
+            for version in chain:
+                for inst in version.holders:
+                    assert not inst.terminal(), f"finished holder {inst.inst_id} {where}"
+                    assert inst.accesses.get(object_id) is version, (
+                        f"{inst.inst_id} pins {object_id}#{version.seq} "
+                        f"outside its accesses {where}")
+            assert self.store.stats[object_id].active_pins == sum(
+                len(v.holders) for v in chain), f"active_pins of {object_id} {where}"
+        for inst in self.unfinished.values():
+            for object_id, version in inst.accesses.items():
+                if version.seq:
+                    assert inst in version.holders, (
+                        f"{inst.inst_id} not a holder of {object_id} {where}")
+                    assert any(v is version for v in self.store.chains[object_id]), (
+                        f"{inst.inst_id} holds {object_id}#{version.seq} "
+                        f"outside its chain {where}")
+            if inst.state == WAITING:
+                assert inst in self.waiting[inst.current_object()], (
+                    f"waiting {inst.inst_id} on no wait list {where}")
+        for object_id, queue in self.waiting.items():
+            for inst in queue:
+                assert inst.state == WAITING and inst.current_object() == object_id, (
+                    f"{inst.inst_id} ({inst.state}) on the wait list of "
+                    f"{object_id} {where}")
+        if self.running is not None:
+            assert self.running.state in (RETRIEVING, ANALYZING), (
+                f"running {self.running.inst_id} is {self.running.state} {where}")
+
+
+def checks_run(cfg) -> int:
+    """Run `cfg` with every check; the number of checks made."""
+    sim = CheckedSimulator(cfg)
+    sim.run()
+    return sim.checks
+
+
+def test_invariants_hold_on_the_oracle_seeds():
+    cfgs = [random_config(seed) for seed in range(120)]
+    cfgs += [random_config(seed, mode=FreshnessMode.CLASSICAL)
+             for seed in range(1000, 1060)]
+    cfgs += [random_config(seed, mode=FreshnessMode.MULTIVERSION)
+             for seed in range(2000, 2060)]
+    assert sum(checks_run(cfg) for cfg in cfgs) > 0
+
+
+@pytest.mark.parametrize("workload", ["restart_cycle", "policy_fleet"])
+def test_invariants_hold_on_the_benchmark_configs(workload):
+    assert checks_run(config_from_dict(gen.generate(workload, 1))) > 0

@@ -1,11 +1,12 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import freshsim.cli
-from freshsim.cli import SampledValues, main
+from freshsim.cli import SampledValues, _set_path, main
 from freshsim.core import SimInternalError
 from freshsim.engine import Simulator
 from freshsim.metrics import (
@@ -432,3 +433,77 @@ def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, args):
     path.write_text("[1, 2]", encoding="utf-8")
     assert main([args[0], str(path), *args[1:]]) == 1
     assert capsys.readouterr().err == "error: $: top level must be an object\n"
+
+
+def _huge_number_doc() -> dict:
+    """One object per value process, an elastic policy and Poisson
+    arrivals: every number that a run turns into a float."""
+    return {
+        "horizon": 40, "mode": "classical", "seed": 1,
+        "objects": [
+            {"id": "c", "vi": 20, "period": 5,
+             "process": {"kind": "constant", "value": 1.0},
+             "policy": {"kind": "periodic"}},
+            {"id": "w", "vi": 20, "period": 5,
+             "process": {"kind": "randomwalk", "start": 0.0, "step_sigma": 1.0},
+             "policy": {"kind": "periodic"}},
+            {"id": "s", "vi": 20, "period": 5,
+             "process": {"kind": "sinusoid", "amplitude": 1.0, "period": 10,
+                         "phase": 0.0, "offset": 0.0},
+             "policy": {"kind": "elastic", "target_utilization": 1.0}},
+        ],
+        "transactions": [{"id": "t1", "read_set": ["c", "w", "s"],
+                          "retrieval": 1, "analysis": 1, "deadline": 30,
+                          "arrival": {"kind": "poisson", "mean_gap": 5}}],
+    }
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("path", [
+    "objects[0].process.value", "objects[1].process.start",
+    "objects[1].process.step_sigma", "objects[2].process.amplitude",
+    "objects[2].process.period", "objects[2].process.phase",
+    "objects[2].process.offset", "objects[2].policy.target_utilization",
+    "transactions[0].arrival.mean_gap", "$"])
+def test_cli_rejects_numbers_too_large_for_a_float(tmp_path, capsys, command, path):
+    doc = _huge_number_doc()
+    assert main([command, write_config(tmp_path, doc, "ok.json")]) == 0
+    capsys.readouterr()
+    if path == "$":
+        # past int()'s digit limit, so json.loads itself fails
+        limit = sys.get_int_max_str_digits()
+        huge, message = "9" * (limit + 1), f"integer literal longer than {limit} digits"
+    else:
+        huge, message = 10 ** 400, "magnitude exceeds the largest float (1.798e+308)"
+    _set_path(doc, "objects[0].process.value" if path == "$" else path, "HUGE")
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc).replace('"HUGE"', str(huge)), encoding="utf-8")
+    assert main([command, str(config)]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {path}: {message}"
+
+
+def test_cli_sweep_takes_an_overlong_integer_as_text(tmp_path, capsys):
+    path = write_config(tmp_path, CONFIG_INFEASIBLE)
+    assert main(["sweep", path, "--param", "objects[0].vi",
+                 "--values", "9" * (sys.get_int_max_str_digits() + 1)]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "error: objects[0].vi: must be an integer")
+
+
+@pytest.mark.parametrize("param, message", [
+    ("objects[5].vi", "path 'objects[5].vi' does not resolve"),
+    ("objects[0].nokey", "path 'objects[0].nokey' does not resolve"),
+    ("horizon.vi", "path 'horizon.vi' does not resolve"),
+    ("...", "cannot parse path '...'"),
+])
+def test_cli_sweep_names_a_bad_param_path(tmp_path, capsys, param, message):
+    path = write_config(tmp_path, CONFIG_INFEASIBLE)
+    assert main(["sweep", path, "--param", param, "--values", "1"]) == 1
+    assert capsys.readouterr().err == f"error: param: {message}\n"
+
+
+def test_cli_compare_rejects_a_bad_policy_token(tmp_path, capsys):
+    path = write_config(tmp_path, CONFIG_INFEASIBLE)
+    assert main(["compare", path, "--policies", "periodic,mkfirm:x:3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: policies: cannot parse policy token 'mkfirm:x:3'\n")
