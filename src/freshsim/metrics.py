@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .core import SimInternalError, Tick
 
@@ -195,9 +196,20 @@ class MetricsAggregator:
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-# one encoder for every record: json.dumps with these arguments builds a new
-# one per call, for the same bytes
-_encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+if c_make_encoder is None:
+    # no `_json` accelerator: the pure-Python encoder of json.dumps
+    _encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+else:
+    # JSONEncoder(sort_keys=True, separators=(",", ":")).encode builds this C
+    # encoder anew for every record; built once here with the same arguments,
+    # but no circular-check markers, since a record holds no cycle
+    _c_encoder = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ":", ",", True, False, True)
+
+    def _encode_record(record: tuple) -> str:
+        return "".join(_c_encoder(record, 0))
 
 
 # lines hashed per block: bounds the bytes held at once while hashing

@@ -28,6 +28,7 @@ update confirming the stored value.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -303,7 +304,9 @@ class MKHistory:
 
     def __init__(self, k: int, window=()):
         self.size = max(k - 1, 0)
-        self.window = deque(window, maxlen=self.size)
+        # deque needs a C ssize_t: no run makes sys.maxsize decisions, so the
+        # capped window never fills either way
+        self.window = deque(window, maxlen=min(self.size, sys.maxsize))
         self.pre_run = 0 if self.window else self.size
         self.count = self.pre_run + sum(self.window)
 

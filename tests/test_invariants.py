@@ -6,12 +6,22 @@ list is woken without a state test, and `VersionStore.unpin` trusts that a
 pinned version is still in its chain."""
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from freshsim.core import FreshnessMode
-from freshsim.engine import ANALYZING, RETRIEVING, WAITING, Simulator
+from freshsim.engine import (
+    ANALYZING,
+    DEADLINE,
+    RETRIEVING,
+    TXN_ARRIVAL,
+    UPDATE_RELEASE,
+    WAITING,
+    Simulator,
+)
+from freshsim.metrics import TxnClassStats
 from freshsim.workload import config_from_dict
 
 from randgen import random_config
@@ -75,6 +85,20 @@ class CheckedSimulator(Simulator):
         if self.running is not None:
             assert self.running.state in (RETRIEVING, ANALYZING), (
                 f"running {self.running.inst_id} is {self.running.state} {where}")
+        # an unfinished instance's deadline is still queued, and the
+        # aggregator counts each class from the trace alone
+        heap = self.queue._heap
+        queued = Counter(inst.spec.id for _, kind, _, _, inst in heap
+                         if kind == DEADLINE and not inst.terminal())
+        for cls in self.metrics.per_class.keys() | queued.keys():
+            stats = self.metrics.per_class.get(cls, TxnClassStats())
+            assert stats.in_flight == queued[cls], (
+                f"{cls}: released {stats.released} != committed {stats.committed} "
+                f"+ missed {stats.missed} + queued {queued[cls]} {where}")
+        releases = Counter((kind, subject) for _, kind, subject, _, _ in heap
+                           if kind in (TXN_ARRIVAL, UPDATE_RELEASE))
+        for (kind, subject), count in releases.items():
+            assert count == 1, f"{count} pending releases of {subject} {where}"
 
 
 def checks_run(cfg) -> int:

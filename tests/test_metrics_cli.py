@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -6,12 +8,15 @@ from pathlib import Path
 import pytest
 
 import freshsim.cli
+import freshsim.metrics
 from freshsim.cli import SampledValues, _set_path, main
 from freshsim.core import SimInternalError
 from freshsim.engine import Simulator
 from freshsim.metrics import (
     CSV_HEADER,
     MetricsAggregator,
+    TraceLines,
+    _encode_record,
     emit_csv,
     emit_trace,
     fnv1a64,
@@ -163,6 +168,73 @@ def test_trace_roundtrip_and_hash_stability():
     assert trace_hash(result.trace) == trace_hash(parsed)
 
 
+def dumps(record) -> str:
+    """The trace line of `record`, as json.dumps writes it."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+ODD_IDS = ["\u00f6bj", "\u65e5\u672c#1", 'q"uote', "back\\slash", "ctl\x00\x1f\n\t\x7f",
+           "astral \U0001f600", "lone \ud800"]
+ODD_RECORDS = [
+    (0, "update_decision", "o1", {"decision": "perform", "sampled": math.nan}),
+    (1, "update_decision", "o1", {"decision": "skip", "sampled": math.inf,
+                                  "sink_value": -math.inf}),
+    (2, "update_decision", "o1", {"decision": "transmit", "sampled": -0.0,
+                                  "sink_value": 5e-324}),
+    (3, "update_decision", "o1", {"decision": "suppress", "sampled": 1e16,
+                                  "sink_value": 0.1 + 0.2}),
+    (2 ** 64 + 1, "install", "o1", {"seq": -(2 ** 70), "sample_time": 2 ** 63}),
+    (5, "miss", "t1#0", {}),
+    (6, "commit", "t1#1", {"stale_at_commit": True, "stale_objects": ODD_IDS}),
+    (7, "commit", "t1#2", {"stale_at_commit": False, "stale_objects": []}),
+    (8, "txn_rejected", "t2", {"failing": ODD_IDS, "admitted": None}),
+    (9, "restart", ODD_IDS[4], {"cause": "vi_expiry", "object": ODD_IDS[3]}),
+] + [(10, "access", oid, {"object": oid, "staleness": 0, "via": "store", oid: oid})
+     for oid in ODD_IDS]
+
+
+def test_encoder_writes_the_bytes_of_json_dumps():
+    sink = TraceLines()
+    for record in ODD_RECORDS:
+        sink(record)
+    expected = [dumps(record) for record in ODD_RECORDS]
+    assert [_encode_record(record) for record in ODD_RECORDS] == expected
+    assert sink == expected
+    # the encoder of an interpreter without the `_json` accelerator
+    fallback = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    assert [fallback(record) for record in ODD_RECORDS] == expected
+    assert emit_trace(ODD_RECORDS) == "".join(line + "\n" for line in expected)
+    assert trace_hash(ODD_RECORDS) == trace_hash(sink)
+
+
+def test_encoder_without_the_c_accelerator_is_the_fallback(monkeypatch):
+    # metrics.py executed again, as on an interpreter without `_json`; its
+    # dataclasses look their module up in sys.modules
+    name = "freshsim._metrics_without_c"
+    spec = importlib.util.spec_from_file_location(name, freshsim.metrics.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    assert module.c_make_encoder is None
+    assert [module._encode_record(record) for record in ODD_RECORDS] == [
+        dumps(record) for record in ODD_RECORDS]
+    assert module.trace_hash(ODD_RECORDS) == trace_hash(ODD_RECORDS)
+
+
+def test_encoder_writes_the_bytes_of_json_dumps_for_every_record_kind():
+    kinds = set()
+    for doc in _every_kind_docs():
+        sink = TraceLines()
+        Simulator(config_from_dict(doc), sink=sink).run()
+        trace = Simulator(config_from_dict(doc)).run().trace
+        assert sink == [dumps(record) for record in trace]
+        assert [_encode_record(record) for record in trace] == sink
+        assert trace_hash(sink) == trace_hash(trace)
+        kinds |= {kind for _, kind, _, _ in trace}
+    assert kinds == set(_readme_trace_table())
+
+
 # -- cli ----------------------------------------------------------------------------
 
 def test_cli_check_exit_codes(tmp_path, capsys):
@@ -242,19 +314,25 @@ def _readme_trace_table() -> dict[str, set[str]]:
     return table
 
 
-def test_cli_run_trace_lines_match_the_readme_table(tmp_path):
+def _every_kind_docs() -> list[dict]:
+    """Configs that between them write every record kind and detail key of
+    the README's trace table."""
     from freshsim.core import FreshnessMode
     from freshsim.workload import emit_config
     from test_worked_trace import worked_config
 
-    table = _readme_trace_table()
-    assert len(table) == 9 and table["miss"] == set()
     docs = [json.loads(emit_config(worked_config(FreshnessMode.CLASSICAL))), _walk_doc()]
     docs.append(dict(_walk_doc(), objects=[
         dict(od, policy={"kind": "prediction", "predictor": "linear", "epsilon": 0.5})
         for od in _walk_doc()["objects"]]))
+    return docs
+
+
+def test_cli_run_trace_lines_match_the_readme_table(tmp_path):
+    table = _readme_trace_table()
+    assert len(table) == 9 and table["miss"] == set()
     kinds, keys = set(), set()
-    for i, doc in enumerate(docs):
+    for i, doc in enumerate(_every_kind_docs()):
         trace_out = tmp_path / f"{i}.trace"
         assert main(["run", write_config(tmp_path, doc, f"{i}.json"),
                      "--trace", str(trace_out), "--csv", str(tmp_path / "out.csv")]) == 0

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -26,7 +27,9 @@ from freshsim.policies import (
     prediction_decision,
     similarity_decision,
 )
-from freshsim.workload import ConstantProcess, SimConfig
+from freshsim.cli import main
+from freshsim.metrics import trace_hash
+from freshsim.workload import ConstantProcess, SimConfig, emit_config
 
 from support import one_object_config, run_config, run_outcomes
 
@@ -182,6 +185,24 @@ def test_mk_large_window_costs_only_decisions_made():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_mk_window_past_ssize_t_runs_like_an_unfilled_one(tmp_path):
+    # a deque's maxlen is a C ssize_t, so the window is capped at sys.maxsize;
+    # until it fills, the greedy rule depends only on k - m
+    def cfg(m, k):
+        return one_object_config(vi=20, period=10, horizon=100,
+                                 policy=MKFirmPolicy(m=m, k=k))
+
+    huge = cfg(10 ** 30 - 2, 10 ** 30)
+    path = tmp_path / "config.json"
+    path.write_text(emit_config(huge), encoding="utf-8")
+    assert json.loads(path.read_text())["objects"][0]["policy"]["k"] == 10 ** 30
+    assert main(["run", str(path), "--csv", str(tmp_path / "out.csv")]) == 0
+    trace = run_config(huge).trace
+    assert SKIP in {detail["decision"] for _, kind, _, detail in trace
+                    if kind == "update_decision"}
+    assert trace_hash(trace) == trace_hash(run_config(cfg(10 ** 6 - 2, 10 ** 6)).trace)
 
 
 def window_property_holds(decisions, m, k):
