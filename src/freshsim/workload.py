@@ -40,13 +40,27 @@ on identical trajectories meaningful.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from statistics import NormalDist
+
+# The interpreter's builtin SHA-256 and normal quantile. `hashlib` would load
+# OpenSSL's libcrypto, about 3.5 MB of resident memory, for one digest per
+# stream; `statistics` would load its own imports for one quantile function.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # built without the builtin hashes
+        from hashlib import sha256
+try:
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:
+    # the pure-Python quantile that `NormalDist.inv_cdf` calls
+    from statistics import _normal_dist_inv_cdf
 
 from .core import (
     Arrival,
@@ -70,13 +84,12 @@ RNG_ALGORITHM = "splitmix64-invexp"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_NORMAL = NormalDist()
 
 
 def stable_key(*parts) -> int:
     """64-bit key from a sha256 of the textual parts; stable across runs,
     platforms, and interpreter hash randomization."""
-    h = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
+    h = sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(h[:8], "big")
 
 
@@ -137,7 +150,7 @@ def sample_process(process: ValueProcess, t: Tick, index: int,
     key = stable_key(run_seed, process.seed, object_id, "walk")
     value = float(process.start)
     for j in range(1, index + 1):
-        value += process.step_sigma * _NORMAL.inv_cdf(uniform_at(key, j))
+        value += process.step_sigma * _normal_dist_inv_cdf(uniform_at(key, j), 0.0, 1.0)
     return value
 
 
@@ -175,7 +188,8 @@ class ValueSampler:
         key, j, value = walk
         while j < index:
             j += 1
-            value += process.step_sigma * _NORMAL.inv_cdf(uniform_at(key, j))
+            value += process.step_sigma * _normal_dist_inv_cdf(
+                uniform_at(key, j), 0.0, 1.0)
         self._walks[obj.id] = (key, j, value)
         return value
 

@@ -20,6 +20,7 @@ from freshsim.metrics import (
     emit_csv,
     emit_trace,
     fnv1a64,
+    trace_blocks,
     trace_hash,
 )
 from freshsim.workload import config_from_dict
@@ -41,6 +42,15 @@ CONFIG_INFEASIBLE = {
                       "arrival": {"kind": "oneshot", "t": 0},
                       "retrieval_mode": "source"}],
 }
+
+
+def _endless_restarts(horizon: int) -> dict:
+    """CONFIG_INFEASIBLE released every 10 ticks up to `horizon`: endless vi
+    restarts, about 0.9 trace records per tick."""
+    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
+    doc["horizon"] = horizon
+    doc["transactions"][0]["arrival"] = {"kind": "periodic", "start": 0, "period": 10}
+    return doc
 
 
 def write_config(tmp_path: Path, doc, name="config.json") -> str:
@@ -199,7 +209,8 @@ def test_encoder_writes_the_bytes_of_json_dumps():
         sink(record)
     expected = [dumps(record) for record in ODD_RECORDS]
     assert [_encode_record(record) for record in ODD_RECORDS] == expected
-    assert sink == expected
+    assert b"".join(trace_blocks(sink)) == "".join(
+        line + "\n" for line in expected).encode("utf-8")
     # the encoder of an interpreter without the `_json` accelerator
     fallback = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     assert [fallback(record) for record in ODD_RECORDS] == expected
@@ -222,14 +233,37 @@ def test_encoder_without_the_c_accelerator_is_the_fallback(monkeypatch):
     assert module.trace_hash(ODD_RECORDS) == trace_hash(ODD_RECORDS)
 
 
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+def test_trace_lines_blocks_are_the_bytes_of_emit_trace(count):
+    records = [(t, *ODD_RECORDS[t % len(ODD_RECORDS)][1:]) for t in range(count)]
+    sink = TraceLines()
+    for record in records:
+        sink(record)
+    assert b"".join(trace_blocks(sink)) == emit_trace(records).encode("utf-8")
+    assert trace_hash(sink) == trace_hash(records)
+    assert len(sink.blocks) == count // 1024
+    assert len(sink.lines) == count % 1024
+
+
+def test_trace_lines_keeps_bytes_and_fewer_than_a_block_of_lines():
+    sink = TraceLines()
+    Simulator(config_from_dict(_endless_restarts(3000)), sink=sink).run()
+    assert len(sink.blocks) >= 2
+    assert {type(block) for block in sink.blocks} == {bytes}
+    assert {type(line) for line in sink.lines} <= {str}
+    assert len(sink.lines) <= 1023
+
+
 def test_encoder_writes_the_bytes_of_json_dumps_for_every_record_kind():
     kinds = set()
     for doc in _every_kind_docs():
         sink = TraceLines()
         Simulator(config_from_dict(doc), sink=sink).run()
         trace = Simulator(config_from_dict(doc)).run().trace
-        assert sink == [dumps(record) for record in trace]
-        assert [_encode_record(record) for record in trace] == sink
+        expected = [dumps(record) for record in trace]
+        assert b"".join(trace_blocks(sink)) == "".join(
+            line + "\n" for line in expected).encode("utf-8")
+        assert [_encode_record(record) for record in trace] == expected
         assert trace_hash(sink) == trace_hash(trace)
         kinds |= {kind for _, kind, _, _ in trace}
     assert kinds == set(_readme_trace_table())
@@ -282,10 +316,8 @@ def test_cli_run_writes_csv_and_trace(tmp_path, capsys):
 
 
 def test_cli_run_trace_file_matches_printed_and_library_hash(tmp_path, capsys):
-    # endless vi restarts; about 2.7k records, so the hash spans blocks
-    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
-    doc["horizon"] = 3000
-    doc["transactions"][0]["arrival"] = {"kind": "periodic", "start": 0, "period": 10}
+    # about 2.7k records, so the hash spans blocks
+    doc = _endless_restarts(3000)
     path = write_config(tmp_path, doc)
     trace_out = tmp_path / "out.trace"
     assert main(["run", path, "--trace", str(trace_out), "--csv",

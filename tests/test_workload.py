@@ -1,22 +1,34 @@
+import hashlib
+import importlib.util
+import inspect
 import json
 import math
+import os
+import statistics
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from freshsim.core import Arrival, ConfigError, UserTxnSpec
+import freshsim.workload
+from freshsim.core import Arrival, ConfigError, ObjectSpec, UserTxnSpec
 from freshsim.workload import (
     ConstantProcess,
     RandomWalkProcess,
     SimConfig,
     SinusoidProcess,
     ValueSampler,
+    _normal_dist_inv_cdf,
     config_to_dict,
     emit_config,
     expand_arrivals,
     iter_arrivals,
     parse_config,
     sample_process,
+    stable_key,
+    uniform_at,
 )
 
 MINIMAL = {
@@ -68,7 +80,6 @@ def test_randomwalk_pure_in_index():
 
 
 def test_sampler_matches_pure_function_and_is_order_insensitive():
-    from freshsim.core import ObjectSpec
     walk = RandomWalkProcess(start=1.0, step_sigma=0.5, seed=3)
     spec = ObjectSpec(id="o1", vi=10, update_period=5, value_process=walk)
     forward = ValueSampler(7, [spec])
@@ -80,7 +91,6 @@ def test_sampler_matches_pure_function_and_is_order_insensitive():
 
 
 def test_sampler_walk_steps_on_declared_grid():
-    from freshsim.core import ObjectSpec
     walk = RandomWalkProcess(start=0.0, step_sigma=1.0, seed=0)
     spec = ObjectSpec(id="o1", vi=10, update_period=5, value_process=walk)
     sampler = ValueSampler(1, [spec])
@@ -89,7 +99,6 @@ def test_sampler_walk_steps_on_declared_grid():
 
 
 def test_sampler_memory_does_not_grow_with_the_ordinal():
-    from freshsim.core import ObjectSpec
     walk = RandomWalkProcess(start=0.0, step_sigma=1.0, seed=2)
     spec = ObjectSpec(id="o1", vi=10, update_period=1, value_process=walk)
     sampler = ValueSampler(5, [spec])
@@ -101,6 +110,73 @@ def test_sampler_memory_does_not_grow_with_the_ordinal():
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert value == sample_process(walk, 20_000, 20_000, run_seed=5, object_id="o1")
+
+
+# -- builtin hash and quantile ---------------------------------------------------
+
+KEY_PARTS = [
+    (),
+    (0,),
+    (1, 9, "o1", "walk"),
+    (-1, -(2 ** 70), "\u00f6bj", "arrivals"),
+    (2 ** 64, 2 ** 200 + 3, "\u65e5\u672c#1", "astral \U0001f600"),
+    ("a|b", "", 'q"uote', "ctl\x00\n"),
+]
+
+
+def test_importing_freshsim_loads_no_openssl_and_no_statistics():
+    # a fresh interpreter, since this one has imported them for the tests
+    src = Path(freshsim.workload.__file__).resolve().parent.parent
+    code = ("import sys, freshsim, freshsim.cli; print(sorted("
+            "{'hashlib', '_hashlib', 'statistics'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("parts", KEY_PARTS)
+def test_stable_key_is_the_head_of_hashlib_sha256(parts):
+    text = "|".join(str(p) for p in parts).encode("utf-8")
+    assert stable_key(*parts) == int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
+
+
+def test_normal_quantile_is_normal_dist_inv_cdf_bit_for_bit():
+    key = stable_key(3, "quantile")
+    # uniform_at's smallest draw, and the largest float below 1 (a float
+    # literal 1 - 2**-54 rounds to 1.0, where inv_cdf is undefined)
+    draws = [uniform_at(key, j) for j in range(10_000)] + [2 ** -54, 1 - 2 ** -53]
+    normal = statistics.NormalDist()
+    assert ([_normal_dist_inv_cdf(u, 0.0, 1.0).hex() for u in draws]
+            == [normal.inv_cdf(u).hex() for u in draws])
+
+
+def _walk_values(module) -> list[float]:
+    """Values of one random walk, by ordinal and along a sampler's grid,
+    from the workload module `module`."""
+    walk = module.RandomWalkProcess(start=2.5, step_sigma=0.7, seed=4)
+    spec = ObjectSpec(id="\u00f6bj", vi=10, update_period=3, value_process=walk)
+    sampler = module.ValueSampler(11, [spec])
+    return ([module.sample_process(walk, 0, i, 11, spec.id) for i in range(0, 300, 7)]
+            + [sampler.sample(spec.id, t) for t in range(0, 3000, 5)])
+
+
+def test_workload_without_the_builtin_modules_is_the_fallback(monkeypatch):
+    # workload.py executed again, as on an interpreter built without the
+    # builtin hashes and `_statistics`; `statistics` is imported afresh, so
+    # that it too falls back to its pure-Python quantile
+    for name in ("_sha2", "_sha256", "_statistics"):
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.delitem(sys.modules, "statistics")
+    name = "freshsim._workload_without_builtins"
+    spec = importlib.util.spec_from_file_location(name, freshsim.workload.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    assert module.sha256 is hashlib.sha256
+    assert inspect.isfunction(module._normal_dist_inv_cdf)
+    assert [module.stable_key(*parts) for parts in KEY_PARTS] == [
+        stable_key(*parts) for parts in KEY_PARTS]
+    assert _walk_values(module) == _walk_values(freshsim.workload)
 
 
 # -- arrivals -------------------------------------------------------------------
