@@ -231,16 +231,19 @@ def cmd_compare(args) -> int:
     policies = args.policies.split(",") if args.policies else [None]
     rows = []
     values = SampledValues()
+    objects = base.get("objects")
     for mode in modes:
         for policy_token in policies:
-            doc = json.loads(json.dumps(base))
+            # each variant is a shallow copy: new dicts only where it differs
+            # from the loaded document, which is never changed
+            doc = dict(base)
             if mode is not None:
                 doc["mode"] = mode
             if policy_token is not None:
                 policy = _parse_policy_token(policy_token)
-                for od in doc.get("objects", []):
-                    if isinstance(od, dict):
-                        od["policy"] = dict(policy)
+                if isinstance(objects, list):
+                    doc["objects"] = [{**od, "policy": policy} if isinstance(od, dict)
+                                      else od for od in objects]
             cfg = config_from_dict(doc)
             label = policy_token if policy_token is not None else _policy_string(cfg)
             values.variant = (cfg.mode.value, label)

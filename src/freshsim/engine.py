@@ -63,9 +63,6 @@ class EventQueue:
         self._counter += 1
         heapq.heappush(self._heap, (time, kind, subject, self._counter, payload))
 
-    def peek_time(self) -> Tick | None:
-        return self._heap[0][0] if self._heap else None
-
     def pop(self) -> tuple[Tick, int, str, object]:
         time, kind, subject, _, payload = heapq.heappop(self._heap)
         return time, kind, subject, payload
@@ -186,13 +183,17 @@ class Simulator:
 
     def run(self) -> RunResult:
         self._schedule_workload()
-        queue = self.queue
-        while len(queue):
-            t = queue.peek_time()
-            if t > self.horizon:
+        pop = self.queue.pop
+        # read only, for the time of the next event; events enter and leave
+        # the queue through push and pop
+        heap = self.queue._heap
+        horizon = self.horizon
+        while heap:
+            t = heap[0][0]
+            if t > horizon:
                 break
-            while queue.peek_time() == t:
-                _, kind, subject, payload = queue.pop()
+            while heap and heap[0][0] == t:
+                _, kind, subject, payload = pop()
                 _HANDLERS[kind](self, t, subject, payload)
             # events that dispatch queues at t run on the next pass
             self._dispatch(t)

@@ -128,41 +128,51 @@ class MetricsAggregator:
             raise SimInternalError(
                 f"trace record out of order: {t} after {self._last_t}")
         self._last_t = t
+        # install and gc records carry no aggregate beyond store stats
+        on_kind = _ON_KIND.get(kind)
+        if on_kind is not None:
+            on_kind(self, subject, detail)
 
-        if kind == "txn_released":
-            cls = self._class_of[subject] = self._cls(detail["class"])
-            cls.released += 1
-        elif kind == "txn_rejected":
-            self.rejected.append(subject)
-        elif kind == "access":
-            staleness = detail["staleness"]
-            self._class_of[subject].merge_access(staleness)
-            self._obj(detail["object"]).merge_access(staleness)
-        elif kind == "restart":
-            cls = self._class_of[subject]
-            cls.restarts += 1
-            if detail["cause"] == "vi_expiry":
-                cls.vi_restarts += 1
-        elif kind == "commit":
-            cls = self._class_of.pop(subject)
-            cls.committed += 1
-            if detail.get("stale_at_commit"):
-                cls.stale_at_commit += 1
-                for obj_id in detail.get("stale_objects", ()):
-                    self._obj(obj_id).stale_at_commit += 1
-        elif kind == "miss":
-            self._class_of.pop(subject).missed += 1
-        elif kind == "update_decision":
-            obj = self._obj(subject)
-            if detail["decision"] in ("perform", "transmit"):
-                obj.updates_performed += 1
-            else:
-                obj.updates_skipped += 1
-            # sink_value is left out of the record when it equals sampled
-            sampled = detail["sampled"]
-            obj.max_sink_error = max(obj.max_sink_error,
-                                     abs(sampled - detail.get("sink_value", sampled)))
-        # install / gc records carry no aggregate beyond store stats
+    def _on_released(self, subject: str, detail: dict) -> None:
+        cls = self._class_of[subject] = self._cls(detail["class"])
+        cls.released += 1
+
+    def _on_rejected(self, subject: str, detail: dict) -> None:
+        self.rejected.append(subject)
+
+    def _on_access(self, subject: str, detail: dict) -> None:
+        staleness = detail["staleness"]
+        self._class_of[subject].merge_access(staleness)
+        self._obj(detail["object"]).merge_access(staleness)
+
+    def _on_restart(self, subject: str, detail: dict) -> None:
+        cls = self._class_of[subject]
+        cls.restarts += 1
+        if detail["cause"] == "vi_expiry":
+            cls.vi_restarts += 1
+
+    def _on_commit(self, subject: str, detail: dict) -> None:
+        cls = self._class_of.pop(subject)
+        cls.committed += 1
+        if detail.get("stale_at_commit"):
+            cls.stale_at_commit += 1
+            for obj_id in detail.get("stale_objects", ()):
+                self._obj(obj_id).stale_at_commit += 1
+
+    def _on_miss(self, subject: str, detail: dict) -> None:
+        self._class_of.pop(subject).missed += 1
+
+    def _on_update_decision(self, subject: str, detail: dict) -> None:
+        obj = self._obj(subject)
+        if detail["decision"] in ("perform", "transmit"):
+            obj.updates_performed += 1
+        else:
+            obj.updates_skipped += 1
+        # sink_value is left out of the record when it equals sampled
+        if "sink_value" in detail:
+            error = abs(detail["sampled"] - detail["sink_value"])
+            if error > obj.max_sink_error:
+                obj.max_sink_error = error
 
     def finalize(self, horizon: Tick, store_stats=None,
                  update_costs: dict[str, int] | None = None) -> MetricsReport:
@@ -188,6 +198,18 @@ class MetricsAggregator:
             per_object=dict(sorted(self.per_object.items())),
             rejected=list(self.rejected),
         )
+
+
+# record handlers of the aggregator, by record kind
+_ON_KIND = {
+    "txn_released": MetricsAggregator._on_released,
+    "txn_rejected": MetricsAggregator._on_rejected,
+    "access": MetricsAggregator._on_access,
+    "restart": MetricsAggregator._on_restart,
+    "commit": MetricsAggregator._on_commit,
+    "miss": MetricsAggregator._on_miss,
+    "update_decision": MetricsAggregator._on_update_decision,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,9 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
+        if x.is_integer() and -2 ** 53 < x < 2 ** 53:
+            # the repr of such a float is its integer and ".0"
+            return Fraction(int(x))
         return Fraction(str(x))
     return Fraction(x)
 
@@ -103,8 +106,9 @@ class ElasticPolicy(_Policy):
     kind: str = "elastic"
 
     def validate(self, path, errors):
-        t = as_fraction(self.target_utilization)
-        if not (0 < t <= 1):
+        # a float compares with 0 and 1 as its repr does, since the repr
+        # rounds back to the float, so no exact fraction is needed here
+        if not (0 < self.target_utilization <= 1):
             errors.append((f"{path}.target_utilization", "must be in (0, 1]"))
         if self.elasticity is not None and self.elasticity < 0:
             errors.append((f"{path}.elasticity", "must be >= 0"))
@@ -220,14 +224,19 @@ def elastic_rescale(objects: list[ObjectSpec], target_utilization,
         o = by_id[oid]
         cap = o.max_period if o.max_period is not None else DEFAULT_MAX_PERIOD
         floor[oid] = Fraction(o.update_cost, cap)
-    fixed = total - sum((util[oid] for oid in active), Fraction(0))
+    # running sums: the utilization of the active objects, and the budget
+    # the fixed and clamped ones leave them; both are exact fractions.
+    # The elasticity sum is taken anew each pass: an explicit elasticity
+    # is a float, and a float sum depends on the order of its terms.
+    compressible = set(active)
+    fixed = sum((u for oid, u in util.items() if oid not in compressible), Fraction(0))
+    demand = total - fixed
+    budget = target - fixed
     clamped: dict[str, Fraction] = {}
 
     # excess > 0 on every pass: on the first it is total - target, and the
     # objects clamped on a pass shed less than the excess asked of them
     while True:
-        budget = target - fixed - sum(clamped.values(), Fraction(0))
-        demand = sum((util[oid] for oid in active), Fraction(0))
         excess = demand - budget
         if not active:
             raise PolicyInfeasibleError(
@@ -247,7 +256,10 @@ def elastic_rescale(objects: list[ObjectSpec], target_utilization,
             break
         for oid in violated:
             clamped[oid] = floor[oid]
-            active.remove(oid)
+            budget -= floor[oid]
+            demand -= util[oid]
+        gone = set(violated)
+        active = [oid for oid in active if oid not in gone]
 
     # every floor is cost / cap > 0, so u > 0
     for oid, u in list(new_util.items()) + list(clamped.items()):

@@ -102,9 +102,15 @@ def splitmix64_at(key: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+# the largest float below 1
+_BELOW_ONE = 1 - 2 ** -53
+
+
 def uniform_at(key: int, index: int) -> float:
-    """Uniform in the open interval (0, 1)."""
-    return ((splitmix64_at(key, index) >> 11) + 0.5) / (1 << 53)
+    """Uniform in the open interval (0, 1). The top draw, (2**53 - 1 + 0.5)
+    / 2**53, rounds to 1.0, so it is clamped to the largest float below 1."""
+    u = ((splitmix64_at(key, index) >> 11) + 0.5) / (1 << 53)
+    return u if u < 1.0 else _BELOW_ONE
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +270,9 @@ def validate_config(cfg: SimConfig) -> list[tuple[str, str]]:
             errors.append((f"{path}.policy", "missing policy"))
         else:
             policy.validate(f"{path}.policy", errors)
-    targets = {float(p.target_utilization)
+    # an int and a float of equal value are one set member, so no float()
+    # is needed, and none can overflow on an int past float range
+    targets = {p.target_utilization
                for p in cfg.policies.values() if isinstance(p, ElasticPolicy)}
     if len(targets) > 1:
         errors.append(("objects", "elastic objects must share one target_utilization"))
@@ -292,12 +300,14 @@ REQUIRED = object()
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    # the exact class that `json.loads` builds is tested first
+    return x.__class__ is int or (isinstance(x, int) and not isinstance(x, bool))
 
 
 def _is_num(x) -> bool:
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and not (isinstance(x, float) and (math.isnan(x) or math.isinf(x))))
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return _is_int(x)
 
 
 def _at(path: str, key: str) -> str:
@@ -320,18 +330,19 @@ class _Scalar:
 
     def read(self, r: _Reader, d: dict, key: str, path: str, default):
         """d[key], checked. A missing key gives `default`, or an error if
-        that is REQUIRED. After an error the default, or else the zero,
-        stands in, so that every violation gets reported."""
+        that is REQUIRED. After a type error the default, or else the zero,
+        stands in, so that every violation gets reported. A number past
+        float range is itself returned after its error: it compares exactly,
+        so later checks report only what else is wrong with it."""
         if key in d:
             value = d[key]
             if not self.check(value):
                 r.fail(_at(path, key), self.message)
-            elif value.__class__ is int and abs(value) > _FLOAT_MAX:
+                return self.zero if default is None or default is REQUIRED else default
+            if value.__class__ is int and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 r.fail(_at(path, key), "magnitude exceeds the largest float "
                                        f"({_FLOAT_MAX:.4g})")
-            else:
-                return value
-            return self.zero if default is None or default is REQUIRED else default
+            return value
         if default is REQUIRED:
             r.fail(_at(path, key), "missing")
             return self.zero
@@ -347,7 +358,10 @@ class _Bounded(_Scalar):
         self.bound_message = message
 
     def read(self, r, d, key, path, default):
-        value = super().read(r, d, key, path, default)
+        value = d.get(key)
+        # an int in float range passes the check of INT and NUM alike
+        if value.__class__ is not int or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            value = _Scalar.read(self, r, d, key, path, default)
         if not self.bound(value):
             r.fail(_at(path, key), self.bound_message)
         return value

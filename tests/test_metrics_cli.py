@@ -505,6 +505,84 @@ def test_cli_compare_rejects_diverged_value_trajectories(tmp_path, capsys, monke
     assert "value trajectories diverged" in capsys.readouterr().err
 
 
+_POLICY_DOCS = {
+    "periodic": {"kind": "periodic"},
+    "ondemand": {"kind": "ondemand"},
+    "elastic:0.2": {"kind": "elastic", "target_utilization": 0.2},
+    "mkfirm:2:3": {"kind": "mkfirm", "m": 2, "k": 3},
+    "similarity:0.5": {"kind": "similarity", "delta": 0.5},
+    "prediction:linear:0.5": {"kind": "prediction", "predictor": "linear",
+                              "epsilon": 0.5},
+}
+
+
+def test_cli_compare_leaves_the_loaded_document_as_it_was(tmp_path, monkeypatch):
+    loaded = []
+    load = freshsim.cli._load_doc
+
+    def keep(path):
+        doc = load(path)
+        loaded.append((doc, json.loads(json.dumps(doc))))
+        return doc
+
+    monkeypatch.setattr(freshsim.cli, "_load_doc", keep)
+    path = write_config(tmp_path, _walk_doc())
+    assert main(["compare", path, "--modes", "classical,multiversion",
+                 "--policies", ",".join(_POLICY_DOCS)]) == 0
+    [(doc, before)] = loaded
+    assert doc == before
+
+
+def test_cli_compare_rows_are_the_rows_of_run_on_each_variant(tmp_path):
+    # `run` labels the policy column by kind, `compare` by token
+    base = {**_walk_doc(), "name": "walks"}
+    compared = tmp_path / "compare.csv"
+    assert main(["compare", write_config(tmp_path, base), "--modes",
+                 "classical,multiversion", "--policies", ",".join(_POLICY_DOCS),
+                 "--csv", str(compared)]) == 0
+    header, *rows = compared.read_text(encoding="utf-8").splitlines()
+    expected = []
+    for mode in ("classical", "multiversion"):
+        for token, policy in _POLICY_DOCS.items():
+            doc = {**base, "mode": mode,
+                   "objects": [{**od, "policy": policy} for od in base["objects"]]}
+            out = tmp_path / "run.csv"
+            assert main(["run", write_config(tmp_path, doc, "variant.json"),
+                         "--csv", str(out)]) == 0
+            for line in out.read_text(encoding="utf-8").splitlines()[1:]:
+                cells = line.split(",")
+                assert cells[1:3] == [mode, policy["kind"]]
+                cells[2] = token
+                expected.append(",".join(cells))
+    assert header == CSV_HEADER and rows == expected
+
+
+@pytest.mark.parametrize("objects, args, err", [
+    # an int is not iterable either: the error is still the config's
+    (7, ["--policies", "periodic"],
+     "error: objects: must be a list\n"
+     "error: transactions[0].read_set[0]: unknown object id 'o1'\n"),
+    ({"o1": {}}, ["--policies", "periodic"],
+     "error: objects: must be a list\n"
+     "error: transactions[0].read_set[0]: unknown object id 'o1'\n"),
+    ("o1", ["--policies", "periodic,ondemand"],
+     "error: objects: must be a list\n"
+     "error: transactions[0].read_set[0]: unknown object id 'o1'\n"),
+    ([7, "o1"], ["--modes", "classical", "--policies", "periodic"],
+     "error: objects[0]: must be an object\n"
+     "error: objects[1]: must be an object\n"
+     "error: transactions[0].read_set[0]: unknown object id 'o1'\n"),
+    (None, ["--policies", "periodic,mkfirm:2"],
+     "error: policies: cannot parse policy token 'mkfirm:2'\n"),
+])
+def test_cli_compare_errors_on_a_malformed_base(tmp_path, capsys, objects, args, err):
+    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
+    if objects is not None:
+        doc["objects"] = objects
+    assert main(["compare", write_config(tmp_path, doc), *args]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_cli_compare_requires_a_variant_axis(tmp_path, capsys):
     path = write_config(tmp_path, CONFIG_INFEASIBLE)
     assert main(["compare", path]) == 2
@@ -590,6 +668,23 @@ def test_cli_rejects_numbers_too_large_for_a_float(tmp_path, capsys, command, pa
     config.write_text(json.dumps(doc).replace('"HUGE"', str(huge)), encoding="utf-8")
     assert main([command, str(config)]) == 1
     assert capsys.readouterr().err.splitlines()[0] == f"error: {path}: {message}"
+
+
+@pytest.mark.parametrize("path", [
+    "horizon", "seed", "objects[0].vi", "objects[0].period", "objects[1].max_period",
+    "objects[2].process.period", "objects[1].process.step_sigma",
+    "transactions[0].deadline", "transactions[0].arrival.mean_gap"])
+def test_cli_reports_a_number_past_float_range_once(tmp_path, capsys, path):
+    # the number itself, not a stand-in 0, meets the checks after the range
+    # rule, so a value that is in range for them adds no second error
+    doc = _huge_number_doc()
+    doc["objects"][1]["max_period"] = 10
+    _set_path(doc, path, "HUGE")
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc).replace('"HUGE"', str(10 ** 400)), encoding="utf-8")
+    assert main(["run", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: magnitude exceeds the largest float (1.798e+308)\n")
 
 
 def test_cli_sweep_takes_an_overlong_integer_as_text(tmp_path, capsys):

@@ -4,6 +4,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freshsim.core import (
     Arrival,
@@ -13,6 +15,7 @@ from freshsim.core import (
     UserTxnSpec,
 )
 from freshsim.policies import (
+    ElasticPolicy,
     MKFirmPolicy,
     MKHistory,
     OnDemandPolicy,
@@ -21,6 +24,7 @@ from freshsim.policies import (
     SKIP,
     SUPPRESS,
     TRANSMIT,
+    as_fraction,
     elastic_rescale,
     extend_vi_for_period,
     mk_firm_decision,
@@ -31,6 +35,8 @@ from freshsim.cli import main
 from freshsim.metrics import trace_hash
 from freshsim.workload import ConstantProcess, SimConfig, emit_config
 
+import elastic_reference
+import freshsim.policies as freshsim_policies
 from support import one_object_config, run_config, run_outcomes
 
 
@@ -145,6 +151,72 @@ def test_elastic_rescale_respects_max_period_caps():
                obj("b", period=2, cost=1, max_period=4)]
     with pytest.raises(PolicyInfeasibleError):
         elastic_rescale(objects, 0.3, {"a": Fraction(1), "b": Fraction(1)})
+
+
+# a fleet: (period, cost, access_weight, max_period, elasticity) per object;
+# an elasticity of None takes the default, 1 / (period * access_weight)
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 0.5, 0.3, 1.7]),
+                     st.floats(0, 4, allow_nan=False, allow_infinity=False))
+_FLEET_OBJECT = st.integers(1, 30).flatmap(lambda period: st.tuples(
+    st.just(period),
+    st.integers(0, period),
+    _WEIGHTS,
+    st.one_of(st.none(), st.integers(period, 4 * period)),
+    st.one_of(st.none(), st.sampled_from([0.0, 1.0, 0.5, 0.1]),
+              st.floats(0, 5, allow_nan=False, allow_infinity=False))))
+_TARGETS = st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 1.0]),
+                     st.floats(0.01, 1, allow_nan=False))
+
+
+def _rescale_with(module, fleet, target):
+    """(periods, None), or (None, the error), from the `elastic_rescale` and
+    `default_elasticity` of `module`. Errors other than PolicyInfeasibleError
+    count too: both sides must fail alike."""
+    objects = [obj(f"o{i}", period=period, cost=cost, weight=weight,
+                   max_period=max_period)
+               for i, (period, cost, weight, max_period, _) in enumerate(fleet)]
+    try:
+        elasticity = {o.id: module.default_elasticity(o) if e is None else e
+                      for o, (*_, e) in zip(objects, fleet)}
+        return module.elastic_rescale(objects, target, elasticity), None
+    except (PolicyInfeasibleError, ArithmeticError) as e:
+        return None, f"{type(e).__name__}: {e}"
+
+
+# o0 would shed past its cap and clamps on the first pass, so o1 and o2
+# shed the rest on a second
+_CLAMPS_ONCE = [(2, 1, 1.0, 2, None), (4, 1, 1.0, None, None), (4, 1, 1.0, 100, None)]
+# at target 0.75: o0 clamps on the first pass, o1 (a float elasticity) and
+# o2 (a weight of 1.7) on the second, and the third has no object left
+_OUT_OF_REACH = [(2, 1, 1.0, 2, None), (4, 1, 1.0, 8, 0.5), (4, 1, 1.7, 5, None)]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(fleet=st.lists(_FLEET_OBJECT, min_size=1, max_size=8), target=_TARGETS)
+@example(fleet=_CLAMPS_ONCE, target=0.8)
+@example(fleet=_OUT_OF_REACH, target=0.75)
+def test_elastic_rescale_matches_the_reference(fleet, target):
+    assert _rescale_with(freshsim_policies, fleet, target) == _rescale_with(
+        elastic_reference, fleet, target)
+
+
+def test_elastic_reference_examples_clamp_and_fail():
+    assert _rescale_with(elastic_reference, _CLAMPS_ONCE, 0.8) == (
+        {"o0": 2, "o1": 7, "o2": 7}, None)
+    assert _rescale_with(elastic_reference, _OUT_OF_REACH, 0.75) == (
+        None, "PolicyInfeasibleError: policy.elastic: target utilization 3/4 "
+              "unreachable even at maximal periods (residual over target: 0.075)")
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(x=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-2 ** 60, 2 ** 60).map(float),
+                   st.sampled_from([2.0 ** 53 - 1, 2.0 ** 53, -(2.0 ** 53), 1e16, -0.0])))
+def test_as_fraction_and_the_target_check_agree_with_the_repr(x):
+    assert as_fraction(x) == elastic_reference.as_fraction(x)
+    errors = []
+    ElasticPolicy(target_utilization=x).validate("p", errors)
+    assert bool(errors) == (not 0 < Fraction(str(x)) <= 1)
 
 
 @pytest.mark.parametrize("period,vi,expected", [

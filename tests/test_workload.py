@@ -150,6 +150,23 @@ def test_normal_quantile_is_normal_dist_inv_cdf_bit_for_bit():
             == [normal.inv_cdf(u).hex() for u in draws])
 
 
+@pytest.mark.parametrize("output, expected", [
+    (0, 2 ** -54),
+    ((2 ** 53 - 2) << 11, (2 ** 53 - 1.5) / 2 ** 53),
+    # (2**53 - 1 + 0.5) / 2**53 rounds to 1.0: the draw is clamped below it
+    (2 ** 64 - 1, 1 - 2 ** -53),
+])
+def test_uniform_draws_stay_inside_the_open_unit_interval(monkeypatch, output, expected):
+    monkeypatch.setattr(freshsim.workload, "splitmix64_at", lambda key, index: output)
+    u = uniform_at(7, 3)
+    assert u == expected and 0.0 < u < 1.0
+    # the two uses of a draw: a normal quantile (undefined at 1.0) and an
+    # exponential gap of at least one tick
+    assert math.isfinite(_normal_dist_inv_cdf(u, 0.0, 1.0))
+    spec = _txn(Arrival(kind="poisson", mean_gap=5))
+    assert next(iter_arrivals(spec, 10 ** 6, 0)) >= 1
+
+
 def _walk_values(module) -> list[float]:
     """Values of one random walk, by ordinal and along a sampler's grid,
     from the workload module `module`."""
