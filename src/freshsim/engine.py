@@ -63,6 +63,9 @@ class EventQueue:
         self._counter += 1
         heapq.heappush(self._heap, (time, kind, subject, self._counter, payload))
 
+    def peek_time(self) -> Tick | None:
+        return self._heap[0][0] if self._heap else None
+
     def pop(self) -> tuple[Tick, int, str, object]:
         time, kind, subject, _, payload = heapq.heappop(self._heap)
         return time, kind, subject, payload
@@ -184,19 +187,19 @@ class Simulator:
     def run(self) -> RunResult:
         self._schedule_workload()
         pop = self.queue.pop
-        # read only, for the time of the next event; events enter and leave
-        # the queue through push and pop
-        heap = self.queue._heap
+        peek_time = self.queue.peek_time
         horizon = self.horizon
-        while heap:
-            t = heap[0][0]
-            if t > horizon:
-                break
-            while heap and heap[0][0] == t:
+        # one peek per event: the time after each pop, and after each dispatch
+        nxt = peek_time()
+        while nxt is not None and nxt <= horizon:
+            t = nxt
+            while nxt == t:
                 _, kind, subject, payload = pop()
                 _HANDLERS[kind](self, t, subject, payload)
+                nxt = peek_time()
             # events that dispatch queues at t run on the next pass
             self._dispatch(t)
+            nxt = peek_time()
         report = self.metrics.finalize(
             self.horizon,
             store_stats=self.store.stats,

@@ -224,19 +224,14 @@ def elastic_rescale(objects: list[ObjectSpec], target_utilization,
         o = by_id[oid]
         cap = o.max_period if o.max_period is not None else DEFAULT_MAX_PERIOD
         floor[oid] = Fraction(o.update_cost, cap)
-    # running sums: the utilization of the active objects, and the budget
-    # the fixed and clamped ones leave them; both are exact fractions.
-    # The elasticity sum is taken anew each pass: an explicit elasticity
-    # is a float, and a float sum depends on the order of its terms.
-    compressible = set(active)
-    fixed = sum((u for oid, u in util.items() if oid not in compressible), Fraction(0))
-    demand = total - fixed
-    budget = target - fixed
+    fixed = total - sum((util[oid] for oid in active), Fraction(0))
     clamped: dict[str, Fraction] = {}
 
     # excess > 0 on every pass: on the first it is total - target, and the
     # objects clamped on a pass shed less than the excess asked of them
     while True:
+        budget = target - fixed - sum(clamped.values(), Fraction(0))
+        demand = sum((util[oid] for oid in active), Fraction(0))
         excess = demand - budget
         if not active:
             raise PolicyInfeasibleError(
@@ -256,10 +251,7 @@ def elastic_rescale(objects: list[ObjectSpec], target_utilization,
             break
         for oid in violated:
             clamped[oid] = floor[oid]
-            budget -= floor[oid]
-            demand -= util[oid]
-        gone = set(violated)
-        active = [oid for oid in active if oid not in gone]
+            active.remove(oid)
 
     # every floor is cost / cap > 0, so u > 0
     for oid, u in list(new_util.items()) + list(clamped.items()):

@@ -358,10 +358,7 @@ class _Bounded(_Scalar):
         self.bound_message = message
 
     def read(self, r, d, key, path, default):
-        value = d.get(key)
-        # an int in float range passes the check of INT and NUM alike
-        if value.__class__ is not int or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            value = _Scalar.read(self, r, d, key, path, default)
+        value = super().read(r, d, key, path, default)
         if not self.bound(value):
             r.fail(_at(path, key), self.bound_message)
         return value
