@@ -200,12 +200,7 @@ class Simulator:
             # events that dispatch queues at t run on the next pass
             self._dispatch(t)
             nxt = peek_time()
-        report = self.metrics.finalize(
-            self.horizon,
-            store_stats=self.store.stats,
-            update_costs={o.id: o.update_cost for o in self.eff_objects.values()},
-        )
-        return RunResult(report=report, trace=self.trace)
+        return RunResult(report=self.metrics.finalize(), trace=self.trace)
 
     # -- transaction lifecycle ----------------------------------------------
 
@@ -341,7 +336,6 @@ class Simulator:
             for inst in list(superseded.holders):
                 self._restart(inst, t, cause="superseded", version=superseded)
         self._sweep(t)
-        store.sample_peak(object_id)
         self.refresh_inflight.discard(object_id)
         self._wake_waiters(object_id)
 
@@ -422,7 +416,10 @@ class Simulator:
         self.queue.push(end, kind, inst.inst_id, (inst, inst.epoch))
 
 
-# event handlers, indexed by event kind
+# event handlers, indexed by event kind. They are bound to Simulator's own
+# functions, so a subclass that overrides a handler is not called by `run`; a
+# subclass hooks the helpers the handlers call (`_dispatch`, `_make_ready`,
+# `_wake_waiters`, `_sweep`, ...) instead.
 _HANDLERS = (
     Simulator._on_arrival,           # TXN_ARRIVAL
     Simulator._on_segment_done,      # RETRIEVAL_DONE

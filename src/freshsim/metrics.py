@@ -1,8 +1,8 @@
 """Streaming metrics aggregation, canonical trace serialization, and CSV.
 
-The aggregator consumes the run's trace records in order; everything in the
-report is derived from that stream plus the store's end-of-run statistics.
-A record is a `(t, kind, subject, detail)` tuple. The trace itself is
+The aggregator consumes the run's trace records in order; the report is a
+function of that stream alone, so a run's trace rebuilds its report. A
+record is a `(t, kind, subject, detail)` tuple. The trace itself is
 line-delimited canonical JSON, one `[t,kind,subject,{...}]` array per record,
 and a 64-bit FNV-1a hash over those bytes is the run's determinism
 fingerprint: identical configs and seeds must produce identical hashes.
@@ -66,16 +66,13 @@ class TxnClassStats(StalenessStats):
 class ObjectStats(StalenessStats):
     updates_performed: int = 0
     updates_skipped: int = 0
-    update_utilization: float = 0.0
     max_sink_error: float = 0.0
     peak_live_versions: int = 0
-    peak_concurrent_pinners: int = 0
     stale_at_commit: int = 0
 
 
 @dataclass
 class MetricsReport:
-    horizon: Tick
     overall: TxnClassStats
     per_class: dict[str, TxnClassStats]
     per_object: dict[str, ObjectStats]
@@ -99,10 +96,17 @@ class MetricsReport:
 
 
 class MetricsAggregator:
-    """Consumes trace records in time order; finalize() is idempotent."""
+    """Consumes trace records in time order; finalize() is idempotent.
+
+    An object's live versions are +1 per `install` and -`reclaimed` per `gc`.
+    An install is followed by its holders' restarts and the sweeps, so its
+    peak sample is due at the first later record that is neither a `restart`
+    nor a `gc`, or at finalize(): it counts only coexisting versions."""
 
     def __init__(self):
         self._last_t: Tick = 0
+        self._live: dict[str, int] = {}  # object id -> versions in its chain
+        self._pending: str | None = None  # the object whose peak sample is due
         # in-flight instance id -> the stats of its class; an instance is
         # forgotten at its commit or miss
         self._class_of: dict[str, TxnClassStats] = {}
@@ -128,7 +132,8 @@ class MetricsAggregator:
             raise SimInternalError(
                 f"trace record out of order: {t} after {self._last_t}")
         self._last_t = t
-        # install and gc records carry no aggregate beyond store stats
+        if self._pending is not None and kind != "restart" and kind != "gc":
+            self._peak()
         on_kind = _ON_KIND.get(kind)
         if on_kind is not None:
             on_kind(self, subject, detail)
@@ -174,25 +179,27 @@ class MetricsAggregator:
             if error > obj.max_sink_error:
                 obj.max_sink_error = error
 
-    def finalize(self, horizon: Tick, store_stats=None,
-                 update_costs: dict[str, int] | None = None) -> MetricsReport:
-        if store_stats:
-            for oid, stats in store_stats.items():
-                obj = self._obj(oid)
-                obj.peak_live_versions = stats.peak_live_versions
-                obj.peak_concurrent_pinners = stats.peak_active_pins
-        if update_costs:
-            for oid, cost in update_costs.items():
-                obj = self._obj(oid)
-                obj.update_utilization = (obj.updates_performed * cost / horizon
-                                          if horizon else 0.0)
+    def _on_install(self, subject: str, detail: dict) -> None:
+        self._live[subject] = self._live.get(subject, 0) + 1
+        self._pending = subject
+
+    def _on_gc(self, subject: str, detail: dict) -> None:
+        self._live[subject] -= detail["reclaimed"]
+
+    def _peak(self) -> None:
+        obj = self._obj(self._pending)
+        obj.peak_live_versions = max(obj.peak_live_versions, self._live[self._pending])
+        self._pending = None
+
+    def finalize(self) -> MetricsReport:
+        if self._pending is not None:
+            self._peak()
         # the run-wide totals: each count is the sum over classes
         classes = self.per_class.values()
         overall = TxnClassStats(**{f.name: sum(getattr(c, f.name) for c in classes)
                                    for f in fields(TxnClassStats)})
         overall.max_staleness = max((c.max_staleness for c in classes), default=0)
         return MetricsReport(
-            horizon=horizon,
             overall=overall,
             per_class=dict(sorted(self.per_class.items())),
             per_object=dict(sorted(self.per_object.items())),
@@ -209,6 +216,8 @@ _ON_KIND = {
     "commit": MetricsAggregator._on_commit,
     "miss": MetricsAggregator._on_miss,
     "update_decision": MetricsAggregator._on_update_decision,
+    "install": MetricsAggregator._on_install,
+    "gc": MetricsAggregator._on_gc,
 }
 
 

@@ -14,21 +14,13 @@ disciplines:
 New accesses are only ever served the newest version; history exists purely to
 let in-flight readers finish. All mutation happens on the simulation thread.
 Operations return what they did and never call back: the engine writes the
-trace records and restarts the readers.
+trace records and restarts the readers. A version's pins are its `holders`;
+the peak chain length is derived from the `install` and `gc` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import FreshnessMode, SimInternalError, Tick, Version, is_fresh
-
-
-@dataclass
-class ObjectStoreStats:
-    peak_live_versions: int = 0
-    active_pins: int = 0
-    peak_active_pins: int = 0
 
 
 class VersionStore:
@@ -43,7 +35,6 @@ class VersionStore:
         self.mode = mode
         self.vis = dict(vis)
         self.chains: dict[str, list[Version]] = {oid: [] for oid in vis}
-        self.stats: dict[str, ObjectStoreStats] = {oid: ObjectStoreStats() for oid in vis}
         # chains that may hold a superseded unpinned version; gc visits only
         # these, in declaration order
         self._order = {oid: i for i, oid in enumerate(vis)}
@@ -66,8 +57,7 @@ class VersionStore:
 
         Sample times must strictly increase per object. Returns the replaced
         version when it is still pinned in classical mode: its holders must
-        restart. The caller then sweeps (`gc`) and samples the peak
-        (`sample_peak`), in that order.
+        restart. The caller then sweeps (`gc`).
         """
         chain = self.chains[object_id]
         if chain and chain[-1].sample_time >= sample_time:
@@ -83,14 +73,6 @@ class VersionStore:
             if self.mode is FreshnessMode.CLASSICAL and prev.holders:
                 return prev
         return None
-
-    def sample_peak(self, object_id: str) -> None:
-        """Count the chain's length towards its peak. Sampled after the
-        sweep that follows an install, it counts only versions that
-        actually coexist between events."""
-        stats = self.stats[object_id]
-        stats.peak_live_versions = max(stats.peak_live_versions,
-                                       len(self.chains[object_id]))
 
     def read_latest(self, object_id: str, t: Tick, holder,
                     exclude: frozenset[int] | set[int] = frozenset()) -> Version | None:
@@ -110,9 +92,6 @@ class VersionStore:
         if not is_fresh(version, self.vis[object_id], t):
             return None
         version.holders.append(holder)
-        stats = self.stats[object_id]
-        stats.active_pins += 1
-        stats.peak_active_pins = max(stats.peak_active_pins, stats.active_pins)
         return version
 
     def extend_validity(self, object_id: str, ticks: Tick) -> None:
@@ -128,7 +107,6 @@ class VersionStore:
             raise SimInternalError(f"unpin of {version.object_id!r}#{version.seq} "
                                    f"by non-holder {holder!r}")
         version.holders.remove(holder)
-        self.stats[version.object_id].active_pins -= 1
         self._dirty.add(version.object_id)
 
     def gc(self) -> list[tuple[str, int]]:

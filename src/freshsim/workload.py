@@ -319,6 +319,15 @@ def _at(path: str, key: str) -> str:
 _FLOAT_MAX = sys.float_info.max
 
 
+def _check_magnitude(r: _Reader, value, path: str, key: str, oid=None) -> None:
+    """Report an int past float range at `path`.`key`, or at its `[oid]`
+    entry; the path is only built for the error."""
+    if value.__class__ is int and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        at = _at(path, key)
+        r.fail(at if oid is None else f"{at}[{oid}]",
+               f"magnitude exceeds the largest float ({_FLOAT_MAX:.4g})")
+
+
 class _Scalar:
     """A JSON value type: the check a value must pass, the error when it
     does not, and the stand-in used after an error so that parsing goes on."""
@@ -339,9 +348,7 @@ class _Scalar:
             if not self.check(value):
                 r.fail(_at(path, key), self.message)
                 return self.zero if default is None or default is REQUIRED else default
-            if value.__class__ is int and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                r.fail(_at(path, key), "magnitude exceeds the largest float "
-                                       f"({_FLOAT_MAX:.4g})")
+            _check_magnitude(r, value, path, key)
             return value
         if default is REQUIRED:
             r.fail(_at(path, key), "missing")
@@ -375,6 +382,7 @@ class _Durations(_Scalar):
         out = {}
         for oid, ticks in value.items():
             if _is_int(ticks):
+                _check_magnitude(r, ticks, path, key, oid)
                 out[oid] = ticks
             else:
                 r.fail(f"{_at(path, key)}[{oid}]", "must be an integer")

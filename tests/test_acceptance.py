@@ -8,6 +8,7 @@ from contextlib import contextmanager
 
 from freshsim.cli import main
 from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
+from freshsim.engine import Simulator
 from freshsim.metrics import emit_csv, trace_hash
 from freshsim.policies import (
     MKFirmPolicy,
@@ -20,7 +21,13 @@ from freshsim.policies import (
 from freshsim.workload import ConstantProcess, RandomWalkProcess, SimConfig
 
 from randgen import feasible_isolated_config, random_config
-from support import engine_outcomes, one_object_config, run_config, run_outcomes
+from support import (
+    engine_outcomes,
+    one_object_config,
+    outcomes,
+    run_config,
+    run_outcomes,
+)
 from tick_oracle import oracle_outcomes
 
 
@@ -153,22 +160,38 @@ def test_criterion_4_feasible_commit_bound():
             assert inst["commit_time"] == expected, f"seed {seed}"
 
 
+class PinCountingSimulator(Simulator):
+    """Keeps each object's peak number of pins, counted from the holders of
+    its chain right after each install's sweep, when the aggregator samples
+    its live versions."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.peak_pins = {}
+
+    def _wake_waiters(self, object_id):
+        pins = sum(len(v.holders) for v in self.store.chains[object_id])
+        self.peak_pins[object_id] = max(self.peak_pins.get(object_id, 0), pins)
+        super()._wake_waiters(object_id)
+
+
 MV_SWEEP_RESULTS = []
 
 
 def mv_sweep_runs():
+    """(result, outcomes, peak pins per object) of 200 multiversion runs."""
     if not MV_SWEEP_RESULTS:
         for seed in range(200):
-            cfg = random_config(seed, mode=FreshnessMode.MULTIVERSION,
-                                horizon_range=(30, 150))
-            MV_SWEEP_RESULTS.append(run_outcomes(cfg))
+            sim = PinCountingSimulator(random_config(
+                seed, mode=FreshnessMode.MULTIVERSION, horizon_range=(30, 150)))
+            MV_SWEEP_RESULTS.append((sim.run(), outcomes(sim), sim.peak_pins))
     return MV_SWEEP_RESULTS
 
 
 def test_criterion_5_multiversion_zero_restart_sweep():
     with criterion(5, "multiversion never restarts across 200 random configs"):
         total = 0
-        for _, txns in mv_sweep_runs():
+        for _, txns, _ in mv_sweep_runs():
             total += sum(inst["vi_restarts"] for inst in txns.values())
         assert total == 0
 
@@ -275,6 +298,6 @@ def test_criterion_11_determinism():
 def test_criterion_12_gc_safety_and_bounded_chains():
     with criterion(12, "no pinned version reclaimed; chains bounded by pinners"):
         # reuses the criterion-5 sweep: any pinned reclaim raises inside gc
-        for result, _ in mv_sweep_runs():
+        for result, _, peak_pins in mv_sweep_runs():
             for oid, stats in result.report.per_object.items():
-                assert stats.peak_live_versions <= 1 + stats.peak_concurrent_pinners, oid
+                assert stats.peak_live_versions <= 1 + peak_pins.get(oid, 0), oid

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from freshsim.core import ConfigError, FreshnessMode
 from freshsim.engine import Simulator
-from freshsim.metrics import emit_csv_rows, trace_hash
+from freshsim.metrics import MetricsAggregator, emit_csv_rows, trace_hash
 from freshsim.policies import (
     ElasticPolicy,
     OnDemandPolicy,
@@ -93,7 +93,8 @@ def _digest(text: str) -> str:
 def fingerprint(cfg) -> dict:
     """Config digest, trace hash and report digest. The same config object
     runs twice and must give the same trace both times: per-run state must
-    not leak into the config."""
+    not leak into the config. The report is a function of the records: a
+    fresh aggregator fed the run's trace gives the same report."""
     digest = _digest(emit_config(cfg))
     try:
         result = Simulator(cfg).run()
@@ -102,6 +103,13 @@ def fingerprint(cfg) -> dict:
     first = trace_hash(result.trace)
     assert trace_hash(Simulator(cfg).run().trace) == first
     rows = emit_csv_rows(result.report, cfg.name, cfg.mode.value, "golden")
+    replay = MetricsAggregator()
+    for record in result.trace:
+        replay.record(record)
+    report = replay.finalize()
+    assert report.per_class == result.report.per_class
+    assert report.per_object == result.report.per_object
+    assert emit_csv_rows(report, cfg.name, cfg.mode.value, "golden") == rows
     return {"config": digest, "trace": first, "report": _digest("\n".join(rows))}
 
 

@@ -3,7 +3,9 @@
 The engine leans on these instead of testing for them at run time: a
 superseded version's holders all restart without a `terminal()` test, a wait
 list is woken without a state test, and `VersionStore.unpin` trusts that a
-pinned version is still in its chain."""
+pinned version is still in its chain. The same runs check the report's
+`peak_live_versions`, which the aggregator derives from the `install` and
+`gc` records, against the chain lengths in the store."""
 
 import sys
 from collections import Counter
@@ -40,6 +42,8 @@ class CheckedSimulator(Simulator):
         super().__init__(config, sink=lambda record: None)
         self.unfinished = {}  # instance id -> instance, pruned at each check
         self.checks = 0
+        # object id -> its longest chain right after an install's sweep
+        self.peaks = {}
 
     def _make_ready(self, inst):
         # every instance becomes ready at its release
@@ -49,6 +53,13 @@ class CheckedSimulator(Simulator):
     def _dispatch(self, t):
         super()._dispatch(t)
         self.check(t)
+
+    def _wake_waiters(self, object_id):
+        # called right after each install's sweep, and after a skip, when
+        # the chain cannot be longer than after the install before it
+        self.peaks[object_id] = max(self.peaks.get(object_id, 0),
+                                    len(self.store.chains[object_id]))
+        super()._wake_waiters(object_id)
 
     def check(self, t):
         self.checks += 1
@@ -64,8 +75,8 @@ class CheckedSimulator(Simulator):
                     assert inst.accesses.get(object_id) is version, (
                         f"{inst.inst_id} pins {object_id}#{version.seq} "
                         f"outside its accesses {where}")
-            assert self.store.stats[object_id].active_pins == sum(
-                len(v.holders) for v in chain), f"active_pins of {object_id} {where}"
+            assert self.metrics._live.get(object_id, 0) == len(chain), (
+                f"live versions of {object_id} counted from the records {where}")
         for inst in self.unfinished.values():
             for object_id, version in inst.accesses.items():
                 if version.seq:
@@ -102,9 +113,13 @@ class CheckedSimulator(Simulator):
 
 
 def checks_run(cfg) -> int:
-    """Run `cfg` with every check; the number of checks made."""
+    """Run `cfg` with every check; the number of checks made. Each object's
+    peak live versions in the report must be its longest chain."""
     sim = CheckedSimulator(cfg)
-    sim.run()
+    report = sim.run().report
+    peaks = {oid: stats.peak_live_versions for oid, stats in report.per_object.items()
+             if stats.peak_live_versions}
+    assert peaks == sim.peaks
     return sim.checks
 
 

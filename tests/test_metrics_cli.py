@@ -71,13 +71,13 @@ def test_miss_ratio():
     released(agg, 10)
     for i in range(2):
         agg.record((5, "miss", f"t1#{i}", {}))
-    report = agg.finalize(100)
+    report = agg.finalize()
     assert report.overall.miss_ratio == pytest.approx(0.2)
     assert report.overall.in_flight == 8
 
 
 def test_empty_report_all_zero():
-    report = MetricsAggregator().finalize(100)
+    report = MetricsAggregator().finalize()
     assert report.overall.released == 0
     assert report.overall.miss_ratio == 0.0
     assert report.updates_performed == 0
@@ -88,7 +88,7 @@ def test_staleness_aggregation():
     released(agg, 1)
     agg.record((7, "access", "t1#0",
                 {"object": "o1", "via": "store", "value": 0.0, "staleness": 4}))
-    report = agg.finalize(100)
+    report = agg.finalize()
     assert report.per_object["o1"].max_staleness == 4
     assert report.per_class["t1"].mean_staleness == pytest.approx(4.0)
 
@@ -105,8 +105,8 @@ def test_finalize_is_idempotent():
     agg = MetricsAggregator()
     released(agg, 3)
     agg.record((4, "miss", "t1#0", {}))
-    first = agg.finalize(100)
-    second = agg.finalize(100)
+    first = agg.finalize()
+    second = agg.finalize()
     assert emit_csv(first) == emit_csv(second)
     # and a full rebuild of the same run aggregates identically
     report = run_config(one_object_config()).report
@@ -129,6 +129,49 @@ def test_aggregator_keeps_only_in_flight_instances():
     assert finished > 0 and 0 in left and max(left) > 0
 
 
+def install(agg, t, seq, oid="o1"):
+    agg.record((t, "install", oid, {"seq": seq, "sample_time": t}))
+
+
+def test_peak_live_versions_counts_coexisting_versions():
+    # multiversion: two readers pin seq 1, so seq 2 joins it in the chain
+    agg = MetricsAggregator()
+    install(agg, 0, 1)
+    released(agg, 2)
+    for i in range(2):
+        agg.record((1, "access", f"t1#{i}",
+                    {"object": "o1", "via": "store", "value": 1.0, "staleness": 1}))
+    install(agg, 10, 2)
+    agg.record((11, "commit", "t1#0", {"stale_at_commit": False, "stale_objects": []}))
+    agg.record((12, "commit", "t1#1", {"stale_at_commit": False, "stale_objects": []}))
+    agg.record((12, "gc", "o1", {"reclaimed": 1}))
+    assert agg._live == {"o1": 1}
+    assert agg.finalize().per_object["o1"].peak_live_versions == 2
+
+
+def test_peak_live_versions_waits_for_the_sweeps_after_an_install():
+    # classical: both holders of seq 1 restart, then the sweep reclaims it
+    agg = MetricsAggregator()
+    install(agg, 0, 1)
+    released(agg, 2)
+    install(agg, 10, 2)
+    for i in range(2):
+        agg.record((10, "restart", f"t1#{i}", {"cause": "superseded", "object": "o1"}))
+    agg.record((10, "gc", "o1", {"reclaimed": 1}))
+    agg.record((11, "miss", "t1#0", {}))
+    assert agg.finalize().per_object["o1"].peak_live_versions == 1
+
+
+def test_peak_live_versions_samples_a_last_install_at_finalize():
+    agg = MetricsAggregator()
+    install(agg, 0, 1)
+    released(agg, 1)
+    install(agg, 10, 2)
+    first = agg.finalize()
+    assert first.per_object["o1"].peak_live_versions == 2
+    assert emit_csv(agg.finalize()) == emit_csv(first)
+
+
 # -- csv / trace -----------------------------------------------------------------
 
 def test_csv_header_is_pinned():
@@ -140,7 +183,7 @@ def test_csv_header_is_pinned():
 
 
 def test_empty_report_emits_header_and_overall():
-    text = emit_csv(MetricsAggregator().finalize(10), "s", "classical", "periodic")
+    text = emit_csv(MetricsAggregator().finalize(), "s", "classical", "periodic")
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("s,classical,periodic,overall,0,0,0,0.0")
@@ -685,6 +728,17 @@ def test_cli_reports_a_number_past_float_range_once(tmp_path, capsys, path):
     assert main(["run", str(config)]) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: magnitude exceeds the largest float (1.798e+308)\n")
+
+
+@pytest.mark.parametrize("key", ["retrieval", "analysis"])
+def test_cli_rejects_a_per_object_duration_past_float_range(tmp_path, capsys, key):
+    doc = _huge_number_doc()
+    doc["transactions"][0][key] = {"c": 1, "w": "HUGE", "s": 1}
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc).replace('"HUGE"', str(10 ** 400)), encoding="utf-8")
+    assert main(["run", str(config)]) == 1
+    assert capsys.readouterr().err == (f"error: transactions[0].{key}[w]: "
+                                       "magnitude exceeds the largest float (1.798e+308)\n")
 
 
 def test_cli_sweep_takes_an_overlong_integer_as_text(tmp_path, capsys):

@@ -13,11 +13,10 @@ def make_store(mode=FreshnessMode.MULTIVERSION, vi=5):
 
 
 def install(store, object_id, value, sample_time):
-    """Install as the engine does: the install, then the sweep, then the
-    peak sample. Returns the superseded pinned version, if any."""
+    """Install as the engine does: the install, then the sweep. Returns the
+    superseded pinned version, if any."""
     superseded = store.install_version(object_id, value, sample_time)
     store.gc()
-    store.sample_peak(object_id)
     return superseded
 
 
@@ -175,18 +174,6 @@ def test_gc_never_reclaims_pinned_random_walkthrough():
         assert {v.seq for v, _ in pinned} <= seqs  # pinned versions never vanish
 
 
-def test_peak_live_versions_counts_coexisting_versions():
-    store = make_store(vi=100)
-    install(store, "o1", 1.0, 0)
-    store.read_latest("o1", 1, "r1")
-    store.read_latest("o1", 2, "r2")
-    install(store, "o1", 2.0, 10)
-    stats = store.stats["o1"]
-    assert stats.peak_live_versions == 2
-    assert stats.peak_active_pins == 2
-    assert stats.peak_live_versions <= 1 + stats.peak_active_pins
-
-
 class FullSweepStore(VersionStore):
     """Reference GC: sweeps every chain, in declaration order."""
 
@@ -209,7 +196,6 @@ def _assert_twins_agree(stores):
     for oid in full.chains:
         assert ([(v.seq, v.holders) for v in dirty.chains[oid]]
                 == [(v.seq, v.holders) for v in full.chains[oid]])
-        assert dirty.stats[oid] == full.stats[oid]
 
 
 @pytest.mark.parametrize("mode", list(FreshnessMode))
