@@ -202,61 +202,71 @@ def elastic_rescale(objects: list[ObjectSpec], target_utilization,
     target; returns the new period per object id.
 
     If utilization already meets the target, periods are unchanged. Otherwise
-    each compressible object sheds utilization in proportion to its
-    elasticity; any object pushed below the utilization floor implied by its
-    maximum period is clamped there and the shortfall is redistributed until
-    a fixed point. New periods are ceil(C/U'), so they are integers, never
-    decrease, and the post-rescale utilization never exceeds the target.
-    Objects with zero elasticity or zero cost keep their periods.
+    each active object (elasticity and cost both > 0) sheds utilization in
+    proportion to its elasticity e_i; any object pushed below the floor
+    C_i/cap_i implied by its maximum period is clamped there and the
+    shortfall is redistributed until a fixed point. Objects with zero
+    elasticity or zero cost keep their periods.
+
+    The arithmetic is exact, in integers over one common denominator L, the
+    lcm of the target's denominator, every declared period, and each active
+    object's cap and elasticity denominator. Scaled by L, U_i = C_i*L/P_i,
+    E_i = e_i*L, F_i = C_i*L/cap_i and T = target*L. On each pass the excess
+    is X = sum_active U - (T - fixed - sum_clamped F) and S = sum_active E;
+    an object's new utilization, times L*S, is U_i*S - X*E_i, so it clamps
+    iff U_i*S - X*E_i < F_i*S. At the fixed point an unclamped object's
+    period is max(P_i, ceil(C_i*L*S / (U_i*S - X*E_i))) and a clamped one's
+    max(P_i, cap_i): integers that never decrease, and the post-rescale
+    utilization never exceeds the target.
     """
     target = as_fraction(target_utilization)
-    util = {o.id: Fraction(o.update_cost, o.update_period) for o in objects}
-    total = sum(util.values(), Fraction(0))
     new_periods = {o.id: o.update_period for o in objects}
-    if total <= target:
+    active = [(o, o.max_period if o.max_period is not None else DEFAULT_MAX_PERIOD)
+              for o in objects if elasticity.get(o.id, 0) > 0 and o.update_cost > 0]
+    scale = math.lcm(target.denominator, *new_periods.values(),
+                     *(cap for _, cap in active),
+                     *(elasticity[o.id].denominator for o, _ in active))
+    total = sum(o.update_cost * scale // o.update_period for o in objects)
+    # T - fixed - sum_clamped F: the utilization left to the active objects
+    budget = target.numerator * (scale // target.denominator)
+    if total <= budget:
         return new_periods
 
-    by_id = {o.id: o for o in objects}
-    active = [o.id for o in objects
-              if elasticity.get(o.id, Fraction(0)) > 0 and o.update_cost > 0]
-    floor = {}
-    for oid in active:
-        o = by_id[oid]
-        cap = o.max_period if o.max_period is not None else DEFAULT_MAX_PERIOD
-        floor[oid] = Fraction(o.update_cost, cap)
-    fixed = total - sum((util[oid] for oid in active), Fraction(0))
-    clamped: dict[str, Fraction] = {}
+    # (object, cap, U, E, F) per active object
+    rows = []
+    for o, cap in active:
+        e = elasticity[o.id]
+        rows.append((o, cap, o.update_cost * scale // o.update_period,
+                     e.numerator * (scale // e.denominator),
+                     o.update_cost * scale // cap))
+    budget -= total - sum(row[2] for row in rows)
 
     # excess > 0 on every pass: on the first it is total - target, and the
     # objects clamped on a pass shed less than the excess asked of them
     while True:
-        budget = target - fixed - sum(clamped.values(), Fraction(0))
-        demand = sum((util[oid] for oid in active), Fraction(0))
-        excess = demand - budget
-        if not active:
+        excess = sum(row[2] for row in rows) - budget
+        if not rows:
             raise PolicyInfeasibleError(
                 [("policy.elastic",
                   f"target utilization {target} unreachable even at maximal "
-                  f"periods (residual over target: {float(excess)})")])
-        esum = sum((elasticity[oid] for oid in active), Fraction(0))
-        new_util = {}
-        violated = []
-        for oid in active:
-            u = util[oid] - excess * elasticity[oid] / esum
-            if u < floor[oid]:
-                violated.append(oid)
+                  f"periods (residual over target: {float(Fraction(excess, scale))})")])
+        esum = sum(row[3] for row in rows)
+        kept = []
+        for row in rows:
+            o, cap, u, e, f = row
+            if u * esum - excess * e < f * esum:
+                budget -= f
+                new_periods[o.id] = max(o.update_period, cap)
             else:
-                new_util[oid] = u
-        if not violated:
+                kept.append(row)
+        if len(kept) == len(rows):
             break
-        for oid in violated:
-            clamped[oid] = floor[oid]
-            active.remove(oid)
+        rows = kept
 
-    # every floor is cost / cap > 0, so u > 0
-    for oid, u in list(new_util.items()) + list(clamped.items()):
-        o = by_id[oid]
-        new_periods[oid] = max(o.update_period, math.ceil(Fraction(o.update_cost) / u))
+    # every floor F_i is > 0, so U_i*S - X*E_i >= F_i*S > 0
+    for o, _, u, e, _ in rows:
+        period = -(-o.update_cost * scale * esum // (u * esum - excess * e))
+        new_periods[o.id] = max(o.update_period, period)
     return new_periods
 
 
@@ -282,7 +292,7 @@ def effective_objects(objects: list[ObjectSpec],
         if policy.elasticity is None:
             elasticity[oid] = default_elasticity(table[oid])
         else:
-            elasticity[oid] = policy.elasticity
+            elasticity[oid] = as_fraction(policy.elasticity)
     # elastic objects share one target (validate_config)
     target = next(iter(elastic.values())).target_utilization
     periods = elastic_rescale(objects, target, elasticity)

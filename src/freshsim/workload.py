@@ -305,9 +305,7 @@ def _is_int(x) -> bool:
 
 
 def _is_num(x) -> bool:
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return _is_int(x)
+    return math.isfinite(x) if isinstance(x, float) else _is_int(x)
 
 
 def _at(path: str, key: str) -> str:
@@ -329,13 +327,14 @@ def _check_magnitude(r: _Reader, value, path: str, key: str, oid=None) -> None:
 
 
 class _Scalar:
-    """A JSON value type: the check a value must pass, the error when it
-    does not, and the stand-in used after an error so that parsing goes on."""
+    """A JSON value type: the check a value must pass, which every value of
+    an `exact` class passes, the error when it does not, and the stand-in."""
 
-    def __init__(self, check, message, zero):
+    def __init__(self, check, message, zero, exact=()):
         self.check = check
         self.message = message
         self.zero = zero
+        self.exact = exact
 
     def read(self, r: _Reader, d: dict, key: str, path: str, default):
         """d[key], checked. A missing key gives `default`, or an error if
@@ -345,10 +344,11 @@ class _Scalar:
         so later checks report only what else is wrong with it."""
         if key in d:
             value = d[key]
-            if not self.check(value):
+            if value.__class__ not in self.exact and not self.check(value):
                 r.fail(_at(path, key), self.message)
                 return self.zero if default is None or default is REQUIRED else default
-            _check_magnitude(r, value, path, key)
+            if value.__class__ is int and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                _check_magnitude(r, value, path, key)
             return value
         if default is REQUIRED:
             r.fail(_at(path, key), "missing")
@@ -360,12 +360,12 @@ class _Bounded(_Scalar):
     """A scalar with a range bound, tested right after the value is read."""
 
     def __init__(self, base: _Scalar, bound, message: str):
-        super().__init__(base.check, base.message, base.zero)
+        super().__init__(base.check, base.message, base.zero, base.exact)
         self.bound = bound
         self.bound_message = message
 
     def read(self, r, d, key, path, default):
-        value = super().read(r, d, key, path, default)
+        value = _Scalar.read(self, r, d, key, path, default)
         if not self.bound(value):
             r.fail(_at(path, key), self.bound_message)
         return value
@@ -389,15 +389,15 @@ class _Durations(_Scalar):
         return out
 
 
-INT = _Scalar(_is_int, "must be an integer", 0)
-NUM = _Scalar(_is_num, "must be a number", 0.0)
-STR = _Scalar(lambda v: isinstance(v, str), "must be a string", "")
-BOOL = _Scalar(lambda v: isinstance(v, bool), "must be a boolean", False)
+INT = _Scalar(_is_int, "must be an integer", 0, (int,))
+NUM = _Scalar(_is_num, "must be a number", 0.0, (int,))
+STR = _Scalar(lambda v: isinstance(v, str), "must be a string", "", (str,))
+BOOL = _Scalar(lambda v: isinstance(v, bool), "must be a boolean", False, (bool,))
 POSITIVE_INT = _Bounded(INT, lambda v: v > 0, "must be > 0")
 NONNEGATIVE_NUM = _Bounded(NUM, lambda v: v >= 0, "must be >= 0")
 IDS = _Scalar(lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
               "must be a list of object ids", [])
-DURATIONS = _Durations(_is_int, "must be an integer or an object id map", {})
+DURATIONS = _Durations(_is_int, "must be an integer or an object id map", {}, (int,))
 
 
 class _Record:

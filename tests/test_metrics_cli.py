@@ -12,6 +12,7 @@ import freshsim.metrics
 from freshsim.cli import SampledValues, _set_path, main
 from freshsim.core import SimInternalError
 from freshsim.engine import Simulator
+from freshsim.policies import effective_objects
 from freshsim.metrics import (
     CSV_HEADER,
     MetricsAggregator,
@@ -337,6 +338,27 @@ def test_cli_check_uses_the_rescaled_objects(tmp_path, capsys):
     assert main(["check", path]) == 0
     out = capsys.readouterr().out
     assert "txn t1 object o1: vi=8 retrieval=3 analysis=3 [ok]" in out
+
+
+def test_cli_run_rescales_a_tiny_weight_beside_a_float_elasticity(tmp_path, capsys):
+    # o1's default elasticity 1 / (period * 5e-324) is an exact fraction near
+    # 1e323, past float range; o2's elasticity 0.3 is read as 3/10, so the
+    # sums stay exact: o1 clamps at the default cap 2**20 and o2 sheds the
+    # rest, 1/2 - 2**-20 left of its 1/2, so its period becomes 3
+    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
+    doc["objects"] = [
+        {"id": "o1", "vi": 4, "period": 2, "cost": 1, "access_weight": 5e-324,
+         "policy": {"kind": "elastic", "target_utilization": 0.5}},
+        {"id": "o2", "vi": 4, "period": 2, "cost": 1,
+         "policy": {"kind": "elastic", "target_utilization": 0.5, "elasticity": 0.3}},
+    ]
+    path = write_config(tmp_path, doc)
+    assert main(["run", path]) == 0
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert "txn t1 object o1: vi=2097152 retrieval=2 analysis=4 [ok]" in out
+    cfg = config_from_dict(doc)
+    assert effective_objects(cfg.objects, cfg.policies)["o2"].update_period == 3
 
 
 def test_cli_check_reports_validation_errors(tmp_path, capsys):

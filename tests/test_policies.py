@@ -169,14 +169,17 @@ _TARGETS = st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 1.0]),
 
 
 def _rescale_with(module, fleet, target):
-    """(periods, None), or (None, the error), from the `elastic_rescale` and
-    `default_elasticity` of `module`. Errors other than PolicyInfeasibleError
+    """(periods, None), or (None, the error), from the `elastic_rescale`,
+    `default_elasticity` and `as_fraction` of `module`. An explicit
+    elasticity is passed as the exact fraction of its decimal, as
+    `effective_objects` passes it. Errors other than PolicyInfeasibleError
     count too: both sides must fail alike."""
     objects = [obj(f"o{i}", period=period, cost=cost, weight=weight,
                    max_period=max_period)
                for i, (period, cost, weight, max_period, _) in enumerate(fleet)]
     try:
-        elasticity = {o.id: module.default_elasticity(o) if e is None else e
+        elasticity = {o.id: module.default_elasticity(o) if e is None
+                      else module.as_fraction(e)
                       for o, (*_, e) in zip(objects, fleet)}
         return module.elastic_rescale(objects, target, elasticity), None
     except (PolicyInfeasibleError, ArithmeticError) as e:
@@ -189,12 +192,16 @@ _CLAMPS_ONCE = [(2, 1, 1.0, 2, None), (4, 1, 1.0, None, None), (4, 1, 1.0, 100, 
 # at target 0.75: o0 clamps on the first pass, o1 (a float elasticity) and
 # o2 (a weight of 1.7) on the second, and the third has no object left
 _OUT_OF_REACH = [(2, 1, 1.0, 2, None), (4, 1, 1.0, 8, 0.5), (4, 1, 1.7, 5, None)]
+# at target 0.1 the one object sheds 9/10 of utilization 1: period 10, which
+# needs exact sums, since in floats the share shed comes out above 9/10 (11)
+_SHEDS_NINE_TENTHS = [(1, 1, 1.0, None, 0.5)]
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(fleet=st.lists(_FLEET_OBJECT, min_size=1, max_size=8), target=_TARGETS)
 @example(fleet=_CLAMPS_ONCE, target=0.8)
 @example(fleet=_OUT_OF_REACH, target=0.75)
+@example(fleet=_SHEDS_NINE_TENTHS, target=0.1)
 def test_elastic_rescale_matches_the_reference(fleet, target):
     assert _rescale_with(freshsim_policies, fleet, target) == _rescale_with(
         elastic_reference, fleet, target)
@@ -206,6 +213,62 @@ def test_elastic_reference_examples_clamp_and_fail():
     assert _rescale_with(elastic_reference, _OUT_OF_REACH, 0.75) == (
         None, "PolicyInfeasibleError: policy.elastic: target utilization 3/4 "
               "unreachable even at maximal periods (residual over target: 0.075)")
+    assert _rescale_with(elastic_reference, _SHEDS_NINE_TENTHS, 0.1) == ({"o0": 10}, None)
+
+
+# (period, cost, max_period, elasticity) per object: small caps make objects
+# clamp, some of them over several passes
+_PROPERTY_OBJECT = st.integers(1, 30).flatmap(lambda period: st.tuples(
+    st.just(period),
+    st.integers(0, period),
+    st.one_of(st.none(), st.integers(period, 3 * period),
+              st.integers(period, 200 * period)),
+    st.integers(0, 9).flatmap(lambda k: st.just(Fraction(0)) if k == 0 else
+                              st.fractions(Fraction(1, 12), 5, max_denominator=12))))
+# at target 3/5, o0 (cap 3) clamps on the first pass and o1 (cap 6) on the
+# second, and o2 takes the 1/10 left: periods 3, 6 and 10
+_CLAMPS_TWICE = [(2, 1, 3, Fraction(1)), (2, 1, 6, Fraction(1)),
+                 (2, 1, None, Fraction(1))]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(fleet=st.lists(_PROPERTY_OBJECT, min_size=1, max_size=60),
+       target=st.fractions(Fraction(1, 100), 1, max_denominator=100))
+@example(fleet=_CLAMPS_TWICE, target=Fraction(3, 5))
+def test_elastic_rescale_meets_the_target_within_the_caps(fleet, target):
+    objects = [obj(f"o{i}", period=period, cost=cost, max_period=max_period)
+               for i, (period, cost, max_period, _) in enumerate(fleet)]
+    elasticity = {o.id: e for o, (*_, e) in zip(objects, fleet)}
+    active = {o.id for o in objects if elasticity[o.id] > 0 and o.update_cost > 0}
+    before = sum(Fraction(o.update_cost, o.update_period) for o in objects)
+    # the least utilization the rescale can reach: every active object at
+    # its cap, every other one at its declared period
+    least = before - sum(Fraction(o.update_cost, o.update_period)
+                         - Fraction(o.update_cost, o.max_period or 2 ** 20)
+                         for o in objects if o.id in active)
+    try:
+        periods = elastic_rescale(objects, target, elasticity)
+    except PolicyInfeasibleError:
+        assert least > target
+        return
+    assert least <= target
+    assert sum(Fraction(o.update_cost, periods[o.id]) for o in objects) <= target
+    for o in objects:
+        assert periods[o.id] >= o.update_period
+        if o.id in active:
+            assert periods[o.id] <= (o.max_period or 2 ** 20)
+        else:
+            assert periods[o.id] == o.update_period
+    if before <= target:
+        assert periods == {o.id: o.update_period for o in objects}
+
+
+def test_elastic_rescale_clamps_over_several_passes():
+    objects = [obj(f"o{i}", period=period, cost=cost, max_period=max_period)
+               for i, (period, cost, max_period, _) in enumerate(_CLAMPS_TWICE)]
+    elasticity = {o.id: e for o, (*_, e) in zip(objects, _CLAMPS_TWICE)}
+    assert elastic_rescale(objects, Fraction(3, 5), elasticity) == {
+        "o0": 3, "o1": 6, "o2": 10}
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

@@ -11,16 +11,23 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freshsim.workload
 from freshsim.core import Arrival, ConfigError, ObjectSpec, UserTxnSpec
 from freshsim.workload import (
+    BOOL,
+    INT,
+    NUM,
+    STR,
     ConstantProcess,
     RandomWalkProcess,
     SimConfig,
     SinusoidProcess,
     ValueSampler,
     _normal_dist_inv_cdf,
+    config_from_dict,
     config_to_dict,
     emit_config,
     expand_arrivals,
@@ -323,6 +330,70 @@ def test_each_declared_bound_is_enforced(mutate, path):
     d["objects"][0]["max_period"] = 20
     mutate(d)
     assert path in errors_of(d)
+
+
+# a value of an exact class skips the check, so every such value must pass it
+_EXACT_VALUES = {int: st.one_of(st.integers(), st.sampled_from([10 ** 400, -10 ** 400])),
+                 str: st.text(), bool: st.booleans()}
+
+
+@pytest.mark.parametrize("scalar", [INT, NUM, STR, BOOL],
+                         ids=["INT", "NUM", "STR", "BOOL"])
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_every_value_of_an_exact_class_passes_the_check(scalar, data):
+    assert scalar.exact
+    for cls in scalar.exact:
+        assert scalar.check(data.draw(_EXACT_VALUES[cls]))
+
+
+def _set_process_field(d, key, value):
+    d["objects"][0]["process"] = {"kind": "randomwalk", "start": 0.0,
+                                  "step_sigma": 0.5, key: value}
+
+
+def _set_vi(d, value):
+    d["objects"][0]["vi"] = value
+
+
+def _set_weight(d, value):
+    d["objects"][0]["access_weight"] = value
+
+
+def _errors_after(setter, value) -> list[tuple[str, str]]:
+    d = doc()
+    setter(d, value)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    return err.value.errors
+
+
+@pytest.mark.parametrize("setter,path,message", [
+    (_set_vi, "objects[0].vi", "must be an integer"),
+    (_set_weight, "objects[0].access_weight", "must be a number"),
+    (lambda d, v: _set_process_field(d, "step_sigma", v),
+     "objects[0].process.step_sigma", "must be a number"),
+])
+def test_a_bool_is_not_a_number(setter, path, message):
+    assert (path, message) in _errors_after(setter, True)
+
+
+_TOO_BIG = "magnitude exceeds the largest float (1.798e+308)"
+
+
+@pytest.mark.parametrize("setter,path,value,message", [
+    (_set_weight, "objects[0].access_weight", math.nan, "must be a number"),
+    (lambda d, v: _set_process_field(d, "start", v),
+     "objects[0].process.start", math.inf, "must be a number"),
+    (lambda d, v: _set_process_field(d, "step_sigma", v),
+     "objects[0].process.step_sigma", -math.inf, "must be a number"),
+    (_set_vi, "objects[0].vi", 10 ** 400, _TOO_BIG),
+    (_set_weight, "objects[0].access_weight", 10 ** 400, _TOO_BIG),
+    (lambda d, v: _set_process_field(d, "step_sigma", v),
+     "objects[0].process.step_sigma", 10 ** 400, _TOO_BIG),
+])
+def test_a_non_finite_or_huge_number_gives_one_error(setter, path, value, message):
+    assert _errors_after(setter, value) == [(path, message)]
 
 
 def test_syntax_error_reports_location():
