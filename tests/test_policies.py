@@ -15,6 +15,7 @@ from freshsim.core import (
     UserTxnSpec,
 )
 from freshsim.policies import (
+    DEFAULT_MAX_PERIOD,
     ElasticPolicy,
     MKFirmPolicy,
     MKHistory,
@@ -231,20 +232,25 @@ _CLAMPS_TWICE = [(2, 1, 3, Fraction(1)), (2, 1, 6, Fraction(1)),
                  (2, 1, None, Fraction(1))]
 
 
+def _exact_fleet(fleet):
+    """The objects of such a fleet and their elasticities, by id."""
+    objects = [obj(f"o{i}", period=period, cost=cost, max_period=max_period)
+               for i, (period, cost, max_period, _) in enumerate(fleet)]
+    return objects, {o.id: e for o, (*_, e) in zip(objects, fleet)}
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(fleet=st.lists(_PROPERTY_OBJECT, min_size=1, max_size=60),
        target=st.fractions(Fraction(1, 100), 1, max_denominator=100))
 @example(fleet=_CLAMPS_TWICE, target=Fraction(3, 5))
 def test_elastic_rescale_meets_the_target_within_the_caps(fleet, target):
-    objects = [obj(f"o{i}", period=period, cost=cost, max_period=max_period)
-               for i, (period, cost, max_period, _) in enumerate(fleet)]
-    elasticity = {o.id: e for o, (*_, e) in zip(objects, fleet)}
+    objects, elasticity = _exact_fleet(fleet)
     active = {o.id for o in objects if elasticity[o.id] > 0 and o.update_cost > 0}
     before = sum(Fraction(o.update_cost, o.update_period) for o in objects)
     # the least utilization the rescale can reach: every active object at
     # its cap, every other one at its declared period
     least = before - sum(Fraction(o.update_cost, o.update_period)
-                         - Fraction(o.update_cost, o.max_period or 2 ** 20)
+                         - Fraction(o.update_cost, o.max_period or DEFAULT_MAX_PERIOD)
                          for o in objects if o.id in active)
     try:
         periods = elastic_rescale(objects, target, elasticity)
@@ -256,7 +262,7 @@ def test_elastic_rescale_meets_the_target_within_the_caps(fleet, target):
     for o in objects:
         assert periods[o.id] >= o.update_period
         if o.id in active:
-            assert periods[o.id] <= (o.max_period or 2 ** 20)
+            assert periods[o.id] <= (o.max_period or DEFAULT_MAX_PERIOD)
         else:
             assert periods[o.id] == o.update_period
     if before <= target:
@@ -264,9 +270,7 @@ def test_elastic_rescale_meets_the_target_within_the_caps(fleet, target):
 
 
 def test_elastic_rescale_clamps_over_several_passes():
-    objects = [obj(f"o{i}", period=period, cost=cost, max_period=max_period)
-               for i, (period, cost, max_period, _) in enumerate(_CLAMPS_TWICE)]
-    elasticity = {o.id: e for o, (*_, e) in zip(objects, _CLAMPS_TWICE)}
+    objects, elasticity = _exact_fleet(_CLAMPS_TWICE)
     assert elastic_rescale(objects, Fraction(3, 5), elasticity) == {
         "o0": 3, "o1": 6, "o2": 10}
 

@@ -347,53 +347,42 @@ def test_every_value_of_an_exact_class_passes_the_check(scalar, data):
         assert scalar.check(data.draw(_EXACT_VALUES[cls]))
 
 
-def _set_process_field(d, key, value):
-    d["objects"][0]["process"] = {"kind": "randomwalk", "start": 0.0,
-                                  "step_sigma": 0.5, key: value}
-
-
-def _set_vi(d, value):
-    d["objects"][0]["vi"] = value
-
-
-def _set_weight(d, value):
-    d["objects"][0]["access_weight"] = value
-
-
-def _errors_after(setter, value) -> list[tuple[str, str]]:
+def _errors_with(keys: tuple, value) -> list[tuple[str, str]]:
+    """The errors of MINIMAL, given a random-walk process, with the field at
+    `keys` below its object set to `value`."""
     d = doc()
-    setter(d, value)
+    node = d["objects"][0]
+    node["process"] = {"kind": "randomwalk", "start": 0.0, "step_sigma": 0.5}
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
     with pytest.raises(ConfigError) as err:
         config_from_dict(d)
     return err.value.errors
 
 
-@pytest.mark.parametrize("setter,path,message", [
-    (_set_vi, "objects[0].vi", "must be an integer"),
-    (_set_weight, "objects[0].access_weight", "must be a number"),
-    (lambda d, v: _set_process_field(d, "step_sigma", v),
-     "objects[0].process.step_sigma", "must be a number"),
+@pytest.mark.parametrize("keys,message", [
+    (("vi",), "must be an integer"),
+    (("access_weight",), "must be a number"),
+    (("process", "step_sigma"), "must be a number"),
 ])
-def test_a_bool_is_not_a_number(setter, path, message):
-    assert (path, message) in _errors_after(setter, True)
+def test_a_bool_is_not_a_number(keys, message):
+    assert ("objects[0]." + ".".join(keys), message) in _errors_with(keys, True)
 
 
 _TOO_BIG = "magnitude exceeds the largest float (1.798e+308)"
 
 
-@pytest.mark.parametrize("setter,path,value,message", [
-    (_set_weight, "objects[0].access_weight", math.nan, "must be a number"),
-    (lambda d, v: _set_process_field(d, "start", v),
-     "objects[0].process.start", math.inf, "must be a number"),
-    (lambda d, v: _set_process_field(d, "step_sigma", v),
-     "objects[0].process.step_sigma", -math.inf, "must be a number"),
-    (_set_vi, "objects[0].vi", 10 ** 400, _TOO_BIG),
-    (_set_weight, "objects[0].access_weight", 10 ** 400, _TOO_BIG),
-    (lambda d, v: _set_process_field(d, "step_sigma", v),
-     "objects[0].process.step_sigma", 10 ** 400, _TOO_BIG),
+@pytest.mark.parametrize("keys,value,message", [
+    (("access_weight",), math.nan, "must be a number"),
+    (("process", "start"), math.inf, "must be a number"),
+    (("process", "step_sigma"), -math.inf, "must be a number"),
+    (("vi",), 10 ** 400, _TOO_BIG),
+    (("access_weight",), 10 ** 400, _TOO_BIG),
+    (("process", "step_sigma"), 10 ** 400, _TOO_BIG),
 ])
-def test_a_non_finite_or_huge_number_gives_one_error(setter, path, value, message):
-    assert _errors_after(setter, value) == [(path, message)]
+def test_a_non_finite_or_huge_number_gives_one_error(keys, value, message):
+    assert _errors_with(keys, value) == [("objects[0]." + ".".join(keys), message)]
 
 
 def test_syntax_error_reports_location():
