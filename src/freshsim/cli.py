@@ -56,13 +56,13 @@ def _policy_string(cfg: SimConfig) -> str:
 
 
 def _run_once(doc: dict, sink):
-    """Run the config `doc`, passing each trace record to `sink`."""
+    """Run the config `doc`, handing its trace records to `sink` in batches."""
     cfg = config_from_dict(doc)
     result = Simulator(cfg, sink=sink).run()
     return cfg, result
 
 
-def _drop(record: tuple) -> None:
+def _drop(records: list[tuple]) -> None:
     """Trace sink for commands that read only the report."""
 
 
@@ -210,19 +210,20 @@ class SampledValues(dict):
 
     variant = None
 
-    def __call__(self, rec: tuple) -> None:
-        t, kind, subject, detail = rec
-        if kind == "update_decision":
-            key, value = (subject, t), detail["sampled"]
-        elif kind == "access" and detail["via"] == "source":
-            key, value = (detail["object"], t), detail["value"]
-        else:
-            return
-        kept = self.setdefault(key, value)
-        if kept != value:
-            raise ConfigError(
-                [("compare", f"value trajectories diverged at {key}: "
-                             f"{kept} vs {value} under {self.variant}")])
+    def __call__(self, records: list[tuple]) -> None:
+        setdefault = self.setdefault
+        for t, kind, subject, detail in records:
+            if kind == "update_decision":
+                key, value = (subject, t), detail["sampled"]
+            elif kind == "access" and detail["via"] == "source":
+                key, value = (detail["object"], t), detail["value"]
+            else:
+                continue
+            kept = setdefault(key, value)
+            if kept != value:
+                raise ConfigError(
+                    [("compare", f"value trajectories diverged at {key}: "
+                                 f"{kept} vs {value} under {self.variant}")])
 
 
 def cmd_compare(args) -> int:

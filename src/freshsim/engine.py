@@ -112,15 +112,23 @@ class RunResult:
     trace: list[tuple]  # empty when the run was given a sink
 
 
+# a run hands its records over once a tick leaves at least this many pending
+_BATCH_RECORDS = 256
+
+
 class Simulator:
     """One simulation run. Build, call run() once, read the result.
 
-    Each trace record is a `(t, kind, subject, detail)` tuple. It goes to
-    `sink` (a callable taking the record), then to the metrics aggregator.
-    Without a sink the records are kept in `self.trace` and returned as
-    `RunResult.trace`. A sink must not change the record."""
+    Each trace record is a `(t, kind, subject, detail)` tuple. The records
+    are handed over in batches: a list of records in order, first to `sink`
+    (a callable taking the list), then to the metrics aggregator. A batch
+    ends at a tick boundary once it holds _BATCH_RECORDS records, and the
+    last one before the report is built. Without a sink the records are kept
+    in `self.trace` and returned as `RunResult.trace`. A sink may keep the
+    list, but must not change it."""
 
-    def __init__(self, config: SimConfig, sink: Callable[[tuple], None] | None = None):
+    def __init__(self, config: SimConfig,
+                 sink: Callable[[list[tuple]], None] | None = None):
         errors = validate_config(config)
         if errors:
             raise ConfigError(errors)
@@ -128,7 +136,8 @@ class Simulator:
         self.horizon = config.horizon
         self.mode = config.mode
         self.trace: list[tuple] = []
-        self._sink = self.trace.append if sink is None else sink
+        self._sink = self.trace.extend if sink is None else sink
+        self._batch: list[tuple] = []  # records not yet handed over
         self.metrics = MetricsAggregator()
         self.eff_objects = effective_objects(config.objects, config.policies)
 
@@ -151,9 +160,13 @@ class Simulator:
     # -- trace -------------------------------------------------------------
 
     def emit(self, t: Tick, kind: str, subject: str, detail: dict) -> None:
-        record = (t, kind, subject, detail)
-        self._sink(record)
-        self.metrics.record(record)
+        self._batch.append((t, kind, subject, detail))
+
+    def _flush(self) -> None:
+        """Hand the pending records to the sink, then to the aggregator."""
+        batch, self._batch = self._batch, []
+        self._sink(batch)
+        self.metrics.record(batch)
 
     def _sweep(self, t: Tick) -> None:
         """Garbage-collect the store and record what it reclaimed."""
@@ -199,7 +212,10 @@ class Simulator:
                 nxt = peek_time()
             # events that dispatch queues at t run on the next pass
             self._dispatch(t)
+            if len(self._batch) >= _BATCH_RECORDS:
+                self._flush()
             nxt = peek_time()
+        self._flush()
         return RunResult(report=self.metrics.finalize(), trace=self.trace)
 
     # -- transaction lifecycle ----------------------------------------------

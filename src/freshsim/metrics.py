@@ -11,8 +11,9 @@ fingerprint: identical configs and seeds must produce identical hashes.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .core import SimInternalError, Tick
@@ -96,7 +97,9 @@ class MetricsReport:
 
 
 class MetricsAggregator:
-    """Consumes trace records in time order; finalize() is idempotent.
+    """Consumes trace records in time order, one batch (a list of records)
+    per `record` call; finalize() is idempotent. A run's records give the
+    same report however they are split into batches.
 
     An object's live versions are +1 per `install` and -`reclaimed` per `gc`.
     An install is followed by its holders' restarts and the sweeps, so its
@@ -126,17 +129,48 @@ class MetricsAggregator:
             stats = self.per_object[name] = ObjectStats()
         return stats
 
-    def record(self, rec: tuple) -> None:
-        t, kind, subject, detail = rec
-        if t < self._last_t:
-            raise SimInternalError(
-                f"trace record out of order: {t} after {self._last_t}")
-        self._last_t = t
-        if self._pending is not None and kind != "restart" and kind != "gc":
-            self._peak()
-        on_kind = _ON_KIND.get(kind)
-        if on_kind is not None:
-            on_kind(self, subject, detail)
+    def record(self, records: list[tuple]) -> None:
+        """Merge `records`, the run's next records in order. The kinds most
+        records have are handled here; the others through _ON_KIND."""
+        last_t = self._last_t
+        pending = self._pending
+        live = self._live
+        per_object = self.per_object
+        try:
+            for t, kind, subject, detail in records:
+                if t < last_t:
+                    raise SimInternalError(
+                        f"trace record out of order: {t} after {last_t}")
+                last_t = t
+                if kind == "gc":
+                    live[subject] -= detail["reclaimed"]
+                    continue
+                if pending is not None and kind != "restart":
+                    self._peak(pending)
+                    pending = None
+                if kind == "install":
+                    live[subject] = live.get(subject, 0) + 1
+                    pending = subject
+                elif kind == "update_decision":
+                    obj = per_object.get(subject)
+                    if obj is None:
+                        obj = self._obj(subject)
+                    if detail["decision"] in ("perform", "transmit"):
+                        obj.updates_performed += 1
+                    else:
+                        obj.updates_skipped += 1
+                    # sink_value is left out of the record when it equals sampled
+                    if "sink_value" in detail:
+                        error = abs(detail["sampled"] - detail["sink_value"])
+                        if error > obj.max_sink_error:
+                            obj.max_sink_error = error
+                else:
+                    on_kind = _ON_KIND.get(kind)
+                    if on_kind is not None:
+                        on_kind(self, subject, detail)
+        finally:
+            self._last_t = last_t
+            self._pending = pending
 
     def _on_released(self, subject: str, detail: dict) -> None:
         cls = self._class_of[subject] = self._cls(detail["class"])
@@ -167,33 +201,14 @@ class MetricsAggregator:
     def _on_miss(self, subject: str, detail: dict) -> None:
         self._class_of.pop(subject).missed += 1
 
-    def _on_update_decision(self, subject: str, detail: dict) -> None:
-        obj = self._obj(subject)
-        if detail["decision"] in ("perform", "transmit"):
-            obj.updates_performed += 1
-        else:
-            obj.updates_skipped += 1
-        # sink_value is left out of the record when it equals sampled
-        if "sink_value" in detail:
-            error = abs(detail["sampled"] - detail["sink_value"])
-            if error > obj.max_sink_error:
-                obj.max_sink_error = error
-
-    def _on_install(self, subject: str, detail: dict) -> None:
-        self._live[subject] = self._live.get(subject, 0) + 1
-        self._pending = subject
-
-    def _on_gc(self, subject: str, detail: dict) -> None:
-        self._live[subject] -= detail["reclaimed"]
-
-    def _peak(self) -> None:
-        obj = self._obj(self._pending)
-        obj.peak_live_versions = max(obj.peak_live_versions, self._live[self._pending])
-        self._pending = None
+    def _peak(self, object_id: str) -> None:
+        obj = self._obj(object_id)
+        obj.peak_live_versions = max(obj.peak_live_versions, self._live[object_id])
 
     def finalize(self) -> MetricsReport:
         if self._pending is not None:
-            self._peak()
+            self._peak(self._pending)
+            self._pending = None
         # the run-wide totals: each count is the sum over classes
         classes = self.per_class.values()
         overall = TxnClassStats(**{f.name: sum(getattr(c, f.name) for c in classes)
@@ -207,7 +222,8 @@ class MetricsAggregator:
         )
 
 
-# record handlers of the aggregator, by record kind
+# record handlers of the aggregator, by record kind; `record` itself handles
+# `gc`, `install` and `update_decision`
 _ON_KIND = {
     "txn_released": MetricsAggregator._on_released,
     "txn_rejected": MetricsAggregator._on_rejected,
@@ -215,9 +231,6 @@ _ON_KIND = {
     "restart": MetricsAggregator._on_restart,
     "commit": MetricsAggregator._on_commit,
     "miss": MetricsAggregator._on_miss,
-    "update_decision": MetricsAggregator._on_update_decision,
-    "install": MetricsAggregator._on_install,
-    "gc": MetricsAggregator._on_gc,
 }
 
 
@@ -230,7 +243,11 @@ _MASK64 = (1 << 64) - 1
 
 if c_make_encoder is None:
     # no `_json` accelerator: the pure-Python encoder of json.dumps
-    _encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+    def _encode_records(records: Iterable[tuple]) -> Iterator[str]:
+        """The canonical line of each record, in order, as it is drawn."""
+        return map(_encode, records)
 else:
     # JSONEncoder(sort_keys=True, separators=(",", ":")).encode builds this C
     # encoder anew for every record; built once here with the same arguments,
@@ -239,8 +256,10 @@ else:
         None, json.JSONEncoder().default, encode_basestring_ascii, None,
         ":", ",", True, False, True)
 
-    def _encode_record(record: tuple) -> str:
-        return "".join(_c_encoder(record, 0))
+    def _encode_records(records: Iterable[tuple]) -> Iterator[str]:
+        """The canonical line of each record, in order, as it is drawn; no
+        Python frame runs per record."""
+        return map("".join, map(_c_encoder, records, repeat(0)))
 
 
 # lines per block of trace bytes: bounds the bytes held at once while hashing
@@ -285,7 +304,7 @@ def trace_blocks(trace: list[tuple] | TraceLines) -> Iterator[bytes]:
             yield _block(trace.lines)
         return
     for start in range(0, len(trace), _BLOCK_LINES):
-        yield _block(map(_encode_record, trace[start:start + _BLOCK_LINES]))
+        yield _block(_encode_records(trace[start:start + _BLOCK_LINES]))
 
 
 def trace_hash(trace: list[tuple] | TraceLines) -> str:
@@ -299,20 +318,24 @@ def trace_hash(trace: list[tuple] | TraceLines) -> str:
 class TraceLines:
     """Trace sink (see `Simulator`) that keeps the bytes `emit_trace` writes.
 
-    Each record's canonical line is encoded as it arrives and waits in
-    `lines`; every _BLOCK_LINES lines are joined into one block of bytes in
-    `blocks`, which holds the trace in about half the memory of its lines."""
+    Each batch of records is encoded as it arrives, one canonical line per
+    record, and the lines wait in `lines`; every _BLOCK_LINES lines are
+    joined into one block of bytes in `blocks`, which holds the trace in
+    about half the memory of its lines. The blocks do not depend on how the
+    records were split into batches."""
 
     def __init__(self):
         self.blocks: list[bytes] = []
         self.lines: list[str] = []
 
-    def __call__(self, record: tuple) -> None:
+    def __call__(self, records: list[tuple]) -> None:
         lines = self.lines
-        lines.append(_encode_record(record))
-        if len(lines) == _BLOCK_LINES:
-            self.blocks.append(_block(lines))
-            lines.clear()
+        lines += _encode_records(records)
+        full = len(lines) - len(lines) % _BLOCK_LINES
+        if full:
+            self.blocks += [_block(lines[start:start + _BLOCK_LINES])
+                            for start in range(0, full, _BLOCK_LINES)]
+            del lines[:full]
 
 
 # ---------------------------------------------------------------------------

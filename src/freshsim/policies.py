@@ -193,7 +193,7 @@ def default_elasticity(obj: ObjectSpec) -> Fraction:
     """Cold objects (updated often relative to how often they are read)
     stretch the most: elasticity defaults to 1 / (period * access_weight)."""
     w = as_fraction(obj.access_weight) if obj.access_weight > 0 else Fraction(1)
-    return Fraction(1, obj.update_period) / w
+    return Fraction(w.denominator, obj.update_period * w.numerator)
 
 
 def elastic_rescale(objects: list[ObjectSpec], target_utilization,

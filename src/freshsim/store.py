@@ -35,8 +35,8 @@ class VersionStore:
         self.mode = mode
         self.vis = dict(vis)
         self.chains: dict[str, list[Version]] = {oid: [] for oid in vis}
-        # chains that may hold a superseded unpinned version; gc visits only
-        # these, in declaration order
+        # chains that hold a superseded unpinned version: gc visits only
+        # these, in declaration order, and each loses at least one version
         self._order = {oid: i for i, oid in enumerate(vis)}
         self._dirty: set[str] = set()
 
@@ -69,8 +69,9 @@ class VersionStore:
                              sample_time=sample_time,
                              seq=prev.seq + 1 if prev else 1))
         if prev is not None:
-            self._dirty.add(object_id)
-            if self.mode is FreshnessMode.CLASSICAL and prev.holders:
+            if not prev.holders:
+                self._dirty.add(object_id)
+            elif self.mode is FreshnessMode.CLASSICAL:
                 return prev
         return None
 
@@ -103,32 +104,31 @@ class VersionStore:
     def unpin(self, version: Version, holder) -> None:
         """Drop `holder`'s pin on `version`. A pinned version is still in
         its chain, since `gc` keeps every pinned version."""
-        if holder not in version.holders:
+        holders = version.holders
+        if holder not in holders:
             raise SimInternalError(f"unpin of {version.object_id!r}#{version.seq} "
                                    f"by non-holder {holder!r}")
-        version.holders.remove(holder)
-        self._dirty.add(version.object_id)
+        holders.remove(holder)
+        if not holders and self.chains[version.object_id][-1] is not version:
+            # the last pin on a superseded version: it is now reclaimable
+            self._dirty.add(version.object_id)
 
     def gc(self) -> list[tuple[str, int]]:
         """Reclaim every version that is superseded and unpinned; returns
         (object id, count removed) per chain that lost any, in declaration
         order. Pinned versions are never touched.
 
-        Only a chain that was installed onto or unpinned since the last sweep
-        can hold such a version, so only those chains are visited."""
-        if not self._dirty:
-            return []
-        dirty = sorted(self._dirty, key=self._order.__getitem__)
-        self._dirty.clear()
+        A version becomes reclaimable only when an install supersedes it
+        unpinned or `unpin` frees it superseded; each marks its chain, so
+        only those chains are visited."""
+        dirty = self._dirty
+        visit = sorted(dirty, key=self._order.__getitem__) if len(dirty) > 1 else dirty
         reclaimed = []
-        for object_id in dirty:
+        for object_id in visit:
             chain = self.chains[object_id]
-            if len(chain) <= 1:
-                continue
             keep = [v for v in chain[:-1] if v.holders]
-            removed = len(chain) - 1 - len(keep)
-            if removed:
-                keep.append(chain[-1])
-                self.chains[object_id] = keep
-                reclaimed.append((object_id, removed))
+            keep.append(chain[-1])
+            self.chains[object_id] = keep
+            reclaimed.append((object_id, len(chain) - len(keep)))
+        dirty.clear()
         return reclaimed

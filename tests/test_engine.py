@@ -1,15 +1,23 @@
 import gc
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from freshsim.core import Arrival, ConfigError, FreshnessMode, ObjectSpec, UserTxnSpec
-from freshsim.engine import Simulator, TxnInstance
+from freshsim.engine import _BATCH_RECORDS, Simulator, TxnInstance
 from freshsim.metrics import trace_hash
 from freshsim.policies import ElasticPolicy, OnDemandPolicy, PeriodicPolicy
-from freshsim.workload import ConstantProcess, SimConfig
+from freshsim.workload import ConstantProcess, SimConfig, config_from_dict
 
 from support import one_object_config, run_config, run_outcomes
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
+
+import gen  # noqa: E402
 
 
 def test_empty_workload_is_vacuous():
@@ -21,6 +29,18 @@ def test_empty_workload_is_vacuous():
     assert result.trace == []
     assert result.report.overall.released == 0
     assert result.report.overall.miss_ratio == 0.0
+
+
+def test_sink_batches_are_the_trace_cut_at_tick_boundaries():
+    cfg = config_from_dict(gen.generate("restart_cycle", 1))
+    batches = []
+    Simulator(cfg, sink=batches.append).run()
+    trace = Simulator(cfg).run().trace
+    assert [record for batch in batches for record in batch] == trace
+    assert len(batches) > 10
+    for batch, following in zip(batches, batches[1:]):
+        assert len(batch) >= _BATCH_RECORDS
+        assert batch[-1][0] < following[0][0]
 
 
 def test_simulator_rejects_an_invalid_config_with_every_violation():
@@ -333,7 +353,7 @@ def test_run_keeps_no_finished_instance():
     sim = Simulator(SimConfig(horizon=2000, mode=FreshnessMode.CLASSICAL,
                               enforce_admission=False, seed=1, objects=[obj],
                               policies={"o1": PeriodicPolicy()}, transactions=specs),
-                    sink=lambda record: None)
+                    sink=lambda records: None)
     overall = sim.run().report.overall
     assert overall.released >= 1000 and overall.committed and overall.missed
     gc.collect()

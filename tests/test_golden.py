@@ -104,8 +104,7 @@ def fingerprint(cfg) -> dict:
     assert trace_hash(Simulator(cfg).run().trace) == first
     rows = emit_csv_rows(result.report, cfg.name, cfg.mode.value, "golden")
     replay = MetricsAggregator()
-    for record in result.trace:
-        replay.record(record)
+    replay.record(result.trace)
     report = replay.finalize()
     assert report.per_class == result.report.per_class
     assert report.per_object == result.report.per_object

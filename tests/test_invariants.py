@@ -39,7 +39,7 @@ class CheckedSimulator(Simulator):
     """A Simulator that checks every invariant after each `_dispatch`."""
 
     def __init__(self, config):
-        super().__init__(config, sink=lambda record: None)
+        super().__init__(config, sink=lambda records: None)
         self.unfinished = {}  # instance id -> instance, pruned at each check
         self.checks = 0
         # object id -> its longest chain right after an install's sweep
@@ -62,6 +62,8 @@ class CheckedSimulator(Simulator):
         super()._wake_waiters(object_id)
 
     def check(self, t):
+        # the aggregator reads the records handed over so far: all of them
+        self._flush()
         self.checks += 1
         where = f"at t={t}"
         self.unfinished = {i: inst for i, inst in self.unfinished.items()

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import random
 import re
 import sys
 from pathlib import Path
@@ -10,15 +11,16 @@ import pytest
 import freshsim.cli
 import freshsim.metrics
 from freshsim.cli import SampledValues, _set_path, main
-from freshsim.core import SimInternalError
+from freshsim.core import ConfigError, FreshnessMode, SimInternalError
 from freshsim.engine import Simulator
 from freshsim.policies import effective_objects
 from freshsim.metrics import (
     CSV_HEADER,
     MetricsAggregator,
     TraceLines,
-    _encode_record,
+    _encode_records,
     emit_csv,
+    emit_csv_rows,
     emit_trace,
     fnv1a64,
     trace_blocks,
@@ -26,6 +28,7 @@ from freshsim.metrics import (
 )
 from freshsim.workload import config_from_dict
 
+from randgen import random_config
 from support import one_object_config, run_config
 
 
@@ -63,15 +66,14 @@ def write_config(tmp_path: Path, doc, name="config.json") -> str:
 # -- aggregation ---------------------------------------------------------------
 
 def released(agg, n, cls="t1"):
-    for i in range(n):
-        agg.record((0, "txn_released", f"{cls}#{i}", {"class": cls, "deadline": 10}))
+    agg.record([(0, "txn_released", f"{cls}#{i}", {"class": cls, "deadline": 10})
+                for i in range(n)])
 
 
 def test_miss_ratio():
     agg = MetricsAggregator()
     released(agg, 10)
-    for i in range(2):
-        agg.record((5, "miss", f"t1#{i}", {}))
+    agg.record([(5, "miss", f"t1#{i}", {}) for i in range(2)])
     report = agg.finalize()
     assert report.overall.miss_ratio == pytest.approx(0.2)
     assert report.overall.in_flight == 8
@@ -87,8 +89,8 @@ def test_empty_report_all_zero():
 def test_staleness_aggregation():
     agg = MetricsAggregator()
     released(agg, 1)
-    agg.record((7, "access", "t1#0",
-                {"object": "o1", "via": "store", "value": 0.0, "staleness": 4}))
+    agg.record([(7, "access", "t1#0",
+                 {"object": "o1", "via": "store", "value": 0.0, "staleness": 4})])
     report = agg.finalize()
     assert report.per_object["o1"].max_staleness == 4
     assert report.per_class["t1"].mean_staleness == pytest.approx(4.0)
@@ -97,15 +99,15 @@ def test_staleness_aggregation():
 def test_out_of_order_records_rejected():
     agg = MetricsAggregator()
     released(agg, 1)
-    agg.record((9, "miss", "t1#0", {}))
+    agg.record([(9, "miss", "t1#0", {})])
     with pytest.raises(SimInternalError):
-        agg.record((8, "miss", "t1#0", {}))
+        agg.record([(8, "miss", "t1#0", {})])
 
 
 def test_finalize_is_idempotent():
     agg = MetricsAggregator()
     released(agg, 3)
-    agg.record((4, "miss", "t1#0", {}))
+    agg.record([(4, "miss", "t1#0", {})])
     first = agg.finalize()
     second = agg.finalize()
     assert emit_csv(first) == emit_csv(second)
@@ -130,8 +132,42 @@ def test_aggregator_keeps_only_in_flight_instances():
     assert finished > 0 and 0 in left and max(left) > 0
 
 
+def random_batches(records, rng, cuts=()):
+    """`records` split into consecutive batches, some of them empty: at
+    `cuts` and at up to 40 random points."""
+    points = sorted({*cuts, *rng.choices(range(len(records) + 1), k=rng.randint(0, 40))})
+    return [records[a:b] for a, b in zip([0, *points], [*points, len(records)])]
+
+
+def test_aggregator_report_does_not_depend_on_the_batches():
+    # a cut right after an install leaves its peak sample due across the
+    # batch boundary, while the restarts and sweeps that follow it arrive
+    rng = random.Random(5)
+    cfgs = [random_config(seed) for seed in range(30)]
+    cfgs += [random_config(seed, mode=mode) for seed in (12, 19, 25)
+             for mode in FreshnessMode]
+    due = 0
+    for cfg in cfgs:
+        result = Simulator(cfg).run()
+        trace = result.trace
+        rows = emit_csv_rows(result.report, "r", "m", "p")
+        after_install = [i + 1 for i in range(len(trace) - 1)
+                         if trace[i][1] == "install"
+                         and trace[i + 1][1] in ("restart", "gc", "install")]
+        due += len(after_install)
+        for cuts in ((), after_install, rng.sample(after_install, len(after_install) // 2)):
+            agg = MetricsAggregator()
+            for batch in random_batches(trace, rng, cuts):
+                agg.record(batch)
+            report = agg.finalize()
+            assert report.per_class == result.report.per_class
+            assert report.per_object == result.report.per_object
+            assert emit_csv_rows(report, "r", "m", "p") == rows
+    assert due > 100
+
+
 def install(agg, t, seq, oid="o1"):
-    agg.record((t, "install", oid, {"seq": seq, "sample_time": t}))
+    agg.record([(t, "install", oid, {"seq": seq, "sample_time": t})])
 
 
 def test_peak_live_versions_counts_coexisting_versions():
@@ -139,13 +175,13 @@ def test_peak_live_versions_counts_coexisting_versions():
     agg = MetricsAggregator()
     install(agg, 0, 1)
     released(agg, 2)
-    for i in range(2):
-        agg.record((1, "access", f"t1#{i}",
-                    {"object": "o1", "via": "store", "value": 1.0, "staleness": 1}))
+    agg.record([(1, "access", f"t1#{i}",
+                 {"object": "o1", "via": "store", "value": 1.0, "staleness": 1})
+                for i in range(2)])
     install(agg, 10, 2)
-    agg.record((11, "commit", "t1#0", {"stale_at_commit": False, "stale_objects": []}))
-    agg.record((12, "commit", "t1#1", {"stale_at_commit": False, "stale_objects": []}))
-    agg.record((12, "gc", "o1", {"reclaimed": 1}))
+    agg.record([(11, "commit", "t1#0", {"stale_at_commit": False, "stale_objects": []})])
+    agg.record([(12, "commit", "t1#1", {"stale_at_commit": False, "stale_objects": []})])
+    agg.record([(12, "gc", "o1", {"reclaimed": 1})])
     assert agg._live == {"o1": 1}
     assert agg.finalize().per_object["o1"].peak_live_versions == 2
 
@@ -156,10 +192,10 @@ def test_peak_live_versions_waits_for_the_sweeps_after_an_install():
     install(agg, 0, 1)
     released(agg, 2)
     install(agg, 10, 2)
-    for i in range(2):
-        agg.record((10, "restart", f"t1#{i}", {"cause": "superseded", "object": "o1"}))
-    agg.record((10, "gc", "o1", {"reclaimed": 1}))
-    agg.record((11, "miss", "t1#0", {}))
+    agg.record([(10, "restart", f"t1#{i}", {"cause": "superseded", "object": "o1"})
+                for i in range(2)])
+    agg.record([(10, "gc", "o1", {"reclaimed": 1})])
+    agg.record([(11, "miss", "t1#0", {})])
     assert agg.finalize().per_object["o1"].peak_live_versions == 1
 
 
@@ -250,9 +286,9 @@ ODD_RECORDS = [
 def test_encoder_writes_the_bytes_of_json_dumps():
     sink = TraceLines()
     for record in ODD_RECORDS:
-        sink(record)
+        sink([record])
     expected = [dumps(record) for record in ODD_RECORDS]
-    assert [_encode_record(record) for record in ODD_RECORDS] == expected
+    assert list(_encode_records(ODD_RECORDS)) == expected
     assert b"".join(trace_blocks(sink)) == "".join(
         line + "\n" for line in expected).encode("utf-8")
     # the encoder of an interpreter without the `_json` accelerator
@@ -272,7 +308,7 @@ def test_encoder_without_the_c_accelerator_is_the_fallback(monkeypatch):
     monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     assert module.c_make_encoder is None
-    assert [module._encode_record(record) for record in ODD_RECORDS] == [
+    assert list(module._encode_records(ODD_RECORDS)) == [
         dumps(record) for record in ODD_RECORDS]
     assert module.trace_hash(ODD_RECORDS) == trace_hash(ODD_RECORDS)
 
@@ -282,11 +318,29 @@ def test_trace_lines_blocks_are_the_bytes_of_emit_trace(count):
     records = [(t, *ODD_RECORDS[t % len(ODD_RECORDS)][1:]) for t in range(count)]
     sink = TraceLines()
     for record in records:
-        sink(record)
+        sink([record])
     assert b"".join(trace_blocks(sink)) == emit_trace(records).encode("utf-8")
     assert trace_hash(sink) == trace_hash(records)
     assert len(sink.blocks) == count // 1024
     assert len(sink.lines) == count % 1024
+
+
+def test_trace_lines_blocks_do_not_depend_on_the_batches():
+    records = Simulator(config_from_dict(_endless_restarts(4000))).run().trace
+    assert len(records) > 3 * 1024 and len(records) % 1024
+    whole = TraceLines()
+    whole(records)
+    expected = emit_trace(records).encode("utf-8")
+    rng = random.Random(3)
+    for _ in range(8):
+        sink = TraceLines()
+        for batch in random_batches(records, rng, cuts=[1023, 1024, 2049]):
+            sink(batch)
+        assert sink.blocks == whole.blocks
+        assert [block.count(b"\n") for block in sink.blocks] == [1024] * (len(records) // 1024)
+        assert sink.lines == whole.lines and len(sink.lines) == len(records) % 1024
+        assert b"".join(trace_blocks(sink)) == expected
+        assert trace_hash(sink) == trace_hash(records)
 
 
 def test_trace_lines_keeps_bytes_and_fewer_than_a_block_of_lines():
@@ -307,7 +361,7 @@ def test_encoder_writes_the_bytes_of_json_dumps_for_every_record_kind():
         expected = [dumps(record) for record in trace]
         assert b"".join(trace_blocks(sink)) == "".join(
             line + "\n" for line in expected).encode("utf-8")
-        assert [_encode_record(record) for record in trace] == expected
+        assert list(_encode_records(trace)) == expected
         assert trace_hash(sink) == trace_hash(trace)
         kinds |= {kind for _, kind, _, _ in trace}
     assert kinds == set(_readme_trace_table())
@@ -550,6 +604,24 @@ def test_compare_sink_keeps_exactly_the_sampled_values():
     result = Simulator(config_from_dict(_walk_doc()), sink=values).run()
     assert values == expected
     assert result.trace == []
+    rng = random.Random(2)
+    for _ in range(5):
+        values = SampledValues()
+        for batch in random_batches(trace, rng):
+            values(batch)
+        assert values == expected
+
+
+def test_compare_sink_names_the_first_diverged_value_of_a_batch():
+    values = SampledValues()
+    values.variant = ("classical", "periodic")
+    values([(3, "update_decision", "o1", {"decision": "perform", "sampled": 1.5})])
+    with pytest.raises(ConfigError) as e:
+        values([(3, "access", "t1#0", {"object": "o2", "via": "store", "value": 9.0}),
+                (3, "update_decision", "o1", {"decision": "skip", "sampled": 2.5}),
+                (4, "access", "t1#0", {"object": "o1", "via": "source", "value": 7.0})])
+    assert e.value.errors == [("compare", "value trajectories diverged at ('o1', 3): "
+                                          "1.5 vs 2.5 under ('classical', 'periodic')")]
 
 
 def test_cli_compare_rejects_diverged_value_trajectories(tmp_path, capsys, monkeypatch):

@@ -26,6 +26,7 @@ from freshsim.policies import (
     SUPPRESS,
     TRANSMIT,
     as_fraction,
+    default_elasticity,
     elastic_rescale,
     extend_vi_for_period,
     mk_firm_decision,
@@ -284,6 +285,20 @@ def test_as_fraction_and_the_target_check_agree_with_the_repr(x):
     errors = []
     ElasticPolicy(target_utilization=x).validate("p", errors)
     assert bool(errors) == (not 0 < Fraction(str(x)) <= 1)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(period=st.integers(1, 2 ** 70),
+       weight=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.integers(-10, 2 ** 70),
+                        st.sampled_from([5e-324, 0.0, -0.0, -1.0, 0, 1e308])))
+@example(period=1, weight=5e-324)
+@example(period=7, weight=0.0)
+@example(period=3, weight=-2.5)
+def test_default_elasticity_is_one_over_period_times_weight(period, weight):
+    # a weight <= 0 counts as 1
+    w = as_fraction(weight) if weight > 0 else Fraction(1)
+    assert default_elasticity(obj(period=period, weight=weight)) == Fraction(1, period) / w
 
 
 @pytest.mark.parametrize("period,vi,expected", [

@@ -191,6 +191,16 @@ def _twin_stores(mode, vis):
     return VersionStore(mode, vis), FullSweepStore(mode, vis)
 
 
+def _checked_gc(store):
+    """`store.gc()`, checking that every chain it visits (the chains marked
+    dirty) loses at least one version."""
+    visits = sorted(store._dirty, key=list(store.chains).index)
+    reclaimed = store.gc()
+    assert [oid for oid, _ in reclaimed] == visits
+    assert all(count >= 1 for _, count in reclaimed)
+    return reclaimed
+
+
 def _assert_twins_agree(stores):
     dirty, full = stores
     for oid in full.chains:
@@ -212,8 +222,9 @@ def test_dirty_chain_gc_matches_full_sweep(mode, seed):
         action = rng.random()
         if action < 0.35:
             now = last_sample[oid] = max(now + rng.randint(0, 2), last_sample[oid] + 1)
-            superseded = [install(store, oid, float(i), now) for store in stores]
+            superseded = [store.install_version(oid, float(i), now) for store in stores]
             assert len({v.seq if v else None for v in superseded}) == 1
+            assert _checked_gc(stores[0]) == stores[1].gc()
         elif action < 0.65:
             seqs = [v.seq if v else None for v in
                     (store.read_latest(oid, now, f"r{i}") for store in stores)]
@@ -222,11 +233,15 @@ def test_dirty_chain_gc_matches_full_sweep(mode, seed):
                 pins.append((oid, seqs[0], f"r{i}"))
         elif action < 0.9 and pins:
             oid, seq, holder = pins.pop(rng.randrange(len(pins)))
+            dirty = set(stores[0]._dirty)
             for store in stores:
                 store.unpin(next(v for v in store.chains[oid] if v.seq == seq), holder)
+            if stores[0].chains[oid][-1].seq == seq:
+                # freeing the newest version frees nothing to reclaim
+                assert stores[0]._dirty == dirty
         else:
             # every reclaimed count, chains in sweep order
-            assert stores[0].gc() == stores[1].gc()
+            assert _checked_gc(stores[0]) == stores[1].gc()
         _assert_twins_agree(stores)
 
 
