@@ -232,6 +232,9 @@ def cmd_compare(args) -> int:
     policies = args.policies.split(",") if args.policies else [None]
     rows = []
     values = SampledValues()
+    # the variants share the seed and the objects, and so every walk: each
+    # step is computed once, by the first variant that needs it
+    walks = {}
     objects = base.get("objects")
     for mode in modes:
         for policy_token in policies:
@@ -248,7 +251,7 @@ def cmd_compare(args) -> int:
             cfg = config_from_dict(doc)
             label = policy_token if policy_token is not None else _policy_string(cfg)
             values.variant = (cfg.mode.value, label)
-            result = Simulator(cfg, sink=values).run()
+            result = Simulator(cfg, sink=values, walks=walks).run()
             rows += emit_csv_rows(result.report, cfg.name, cfg.mode.value, label)
     _write_csv(rows, args.csv)
     return EXIT_OK

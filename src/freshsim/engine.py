@@ -125,10 +125,13 @@ class Simulator:
     ends at a tick boundary once it holds _BATCH_RECORDS records, and the
     last one before the report is built. Without a sink the records are kept
     in `self.trace` and returned as `RunResult.trace`. A sink may keep the
-    list, but must not change it."""
+    list, but must not change it. `walks` is a random-walk table that runs
+    may share, so that each reads the walk steps the others computed (see
+    `ValueSampler`)."""
 
     def __init__(self, config: SimConfig,
-                 sink: Callable[[list[tuple]], None] | None = None):
+                 sink: Callable[[list[tuple]], None] | None = None,
+                 walks: dict[tuple, list[float]] | None = None):
         errors = validate_config(config)
         if errors:
             raise ConfigError(errors)
@@ -143,7 +146,7 @@ class Simulator:
 
         # Value trajectories are keyed on the declared update grid, so policy
         # variants of one seeded workload sample identical values.
-        self.sampler = ValueSampler(config.seed, config.objects)
+        self.sampler = ValueSampler(config.seed, config.objects, walks)
         self.store = VersionStore(config.mode,
                                   {oid: o.vi for oid, o in self.eff_objects.items()})
 

@@ -161,29 +161,58 @@ def sample_process(process: ValueProcess, t: Tick, index: int,
 
 
 class ValueSampler:
-    """Per-run sampler that keeps each random walk's last sample.
+    """Per-run sampler of the objects' value processes.
 
     The walk steps once per declared update period, so the sample at time t
     has ordinal t // period regardless of which policy runs or which instants
     it chooses to sample; that pins the real-world trajectory across policy
-    variants of the same seeded workload. A run asks for nondecreasing
-    ordinals, so each walk steps on from its last sample; an earlier ordinal
-    walks again from the start. The steps add up in the order
+    variants of the same seeded workload. The steps add up in the order
     `sample_process` adds them, so the values are the same floats.
+
+    Without `walks` the sampler keeps each random walk's last sample: a run
+    asks for nondecreasing ordinals, so each walk steps on from there, and
+    an earlier ordinal walks again from the start. `walks` is a table that
+    samplers share: (run seed, process seed, object id, start, step_sigma),
+    which is all that a walk's values depend on, maps to the list of the
+    walk's values by ordinal, extended as far as any sampler has asked. It
+    holds about horizon / period values per walk.
     """
 
-    def __init__(self, seed: int, objects: list[ObjectSpec]):
+    def __init__(self, seed: int, objects: list[ObjectSpec],
+                 walks: dict[tuple, list[float]] | None = None):
         self.seed = seed
         self.specs = {o.id: o for o in objects}
-        # object id -> (stream key, ordinal, walk value at that ordinal)
-        self._walks: dict[str, tuple[int, int, float]] = {}
+        self.walks = walks
+        # object id -> (stream key, ordinal, walk value at that ordinal), or
+        # with a table, (stream key, the walk's values in the table)
+        self._walks: dict[str, tuple] = {}
 
     def sample(self, object_id: str, t: Tick) -> float:
         obj = self.specs[object_id]
         process = obj.value_process
         if isinstance(process, RandomWalkProcess):
-            return self._walk_value(obj, process, t // obj.update_period)
+            if self.walks is None:
+                return self._walk_value(obj, process, t // obj.update_period)
+            return self._table_value(obj, process, t // obj.update_period)
         return sample_process(process, t, 0, self.seed, object_id)
+
+    def _table_value(self, obj: ObjectSpec, process: RandomWalkProcess,
+                     index: int) -> float:
+        walk = self._walks.get(obj.id)
+        if walk is None:
+            walk = self._walks[obj.id] = (
+                stable_key(self.seed, process.seed, obj.id, "walk"),
+                self.walks.setdefault(
+                    (self.seed, process.seed, obj.id, process.start, process.step_sigma),
+                    [float(process.start)]))
+        key, values = walk
+        if index >= len(values):
+            value = values[-1]
+            for j in range(len(values), index + 1):
+                value += process.step_sigma * _normal_dist_inv_cdf(
+                    uniform_at(key, j), 0.0, 1.0)
+                values.append(value)
+        return values[index]
 
     def _walk_value(self, obj: ObjectSpec, process: RandomWalkProcess,
                     index: int) -> float:

@@ -10,6 +10,7 @@ import pytest
 
 import freshsim.cli
 import freshsim.metrics
+import freshsim.workload
 from freshsim.cli import SampledValues, _set_path, main
 from freshsim.core import ConfigError, FreshnessMode, SimInternalError
 from freshsim.engine import Simulator
@@ -692,6 +693,31 @@ def test_cli_compare_rows_are_the_rows_of_run_on_each_variant(tmp_path):
                 cells[2] = token
                 expected.append(",".join(cells))
     assert header == CSV_HEADER and rows == expected
+
+
+def test_cli_compare_steps_each_walk_once_for_all_of_its_variants(tmp_path, monkeypatch):
+    # only a walk step draws a normal quantile; the first variant, periodic,
+    # samples every ordinal up to the horizon, so no later variant needs
+    # a step that it did not take
+    calls = []
+    quantile = freshsim.workload._normal_dist_inv_cdf
+
+    def counted(*args):
+        calls.append(args)
+        return quantile(*args)
+
+    monkeypatch.setattr(freshsim.workload, "_normal_dist_inv_cdf", counted)
+    base = _walk_doc()
+    assert main(["compare", write_config(tmp_path, base), "--modes",
+                 "classical,multiversion", "--policies", ",".join(_POLICY_DOCS),
+                 "--csv", str(tmp_path / "compare.csv")]) == 0
+    compared = len(calls)
+    calls.clear()
+    first = {**base, "objects": [{**od, "policy": _POLICY_DOCS["periodic"]}
+                                 for od in base["objects"]]}
+    assert main(["run", write_config(tmp_path, first, "first.json"),
+                 "--csv", str(tmp_path / "run.csv")]) == 0
+    assert compared == len(calls) > 0
 
 
 @pytest.mark.parametrize("objects, args, err", [

@@ -8,6 +8,7 @@ import statistics
 import subprocess
 import sys
 import tracemalloc
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,35 @@ def test_sampler_memory_does_not_grow_with_the_ordinal():
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert value == sample_process(walk, 20_000, 20_000, run_seed=5, object_id="o1")
+
+
+def test_samplers_sharing_a_walk_table_each_read_their_own_walk():
+    base = {"start": 1.0, "step_sigma": 0.5, "seed": 3}
+    # (run seed, object id, walk): each differs from the first in one part
+    # of the table key, and the last is the first again
+    walks = [(7, "o1", base), (8, "o1", base), (7, "o1", {**base, "seed": 4}),
+             (7, "o2", base), (7, "o1", {**base, "start": 2.0}),
+             (7, "o1", {**base, "step_sigma": 0.25}), (7, "o1", base)]
+    table = {}
+    samplers = []
+    for seed, oid, kwargs in walks:
+        walk = RandomWalkProcess(**kwargs)
+        spec = ObjectSpec(id=oid, vi=10, update_period=5, value_process=walk)
+        samplers.append((ValueSampler(seed, [spec], table), seed, oid, walk))
+    ticks = list(range(0, 100, 5))
+    orders = [ticks, ticks[::-1], ticks[::2] + ticks[-1::-2], ticks[1::3] + ticks]
+    # the samplers but the last take turns, each asking in its own order
+    asks = []
+    for turn in zip_longest(*(orders[i % len(orders)] for i in range(len(walks) - 1))):
+        asks += [(sampler, t) for sampler, t in zip(samplers, turn) if t is not None]
+    # the last reads past the reach of the first, whose walk it shares
+    asks += [(samplers[-1], t) for t in range(0, 200, 5)]
+    asks += [(samplers[0], t) for t in (195, 0, 150)]
+    for (sampler, seed, oid, walk), t in asks:
+        assert sampler.sample(oid, t) == sample_process(
+            walk, t, t // 5, run_seed=seed, object_id=oid), (seed, oid, walk, t)
+    assert len(table) == len(walks) - 1
+    assert len(table[7, 3, "o1", 1.0, 0.5]) == 40
 
 
 # -- builtin hash and quantile ---------------------------------------------------
