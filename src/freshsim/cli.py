@@ -24,13 +24,15 @@ import argparse
 import json
 import re
 import sys
+from copy import copy
+from dataclasses import replace
 from pathlib import Path
 
-from .core import ConfigError, feasibility_check
+from .core import ConfigError, FreshnessMode, feasibility_check
 from .engine import Simulator
 from .metrics import CSV_HEADER, TraceLines, emit_csv_rows, trace_blocks, trace_hash
 from .policies import effective_objects
-from .workload import SimConfig, config_from_dict, decode_json
+from .workload import SimConfig, config_from_dict, decode_json, policy_from_dict
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -134,7 +136,11 @@ def cmd_check(args) -> int:
 _PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)|\[(\d+)\]")
 
 
-def _set_path(doc, path: str, value) -> None:
+def _set_path(doc: dict, path: str, value) -> None:
+    """Set the entry at `path`, which must exist, to `value`. `doc` itself
+    is changed, but each container below it on the path is replaced by a
+    copy first: set on a shallow copy of a document, it leaves the
+    document as it was."""
     tokens = [m.group(1) if m.group(1) is not None else int(m.group(2))
               for m in _PATH_TOKEN.finditer(path)]
     if not tokens:
@@ -143,11 +149,11 @@ def _set_path(doc, path: str, value) -> None:
     target = doc
     try:
         for tok in parents:
-            target = target[tok]
+            target[tok] = target = copy(target[tok])
         target[last]  # the path must exist already
+        target[last] = value
     except (KeyError, IndexError, TypeError):
         raise ConfigError([("param", f"path {path!r} does not resolve")]) from None
-    target[last] = value
 
 
 def _parse_value(text: str):
@@ -162,7 +168,7 @@ def cmd_sweep(args) -> int:
     values = [_parse_value(v) for v in args.values.split(",")]
     rows = []
     for value in values:
-        doc = json.loads(json.dumps(base))
+        doc = dict(base)
         _set_path(doc, args.param, value)
         doc["name"] = f"{base.get('name', 'config')}[{args.param}={value}]"
         cfg, result = _run_once(doc, _drop)
@@ -226,30 +232,55 @@ class SampledValues(dict):
                                  f"{kept} vs {value} under {self.variant}")])
 
 
+def _variant_doc(base: dict, mode: str | None, policy: dict | None) -> dict:
+    """The document of one variant: a shallow copy of `base` with new dicts
+    only where it differs, so that the loaded document is never changed."""
+    doc = dict(base)
+    if mode is not None:
+        doc["mode"] = mode
+    objects = base.get("objects")
+    if policy is not None and isinstance(objects, list):
+        doc["objects"] = [{**od, "policy": policy} if isinstance(od, dict) else od
+                          for od in objects]
+    return doc
+
+
+def _derive(first: SimConfig, mode: str | None, policy: dict | None) -> SimConfig | None:
+    """`first` under `mode`, with `policy` for every object and all else
+    shared; None when the mode or the policy does not read. The result is
+    checked by the `validate_config` that `Simulator` runs."""
+    changes = {}
+    try:
+        if mode is not None:
+            changes["mode"] = FreshnessMode(mode)
+        if policy is not None:
+            changes["policies"] = dict.fromkeys(first.policies, policy_from_dict(policy))
+    except (ValueError, ConfigError):
+        return None
+    return replace(first, **changes)
+
+
 def cmd_compare(args) -> int:
     base = _load_doc(args.config)
     modes = args.modes.split(",") if args.modes else [None]
-    policies = args.policies.split(",") if args.policies else [None]
+    tokens = args.policies.split(",") if args.policies else [None]
     rows = []
     values = SampledValues()
     # the variants share the seed and the objects, and so every walk: each
     # step is computed once, by the first variant that needs it
     walks = {}
-    objects = base.get("objects")
+    first = None
     for mode in modes:
-        for policy_token in policies:
-            # each variant is a shallow copy: new dicts only where it differs
-            # from the loaded document, which is never changed
-            doc = dict(base)
-            if mode is not None:
-                doc["mode"] = mode
-            if policy_token is not None:
-                policy = _parse_policy_token(policy_token)
-                if isinstance(objects, list):
-                    doc["objects"] = [{**od, "policy": policy} if isinstance(od, dict)
-                                      else od for od in objects]
-            cfg = config_from_dict(doc)
-            label = policy_token if policy_token is not None else _policy_string(cfg)
+        for token in tokens:
+            policy = None if token is None else _parse_policy_token(token)
+            cfg = None if first is None else _derive(first, mode, policy)
+            if cfg is None:
+                # the first variant, or a token that does not read: the
+                # variant's document gives its config or the errors of it
+                cfg = config_from_dict(_variant_doc(base, mode, policy))
+                if first is None:
+                    first = cfg
+            label = token if token is not None else _policy_string(cfg)
             values.variant = (cfg.mode.value, label)
             result = Simulator(cfg, sink=values, walks=walks).run()
             rows += emit_csv_rows(result.report, cfg.name, cfg.mode.value, label)

@@ -172,7 +172,10 @@ class Simulator:
         self.metrics.record(batch)
 
     def _sweep(self, t: Tick) -> None:
-        """Garbage-collect the store and record what it reclaimed."""
+        """Garbage-collect the store and record what it reclaimed. A store
+        with no chain marked dirty has nothing to reclaim."""
+        if not self.store.dirty:
+            return
         for object_id, reclaimed in self.store.gc():
             self.emit(t, "gc", object_id, {"reclaimed": reclaimed})
 

@@ -38,7 +38,7 @@ class VersionStore:
         # chains that hold a superseded unpinned version: gc visits only
         # these, in declaration order, and each loses at least one version
         self._order = {oid: i for i, oid in enumerate(vis)}
-        self._dirty: set[str] = set()
+        self.dirty: set[str] = set()
 
     # -- helpers -----------------------------------------------------------
 
@@ -70,7 +70,7 @@ class VersionStore:
                              seq=prev.seq + 1 if prev else 1))
         if prev is not None:
             if not prev.holders:
-                self._dirty.add(object_id)
+                self.dirty.add(object_id)
             elif self.mode is FreshnessMode.CLASSICAL:
                 return prev
         return None
@@ -111,7 +111,7 @@ class VersionStore:
         holders.remove(holder)
         if not holders and self.chains[version.object_id][-1] is not version:
             # the last pin on a superseded version: it is now reclaimable
-            self._dirty.add(version.object_id)
+            self.dirty.add(version.object_id)
 
     def gc(self) -> list[tuple[str, int]]:
         """Reclaim every version that is superseded and unpinned; returns
@@ -121,7 +121,7 @@ class VersionStore:
         A version becomes reclaimable only when an install supersedes it
         unpinned or `unpin` frees it superseded; each marks its chain, so
         only those chains are visited."""
-        dirty = self._dirty
+        dirty = self.dirty
         visit = sorted(dirty, key=self._order.__getitem__) if len(dirty) > 1 else dirty
         reclaimed = []
         for object_id in visit:

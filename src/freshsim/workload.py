@@ -594,7 +594,9 @@ def config_from_dict(doc: dict) -> SimConfig:
     mode = FreshnessMode.CLASSICAL
     if mode_s in (m.value for m in FreshnessMode):
         mode = FreshnessMode(mode_s)
-    elif mode_s:
+    elif isinstance(doc.get("mode"), str):
+        # a string that names no mode, "" included; a missing or non-string
+        # mode has its error from the read already
         r.fail("mode", f"must be 'classical' or 'multiversion', got {mode_s!r}")
 
     objects = []
@@ -623,6 +625,17 @@ def config_from_dict(doc: dict) -> SimConfig:
     if errors:
         raise ConfigError(errors)
     return cfg
+
+
+def policy_from_dict(doc: dict) -> PolicyConfig:
+    """Read one policy document through the POLICIES table. A ConfigError
+    lists what the read reported, at paths under `policy`. The policy's own
+    rules (its `validate`) are left to `validate_config`."""
+    r = _Reader()
+    policy = POLICIES.read(r, {"policy": doc}, "policy", "", REQUIRED)
+    if r.errors:
+        raise ConfigError(r.errors)
+    return policy
 
 
 def decode_json(text: str):

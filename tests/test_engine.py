@@ -43,6 +43,24 @@ def test_sink_batches_are_the_trace_cut_at_tick_boundaries():
         assert batch[-1][0] < following[0][0]
 
 
+@pytest.mark.parametrize("workload", ["restart_cycle", "policy_fleet"])
+def test_the_engine_sweeps_the_store_only_when_a_chain_is_dirty(workload):
+    sim = Simulator(config_from_dict(gen.generate(workload, 1)))
+    gc_calls = []
+    collect = sim.store.gc
+
+    def checked():
+        assert sim.store.dirty
+        reclaimed = collect()
+        gc_calls.append(reclaimed)
+        return reclaimed
+
+    sim.store.gc = checked
+    trace = sim.run().trace
+    assert gc_calls and all(gc_calls)
+    assert sum(map(len, gc_calls)) == sum(kind == "gc" for _, kind, _, _ in trace)
+
+
 def test_simulator_rejects_an_invalid_config_with_every_violation():
     cfg = one_object_config(vi=0, deadline=0, horizon=0)
     with pytest.raises(ConfigError) as e:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -528,6 +529,43 @@ def test_cli_sweep_bad_path_fails(tmp_path, capsys):
                  "--values", "1"]) == 1
 
 
+def test_cli_sweep_leaves_the_loaded_document_as_it_was(tmp_path, monkeypatch):
+    loaded = []
+    load = freshsim.cli._load_doc
+
+    def keep(path):
+        doc = load(path)
+        loaded.append((doc, json.loads(json.dumps(doc))))
+        return doc
+
+    monkeypatch.setattr(freshsim.cli, "_load_doc", keep)
+    path = write_config(tmp_path, _walk_doc())
+    assert main(["sweep", path, "--param", "objects[1].policy.delta",
+                 "--values", "0,0.8,3"]) == 0
+    [(doc, before)] = loaded
+    assert doc == before
+
+
+def test_cli_sweep_rows_are_the_rows_of_run_on_each_value(tmp_path):
+    base = {**_walk_doc(), "name": "walks"}
+    param = "transactions[0].arrival.period"
+    swept = tmp_path / "sweep.csv"
+    assert main(["sweep", write_config(tmp_path, base), "--param", param,
+                 "--values", "3,7,20", "--csv", str(swept)]) == 0
+    header, *rows = swept.read_text(encoding="utf-8").splitlines()
+    expected = []
+    for value in (3, 7, 20):
+        doc = json.loads(json.dumps(base))
+        doc["transactions"][0]["arrival"]["period"] = value
+        doc["name"] = f"walks[{param}={value}]"
+        out = tmp_path / "run.csv"
+        assert main(["run", write_config(tmp_path, doc, "value.json"),
+                     "--csv", str(out)]) == 0
+        expected += out.read_text(encoding="utf-8").splitlines()[1:]
+    assert header == CSV_HEADER and rows == expected
+    assert len({row.split(",")[0] for row in rows}) == 3
+
+
 def test_cli_compare_modes_side_by_side(tmp_path, capsys):
     path = write_config(tmp_path, CONFIG_INFEASIBLE)
     assert main(["compare", path, "--modes", "classical,multiversion"]) == 0
@@ -628,17 +666,16 @@ def test_compare_sink_names_the_first_diverged_value_of_a_batch():
 def test_cli_compare_rejects_diverged_value_trajectories(tmp_path, capsys, monkeypatch):
     # the multiversion variant samples another seed's walk, so the two
     # variants disagree on the value at a shared (object, t)
-    parse = freshsim.cli.config_from_dict
+    simulator = freshsim.cli.Simulator
 
-    def reseeded(doc):
-        cfg = parse(doc)
+    def reseeded(cfg, *args, **kwargs):
         if cfg.mode.value == "multiversion":
-            cfg.seed += 1
-        return cfg
+            cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
+        return simulator(cfg, *args, **kwargs)
 
     path = write_config(tmp_path, _walk_doc())
     assert main(["compare", path, "--modes", "classical,multiversion"]) == 0
-    monkeypatch.setattr(freshsim.cli, "config_from_dict", reseeded)
+    monkeypatch.setattr(freshsim.cli, "Simulator", reseeded)
     assert main(["compare", path, "--modes", "classical,multiversion"]) == 1
     assert "value trajectories diverged" in capsys.readouterr().err
 
@@ -720,6 +757,21 @@ def test_cli_compare_steps_each_walk_once_for_all_of_its_variants(tmp_path, monk
     assert compared == len(calls) > 0
 
 
+def test_cli_compare_parses_its_config_once(tmp_path, monkeypatch):
+    parsed = []
+    parse = freshsim.cli.config_from_dict
+
+    def counted(doc):
+        parsed.append(doc)
+        return parse(doc)
+
+    monkeypatch.setattr(freshsim.cli, "config_from_dict", counted)
+    assert main(["compare", write_config(tmp_path, _walk_doc()), "--modes",
+                 "classical,multiversion", "--policies", ",".join(_POLICY_DOCS),
+                 "--csv", str(tmp_path / "compare.csv")]) == 0
+    assert len(parsed) == 1
+
+
 @pytest.mark.parametrize("objects, args, err", [
     # an int is not iterable either: the error is still the config's
     (7, ["--policies", "periodic"],
@@ -744,6 +796,37 @@ def test_cli_compare_errors_on_a_malformed_base(tmp_path, capsys, objects, args,
         doc["objects"] = objects
     assert main(["compare", write_config(tmp_path, doc), *args]) == 1
     assert capsys.readouterr().err == err
+
+
+def _two_object_doc() -> dict:
+    """CONFIG_INFEASIBLE with a second object like the first, so that a
+    policy error is reported once per object."""
+    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
+    doc["objects"].append({**doc["objects"][0], "id": "o2"})
+    return doc
+
+
+@pytest.mark.parametrize("args, errors", [
+    (["--modes", "classical,foo"],
+     ["mode: must be 'classical' or 'multiversion', got 'foo'"]),
+    (["--modes", "multiversion,"],
+     ["mode: must be 'classical' or 'multiversion', got ''"]),
+    (["--policies", "periodic,mkfirm:3:2"],
+     [f"objects[{i}].policy: m <= k violated (m=3, k=2)" for i in (0, 1)]),
+    (["--policies", "periodic,similarity:nan"],
+     [f"objects[{i}].policy.delta: must be a number" for i in (0, 1)]),
+    (["--policies", "periodic,prediction:cubic:0.5"],
+     [f"objects[{i}].policy.predictor: must be one of lastvalue, linear" for i in (0, 1)]),
+    # the type error of each object first, then the range error of the zero
+    # that stands in for it
+    (["--policies", "periodic,elastic:inf"],
+     [f"objects[{i}].policy.target_utilization: must be a number" for i in (0, 1)]
+     + [f"objects[{i}].policy.target_utilization: must be in (0, 1]" for i in (0, 1)]),
+])
+def test_cli_compare_reports_a_bad_later_variant_as_its_config_would(
+        tmp_path, capsys, args, errors):
+    assert main(["compare", write_config(tmp_path, _two_object_doc()), *args]) == 1
+    assert capsys.readouterr().err == "".join(f"error: {e}\n" for e in errors)
 
 
 def test_cli_compare_requires_a_variant_axis(tmp_path, capsys):
@@ -874,6 +957,8 @@ def test_cli_sweep_takes_an_overlong_integer_as_text(tmp_path, capsys):
     ("objects[0].nokey", "path 'objects[0].nokey' does not resolve"),
     ("horizon.vi", "path 'horizon.vi' does not resolve"),
     ("...", "cannot parse path '...'"),
+    # a string can be indexed but not set
+    ("name[0]", "path 'name[0]' does not resolve"),
 ])
 def test_cli_sweep_names_a_bad_param_path(tmp_path, capsys, param, message):
     path = write_config(tmp_path, CONFIG_INFEASIBLE)

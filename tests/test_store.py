@@ -194,7 +194,7 @@ def _twin_stores(mode, vis):
 def _checked_gc(store):
     """`store.gc()`, checking that every chain it visits (the chains marked
     dirty) loses at least one version."""
-    visits = sorted(store._dirty, key=list(store.chains).index)
+    visits = sorted(store.dirty, key=list(store.chains).index)
     reclaimed = store.gc()
     assert [oid for oid, _ in reclaimed] == visits
     assert all(count >= 1 for _, count in reclaimed)
@@ -233,12 +233,12 @@ def test_dirty_chain_gc_matches_full_sweep(mode, seed):
                 pins.append((oid, seqs[0], f"r{i}"))
         elif action < 0.9 and pins:
             oid, seq, holder = pins.pop(rng.randrange(len(pins)))
-            dirty = set(stores[0]._dirty)
+            dirty = set(stores[0].dirty)
             for store in stores:
                 store.unpin(next(v for v in store.chains[oid] if v.seq == seq), holder)
             if stores[0].chains[oid][-1].seq == seq:
                 # freeing the newest version frees nothing to reclaim
-                assert stores[0]._dirty == dirty
+                assert stores[0].dirty == dirty
         else:
             # every reclaimed count, chains in sweep order
             assert _checked_gc(stores[0]) == stores[1].gc()

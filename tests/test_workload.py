@@ -309,6 +309,17 @@ def test_unknown_keys_rejected():
     assert "objects[0].policy.bogus" in errors_of(d)
 
 
+def test_mode_is_required_and_must_name_a_mode():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc(mode=""))
+    assert err.value.errors == [("mode", "must be 'classical' or 'multiversion', got ''")]
+    d = doc()
+    del d["mode"]
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert err.value.errors == [("mode", "missing")]
+
+
 def test_every_field_violation_reported_not_just_first():
     d = doc()
     d["horizon"] = 0
