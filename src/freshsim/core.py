@@ -78,7 +78,7 @@ class ObjectSpec:
             errors.append((f"{path}.max_period", "max_period must be >= period"))
 
 
-@dataclass
+@dataclass(slots=True)
 class Version:
     """One timestamped sample of a temporal object.
 

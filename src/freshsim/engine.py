@@ -20,9 +20,9 @@ missed at its deadline only if nothing committed it earlier in the tick.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .core import ConfigError, FreshnessMode, Tick, UserTxnSpec, Version, admit
 from .metrics import MetricsAggregator, MetricsReport
@@ -36,8 +36,8 @@ TXN_ARRIVAL = 0       # (spec, remaining releases)
 RETRIEVAL_DONE = 1    # (inst, epoch)
 ANALYSIS_DONE = 2     # (inst, epoch)
 VI_EXPIRY = 3         # (inst, epoch, object id)
-UPDATE_RELEASE = 4    # None; the subject is the object id
-UPDATE_INSTALLED = 5  # (value, sample time); the subject is the object id
+UPDATE_RELEASE = 4    # the object's UpdateStream; the subject is the object id
+UPDATE_INSTALLED = 5  # (stream, value, sample time); the subject is the object id
 DEADLINE = 6          # inst
 
 # Transaction states.
@@ -61,20 +61,18 @@ class EventQueue:
 
     def push(self, time: Tick, kind: int, subject: str, payload) -> None:
         self._counter += 1
-        heapq.heappush(self._heap, (time, kind, subject, self._counter, payload))
+        heappush(self._heap, (time, kind, subject, self._counter, payload))
 
-    def peek_time(self) -> Tick | None:
-        return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> tuple[Tick, int, str, object]:
-        time, kind, subject, _, payload = heapq.heappop(self._heap)
-        return time, kind, subject, payload
+    def pop(self) -> tuple[Tick, int, str, int, object]:
+        """The first entry, as pushed: (time, kind, subject, push order,
+        payload)."""
+        return heappop(self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TxnInstance:
     """Runtime state of one released transaction instance. Instances compare
     by identity, so the store's pin holders and the wait lists hold them
@@ -106,6 +104,22 @@ class TxnInstance:
         return (self.deadline, self.spec.id, self.release)
 
 
+@dataclass(slots=True)
+class UpdateStream:
+    """What the update server reads of one object at each of its events,
+    looked up once per run: the policy's bound `decide` and its per-run
+    state, the effective update period and cost, whether the object updates
+    periodically (every policy but on-demand does), and the object's version
+    chain, which the store changes only in place."""
+
+    decide: Callable
+    state: object
+    period: Tick
+    cost: Tick
+    periodic: bool
+    chain: list[Version]
+
+
 @dataclass
 class RunResult:
     report: MetricsReport
@@ -127,14 +141,16 @@ class Simulator:
     in `self.trace` and returned as `RunResult.trace`. A sink may keep the
     list, but must not change it. `walks` is a random-walk table that runs
     may share, so that each reads the walk steps the others computed (see
-    `ValueSampler`)."""
+    `ValueSampler`). A config is validated here unless `config_from_dict`
+    built it, and so validated it already."""
 
     def __init__(self, config: SimConfig,
                  sink: Callable[[list[tuple]], None] | None = None,
                  walks: dict[tuple, list[float]] | None = None):
-        errors = validate_config(config)
-        if errors:
-            raise ConfigError(errors)
+        if not config.validated:
+            errors = validate_config(config)
+            if errors:
+                raise ConfigError(errors)
         self.config = config
         self.horizon = config.horizon
         self.mode = config.mode
@@ -158,7 +174,8 @@ class Simulator:
         self.running: TxnInstance | None = None
         self.waiting: dict[str, list[TxnInstance]] = {o.id: [] for o in config.objects}
         self.refresh_inflight: set[str] = set()
-        self.policy_state = {oid: p.new_state() for oid, p in config.policies.items()}
+        # object id -> its UpdateStream, built when the workload is queued
+        self._streams: dict[str, UpdateStream] = {}
 
     # -- trace -------------------------------------------------------------
 
@@ -176,15 +193,16 @@ class Simulator:
         with no chain marked dirty has nothing to reclaim."""
         if not self.store.dirty:
             return
-        for object_id, reclaimed in self.store.gc():
-            self.emit(t, "gc", object_id, {"reclaimed": reclaimed})
+        self._batch += [(t, "gc", object_id, {"reclaimed": reclaimed})
+                        for object_id, reclaimed in self.store.gc()]
 
     # -- setup -------------------------------------------------------------
 
     def _schedule_workload(self) -> None:
         """Queue the first release of each admitted class and of each
         periodically updated object; each release queues the next one when
-        it fires, so the queue never holds more than one per stream."""
+        it fires, so the queue never holds more than one per stream. Every
+        object gets its UpdateStream here, on-demand ones included."""
         for spec in self.config.transactions:
             decision = admit(spec, self.eff_objects, self.config.enforce_admission)
             if not decision.admitted:
@@ -192,9 +210,15 @@ class Simulator:
                           {"failing": decision.report.failing_objects()})
                 continue
             self._push_arrival(spec, iter_arrivals(spec, self.horizon, self.config.seed))
-        for obj in self.config.objects:
-            if self.config.policies[obj.id].kind != "ondemand":
-                self.queue.push(0, UPDATE_RELEASE, obj.id, None)
+        policies = self.config.policies
+        chains = self.store.chains
+        for oid, eff in self.eff_objects.items():
+            policy = policies[oid]
+            stream = self._streams[oid] = UpdateStream(
+                policy.decide, policy.new_state(), eff.update_period,
+                eff.update_cost, policy.kind != "ondemand", chains[oid])
+            if stream.periodic:
+                self.queue.push(0, UPDATE_RELEASE, oid, stream)
 
     def _push_arrival(self, spec: UserTxnSpec, releases: Iterator[Tick]) -> None:
         release = next(releases, None)
@@ -205,22 +229,22 @@ class Simulator:
 
     def run(self) -> RunResult:
         self._schedule_workload()
+        heap = self.queue._heap
         pop = self.queue.pop
-        peek_time = self.queue.peek_time
         horizon = self.horizon
-        # one peek per event: the time after each pop, and after each dispatch
-        nxt = peek_time()
-        while nxt is not None and nxt <= horizon:
-            t = nxt
-            while nxt == t:
-                _, kind, subject, payload = pop()
+        # the queue's head is read from its heap: heap[0][0] is the time of
+        # the next event
+        while heap and heap[0][0] <= horizon:
+            t = heap[0][0]
+            while True:
+                _, kind, subject, _, payload = pop()
                 _HANDLERS[kind](self, t, subject, payload)
-                nxt = peek_time()
+                if not heap or heap[0][0] != t:
+                    break
             # events that dispatch queues at t run on the next pass
             self._dispatch(t)
             if len(self._batch) >= _BATCH_RECORDS:
                 self._flush()
-            nxt = peek_time()
         self._flush()
         return RunResult(report=self.metrics.finalize(), trace=self.trace)
 
@@ -322,35 +346,37 @@ class Simulator:
 
     # -- update server -------------------------------------------------------
 
-    def _on_update_release(self, t: Tick, object_id: str, payload: None) -> None:
-        policy = self.config.policies[object_id]
-        eff = self.eff_objects[object_id]
-        following = t + eff.update_period
-        if policy.kind != "ondemand" and following <= self.horizon:
-            self.queue.push(following, UPDATE_RELEASE, object_id, None)
+    def _on_update_release(self, t: Tick, object_id: str,
+                           stream: UpdateStream) -> None:
+        if stream.periodic:
+            following = t + stream.period
+            if following <= self.horizon:
+                self.queue.push(following, UPDATE_RELEASE, object_id, stream)
         sampled = self.sampler.sample(object_id, t)
-        decision, sink_value, extra = policy.decide(
-            self.policy_state[object_id], t, sampled, self.store.newest(object_id))
+        chain = stream.chain
+        newest = chain[-1] if chain else None
+        decision, sink_value, extra = stream.decide(stream.state, t, sampled, newest)
         # the policy, the sink error and an unchanged sink value follow from
         # the config and the sampled value, so the record leaves them out
         detail = {"decision": decision, "sampled": sampled, **extra}
         if sink_value != sampled:
             detail["sink_value"] = sink_value
-        self.emit(t, "update_decision", object_id, detail)
+        self._batch.append((t, "update_decision", object_id, detail))
 
         if decision in (PERFORM, TRANSMIT):
-            self.queue.push(t + eff.update_cost, UPDATE_INSTALLED, object_id,
-                            (sampled, t))
+            self.queue.push(t + stream.cost, UPDATE_INSTALLED, object_id,
+                            (stream, sampled, t))
         else:
-            self.store.extend_validity(object_id, eff.update_period)
+            # the skip confirms the stored value: a policy performs while
+            # nothing is stored, so `newest` is a version
+            newest.vi_extend += stream.period
             self._wake_waiters(object_id)
 
     def _on_update_installed(self, t: Tick, object_id: str, payload) -> None:
-        value, sample_time = payload
-        store = self.store
-        superseded = store.install_version(object_id, value, sample_time)
-        self.emit(t, "install", object_id,
-                  {"seq": store.newest(object_id).seq, "sample_time": sample_time})
+        stream, value, sample_time = payload
+        superseded = self.store.install_version(object_id, value, sample_time)
+        self._batch.append((t, "install", object_id,
+                            {"seq": stream.chain[-1].seq, "sample_time": sample_time}))
         if superseded is not None:
             # a classical install replaced a version someone still pins: every
             # holder restarts (update transactions are never delayed by
@@ -358,20 +384,23 @@ class Simulator:
             for inst in list(superseded.holders):
                 self._restart(inst, t, cause="superseded", version=superseded)
         self._sweep(t)
-        self.refresh_inflight.discard(object_id)
+        if not stream.periodic:
+            self.refresh_inflight.discard(object_id)
         self._wake_waiters(object_id)
 
     def _wake_waiters(self, object_id: str) -> None:
         # an instance that stops waiting leaves its list (_leave_waiting)
-        for inst in self.waiting[object_id]:
-            self._make_ready(inst)
-        self.waiting[object_id] = []
+        waiting = self.waiting[object_id]
+        if waiting:
+            for inst in waiting:
+                self._make_ready(inst)
+            waiting.clear()
 
     # -- dispatch --------------------------------------------------------------
 
     def _make_ready(self, inst: TxnInstance) -> None:
         inst.state = READY
-        heapq.heappush(self._ready, (*inst.edf_key(), inst))
+        heappush(self._ready, (*inst.edf_key(), inst))
 
     def _dispatch(self, t: Tick) -> None:
         """Start segments, earliest deadline first, while the processor is
@@ -379,7 +408,7 @@ class Simulator:
         entry is the READY instance with the least key."""
         ready = self._ready
         while self.running is None and ready:
-            inst = heapq.heappop(ready)[-1]
+            inst = heappop(ready)[-1]
             if inst.state == READY:
                 self._start_segment(inst, t)
 
@@ -412,10 +441,10 @@ class Simulator:
             return
 
         # pure store mode: block until the object is refreshed or confirmed
-        if (self.config.policies[obj].kind == "ondemand"
-                and obj not in self.refresh_inflight):
+        stream = self._streams[obj]
+        if not stream.periodic and obj not in self.refresh_inflight:
             self.refresh_inflight.add(obj)
-            self.queue.push(t, UPDATE_RELEASE, obj, None)
+            self.queue.push(t, UPDATE_RELEASE, obj, stream)
         inst.state = WAITING
         self.waiting[obj].append(inst)
 

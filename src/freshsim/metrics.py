@@ -146,7 +146,12 @@ class MetricsAggregator:
                     live[subject] -= detail["reclaimed"]
                     continue
                 if pending is not None and kind != "restart":
-                    self._peak(pending)
+                    # the install's peak sample, as _peak takes it
+                    obj = per_object.get(pending)
+                    if obj is None:
+                        obj = self._obj(pending)
+                    if live[pending] > obj.peak_live_versions:
+                        obj.peak_live_versions = live[pending]
                     pending = None
                 if kind == "install":
                     live[subject] = live.get(subject, 0) + 1

@@ -28,7 +28,10 @@ class VersionStore:
 
     `vis` maps object id to its effective validity interval (after any
     config-time period rescaling). A version's expiry instant additionally
-    includes per-version extensions granted by skipped updates.
+    includes per-version extensions granted by skipped updates, which the
+    engine adds to the newest version's `vi_extend`. Each object's list in
+    `chains` is changed only in place, so it stays the object's chain for
+    the life of the store.
     """
 
     def __init__(self, mode: FreshnessMode, vis: dict[str, Tick]):
@@ -41,10 +44,6 @@ class VersionStore:
         self.dirty: set[str] = set()
 
     # -- helpers -----------------------------------------------------------
-
-    def newest(self, object_id: str) -> Version | None:
-        chain = self.chains[object_id]
-        return chain[-1] if chain else None
 
     def valid_until(self, version: Version) -> Tick:
         return version.valid_until(self.vis[version.object_id])
@@ -95,12 +94,6 @@ class VersionStore:
         version.holders.append(holder)
         return version
 
-    def extend_validity(self, object_id: str, ticks: Tick) -> None:
-        """Stretch the newest version's effective validity, used when an
-        update instance is skipped: the skip confirms the stored value, so
-        the chain is not empty (a policy performs while nothing is stored)."""
-        self.chains[object_id][-1].vi_extend += ticks
-
     def unpin(self, version: Version, holder) -> None:
         """Drop `holder`'s pin on `version`. A pinned version is still in
         its chain, since `gc` keeps every pinned version."""
@@ -126,9 +119,8 @@ class VersionStore:
         reclaimed = []
         for object_id in visit:
             chain = self.chains[object_id]
-            keep = [v for v in chain[:-1] if v.holders]
-            keep.append(chain[-1])
-            self.chains[object_id] = keep
-            reclaimed.append((object_id, len(chain) - len(keep)))
+            kept = [v for v in chain[:-1] if v.holders]
+            reclaimed.append((object_id, len(chain) - 1 - len(kept)))
+            chain[:-1] = kept
         dirty.clear()
         return reclaimed

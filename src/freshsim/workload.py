@@ -184,8 +184,10 @@ class ValueSampler:
         self.specs = {o.id: o for o in objects}
         self.walks = walks
         # object id -> (stream key, ordinal, walk value at that ordinal), or
-        # with a table, (stream key, the walk's values in the table)
-        self._walks: dict[str, tuple] = {}
+        # with a table, [stream key or None, the walk's values in the table]:
+        # the key is computed when the sampler first extends the walk, which
+        # a run whose walks an earlier run computed may never do
+        self._walks: dict[str, tuple | list] = {}
 
     def sample(self, object_id: str, t: Tick) -> float:
         obj = self.specs[object_id]
@@ -200,13 +202,13 @@ class ValueSampler:
                      index: int) -> float:
         walk = self._walks.get(obj.id)
         if walk is None:
-            walk = self._walks[obj.id] = (
-                stable_key(self.seed, process.seed, obj.id, "walk"),
-                self.walks.setdefault(
-                    (self.seed, process.seed, obj.id, process.start, process.step_sigma),
-                    [float(process.start)]))
+            walk = self._walks[obj.id] = [None, self.walks.setdefault(
+                (self.seed, process.seed, obj.id, process.start, process.step_sigma),
+                [float(process.start)])]
         key, values = walk
         if index >= len(values):
+            if key is None:
+                key = walk[0] = stable_key(self.seed, process.seed, obj.id, "walk")
             value = values[-1]
             for j in range(len(values), index + 1):
                 value += process.step_sigma * _normal_dist_inv_cdf(
@@ -278,6 +280,10 @@ class SimConfig:
     transactions: list[UserTxnSpec]
     name: str = "config"
     rng: str = RNG_ALGORITHM
+    # set by config_from_dict on the config it validated, so that Simulator
+    # does not validate it again; `dataclasses.replace` builds a config
+    # without the mark, since the field is not an __init__ argument
+    validated: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 def validate_config(cfg: SimConfig) -> list[tuple[str, str]]:
@@ -624,6 +630,7 @@ def config_from_dict(doc: dict) -> SimConfig:
     errors = r.errors + validate_config(cfg)
     if errors:
         raise ConfigError(errors)
+    cfg.validated = True
     return cfg
 
 

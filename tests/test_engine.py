@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from freshsim.core import Arrival, ConfigError, FreshnessMode, ObjectSpec, UserTxnSpec
-from freshsim.engine import _BATCH_RECORDS, Simulator, TxnInstance
+from freshsim.engine import _BATCH_RECORDS, TXN_ARRIVAL, Simulator, TxnInstance
 from freshsim.metrics import trace_hash
 from freshsim.policies import ElasticPolicy, OnDemandPolicy, PeriodicPolicy
 from freshsim.workload import ConstantProcess, SimConfig, config_from_dict
@@ -59,6 +59,33 @@ def test_the_engine_sweeps_the_store_only_when_a_chain_is_dirty(workload):
     trace = sim.run().trace
     assert gc_calls and all(gc_calls)
     assert sum(map(len, gc_calls)) == sum(kind == "gc" for _, kind, _, _ in trace)
+
+
+def test_run_handles_an_event_at_the_horizon_and_none_after_it():
+    # updates every 10 ticks up to the horizon at 40, and a release at 40
+    cfg = one_object_config(horizon=40, arrival_t=40)
+    sim = Simulator(cfg)
+    spec = cfg.transactions[0]
+    sim.queue.push(41, TXN_ARRIVAL, spec.id, (spec, iter(())))
+    trace = sim.run().trace
+    assert [t for t, kind, _, _ in trace if kind == "update_decision"] == [0, 10, 20, 30, 40]
+    assert [(t, subject) for t, kind, subject, _ in trace
+            if kind == "txn_released"] == [(40, "t1#0")]
+    assert max(t for t, _, _, _ in trace) == 40
+    assert 41 in [entry[0] for entry in sim.queue._heap]
+
+
+def test_an_on_demand_release_queued_by_dispatch_runs_in_the_same_tick():
+    # the store is empty when t1 arrives at 5, so dispatch queues a refresh
+    # at 5; the next pass at 5 performs and installs it (cost 0), and the
+    # dispatch after it serves t1 from the store, all at 5
+    cfg = one_object_config(vi=10, cost=0, analysis=4, arrival_t=5,
+                            retrieval_mode="store", policy=OnDemandPolicy())
+    trace = Simulator(cfg).run().trace
+    assert [(t, kind) for t, kind, _, _ in trace] == [
+        (5, "txn_released"), (5, "update_decision"), (5, "install"),
+        (5, "access"), (9, "commit")]
+    assert trace[3][3]["via"] == "store"
 
 
 def test_simulator_rejects_an_invalid_config_with_every_violation():

