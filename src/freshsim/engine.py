@@ -232,8 +232,7 @@ class Simulator:
         heap = self.queue._heap
         pop = self.queue.pop
         horizon = self.horizon
-        # the queue's head is read from its heap: heap[0][0] is the time of
-        # the next event
+        # heap[0][0] is the next event's time, read without a call per event
         while heap and heap[0][0] <= horizon:
             t = heap[0][0]
             while True:
