@@ -240,9 +240,10 @@ class Simulator:
                 _HANDLERS[kind](self, t, subject, payload)
                 if not heap or heap[0][0] != t:
                     break
-            # events that dispatch queues at t run on the next pass
+            # events that dispatch queues at t run on the next pass, and
+            # the batch stays open until the tick is over
             self._dispatch(t)
-            if len(self._batch) >= _BATCH_RECORDS:
+            if len(self._batch) >= _BATCH_RECORDS and (not heap or heap[0][0] != t):
                 self._flush()
         self._flush()
         return RunResult(report=self.metrics.finalize(), trace=self.trace)
@@ -373,16 +374,21 @@ class Simulator:
 
     def _on_update_installed(self, t: Tick, object_id: str, payload) -> None:
         stream, value, sample_time = payload
+        chain = stream.chain
+        length = len(chain)
         superseded = self.store.install_version(object_id, value, sample_time)
         self._batch.append((t, "install", object_id,
-                            {"seq": stream.chain[-1].seq, "sample_time": sample_time}))
-        if superseded is not None:
+                            {"seq": chain[-1].seq, "sample_time": sample_time}))
+        if len(chain) == length:
+            # the install reclaimed the unpinned version it superseded
+            self._batch.append((t, "gc", object_id, {"reclaimed": 1}))
+        elif superseded is not None:
             # a classical install replaced a version someone still pins: every
             # holder restarts (update transactions are never delayed by
-            # readers); only unfinished instances hold pins
+            # readers), and each restart's sweep reclaims what its unpins
+            # freed; only unfinished instances hold pins
             for inst in list(superseded.holders):
                 self._restart(inst, t, cause="superseded", version=superseded)
-        self._sweep(t)
         if not stream.periodic:
             self.refresh_inflight.discard(object_id)
         self._wake_waiters(object_id)

@@ -58,10 +58,6 @@ class TxnClassStats(StalenessStats):
     def miss_ratio(self) -> float:
         return self.missed / self.released if self.released else 0.0
 
-    @property
-    def in_flight(self) -> int:
-        return self.released - self.committed - self.missed
-
 
 @dataclass
 class ObjectStats(StalenessStats):
@@ -102,9 +98,10 @@ class MetricsAggregator:
     same report however they are split into batches.
 
     An object's live versions are +1 per `install` and -`reclaimed` per `gc`.
-    An install is followed by its holders' restarts and the sweeps, so its
-    peak sample is due at the first later record that is neither a `restart`
-    nor a `gc`, or at finalize(): it counts only coexisting versions."""
+    An install is followed by the `gc` of the version it reclaimed, or by
+    its holders' restarts and their sweeps, so its peak sample is due at the
+    first later record that is neither a `restart` nor a `gc`, or at
+    finalize(): it counts only coexisting versions."""
 
     def __init__(self):
         self._last_t: Tick = 0

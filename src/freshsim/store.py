@@ -32,14 +32,19 @@ class VersionStore:
     engine adds to the newest version's `vi_extend`. Each object's list in
     `chains` is changed only in place, so it stays the object's chain for
     the life of the store.
+
+    A superseded version is reclaimed once nobody pins it: by the install
+    that supersedes it when it is unpinned by then, else by the `gc` after
+    the `unpin` that frees it.
     """
 
     def __init__(self, mode: FreshnessMode, vis: dict[str, Tick]):
         self.mode = mode
         self.vis = dict(vis)
         self.chains: dict[str, list[Version]] = {oid: [] for oid in vis}
-        # chains that hold a superseded unpinned version: gc visits only
-        # these, in declaration order, and each loses at least one version
+        # chains that `unpin` left holding a superseded unpinned version: gc
+        # visits only these, in declaration order, and each loses at least
+        # one version
         self._order = {oid: i for i, oid in enumerate(vis)}
         self.dirty: set[str] = set()
 
@@ -54,25 +59,28 @@ class VersionStore:
                         sample_time: Tick) -> Version | None:
         """Append a new version sampled at `sample_time`.
 
-        Sample times must strictly increase per object. Returns the replaced
-        version when it is still pinned in classical mode: its holders must
-        restart. The caller then sweeps (`gc`).
+        Sample times must strictly increase per object. A superseded version
+        that nobody pins is reclaimed here, in place of the new version, and
+        leaves the chain unmarked: between events every other superseded
+        version is pinned, so it is the only version an install can make
+        reclaimable. The caller sees it by the chain's length, which stays
+        the same. Returns the superseded version when it is still pinned in
+        classical mode: its holders must restart.
         """
         chain = self.chains[object_id]
-        if chain and chain[-1].sample_time >= sample_time:
+        prev = chain[-1] if chain else None
+        if prev is not None and prev.sample_time >= sample_time:
             raise SimInternalError(
                 f"non-monotone install on {object_id!r}: "
-                f"{sample_time} after {chain[-1].sample_time}")
-        prev = chain[-1] if chain else None
-        chain.append(Version(object_id=object_id, value=value,
-                             sample_time=sample_time,
-                             seq=prev.seq + 1 if prev else 1))
-        if prev is not None:
-            if not prev.holders:
-                self.dirty.add(object_id)
-            elif self.mode is FreshnessMode.CLASSICAL:
-                return prev
-        return None
+                f"{sample_time} after {prev.sample_time}")
+        version = Version(object_id=object_id, value=value,
+                          sample_time=sample_time,
+                          seq=prev.seq + 1 if prev else 1)
+        if prev is not None and not prev.holders:
+            chain[-1] = version
+            return None
+        chain.append(version)
+        return prev if self.mode is FreshnessMode.CLASSICAL else None
 
     def read_latest(self, object_id: str, t: Tick, holder,
                     exclude: frozenset[int] | set[int] = frozenset()) -> Version | None:
@@ -111,9 +119,10 @@ class VersionStore:
         (object id, count removed) per chain that lost any, in declaration
         order. Pinned versions are never touched.
 
-        A version becomes reclaimable only when an install supersedes it
-        unpinned or `unpin` frees it superseded; each marks its chain, so
-        only those chains are visited."""
+        An install reclaims the version it supersedes unpinned itself, so a
+        version becomes reclaimable here only when `unpin` frees it
+        superseded; that marks its chain, and only marked chains are
+        visited."""
         dirty = self.dirty
         visit = sorted(dirty, key=self._order.__getitem__) if len(dirty) > 1 else dirty
         reclaimed = []

@@ -11,6 +11,7 @@ from freshsim.metrics import trace_hash
 from freshsim.policies import ElasticPolicy, OnDemandPolicy, PeriodicPolicy
 from freshsim.workload import ConstantProcess, SimConfig, config_from_dict
 
+from randgen import random_config
 from support import one_object_config, run_config, run_outcomes
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
@@ -45,6 +46,10 @@ def test_sink_batches_are_the_trace_cut_at_tick_boundaries():
 
 @pytest.mark.parametrize("workload", ["restart_cycle", "policy_fleet"])
 def test_the_engine_sweeps_the_store_only_when_a_chain_is_dirty(workload):
+    # every `gc` record comes either from a `gc()` call, which finds a dirty
+    # chain and reclaims something, or from an install that reclaimed the
+    # version it superseded: one `reclaimed: 1` record right after the
+    # `install` of the same object at the same t
     sim = Simulator(config_from_dict(gen.generate(workload, 1)))
     gc_calls = []
     collect = sim.store.gc
@@ -58,7 +63,35 @@ def test_the_engine_sweeps_the_store_only_when_a_chain_is_dirty(workload):
     sim.store.gc = checked
     trace = sim.run().trace
     assert gc_calls and all(gc_calls)
-    assert sum(map(len, gc_calls)) == sum(kind == "gc" for _, kind, _, _ in trace)
+    swept = [(object_id, count) for reclaimed in gc_calls
+             for object_id, count in reclaimed]
+    inline, other = [], []
+    for before, (t, kind, subject, detail) in zip([None, *trace], trace):
+        if kind != "gc":
+            continue
+        if before[:3] == (t, "install", subject):
+            assert detail == {"reclaimed": 1}
+            inline.append(subject)
+        else:
+            other.append((subject, detail["reclaimed"]))
+    assert inline and other == swept
+    assert all(count >= 1 for _, count in swept)
+    assert len(inline) + len(swept) == sum(kind == "gc" for _, kind, _, _ in trace)
+
+
+def test_no_batch_ends_inside_a_tick():
+    # a dispatch that queues an on-demand refresh at t runs another pass at
+    # t, whose records still belong to the batch of t
+    cuts = 0
+    for seed in range(300):
+        cfg = random_config(seed, horizon_range=(2000, 4000))
+        batches = []
+        Simulator(cfg, sink=batches.append).run()
+        batches = [batch for batch in batches if batch]  # the last may be empty
+        for batch, following in zip(batches, batches[1:]):
+            assert batch[-1][0] < following[0][0], seed
+        cuts += len(batches) - 1
+    assert cuts > 0
 
 
 def test_run_handles_an_event_at_the_horizon_and_none_after_it():
@@ -330,7 +363,6 @@ def test_in_flight_at_horizon_is_neither_committed_nor_missed():
     overall = result.report.overall
     assert overall.released == 1
     assert overall.committed == overall.missed == 0
-    assert overall.in_flight == 1
 
 
 def test_elastic_policy_stretches_period_and_vi():

@@ -2,8 +2,10 @@
 
 The engine leans on these instead of testing for them at run time: a
 superseded version's holders all restart without a `terminal()` test, a wait
-list is woken without a state test, and `VersionStore.unpin` trusts that a
-pinned version is still in its chain. The same runs check the report's
+list is woken without a state test, `VersionStore.unpin` trusts that a
+pinned version is still in its chain, and an install reclaims in place the
+one version it can make reclaimable, since every handler that frees a
+version sweeps the store before it returns. The same runs check the report's
 `peak_live_versions`, which the aggregator derives from the `install` and
 `gc` records, against the chain lengths in the store."""
 
@@ -42,8 +44,20 @@ class CheckedSimulator(Simulator):
         super().__init__(config, sink=lambda records: None)
         self.unfinished = {}  # instance id -> instance, pruned at each check
         self.checks = 0
-        # object id -> its longest chain right after an install's sweep
+        # object id -> its longest chain right after an install
         self.peaks = {}
+        install = self.store.install_version
+
+        def checked_install(object_id, value, sample_time):
+            # the install's in-place reclaim removes the only reclaimable
+            # version: every earlier superseded one is pinned
+            chain = self.store.chains[object_id]
+            assert all(v.holders for v in chain[:-1]), (
+                f"install on {object_id} at t={sample_time} finds an unpinned "
+                "superseded version")
+            return install(object_id, value, sample_time)
+
+        self.store.install_version = checked_install
 
     def _make_ready(self, inst):
         # every instance becomes ready at its release
@@ -55,8 +69,9 @@ class CheckedSimulator(Simulator):
         self.check(t)
 
     def _wake_waiters(self, object_id):
-        # called right after each install's sweep, and after a skip, when
-        # the chain cannot be longer than after the install before it
+        # called right after each install's reclaim or its holders'
+        # restarts, and after a skip, when the chain cannot be longer than
+        # after the install before it
         self.peaks[object_id] = max(self.peaks.get(object_id, 0),
                                     len(self.store.chains[object_id]))
         super()._wake_waiters(object_id)
@@ -68,6 +83,8 @@ class CheckedSimulator(Simulator):
         where = f"at t={t}"
         self.unfinished = {i: inst for i, inst in self.unfinished.items()
                            if not inst.terminal()}
+        # every handler that dirties a chain sweeps it before it returns
+        assert not self.store.dirty, f"dirty chains {sorted(self.store.dirty)} {where}"
         for object_id, chain in self.store.chains.items():
             for version in chain[:-1]:
                 assert version.holders, f"unpinned superseded {object_id} {where}"
@@ -105,7 +122,8 @@ class CheckedSimulator(Simulator):
                          if kind == DEADLINE and not inst.terminal())
         for cls in self.metrics.per_class.keys() | queued.keys():
             stats = self.metrics.per_class.get(cls, TxnClassStats())
-            assert stats.in_flight == queued[cls], (
+            in_flight = stats.released - stats.committed - stats.missed
+            assert in_flight == queued[cls], (
                 f"{cls}: released {stats.released} != committed {stats.committed} "
                 f"+ missed {stats.missed} + queued {queued[cls]} {where}")
         releases = Counter((kind, subject) for _, kind, subject, _, _ in heap

@@ -79,7 +79,8 @@ def test_miss_ratio():
     agg.record([(5, "miss", f"t1#{i}", {}) for i in range(2)])
     report = agg.finalize()
     assert report.overall.miss_ratio == pytest.approx(0.2)
-    assert report.overall.in_flight == 8
+    overall = report.overall
+    assert overall.released - overall.committed - overall.missed == 8
 
 
 def test_empty_report_all_zero():
@@ -128,7 +129,8 @@ def test_aggregator_keeps_only_in_flight_instances():
     for seed in range(40):
         sim = Simulator(random_config(seed))
         report = sim.run().report
-        in_flight = sum(cls.in_flight for cls in report.per_class.values())
+        in_flight = sum(cls.released - cls.committed - cls.missed
+                        for cls in report.per_class.values())
         assert len(sim.metrics._class_of) == in_flight, seed
         left.append(in_flight)
         finished += report.overall.committed + report.overall.missed

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from freshsim.core import FreshnessMode, SimInternalError
+from freshsim.core import FreshnessMode, SimInternalError, Version
 from freshsim.store import VersionStore
 
 from support import one_object_config, run_config, run_outcomes
@@ -13,11 +13,12 @@ def make_store(mode=FreshnessMode.MULTIVERSION, vi=5):
 
 
 def install(store, object_id, value, sample_time):
-    """Install as the engine does: the install, then the sweep. Returns the
-    superseded pinned version, if any."""
-    superseded = store.install_version(object_id, value, sample_time)
+    """Install as the engine does: the engine sweeps after every unpin, so
+    the versions earlier unpins freed are swept first and the install finds
+    every superseded version pinned. Returns the superseded pinned version,
+    if any."""
     store.gc()
-    return superseded
+    return store.install_version(object_id, value, sample_time)
 
 
 def test_first_install():
@@ -52,6 +53,28 @@ def test_classical_install_notifies_pinned_readers():
     store.unpin(first, "r")
     assert store.gc() == [("o1", 1)]
     assert [v.seq for v in store.chains["o1"]] == [2]
+
+
+@pytest.mark.parametrize("mode", list(FreshnessMode))
+def test_install_reclaims_an_unpinned_predecessor_in_place(mode):
+    store = make_store(mode)
+    install(store, "o1", 1.0, 0)
+    chain = store.chains["o1"]
+    assert store.install_version("o1", 2.0, 10) is None
+    assert store.chains["o1"] is chain
+    assert [v.seq for v in chain] == [2]
+    assert not store.dirty
+
+
+@pytest.mark.parametrize("mode", list(FreshnessMode))
+def test_install_keeps_a_pinned_predecessor(mode):
+    store = make_store(mode)
+    install(store, "o1", 1.0, 0)
+    first = store.read_latest("o1", 1, "r")
+    superseded = store.install_version("o1", 2.0, 10)
+    assert superseded is (first if mode is FreshnessMode.CLASSICAL else None)
+    assert [v.seq for v in store.chains["o1"]] == [1, 2]
+    assert not store.dirty
 
 
 def test_install_rejects_non_monotone_sample_time():
@@ -176,7 +199,20 @@ def test_gc_never_reclaims_pinned_random_walkthrough():
 
 
 class FullSweepStore(VersionStore):
-    """Reference GC: sweeps every chain, in declaration order."""
+    """Reference store: an install only appends, and `gc` sweeps every chain
+    in declaration order."""
+
+    def install_version(self, object_id, value, sample_time):
+        chain = self.chains[object_id]
+        if chain and chain[-1].sample_time >= sample_time:
+            raise SimInternalError(f"non-monotone install on {object_id!r}")
+        prev = chain[-1] if chain else None
+        chain.append(Version(object_id=object_id, value=value,
+                             sample_time=sample_time,
+                             seq=prev.seq + 1 if prev else 1))
+        if prev is not None and prev.holders and self.mode is FreshnessMode.CLASSICAL:
+            return prev
+        return None
 
     def gc(self):
         reclaimed = []
@@ -223,9 +259,16 @@ def test_dirty_chain_gc_matches_full_sweep(mode, seed):
         action = rng.random()
         if action < 0.35:
             now = last_sample[oid] = max(now + rng.randint(0, 2), last_sample[oid] + 1)
+            # the engine sweeps after every unpin, so an install finds every
+            # superseded version pinned
+            assert _checked_gc(stores[0]) == stores[1].gc()
+            length = len(stores[0].chains[oid])
             superseded = [store.install_version(oid, float(i), now) for store in stores]
             assert len({v.seq if v else None for v in superseded}) == 1
-            assert _checked_gc(stores[0]) == stores[1].gc()
+            assert not stores[0].dirty
+            # what the install reclaimed in place, the reference sweeps
+            inline = length + 1 - len(stores[0].chains[oid])
+            assert stores[1].gc() == ([(oid, inline)] if inline else [])
         elif action < 0.65:
             seqs = [v.seq if v else None for v in
                     (store.read_latest(oid, now, f"r{i}") for store in stores)]
