@@ -4,7 +4,9 @@ Transactions traverse their read sets on a single non-preemptive processor
 dispatched by earliest deadline first at segment boundaries; updates run on a
 separate update server so freshness effects are not confounded with CPU
 contention. Every event is an integer-time entry in one queue with a total
-order, which makes runs bit-reproducible.
+order, which makes runs bit-reproducible. The update events of one tick and
+kind share one queue entry: a list that its handler sorts by object id, so
+they run in the order that entries of their own would.
 
 Within one tick, events settle in a fixed rank order:
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from operator import attrgetter
 
 from .core import ConfigError, FreshnessMode, Tick, UserTxnSpec, Version, admit
 from .metrics import MetricsAggregator, MetricsReport
@@ -31,13 +34,16 @@ from .store import VersionStore
 from .workload import SimConfig, ValueSampler, iter_arrivals, validate_config
 
 # Event kinds, in within-tick processing order. Each event carries what it
-# is about as its payload; the string subject only orders the queue.
+# is about as its payload; the string subject only orders the queue. An
+# update entry stands for every update event of its kind at its tick, so
+# its subject is empty and never compared: no other entry of its kind is
+# pending at that tick.
 TXN_ARRIVAL = 0       # (spec, remaining releases)
 RETRIEVAL_DONE = 1    # (inst, epoch)
 ANALYSIS_DONE = 2     # (inst, epoch)
 VI_EXPIRY = 3         # (inst, epoch, object id)
-UPDATE_RELEASE = 4    # the object's UpdateStream; the subject is the object id
-UPDATE_INSTALLED = 5  # (stream, value, sample time); the subject is the object id
+UPDATE_RELEASE = 4    # [UpdateStream], one per object released
+UPDATE_INSTALLED = 5  # [(stream, value, sample time)], one per install
 DEADLINE = 6          # inst
 
 # Transaction states.
@@ -53,7 +59,8 @@ class EventQueue:
     """Priority queue ordered by (time, kind rank, subject id, push order).
 
     The payload rides along and is never compared: the push order is
-    unique."""
+    unique. The engine pushes one entry per transaction event, and one per
+    tick and kind of update events, whose payload is the list of them."""
 
     def __init__(self):
         self._heap: list[tuple[Tick, int, str, int, object]] = []
@@ -107,11 +114,13 @@ class TxnInstance:
 @dataclass(slots=True)
 class UpdateStream:
     """What the update server reads of one object at each of its events,
-    looked up once per run: the policy's bound `decide` and its per-run
-    state, the effective update period and cost, whether the object updates
+    looked up once per run: the object id, which orders the update events of
+    one tick, the policy's bound `decide` and its per-run state, the
+    effective update period and cost, whether the object updates
     periodically (every policy but on-demand does), and the object's version
     chain, which the store changes only in place."""
 
+    object_id: str
     decide: Callable
     state: object
     period: Tick
@@ -128,6 +137,13 @@ class RunResult:
 
 # a run hands its records over once a tick leaves at least this many pending
 _BATCH_RECORDS = 256
+
+# the object id of a queued release, and of a queued install
+_release_object = attrgetter("object_id")
+
+
+def _install_object(install: tuple) -> str:
+    return install[0].object_id
 
 
 class Simulator:
@@ -176,6 +192,10 @@ class Simulator:
         self.refresh_inflight: set[str] = set()
         # object id -> its UpdateStream, built when the workload is queued
         self._streams: dict[str, UpdateStream] = {}
+        # tick -> the update events queued at it and not yet handled, in push
+        # order; each list is the payload of its tick's one queue entry
+        self._pending_releases: dict[Tick, list[UpdateStream]] = {}
+        self._pending_installs: dict[Tick, list[tuple]] = {}
 
     # -- trace -------------------------------------------------------------
 
@@ -196,12 +216,22 @@ class Simulator:
         self._batch += [(t, "gc", object_id, {"reclaimed": reclaimed})
                         for object_id, reclaimed in self.store.gc()]
 
+    def _queue_update(self, pending: dict[Tick, list], t: Tick, kind: int,
+                      item) -> None:
+        """Add an update event to the list of its kind at `t`; the first one
+        there queues the list."""
+        group = pending.get(t)
+        if group is None:
+            pending[t] = group = []
+            self.queue.push(t, kind, "", group)
+        group.append(item)
+
     # -- setup -------------------------------------------------------------
 
     def _schedule_workload(self) -> None:
         """Queue the first release of each admitted class and of each
         periodically updated object; each release queues the next one when
-        it fires, so the queue never holds more than one per stream. Every
+        it fires, so no stream has more than one release pending. Every
         object gets its UpdateStream here, on-demand ones included."""
         for spec in self.config.transactions:
             decision = admit(spec, self.eff_objects, self.config.enforce_admission)
@@ -215,10 +245,10 @@ class Simulator:
         for oid, eff in self.eff_objects.items():
             policy = policies[oid]
             stream = self._streams[oid] = UpdateStream(
-                policy.decide, policy.new_state(), eff.update_period,
+                oid, policy.decide, policy.new_state(), eff.update_period,
                 eff.update_cost, policy.kind != "ondemand", chains[oid])
             if stream.periodic:
-                self.queue.push(0, UPDATE_RELEASE, oid, stream)
+                self._queue_update(self._pending_releases, 0, UPDATE_RELEASE, stream)
 
     def _push_arrival(self, spec: UserTxnSpec, releases: Iterator[Tick]) -> None:
         release = next(releases, None)
@@ -245,7 +275,8 @@ class Simulator:
             self._dispatch(t)
             if len(self._batch) >= _BATCH_RECORDS and (not heap or heap[0][0] != t):
                 self._flush()
-        self._flush()
+        if self._batch:
+            self._flush()
         return RunResult(report=self.metrics.finalize(), trace=self.trace)
 
     # -- transaction lifecycle ----------------------------------------------
@@ -346,52 +377,71 @@ class Simulator:
 
     # -- update server -------------------------------------------------------
 
-    def _on_update_release(self, t: Tick, object_id: str,
-                           stream: UpdateStream) -> None:
-        if stream.periodic:
-            following = t + stream.period
-            if following <= self.horizon:
-                self.queue.push(following, UPDATE_RELEASE, object_id, stream)
-        sampled = self.sampler.sample(object_id, t)
-        chain = stream.chain
-        newest = chain[-1] if chain else None
-        decision, sink_value, extra = stream.decide(stream.state, t, sampled, newest)
-        # the policy, the sink error and an unchanged sink value follow from
-        # the config and the sampled value, so the record leaves them out
-        detail = {"decision": decision, "sampled": sampled, **extra}
-        if sink_value != sampled:
-            detail["sink_value"] = sink_value
-        self._batch.append((t, "update_decision", object_id, detail))
+    def _on_update_release(self, t: Tick, subject: str,
+                           streams: list[UpdateStream]) -> None:
+        """Release each object of the tick's list, in object id order."""
+        del self._pending_releases[t]
+        if len(streams) > 1:
+            streams.sort(key=_release_object)
+        emit = self._batch.append
+        sample = self.sampler.sample
+        horizon = self.horizon
+        for stream in streams:
+            object_id = stream.object_id
+            if stream.periodic:
+                following = t + stream.period
+                if following <= horizon:
+                    self._queue_update(self._pending_releases, following,
+                                       UPDATE_RELEASE, stream)
+            sampled = sample(object_id, t)
+            chain = stream.chain
+            newest = chain[-1] if chain else None
+            decision, sink_value, extra = stream.decide(stream.state, t, sampled, newest)
+            # the policy, the sink error and an unchanged sink value follow
+            # from the config and the sampled value, so the record leaves
+            # them out
+            detail = {"decision": decision, "sampled": sampled, **extra}
+            if sink_value != sampled:
+                detail["sink_value"] = sink_value
+            emit((t, "update_decision", object_id, detail))
 
-        if decision in (PERFORM, TRANSMIT):
-            self.queue.push(t + stream.cost, UPDATE_INSTALLED, object_id,
-                            (stream, sampled, t))
-        else:
-            # the skip confirms the stored value: a policy performs while
-            # nothing is stored, so `newest` is a version
-            newest.vi_extend += stream.period
+            if decision in (PERFORM, TRANSMIT):
+                self._queue_update(self._pending_installs, t + stream.cost,
+                                   UPDATE_INSTALLED, (stream, sampled, t))
+            else:
+                # the skip confirms the stored value: a policy performs while
+                # nothing is stored, so `newest` is a version
+                newest.vi_extend += stream.period
+                self._wake_waiters(object_id)
+
+    def _on_update_installed(self, t: Tick, subject: str,
+                             installs: list[tuple]) -> None:
+        """Install each (stream, value, sample time) of the tick's list, in
+        object id order."""
+        del self._pending_installs[t]
+        if len(installs) > 1:
+            installs.sort(key=_install_object)
+        install_version = self.store.install_version
+        for stream, value, sample_time in installs:
+            object_id = stream.object_id
+            chain = stream.chain
+            length = len(chain)
+            superseded = install_version(object_id, value, sample_time)
+            self._batch.append((t, "install", object_id,
+                                {"seq": chain[-1].seq, "sample_time": sample_time}))
+            if len(chain) == length:
+                # the install reclaimed the unpinned version it superseded
+                self._batch.append((t, "gc", object_id, {"reclaimed": 1}))
+            elif superseded is not None:
+                # a classical install replaced a version someone still pins:
+                # every holder restarts (update transactions are never
+                # delayed by readers), and each restart's sweep reclaims what
+                # its unpins freed; only unfinished instances hold pins
+                for inst in list(superseded.holders):
+                    self._restart(inst, t, cause="superseded", version=superseded)
+            if not stream.periodic:
+                self.refresh_inflight.discard(object_id)
             self._wake_waiters(object_id)
-
-    def _on_update_installed(self, t: Tick, object_id: str, payload) -> None:
-        stream, value, sample_time = payload
-        chain = stream.chain
-        length = len(chain)
-        superseded = self.store.install_version(object_id, value, sample_time)
-        self._batch.append((t, "install", object_id,
-                            {"seq": chain[-1].seq, "sample_time": sample_time}))
-        if len(chain) == length:
-            # the install reclaimed the unpinned version it superseded
-            self._batch.append((t, "gc", object_id, {"reclaimed": 1}))
-        elif superseded is not None:
-            # a classical install replaced a version someone still pins: every
-            # holder restarts (update transactions are never delayed by
-            # readers), and each restart's sweep reclaims what its unpins
-            # freed; only unfinished instances hold pins
-            for inst in list(superseded.holders):
-                self._restart(inst, t, cause="superseded", version=superseded)
-        if not stream.periodic:
-            self.refresh_inflight.discard(object_id)
-        self._wake_waiters(object_id)
 
     def _wake_waiters(self, object_id: str) -> None:
         # an instance that stops waiting leaves its list (_leave_waiting)
@@ -449,7 +499,7 @@ class Simulator:
         stream = self._streams[obj]
         if not stream.periodic and obj not in self.refresh_inflight:
             self.refresh_inflight.add(obj)
-            self.queue.push(t, UPDATE_RELEASE, obj, stream)
+            self._queue_update(self._pending_releases, t, UPDATE_RELEASE, stream)
         inst.state = WAITING
         self.waiting[obj].append(inst)
 

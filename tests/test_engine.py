@@ -87,7 +87,7 @@ def test_no_batch_ends_inside_a_tick():
         cfg = random_config(seed, horizon_range=(2000, 4000))
         batches = []
         Simulator(cfg, sink=batches.append).run()
-        batches = [batch for batch in batches if batch]  # the last may be empty
+        assert all(batches), seed
         for batch, following in zip(batches, batches[1:]):
             assert batch[-1][0] < following[0][0], seed
         cuts += len(batches) - 1
@@ -409,11 +409,15 @@ def test_scheduling_queues_one_release_per_stream(horizon):
     sim.queue.push = lambda *event: (pushes.append(event), push(*event))
     sim._schedule_workload()
     # one pending release per admitted class and per periodically updated
-    # object, whatever the horizon
+    # object, whatever the horizon: an arrival in the queue, or a stream in
+    # the release list of its tick, which is queued once
     admitted = len(transactions) - len(sim.metrics.rejected)
     streams = admitted + sum(p.kind != "ondemand" for p in policies.values())
     assert streams == 5
-    assert len(pushes) == len(sim.queue) == streams
+    arrivals = sum(kind == TXN_ARRIVAL for _, kind, _, _, _ in sim.queue._heap)
+    listed = sum(len(group) for group in sim._pending_releases.values())
+    assert arrivals + listed == streams
+    assert len(pushes) == len(sim.queue) == arrivals + len(sim._pending_releases)
 
 
 def test_run_keeps_no_finished_instance():

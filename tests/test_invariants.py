@@ -21,6 +21,7 @@ from freshsim.engine import (
     DEADLINE,
     RETRIEVING,
     TXN_ARRIVAL,
+    UPDATE_INSTALLED,
     UPDATE_RELEASE,
     WAITING,
     Simulator,
@@ -126,10 +127,27 @@ class CheckedSimulator(Simulator):
             assert in_flight == queued[cls], (
                 f"{cls}: released {stats.released} != committed {stats.committed} "
                 f"+ missed {stats.missed} + queued {queued[cls]} {where}")
-        releases = Counter((kind, subject) for _, kind, subject, _, _ in heap
-                           if kind in (TXN_ARRIVAL, UPDATE_RELEASE))
-        for (kind, subject), count in releases.items():
-            assert count == 1, f"{count} pending releases of {subject} {where}"
+        arrivals = Counter(subject for _, kind, subject, _, _ in heap
+                           if kind == TXN_ARRIVAL)
+        for cls, count in arrivals.items():
+            assert count == 1, f"{count} pending arrivals of {cls} {where}"
+        # each update list is the payload of the one queue entry of its tick
+        # and kind, and a stream has at most one pending release
+        for kind, pending in ((UPDATE_RELEASE, self._pending_releases),
+                              (UPDATE_INSTALLED, self._pending_installs)):
+            entries = [(time, payload) for time, k, _, _, payload in heap
+                       if k == kind]
+            assert len(entries) == len(pending), (
+                f"{len(entries)} queue entries for {len(pending)} lists "
+                f"of kind {kind} {where}")
+            for time, payload in entries:
+                assert pending.get(time) is payload, (
+                    f"the entry of kind {kind} at {time} is not its list {where}")
+                assert payload, f"empty list of kind {kind} at {time} {where}"
+        streams = Counter(stream.object_id for group in self._pending_releases.values()
+                          for stream in group)
+        for object_id, count in streams.items():
+            assert count == 1, f"{count} pending releases of {object_id} {where}"
 
 
 def checks_run(cfg) -> int:

@@ -1,12 +1,16 @@
-"""Event-driven engine vs tick-by-tick oracle on randomized small configs."""
+"""Event-driven engine vs tick-by-tick oracle on randomized small configs,
+and on hand-built ones whose update events share a tick."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshsim.core import FreshnessMode
+from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
+from freshsim.policies import OnDemandPolicy, PeriodicPolicy
+from freshsim.workload import ConstantProcess, SimConfig
 
 from randgen import random_config
-from support import engine_outcomes
+from support import engine_outcomes, run_config
 from tick_oracle import oracle_outcomes
 
 
@@ -39,3 +43,49 @@ def test_engine_matches_oracle_multiversion_only():
 def test_engine_matches_oracle_on_drawn_configs(seed, mode, enforce):
     # None leaves the mode, or the admission gate, to the generator's seed
     compare_seed(seed, mode=mode, enforce=enforce)
+
+
+def order_config(objects, readers, horizon=12) -> SimConfig:
+    """Constant objects `(id, period, cost, policy)` and store readers
+    `(id, read set, arrival tick)`, each object's analysis taking 1 tick."""
+    specs = [ObjectSpec(id=oid, vi=8, update_period=period, update_cost=cost,
+                        value_process=ConstantProcess(value=1.0))
+             for oid, period, cost, _ in objects]
+    txns = [UserTxnSpec(id=tid, read_set=read_set,
+                        retrieval_time={o: 0 for o in read_set},
+                        analysis_time={o: 1 for o in read_set},
+                        relative_deadline=10 + i, arrival=Arrival("oneshot", t=t),
+                        retrieval_mode="store")
+            for i, (tid, read_set, t) in enumerate(readers)]
+    return SimConfig(horizon=horizon, mode=FreshnessMode.CLASSICAL,
+                     enforce_admission=False, seed=1, objects=specs,
+                     policies={oid: policy for oid, _, _, policy in objects},
+                     transactions=txns)
+
+
+@pytest.mark.parametrize("cfg, tick, expected", [
+    # b (period 3) joins tick 6's release list at 3, a (period 2) at 4
+    (order_config([("b", 3, 0, PeriodicPolicy()), ("a", 2, 0, PeriodicPolicy())],
+                  [("t1", ["a", "b"], 5)]),
+     6, [("update_decision", "a"), ("update_decision", "b"),
+         ("install", "a"), ("install", "b")]),
+    # z's install, launched at 0, is queued for 3 before a's cost-0 install
+    # joins it from a's release at 3
+    (order_config([("z", 6, 3, PeriodicPolicy()), ("a", 3, 0, PeriodicPolicy())],
+                  [("t1", ["z", "a"], 1)]),
+     3, [("update_decision", "a"), ("install", "a"), ("install", "z")]),
+    # c's list at 2 has run when dispatch queues the refreshes of b (the
+    # earlier deadline) and then a: a new list at 2, run in the next pass
+    (order_config([("b", 5, 0, OnDemandPolicy()), ("a", 5, 0, OnDemandPolicy()),
+                   ("c", 2, 0, PeriodicPolicy())],
+                  [("t1", ["b"], 2), ("t2", ["a"], 2)]),
+     2, [("update_decision", "c"), ("install", "c"),
+         ("update_decision", "a"), ("update_decision", "b"),
+         ("install", "a"), ("install", "b")]),
+], ids=["appended-out-of-id-order", "cost-0-install-joins-its-tick",
+        "two-refreshes-from-one-dispatch"])
+def test_update_events_of_a_tick_run_in_object_id_order(cfg, tick, expected):
+    trace = run_config(cfg).trace
+    assert [(kind, subject) for t, kind, subject, _ in trace
+            if t == tick and kind in ("update_decision", "install")] == expected
+    assert engine_outcomes(cfg) == oracle_outcomes(cfg)
