@@ -2,7 +2,6 @@
 freshness in real-time temporal databases."""
 
 from .core import (
-    AdmissionDecision,
     Arrival,
     ConfigError,
     FeasibilityReport,
@@ -13,7 +12,6 @@ from .core import (
     Tick,
     UserTxnSpec,
     Version,
-    admit,
     feasibility_check,
     is_fresh,
 )
@@ -25,10 +23,10 @@ from .workload import SimConfig, emit_config, parse_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissionDecision", "Arrival", "ConfigError", "FeasibilityReport",
-    "FreshnessMode", "MetricsReport", "ObjectSpec", "PolicyInfeasibleError",
-    "RunResult", "SimConfig", "SimInternalError", "Simulator", "Tick",
-    "UserTxnSpec", "Version", "VersionStore", "admit", "emit_config",
-    "emit_csv", "emit_trace", "feasibility_check", "is_fresh", "parse_config",
-    "trace_hash", "__version__",
+    "Arrival", "ConfigError", "FeasibilityReport", "FreshnessMode",
+    "MetricsReport", "ObjectSpec", "PolicyInfeasibleError", "RunResult",
+    "SimConfig", "SimInternalError", "Simulator", "Tick", "UserTxnSpec",
+    "Version", "VersionStore", "emit_config", "emit_csv", "emit_trace",
+    "feasibility_check", "is_fresh", "parse_config", "trace_hash",
+    "__version__",
 ]

@@ -211,7 +211,6 @@ class FeasibilityEntry:
 
 @dataclass
 class FeasibilityReport:
-    txn_id: str
     entries: list[FeasibilityEntry]
 
     @property
@@ -242,19 +241,4 @@ def feasibility_check(txn: UserTxnSpec, objects: dict[str, ObjectSpec]) -> Feasi
             retrieval=txn.retrieval_time[oid],
             analysis=txn.analysis_time[oid],
         ))
-    return FeasibilityReport(txn_id=txn.id, entries=entries)
-
-
-@dataclass
-class AdmissionDecision:
-    admitted: bool
-    report: FeasibilityReport
-
-
-def admit(txn: UserTxnSpec, objects: dict[str, ObjectSpec],
-          enforce: bool) -> AdmissionDecision:
-    """Admission gate. With enforce on, a transaction failing the feasibility
-    check is rejected and never released; with enforce off everything is
-    admitted (needed to reproduce the unbounded-restart failure mode)."""
-    report = feasibility_check(txn, objects)
-    return AdmissionDecision(admitted=report.passed or not enforce, report=report)
+    return FeasibilityReport(entries=entries)

@@ -4,17 +4,20 @@ Transactions traverse their read sets on a single non-preemptive processor
 dispatched by earliest deadline first at segment boundaries; updates run on a
 separate update server so freshness effects are not confounded with CPU
 contention. Every event is an integer-time entry in one queue with a total
-order, which makes runs bit-reproducible. The update events of one tick and
-kind share one queue entry: a list that its handler sorts by object id, so
-they run in the order that entries of their own would.
+order, which makes runs bit-reproducible. The update events of one tick
+share one queue entry: its release list and its install list, which its
+handler sorts by object id, so they run in the order that entries of their
+own would.
 
 Within one tick, events settle in a fixed rank order:
 
-    arrival < retrieval-done < analysis-done < vi-expiry
-            < update-release < update-install < deadline
+    arrival < segment end < vi-expiry < update releases < update installs
+            < deadline
 
-then ready transactions are dispatched. The order encodes the semantics: an
-analysis finishing exactly when the last read's validity ends still commits;
+then ready transactions are dispatched. The end of a retrieval and of an
+analysis share a rank: at most one segment runs at a time, and the end of an
+abandoned one does nothing. The order encodes the semantics: an analysis
+finishing exactly when the last read's validity ends still commits;
 an uncommitted holder of a version restarts at the expiry instant and, in the
 same tick, can re-read a version installed at that instant; a transaction is
 missed at its deadline only if nothing committed it earlier in the tick.
@@ -27,7 +30,8 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import attrgetter
 
-from .core import ConfigError, FreshnessMode, Tick, UserTxnSpec, Version, admit
+from .core import (ConfigError, FreshnessMode, Tick, UserTxnSpec, Version,
+                   feasibility_check)
 from .metrics import MetricsAggregator, MetricsReport
 from .policies import PERFORM, TRANSMIT, effective_objects
 from .store import VersionStore
@@ -35,16 +39,13 @@ from .workload import SimConfig, ValueSampler, iter_arrivals, validate_config
 
 # Event kinds, in within-tick processing order. Each event carries what it
 # is about as its payload; the string subject only orders the queue. An
-# update entry stands for every update event of its kind at its tick, so
-# its subject is empty and never compared: no other entry of its kind is
-# pending at that tick.
-TXN_ARRIVAL = 0       # (spec, remaining releases)
-RETRIEVAL_DONE = 1    # (inst, epoch)
-ANALYSIS_DONE = 2     # (inst, epoch)
-VI_EXPIRY = 3         # (inst, epoch, object id)
-UPDATE_RELEASE = 4    # [UpdateStream], one per object released
-UPDATE_INSTALLED = 5  # [(stream, value, sample time)], one per install
-DEADLINE = 6          # inst
+# update entry stands for every update event at its tick, so its subject is
+# empty and never compared: no other update entry is pending at that tick.
+TXN_ARRIVAL = 0   # (spec, remaining releases)
+SEGMENT_DONE = 1  # (inst, epoch): the end of a retrieval or an analysis
+VI_EXPIRY = 2     # (inst, epoch, object id)
+UPDATES = 3       # ([UpdateStream released], [(stream, value, sample time)])
+DEADLINE = 4      # inst
 
 # Transaction states.
 READY = "ready"
@@ -60,7 +61,7 @@ class EventQueue:
 
     The payload rides along and is never compared: the push order is
     unique. The engine pushes one entry per transaction event, and one per
-    tick and kind of update events, whose payload is the list of them."""
+    tick of update events, whose payload is that tick's lists of them."""
 
     def __init__(self):
         self._heap: list[tuple[Tick, int, str, int, object]] = []
@@ -95,8 +96,10 @@ class TxnInstance:
     # object id -> the version read: pinned in the store, or a source sample;
     # once the cursor object is in it, its analysis is next
     accesses: dict[str, Version] = field(default_factory=dict)
-    # versions this instance was already expired off: never re-pinned
-    burned: dict[str, set[int]] = field(default_factory=dict)
+    # object id -> the seq of the last version this instance was expired
+    # off: never re-pinned. Only the newest version is served and seqs only
+    # grow, so no earlier expired version can be served again
+    burned: dict[str, int] = field(default_factory=dict)
     # objects this instance now acquires from the source after a vi restart
     source_only: set[str] = field(default_factory=set)
 
@@ -117,8 +120,9 @@ class UpdateStream:
     looked up once per run: the object id, which orders the update events of
     one tick, the policy's bound `decide` and its per-run state, the
     effective update period and cost, whether the object updates
-    periodically (every policy but on-demand does), and the object's version
-    chain, which the store changes only in place."""
+    periodically (every policy but on-demand does), the object's version
+    chain, which the store changes only in place, and, for an on-demand
+    object, whether a refresh is queued or running."""
 
     object_id: str
     decide: Callable
@@ -127,6 +131,7 @@ class UpdateStream:
     cost: Tick
     periodic: bool
     chain: list[Version]
+    refreshing: bool = False
 
 
 @dataclass
@@ -189,18 +194,13 @@ class Simulator:
         self._ready: list[tuple] = []
         self.running: TxnInstance | None = None
         self.waiting: dict[str, list[TxnInstance]] = {o.id: [] for o in config.objects}
-        self.refresh_inflight: set[str] = set()
         # object id -> its UpdateStream, built when the workload is queued
         self._streams: dict[str, UpdateStream] = {}
-        # tick -> the update events queued at it and not yet handled, in push
-        # order; each list is the payload of its tick's one queue entry
-        self._pending_releases: dict[Tick, list[UpdateStream]] = {}
-        self._pending_installs: dict[Tick, list[tuple]] = {}
+        # tick -> its (releases, installs) not yet handled, in push order:
+        # the payload of its tick's one queue entry
+        self._updates: dict[Tick, tuple[list, list]] = {}
 
     # -- trace -------------------------------------------------------------
-
-    def emit(self, t: Tick, kind: str, subject: str, detail: dict) -> None:
-        self._batch.append((t, kind, subject, detail))
 
     def _flush(self) -> None:
         """Hand the pending records to the sink, then to the aggregator."""
@@ -216,15 +216,14 @@ class Simulator:
         self._batch += [(t, "gc", object_id, {"reclaimed": reclaimed})
                         for object_id, reclaimed in self.store.gc()]
 
-    def _queue_update(self, pending: dict[Tick, list], t: Tick, kind: int,
-                      item) -> None:
-        """Add an update event to the list of its kind at `t`; the first one
-        there queues the list."""
-        group = pending.get(t)
-        if group is None:
-            pending[t] = group = []
-            self.queue.push(t, kind, "", group)
-        group.append(item)
+    def _updates_at(self, t: Tick) -> tuple[list, list]:
+        """The (releases, installs) lists of tick `t`; the first update event
+        there queues them."""
+        updates = self._updates.get(t)
+        if updates is None:
+            self._updates[t] = updates = ([], [])
+            self.queue.push(t, UPDATES, "", updates)
+        return updates
 
     # -- setup -------------------------------------------------------------
 
@@ -233,11 +232,13 @@ class Simulator:
         periodically updated object; each release queues the next one when
         it fires, so no stream has more than one release pending. Every
         object gets its UpdateStream here, on-demand ones included."""
+        # with enforcement off every class runs, even one that can restart
+        # without end
+        enforce = self.config.enforce_admission
         for spec in self.config.transactions:
-            decision = admit(spec, self.eff_objects, self.config.enforce_admission)
-            if not decision.admitted:
-                self.emit(0, "txn_rejected", spec.id,
-                          {"failing": decision.report.failing_objects()})
+            if enforce and not (report := feasibility_check(spec, self.eff_objects)).passed:
+                self._batch.append((0, "txn_rejected", spec.id,
+                                    {"failing": report.failing_objects()}))
                 continue
             self._push_arrival(spec, iter_arrivals(spec, self.horizon, self.config.seed))
         policies = self.config.policies
@@ -248,7 +249,7 @@ class Simulator:
                 oid, policy.decide, policy.new_state(), eff.update_period,
                 eff.update_cost, policy.kind != "ondemand", chains[oid])
             if stream.periodic:
-                self._queue_update(self._pending_releases, 0, UPDATE_RELEASE, stream)
+                self._updates_at(0)[0].append(stream)
 
     def _push_arrival(self, spec: UserTxnSpec, releases: Iterator[Tick]) -> None:
         release = next(releases, None)
@@ -289,8 +290,8 @@ class Simulator:
                            deadline=t + spec.relative_deadline)
         self._make_ready(inst)
         self.queue.push(inst.deadline, DEADLINE, inst.inst_id, inst)
-        self.emit(t, "txn_released", inst.inst_id,
-                  {"class": spec.id, "deadline": inst.deadline})
+        self._batch.append((t, "txn_released", inst.inst_id,
+                            {"class": spec.id, "deadline": inst.deadline}))
         self._push_arrival(spec, releases)
 
     def _on_segment_done(self, t: Tick, subject: str, payload) -> None:
@@ -312,8 +313,8 @@ class Simulator:
             v.object_id for v in inst.accesses.values()
             if self.store.valid_until(v) < t)
         inst.state = COMMITTED
-        self.emit(t, "commit", inst.inst_id,
-                  {"stale_at_commit": bool(stale), "stale_objects": stale})
+        self._batch.append((t, "commit", inst.inst_id,
+                            {"stale_at_commit": bool(stale), "stale_objects": stale}))
         self._release_pins(inst)
         self._sweep(t)
 
@@ -323,7 +324,7 @@ class Simulator:
         inst.state = MISSED
         self._free_processor(inst)
         self._leave_waiting(inst)
-        self.emit(t, "miss", inst.inst_id, {})
+        self._batch.append((t, "miss", inst.inst_id, {}))
         self._release_pins(inst)
         self._sweep(t)
 
@@ -346,11 +347,11 @@ class Simulator:
         reacquired and reanalyzed. `version` is the read that caused it."""
         if cause == "vi_expiry":
             if version.seq:
-                inst.burned.setdefault(version.object_id, set()).add(version.seq)
+                inst.burned[version.object_id] = version.seq
             if inst.spec.retrieval_mode == "store_then_source":
                 inst.source_only.add(version.object_id)
-        self.emit(t, "restart", inst.inst_id,
-                  {"cause": cause, "object": version.object_id})
+        self._batch.append((t, "restart", inst.inst_id,
+                            {"cause": cause, "object": version.object_id}))
         self._release_pins(inst)
         self._free_processor(inst)
         self._leave_waiting(inst)
@@ -377,22 +378,25 @@ class Simulator:
 
     # -- update server -------------------------------------------------------
 
-    def _on_update_release(self, t: Tick, subject: str,
-                           streams: list[UpdateStream]) -> None:
-        """Release each object of the tick's list, in object id order."""
-        del self._pending_releases[t]
-        if len(streams) > 1:
-            streams.sort(key=_release_object)
-        emit = self._batch.append
+    def _on_updates(self, t: Tick, subject: str,
+                    updates: tuple[list, list]) -> None:
+        """Release each object of the tick's list, then install each (stream,
+        value, sample time) of it, each in object id order. The tick's lists
+        stay queued while the releases run, so a cost-0 release's install
+        joins this tick's installs; a refresh that dispatch queues at `t`
+        later starts new lists."""
+        releases, installs = updates
+        if len(releases) > 1:
+            releases.sort(key=_release_object)
+        record = self._batch.append
         sample = self.sampler.sample
         horizon = self.horizon
-        for stream in streams:
+        for stream in releases:
             object_id = stream.object_id
             if stream.periodic:
                 following = t + stream.period
                 if following <= horizon:
-                    self._queue_update(self._pending_releases, following,
-                                       UPDATE_RELEASE, stream)
+                    self._updates_at(following)[0].append(stream)
             sampled = sample(object_id, t)
             chain = stream.chain
             newest = chain[-1] if chain else None
@@ -403,22 +407,17 @@ class Simulator:
             detail = {"decision": decision, "sampled": sampled, **extra}
             if sink_value != sampled:
                 detail["sink_value"] = sink_value
-            emit((t, "update_decision", object_id, detail))
+            record((t, "update_decision", object_id, detail))
 
             if decision in (PERFORM, TRANSMIT):
-                self._queue_update(self._pending_installs, t + stream.cost,
-                                   UPDATE_INSTALLED, (stream, sampled, t))
+                self._updates_at(t + stream.cost)[1].append((stream, sampled, t))
             else:
                 # the skip confirms the stored value: a policy performs while
                 # nothing is stored, so `newest` is a version
                 newest.vi_extend += stream.period
                 self._wake_waiters(object_id)
 
-    def _on_update_installed(self, t: Tick, subject: str,
-                             installs: list[tuple]) -> None:
-        """Install each (stream, value, sample time) of the tick's list, in
-        object id order."""
-        del self._pending_installs[t]
+        del self._updates[t]
         if len(installs) > 1:
             installs.sort(key=_install_object)
         install_version = self.store.install_version
@@ -427,11 +426,11 @@ class Simulator:
             chain = stream.chain
             length = len(chain)
             superseded = install_version(object_id, value, sample_time)
-            self._batch.append((t, "install", object_id,
-                                {"seq": chain[-1].seq, "sample_time": sample_time}))
+            record((t, "install", object_id,
+                    {"seq": chain[-1].seq, "sample_time": sample_time}))
             if len(chain) == length:
                 # the install reclaimed the unpinned version it superseded
-                self._batch.append((t, "gc", object_id, {"reclaimed": 1}))
+                record((t, "gc", object_id, {"reclaimed": 1}))
             elif superseded is not None:
                 # a classical install replaced a version someone still pins:
                 # every holder restarts (update transactions are never
@@ -439,8 +438,7 @@ class Simulator:
                 # its unpins freed; only unfinished instances hold pins
                 for inst in list(superseded.holders):
                     self._restart(inst, t, cause="superseded", version=superseded)
-            if not stream.periodic:
-                self.refresh_inflight.discard(object_id)
+            stream.refreshing = False
             self._wake_waiters(object_id)
 
     def _wake_waiters(self, object_id: str) -> None:
@@ -472,18 +470,15 @@ class Simulator:
         if obj in inst.accesses:
             # retrieved already: a read set holds each object once, and a
             # restart clears the accesses
-            self._run_segment(inst, ANALYZING, ANALYSIS_DONE,
-                              t + inst.spec.analysis_time[obj])
+            self._run_segment(inst, ANALYZING, t + inst.spec.analysis_time[obj])
             return
 
         mode = "source" if obj in inst.source_only else inst.spec.retrieval_mode
         if mode != "source":
-            version = self.store.read_latest(obj, t, inst,
-                                             inst.burned.get(obj, frozenset()))
+            version = self.store.read_latest(obj, t, inst, inst.burned.get(obj, 0))
             if version is not None:
                 self._acquire(inst, t, version, "store")
-                self._run_segment(inst, ANALYZING, ANALYSIS_DONE,
-                                  t + inst.spec.analysis_time[obj])
+                self._run_segment(inst, ANALYZING, t + inst.spec.analysis_time[obj])
                 return
 
         if mode != "store":
@@ -491,15 +486,14 @@ class Simulator:
             sample = Version(object_id=obj, value=self.sampler.sample(obj, t),
                              sample_time=t, seq=0)
             self._acquire(inst, t, sample, "source")
-            self._run_segment(inst, RETRIEVING, RETRIEVAL_DONE,
-                              t + inst.spec.retrieval_time[obj])
+            self._run_segment(inst, RETRIEVING, t + inst.spec.retrieval_time[obj])
             return
 
         # pure store mode: block until the object is refreshed or confirmed
         stream = self._streams[obj]
-        if not stream.periodic and obj not in self.refresh_inflight:
-            self.refresh_inflight.add(obj)
-            self._queue_update(self._pending_releases, t, UPDATE_RELEASE, stream)
+        if not stream.periodic and not stream.refreshing:
+            stream.refreshing = True
+            self._updates_at(t)[0].append(stream)
         inst.state = WAITING
         self.waiting[obj].append(inst)
 
@@ -508,18 +502,17 @@ class Simulator:
         """Hold the version read, record it and, in classical mode, queue the
         check at the instant its validity ends."""
         inst.accesses[version.object_id] = version
-        self.emit(t, "access", inst.inst_id,
-                  {"object": version.object_id, "via": via,
-                   "value": version.value, "staleness": t - version.sample_time})
+        self._batch.append((t, "access", inst.inst_id, {
+            "object": version.object_id, "via": via, "value": version.value,
+            "staleness": t - version.sample_time}))
         if self.mode is FreshnessMode.CLASSICAL:
             self.queue.push(self.store.valid_until(version), VI_EXPIRY, inst.inst_id,
                             (inst, inst.epoch, version.object_id))
 
-    def _run_segment(self, inst: TxnInstance, state: str, kind: int,
-                     end: Tick) -> None:
+    def _run_segment(self, inst: TxnInstance, state: str, end: Tick) -> None:
         inst.state = state
         self.running = inst
-        self.queue.push(end, kind, inst.inst_id, (inst, inst.epoch))
+        self.queue.push(end, SEGMENT_DONE, inst.inst_id, (inst, inst.epoch))
 
 
 # event handlers, indexed by event kind. They are bound to Simulator's own
@@ -527,11 +520,9 @@ class Simulator:
 # subclass hooks the helpers the handlers call (`_dispatch`, `_make_ready`,
 # `_wake_waiters`, `_sweep`, ...) instead.
 _HANDLERS = (
-    Simulator._on_arrival,           # TXN_ARRIVAL
-    Simulator._on_segment_done,      # RETRIEVAL_DONE
-    Simulator._on_segment_done,      # ANALYSIS_DONE
-    Simulator._on_vi_expiry,         # VI_EXPIRY
-    Simulator._on_update_release,    # UPDATE_RELEASE
-    Simulator._on_update_installed,  # UPDATE_INSTALLED
-    Simulator._on_deadline,          # DEADLINE
+    Simulator._on_arrival,       # TXN_ARRIVAL
+    Simulator._on_segment_done,  # SEGMENT_DONE
+    Simulator._on_vi_expiry,     # VI_EXPIRY
+    Simulator._on_updates,       # UPDATES
+    Simulator._on_deadline,      # DEADLINE
 )

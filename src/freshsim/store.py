@@ -83,19 +83,20 @@ class VersionStore:
         return prev if self.mode is FreshnessMode.CLASSICAL else None
 
     def read_latest(self, object_id: str, t: Tick, holder,
-                    exclude: frozenset[int] | set[int] = frozenset()) -> Version | None:
+                    exclude: int = 0) -> Version | None:
         """Serve the newest version if it is fresh at t, pinned for `holder`.
 
         Returns None when the chain is empty, the newest version is stale at
-        t, or its seq is in `exclude` (a transaction never re-pins a version
-        whose expiry already restarted it). The caller decides what stale
-        means for it: refresh on demand, wait, or go to the source.
+        t, or its seq is `exclude` (a transaction never re-pins a version
+        whose expiry already restarted it; seqs start at 1, so 0 excludes
+        nothing). The caller decides what stale means for it: refresh on
+        demand, wait, or go to the source.
         """
         chain = self.chains[object_id]
         if not chain:
             return None
         version = chain[-1]
-        if version.seq in exclude:
+        if version.seq == exclude:
             return None
         if not is_fresh(version, self.vis[object_id], t):
             return None

@@ -5,13 +5,16 @@ import pytest
 from freshsim.core import (
     Arrival,
     ConfigError,
+    FreshnessMode,
     ObjectSpec,
     UserTxnSpec,
     Version,
-    admit,
     feasibility_check,
     is_fresh,
 )
+from freshsim.engine import Simulator
+from freshsim.policies import PeriodicPolicy
+from freshsim.workload import ConstantProcess, SimConfig
 
 
 def _version(u, oid="o1"):
@@ -100,8 +103,18 @@ def test_feasibility_unknown_object_is_config_error():
     (10, 4, 5, True, True),
 ])
 def test_admit_examples(vi, r, a, enforce, admitted):
-    decision = admit(_txn(["o1"], {"o1": r}, {"o1": a}), _objects(o1=vi), enforce)
-    assert decision.admitted is admitted
+    # a class is rejected, with a `txn_rejected` record, only when admission
+    # is enforced and vi < R + A
+    config = SimConfig(horizon=20, mode=FreshnessMode.CLASSICAL,
+                       enforce_admission=enforce, seed=1,
+                       objects=[ObjectSpec(id="o1", vi=vi, update_period=5,
+                                           value_process=ConstantProcess(value=0.0))],
+                       policies={"o1": PeriodicPolicy()},
+                       transactions=[_txn(["o1"], {"o1": r}, {"o1": a})])
+    trace = Simulator(config).run().trace
+    rejected = [record for record in trace if record[1] == "txn_rejected"]
+    assert rejected == ([] if admitted else [(0, "txn_rejected", "t1", {"failing": ["o1"]})])
+    assert any(kind == "txn_released" for _, kind, _, _ in trace) is admitted
 
 
 def test_txn_validation_rules():

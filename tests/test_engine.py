@@ -415,9 +415,29 @@ def test_scheduling_queues_one_release_per_stream(horizon):
     streams = admitted + sum(p.kind != "ondemand" for p in policies.values())
     assert streams == 5
     arrivals = sum(kind == TXN_ARRIVAL for _, kind, _, _, _ in sim.queue._heap)
-    listed = sum(len(group) for group in sim._pending_releases.values())
+    listed = sum(len(releases) for releases, _ in sim._updates.values())
     assert arrivals + listed == streams
-    assert len(pushes) == len(sim.queue) == arrivals + len(sim._pending_releases)
+    assert len(pushes) == len(sim.queue) == arrivals + len(sim._updates)
+
+
+def test_cost_0_install_joins_its_ticks_installs():
+    # b (period 4, cost 2) installs at 2 and 6 what it released at 0 and 4;
+    # a (period 2, cost 0) releases and installs at 2 and 6. a's install
+    # joins the installs already queued for its tick, so the two run in
+    # object id order, not in the order they were queued
+    objects = [ObjectSpec(id=oid, vi=8, update_period=period, update_cost=cost,
+                          value_process=ConstantProcess(value=0.0))
+               for oid, period, cost in (("a", 2, 0), ("b", 4, 2))]
+    reader = UserTxnSpec(id="t1", read_set=["a"], retrieval_time={"a": 1},
+                         analysis_time={"a": 1}, relative_deadline=10,
+                         arrival=Arrival("oneshot", t=20), retrieval_mode="source")
+    trace = Simulator(SimConfig(horizon=8, mode=FreshnessMode.CLASSICAL,
+                                enforce_admission=False, seed=1, objects=objects,
+                                policies={"a": PeriodicPolicy(), "b": PeriodicPolicy()},
+                                transactions=[reader])).run().trace
+    installs = [(t, subject) for t, kind, subject, _ in trace if kind == "install"]
+    assert installs == [(0, "a"), (2, "a"), (2, "b"), (4, "a"), (6, "a"), (6, "b"),
+                        (8, "a")]
 
 
 def test_run_keeps_no_finished_instance():

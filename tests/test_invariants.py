@@ -21,8 +21,7 @@ from freshsim.engine import (
     DEADLINE,
     RETRIEVING,
     TXN_ARRIVAL,
-    UPDATE_INSTALLED,
-    UPDATE_RELEASE,
+    UPDATES,
     WAITING,
     Simulator,
 )
@@ -131,21 +130,20 @@ class CheckedSimulator(Simulator):
                            if kind == TXN_ARRIVAL)
         for cls, count in arrivals.items():
             assert count == 1, f"{count} pending arrivals of {cls} {where}"
-        # each update list is the payload of the one queue entry of its tick
-        # and kind, and a stream has at most one pending release
-        for kind, pending in ((UPDATE_RELEASE, self._pending_releases),
-                              (UPDATE_INSTALLED, self._pending_installs)):
-            entries = [(time, payload) for time, k, _, _, payload in heap
-                       if k == kind]
-            assert len(entries) == len(pending), (
-                f"{len(entries)} queue entries for {len(pending)} lists "
-                f"of kind {kind} {where}")
-            for time, payload in entries:
-                assert pending.get(time) is payload, (
-                    f"the entry of kind {kind} at {time} is not its list {where}")
-                assert payload, f"empty list of kind {kind} at {time} {where}"
-        streams = Counter(stream.object_id for group in self._pending_releases.values()
-                          for stream in group)
+        # each tick's update lists are the payload of its one queue entry
+        # and hold at least one event, and a stream has at most one pending
+        # release
+        entries = [(time, payload) for time, kind, _, _, payload in heap
+                   if kind == UPDATES]
+        assert len(entries) == len(self._updates), (
+            f"{len(entries)} update entries for {len(self._updates)} ticks {where}")
+        for time, payload in entries:
+            assert self._updates.get(time) is payload, (
+                f"the update entry at {time} is not its tick's lists {where}")
+            releases, installs = payload
+            assert releases or installs, f"empty update lists at {time} {where}"
+        streams = Counter(stream.object_id for releases, _ in self._updates.values()
+                          for stream in releases)
         for object_id, count in streams.items():
             assert count == 1, f"{count} pending releases of {object_id} {where}"
 

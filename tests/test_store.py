@@ -105,7 +105,9 @@ def test_read_latest_never_serves_excluded_newest():
     store.install_version("o1", 1.0, 0)
     store.install_version("o1", 2.0, 10)
     store.read_latest("o1", 11, "r")  # keep seq 1 alive through a pin
-    assert store.read_latest("o1", 12, "r", exclude={2}) is None
+    assert store.read_latest("o1", 12, "r", exclude=2) is None
+    # an older excluded seq does not keep the newest from being served
+    assert store.read_latest("o1", 12, "r", exclude=1) is store.chains["o1"][-1]
 
 
 def reader_config(mode):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from freshsim.core import FreshnessMode, UserTxnSpec, admit
+from freshsim.core import FreshnessMode, UserTxnSpec, feasibility_check
 from freshsim.policies import (
     ElasticPolicy,
     MKFirmPolicy,
@@ -96,7 +96,8 @@ class TickOracle:
 
         self.arrival_times: dict[str, list[int]] = {}
         for spec in config.transactions:
-            if not admit(spec, self.objects, config.enforce_admission).admitted:
+            if (config.enforce_admission
+                    and not feasibility_check(spec, self.objects).passed):
                 continue
             self.arrival_times[spec.id] = expand_arrivals(spec, config.horizon,
                                                           config.seed)
