@@ -15,8 +15,8 @@ from .core import (
     feasibility_check,
     is_fresh,
 )
-from .engine import RunResult, Simulator
-from .metrics import MetricsReport, emit_csv, emit_trace, trace_hash
+from .engine import Simulator
+from .metrics import MetricsReport, TraceLines, trace_hash
 from .store import VersionStore
 from .workload import SimConfig, emit_config, parse_config
 
@@ -24,9 +24,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arrival", "ConfigError", "FeasibilityReport", "FreshnessMode",
-    "MetricsReport", "ObjectSpec", "PolicyInfeasibleError", "RunResult",
-    "SimConfig", "SimInternalError", "Simulator", "Tick", "UserTxnSpec",
-    "Version", "VersionStore", "emit_config", "emit_csv", "emit_trace",
-    "feasibility_check", "is_fresh", "parse_config", "trace_hash",
-    "__version__",
+    "MetricsReport", "ObjectSpec", "PolicyInfeasibleError", "SimConfig",
+    "SimInternalError", "Simulator", "Tick", "TraceLines", "UserTxnSpec",
+    "Version", "VersionStore", "emit_config", "feasibility_check", "is_fresh",
+    "parse_config", "trace_hash", "__version__",
 ]

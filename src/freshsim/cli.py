@@ -57,17 +57,6 @@ def _policy_string(cfg: SimConfig) -> str:
     return "+".join(sorted({p.kind for p in cfg.policies.values()})) or "none"
 
 
-def _run_once(doc: dict, sink):
-    """Run the config `doc`, handing its trace records to `sink` in batches."""
-    cfg = config_from_dict(doc)
-    result = Simulator(cfg, sink=sink).run()
-    return cfg, result
-
-
-def _drop(records: list[tuple]) -> None:
-    """Trace sink for commands that read only the report."""
-
-
 def _write_csv(rows: list[str], path: str | None) -> None:
     """The header and `rows`, to the file at `path` or else to stdout."""
     text = "\n".join([CSV_HEADER] + rows) + "\n"
@@ -82,23 +71,23 @@ def _write_csv(rows: list[str], path: str | None) -> None:
 
 
 def cmd_run(args) -> int:
-    doc = _load_doc(args.config)
+    cfg = config_from_dict(_load_doc(args.config))
     lines = TraceLines()
-    cfg, result = _run_once(doc, lines)
-    rows = emit_csv_rows(result.report, cfg.name, cfg.mode.value, _policy_string(cfg))
+    report = Simulator(cfg, sink=lines).run()
+    rows = emit_csv_rows(report, cfg.name, cfg.mode.value, _policy_string(cfg))
     if args.csv:
         _write_csv(rows, args.csv)
     if args.trace:
         with open(args.trace, "wb") as out:
             out.writelines(trace_blocks(lines))
-    o = result.report.overall
+    o = report.overall
     print(f"scenario {cfg.name}: mode={cfg.mode.value} policy={_policy_string(cfg)}")
     print(f"  released={o.released} committed={o.committed} missed={o.missed} "
           f"miss_ratio={o.miss_ratio} restarts={o.restarts} vi_restarts={o.vi_restarts}")
-    print(f"  updates performed={result.report.updates_performed} "
-          f"skipped={result.report.updates_skipped}")
-    if result.report.rejected:
-        print(f"  rejected at admission: {', '.join(result.report.rejected)}")
+    print(f"  updates performed={report.updates_performed} "
+          f"skipped={report.updates_skipped}")
+    if report.rejected:
+        print(f"  rejected at admission: {', '.join(report.rejected)}")
     print(f"  trace hash {trace_hash(lines)}")
     if not args.csv:
         _write_csv(rows, None)
@@ -171,8 +160,8 @@ def cmd_sweep(args) -> int:
         doc = dict(base)
         _set_path(doc, args.param, value)
         doc["name"] = f"{base.get('name', 'config')}[{args.param}={value}]"
-        cfg, result = _run_once(doc, _drop)
-        rows += emit_csv_rows(result.report, cfg.name, cfg.mode.value,
+        cfg = config_from_dict(doc)
+        rows += emit_csv_rows(Simulator(cfg).run(), cfg.name, cfg.mode.value,
                               _policy_string(cfg))
     _write_csv(rows, args.csv)
     return EXIT_OK
@@ -282,8 +271,8 @@ def cmd_compare(args) -> int:
                     first = cfg
             label = token if token is not None else _policy_string(cfg)
             values.variant = (cfg.mode.value, label)
-            result = Simulator(cfg, sink=values, walks=walks).run()
-            rows += emit_csv_rows(result.report, cfg.name, cfg.mode.value, label)
+            report = Simulator(cfg, sink=values, walks=walks).run()
+            rows += emit_csv_rows(report, cfg.name, cfg.mode.value, label)
     _write_csv(rows, args.csv)
     return EXIT_OK
 

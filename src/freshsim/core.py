@@ -19,9 +19,7 @@ class ConfigError(Exception):
     """Raised on invalid configuration. Carries every violation found, each as
     a (path, message) pair, not just the first."""
 
-    def __init__(self, errors: list[tuple[str, str]] | str):
-        if isinstance(errors, str):
-            errors = [("", errors)]
+    def __init__(self, errors: list[tuple[str, str]]):
         self.errors = errors
         super().__init__("; ".join(f"{p}: {m}" if p else m for p, m in errors))
 
@@ -76,6 +74,10 @@ class ObjectSpec:
             errors.append((f"{path}.access_weight", "access weight must be >= 0"))
         if self.max_period is not None and self.max_period < self.update_period:
             errors.append((f"{path}.max_period", "max_period must be >= period"))
+        if self.value_process is None:
+            errors.append((f"{path}.process", "missing process"))
+        else:
+            self.value_process.validate(f"{path}.process", errors)
 
 
 @dataclass(slots=True)
@@ -153,9 +155,6 @@ class UserTxnSpec:
     arrival: Arrival = field(default_factory=lambda: Arrival("oneshot", t=0))
     retrieval_mode: str = "source"
 
-    def needs_source(self) -> bool:
-        return self.retrieval_mode in ("source", "store_then_source")
-
     def validate(self, path: str, object_ids: set[str],
                  errors: list[tuple[str, str]]) -> None:
         if not self.read_set:
@@ -171,7 +170,7 @@ class UserTxnSpec:
             r = self.retrieval_time.get(oid)
             if r is None:
                 errors.append((f"{path}.retrieval", f"missing retrieval time for {oid!r}"))
-            elif self.needs_source():
+            elif self.retrieval_mode in ("source", "store_then_source"):
                 if r <= 0:
                     errors.append((f"{path}.retrieval[{oid}]",
                                    "retrieval time must be > 0 for source acquisition"))

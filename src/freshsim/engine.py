@@ -134,12 +134,6 @@ class UpdateStream:
     refreshing: bool = False
 
 
-@dataclass
-class RunResult:
-    report: MetricsReport
-    trace: list[tuple]  # empty when the run was given a sink
-
-
 # a run hands its records over once a tick leaves at least this many pending
 _BATCH_RECORDS = 256
 
@@ -151,22 +145,25 @@ def _install_object(install: tuple) -> str:
     return install[0].object_id
 
 
+def _discard(records: list[tuple]) -> None:
+    """The default trace sink: the records reach only the aggregator."""
+
+
 class Simulator:
-    """One simulation run. Build, call run() once, read the result.
+    """One simulation run. Build, then call run() once for the report.
 
     Each trace record is a `(t, kind, subject, detail)` tuple. The records
     are handed over in batches: a list of records in order, first to `sink`
     (a callable taking the list), then to the metrics aggregator. A batch
     ends at a tick boundary once it holds _BATCH_RECORDS records, and the
-    last one before the report is built. Without a sink the records are kept
-    in `self.trace` and returned as `RunResult.trace`. A sink may keep the
-    list, but must not change it. `walks` is a random-walk table that runs
-    may share, so that each reads the walk steps the others computed (see
-    `ValueSampler`). A config is validated here unless `config_from_dict`
-    built it, and so validated it already."""
+    last one before the report is built. A sink may keep the list, but must
+    not change it; a list's `extend` collects every record. `walks` is a
+    random-walk table that runs may share, so that each reads the walk
+    steps the others computed (see `ValueSampler`). A config is validated
+    here unless `config_from_dict` built it, and so validated it already."""
 
     def __init__(self, config: SimConfig,
-                 sink: Callable[[list[tuple]], None] | None = None,
+                 sink: Callable[[list[tuple]], None] = _discard,
                  walks: dict[tuple, list[float]] | None = None):
         if not config.validated:
             errors = validate_config(config)
@@ -175,8 +172,7 @@ class Simulator:
         self.config = config
         self.horizon = config.horizon
         self.mode = config.mode
-        self.trace: list[tuple] = []
-        self._sink = self.trace.extend if sink is None else sink
+        self._sink = sink
         self._batch: list[tuple] = []  # records not yet handed over
         self.metrics = MetricsAggregator()
         self.eff_objects = effective_objects(config.objects, config.policies)
@@ -258,7 +254,7 @@ class Simulator:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self) -> MetricsReport:
         self._schedule_workload()
         heap = self.queue._heap
         pop = self.queue.pop
@@ -278,7 +274,7 @@ class Simulator:
                 self._flush()
         if self._batch:
             self._flush()
-        return RunResult(report=self.metrics.finalize(), trace=self.trace)
+        return self.metrics.finalize()
 
     # -- transaction lifecycle ----------------------------------------------
 

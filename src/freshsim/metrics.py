@@ -143,7 +143,7 @@ class MetricsAggregator:
                     live[subject] -= detail["reclaimed"]
                     continue
                 if pending is not None and kind != "restart":
-                    # the install's peak sample, as _peak takes it
+                    # the install's peak sample
                     obj = per_object.get(pending)
                     if obj is None:
                         obj = self._obj(pending)
@@ -203,13 +203,12 @@ class MetricsAggregator:
     def _on_miss(self, subject: str, detail: dict) -> None:
         self._class_of.pop(subject).missed += 1
 
-    def _peak(self, object_id: str) -> None:
-        obj = self._obj(object_id)
-        obj.peak_live_versions = max(obj.peak_live_versions, self._live[object_id])
-
     def finalize(self) -> MetricsReport:
-        if self._pending is not None:
-            self._peak(self._pending)
+        pending = self._pending
+        if pending is not None:
+            # the peak sample of the run's last install
+            obj = self._obj(pending)
+            obj.peak_live_versions = max(obj.peak_live_versions, self._live[pending])
             self._pending = None
         # the run-wide totals: each count is the sum over classes
         classes = self.per_class.values()
@@ -286,31 +285,23 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     return h
 
 
-def emit_trace(trace: list[tuple]) -> str:
-    """Line-delimited JSON, one `[t,kind,subject,{...}]` array per line."""
-    return b"".join(trace_blocks(trace)).decode("utf-8")
-
-
 def _block(lines) -> bytes:
     """The trace bytes of canonical `lines`, each ended by a newline."""
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def trace_blocks(trace: list[tuple] | TraceLines) -> Iterator[bytes]:
-    """The bytes of `emit_trace`, in blocks of whole lines, so no string of
-    the whole trace is built. `trace` holds either the records or, as a
-    `TraceLines` sink, their blocks and its pending lines."""
-    if isinstance(trace, TraceLines):
-        yield from trace.blocks
-        if trace.lines:
-            yield _block(trace.lines)
-        return
-    for start in range(0, len(trace), _BLOCK_LINES):
-        yield _block(_encode_records(trace[start:start + _BLOCK_LINES]))
+def trace_blocks(trace: TraceLines) -> Iterator[bytes]:
+    """The trace bytes that the sink `trace` kept, in blocks of whole lines,
+    so no string of the whole trace is built: its blocks, then its pending
+    lines."""
+    yield from trace.blocks
+    if trace.lines:
+        yield _block(trace.lines)
 
 
-def trace_hash(trace: list[tuple] | TraceLines) -> str:
-    """64-bit FNV-1a over the canonical trace bytes, as fixed-width hex."""
+def trace_hash(trace: TraceLines) -> str:
+    """64-bit FNV-1a over the trace bytes that the sink `trace` kept, as
+    fixed-width hex."""
     h = _FNV_OFFSET
     for block in trace_blocks(trace):
         h = fnv1a64(block, h)
@@ -318,7 +309,7 @@ def trace_hash(trace: list[tuple] | TraceLines) -> str:
 
 
 class TraceLines:
-    """Trace sink (see `Simulator`) that keeps the bytes `emit_trace` writes.
+    """Trace sink (see `Simulator`) that keeps the canonical trace bytes.
 
     Each batch of records is encoded as it arrives, one canonical line per
     record, and the lines wait in `lines`; every _BLOCK_LINES lines are
@@ -372,8 +363,3 @@ def emit_csv_rows(report: MetricsReport, scenario: str, mode: str,
             None, None, cls.stale_at_commit,
         ]))
     return rows
-
-
-def emit_csv(report: MetricsReport, scenario: str = "run", mode: str = "",
-             policy: str = "") -> str:
-    return "\n".join([CSV_HEADER] + emit_csv_rows(report, scenario, mode, policy)) + "\n"

@@ -311,21 +311,18 @@ def effective_objects(objects: list[ObjectSpec],
 class MKHistory:
     """Sliding window of the last k-1 decisions (True = performed).
 
-    Without an explicit `window`, the instances before the run started count
-    as performs. They are counted in `pre_run`, not stored, and the perform
-    count is kept as decisions enter and leave, so a decision costs O(1) and
-    memory grows only with the decisions actually made."""
+    The instances before the run started count as performs. They are
+    counted in `pre_run`, not stored, and `count`, the performs in the
+    window, is kept as decisions enter and leave, so a decision costs O(1)
+    and memory grows only with the decisions actually made."""
 
-    def __init__(self, k: int, window=()):
+    def __init__(self, k: int):
         self.size = max(k - 1, 0)
         # deque needs a C ssize_t: no run makes sys.maxsize decisions, so the
         # capped window never fills either way
-        self.window = deque(window, maxlen=min(self.size, sys.maxsize))
-        self.pre_run = 0 if self.window else self.size
-        self.count = self.pre_run + sum(self.window)
-
-    def performs(self) -> int:
-        return self.count
+        self.window = deque(maxlen=min(self.size, sys.maxsize))
+        self.pre_run = self.size
+        self.count = self.size
 
     def append(self, performed: bool) -> None:
         if not self.size:
@@ -344,7 +341,7 @@ def mk_firm_decision(m: int, k: int, history: MKHistory) -> str:
     decisions plus this skip still holds at least m performs; otherwise the
     update is forced. Every k consecutive instances then contain >= m
     performs. The decision is appended to the history."""
-    if history.performs() >= m:
+    if history.count >= m:
         history.append(False)
         return SKIP
     history.append(True)

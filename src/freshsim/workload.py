@@ -115,12 +115,21 @@ def uniform_at(key: int, index: int) -> float:
 
 # ---------------------------------------------------------------------------
 # value processes
+#
+# Each maps (t, sample ordinal, run seed, object id) to a value with
+# `value_at`, and reports its out-of-range fields with `validate`.
 
 
 @dataclass
 class ConstantProcess:
     value: float = 0.0
     kind: str = "constant"
+
+    def value_at(self, t: Tick, index: int, run_seed: int, object_id: str) -> float:
+        return float(self.value)
+
+    def validate(self, path: str, errors: list[tuple[str, str]]) -> None:
+        """Every value is in range."""
 
 
 @dataclass
@@ -129,6 +138,20 @@ class RandomWalkProcess:
     step_sigma: float = 1.0
     seed: int = 0
     kind: str = "randomwalk"
+
+    def value_at(self, t: Tick, index: int, run_seed: int, object_id: str) -> float:
+        """The walk after `index` steps, walked from the start: the
+        reference that `ValueSampler` must match. Two queries with the same
+        key and index always agree."""
+        key = stable_key(run_seed, self.seed, object_id, "walk")
+        value = float(self.start)
+        for j in range(1, index + 1):
+            value += self.step_sigma * _normal_dist_inv_cdf(uniform_at(key, j), 0.0, 1.0)
+        return value
+
+    def validate(self, path: str, errors: list[tuple[str, str]]) -> None:
+        if self.step_sigma < 0:
+            errors.append((f"{path}.step_sigma", "must be >= 0"))
 
 
 @dataclass
@@ -139,25 +162,13 @@ class SinusoidProcess:
     offset: float = 0.0
     kind: str = "sinusoid"
 
+    def value_at(self, t: Tick, index: int, run_seed: int, object_id: str) -> float:
+        angle = 2.0 * math.pi * t / self.period_ticks + self.phase
+        return self.amplitude * math.sin(angle) + self.offset
 
-ValueProcess = ConstantProcess | RandomWalkProcess | SinusoidProcess
-
-
-def sample_process(process: ValueProcess, t: Tick, index: int,
-                   run_seed: int = 0, object_id: str = "") -> float:
-    """Value of the process at time t. For a random walk, `index` is the
-    sample ordinal (step count); two queries with the same key and index
-    always agree."""
-    if isinstance(process, ConstantProcess):
-        return float(process.value)
-    if isinstance(process, SinusoidProcess):
-        angle = 2.0 * math.pi * t / process.period_ticks + process.phase
-        return process.amplitude * math.sin(angle) + process.offset
-    key = stable_key(run_seed, process.seed, object_id, "walk")
-    value = float(process.start)
-    for j in range(1, index + 1):
-        value += process.step_sigma * _normal_dist_inv_cdf(uniform_at(key, j), 0.0, 1.0)
-    return value
+    def validate(self, path: str, errors: list[tuple[str, str]]) -> None:
+        if self.period_ticks <= 0:
+            errors.append((f"{path}.period", "must be > 0"))
 
 
 class ValueSampler:
@@ -167,7 +178,7 @@ class ValueSampler:
     has ordinal t // period regardless of which policy runs or which instants
     it chooses to sample; that pins the real-world trajectory across policy
     variants of the same seeded workload. The steps add up in the order
-    `sample_process` adds them, so the values are the same floats.
+    `RandomWalkProcess.value_at` adds them, so the values are the same floats.
 
     Without `walks` the sampler keeps each random walk's last sample: a run
     asks for nondecreasing ordinals, so each walk steps on from there, and
@@ -192,11 +203,13 @@ class ValueSampler:
     def sample(self, object_id: str, t: Tick) -> float:
         obj = self.specs[object_id]
         process = obj.value_process
+        index = t // obj.update_period
         if isinstance(process, RandomWalkProcess):
+            # the one process with state: the sampler steps it on
             if self.walks is None:
-                return self._walk_value(obj, process, t // obj.update_period)
-            return self._table_value(obj, process, t // obj.update_period)
-        return sample_process(process, t, 0, self.seed, object_id)
+                return self._walk_value(obj, process, index)
+            return self._table_value(obj, process, index)
+        return process.value_at(t, index, self.seed, object_id)
 
     def _table_value(self, obj: ObjectSpec, process: RandomWalkProcess,
                      index: int) -> float:
@@ -391,21 +404,6 @@ class _Scalar:
         return default
 
 
-class _Bounded(_Scalar):
-    """A scalar with a range bound, tested right after the value is read."""
-
-    def __init__(self, base: _Scalar, bound, message: str):
-        super().__init__(base.check, base.message, base.zero, base.exact)
-        self.bound = bound
-        self.bound_message = message
-
-    def read(self, r, d, key, path, default):
-        value = _Scalar.read(self, r, d, key, path, default)
-        if not self.bound(value):
-            r.fail(_at(path, key), self.bound_message)
-        return value
-
-
 class _Durations(_Scalar):
     """Ticks per object id, or one int for every object read (expanded once
     the read set is known)."""
@@ -428,8 +426,6 @@ INT = _Scalar(_is_int, "must be an integer", 0, (int,))
 NUM = _Scalar(_is_num, "must be a number", 0.0, (int,))
 STR = _Scalar(lambda v: isinstance(v, str), "must be a string", "", (str,))
 BOOL = _Scalar(lambda v: isinstance(v, bool), "must be a boolean", False, (bool,))
-POSITIVE_INT = _Bounded(INT, lambda v: v > 0, "must be > 0")
-NONNEGATIVE_NUM = _Bounded(NUM, lambda v: v >= 0, "must be >= 0")
 IDS = _Scalar(lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
               "must be a list of object ids", [])
 DURATIONS = _Durations(_is_int, "must be an integer or an object id map", {}, (int,))
@@ -498,11 +494,11 @@ class _Kinds:
 PROCESSES = _Kinds("process", {
     "constant": (ConstantProcess, (("value", "value", NUM, REQUIRED),)),
     "randomwalk": (RandomWalkProcess, (
-        ("step_sigma", "step_sigma", NONNEGATIVE_NUM, REQUIRED),
+        ("step_sigma", "step_sigma", NUM, REQUIRED),
         ("start", "start", NUM, REQUIRED),
         ("seed", "seed", INT, 0))),
     "sinusoid": (SinusoidProcess, (
-        ("period", "period_ticks", POSITIVE_INT, REQUIRED),
+        ("period", "period_ticks", INT, REQUIRED),
         ("amplitude", "amplitude", NUM, REQUIRED),
         ("phase", "phase", NUM, 0.0),
         ("offset", "offset", NUM, 0.0))),

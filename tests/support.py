@@ -4,7 +4,8 @@ extraction for engine/oracle comparison."""
 from __future__ import annotations
 
 from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
-from freshsim.engine import RunResult, Simulator
+from freshsim.engine import Simulator
+from freshsim.metrics import MetricsReport, TraceLines, trace_hash
 from freshsim.policies import PeriodicPolicy
 from freshsim.workload import ConstantProcess, SimConfig
 
@@ -27,13 +28,23 @@ def one_object_config(vi=5, period=10, cost=0, retrieval=2, analysis=4,
                      transactions=[txn])
 
 
-def run_config(cfg: SimConfig) -> RunResult:
-    return Simulator(cfg).run()
+def run_records(cfg: SimConfig) -> tuple[MetricsReport, list[tuple]]:
+    """Run `cfg` with a list sink; its report and every trace record."""
+    records = []
+    return Simulator(cfg, sink=records.extend).run(), records
 
 
-def outcomes(sim: Simulator) -> dict[str, dict]:
-    """Each released instance's outcome, by instance id, rebuilt from the
-    trace of `sim`, a finished run without a sink: its `commit` or `miss`
+def hash_records(records: list[tuple]) -> str:
+    """The trace hash of `records`, fed to a TraceLines sink as `run` feeds
+    its own."""
+    lines = TraceLines()
+    lines(records)
+    return trace_hash(lines)
+
+
+def outcomes(sim: Simulator, records: list[tuple]) -> dict[str, dict]:
+    """Each released instance's outcome, by instance id, rebuilt from
+    `records`, the trace of `sim`, a finished run: its `commit` or `miss`
     record gives the state and time, its `restart` records the restarts
     (`vi_restarts` counts those with cause `vi_expiry`). An instance with
     neither record is in flight: the running one, a waiting one (in
@@ -43,7 +54,7 @@ def outcomes(sim: Simulator) -> dict[str, dict]:
     if sim.running is not None:
         in_flight[sim.running.inst_id] = sim.running.state
     txns = {}
-    for t, kind, subject, detail in sim.trace:
+    for t, kind, subject, detail in records:
         if kind == "txn_released":
             txns[subject] = {"state": in_flight.get(subject, "ready"),
                              "commit_time": None, "miss_time": None,
@@ -59,24 +70,27 @@ def outcomes(sim: Simulator) -> dict[str, dict]:
     return txns
 
 
-def run_outcomes(cfg: SimConfig) -> tuple[RunResult, dict[str, dict]]:
-    """Run `cfg`; return the result and the `outcomes` of its instances."""
-    sim = Simulator(cfg)
-    return sim.run(), outcomes(sim)
+def run_outcomes(cfg: SimConfig) -> tuple[MetricsReport, list[tuple], dict[str, dict]]:
+    """Run `cfg`; its report, its trace records and the `outcomes` of its
+    instances."""
+    records = []
+    sim = Simulator(cfg, sink=records.extend)
+    return sim.run(), records, outcomes(sim, records)
 
 
 def engine_outcomes(cfg: SimConfig) -> dict:
     """Run `cfg`; the same outcome shape the tick oracle reports, for
     equality checks."""
-    sim = Simulator(cfg)
+    records = []
+    sim = Simulator(cfg, sink=records.extend)
     sim.run()
     installs = {o.id: [] for o in cfg.objects}
     decisions = {o.id: [] for o in cfg.objects}
     norm = {"transmit": "perform", "suppress": "skip"}
-    for t, kind, subject, detail in sim.trace:
+    for t, kind, subject, detail in records:
         if kind == "install":
             installs[subject].append((t, detail["sample_time"]))
         elif kind == "update_decision":
             d = detail["decision"]
-            decisions[subject].append((t, norm.get(d, d)))
-    return {"txns": outcomes(sim), "installs": installs, "decisions": decisions}
+            decisions[subject].append((t, norm.get(d, d), detail["sampled"]))
+    return {"txns": outcomes(sim, records), "installs": installs, "decisions": decisions}

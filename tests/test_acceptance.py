@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from freshsim.cli import main
 from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
 from freshsim.engine import Simulator
-from freshsim.metrics import emit_csv, trace_hash
+from freshsim.metrics import emit_csv_rows
 from freshsim.policies import (
     MKFirmPolicy,
     OnDemandPolicy,
@@ -23,10 +23,11 @@ from freshsim.workload import ConstantProcess, RandomWalkProcess, SimConfig
 from randgen import feasible_isolated_config, random_config
 from support import (
     engine_outcomes,
+    hash_records,
     one_object_config,
     outcomes,
-    run_config,
     run_outcomes,
+    run_records,
 )
 from tick_oracle import oracle_outcomes
 
@@ -112,7 +113,7 @@ def test_criterion_1_infeasible_restart_reproduction():
         assert oracle["miss_time"] == 30
         assert oracle["vi_restarts"] == GOLDEN_VI_RESTARTS
 
-        inst = run_outcomes(cfg)[1]["t1#0"]
+        inst = run_outcomes(cfg)[2]["t1#0"]
         assert inst["state"] == "missed"
         assert inst["miss_time"] == 30
         assert inst["vi_restarts"] == GOLDEN_VI_RESTARTS
@@ -121,14 +122,14 @@ def test_criterion_1_infeasible_restart_reproduction():
 
 def test_criterion_2_multiversion_continuation():
     with criterion(2, "classical restarts where multiversion continues"):
-        classical, txns = run_outcomes(mv_continuation_config(FreshnessMode.CLASSICAL))
+        _, records, txns = run_outcomes(mv_continuation_config(FreshnessMode.CLASSICAL))
         inst = txns["t1#0"]
         assert inst["vi_restarts"] == 1
-        restarts = [t for t, kind, _, _ in classical.trace if kind == "restart"]
+        restarts = [t for t, kind, _, _ in records if kind == "restart"]
         assert restarts == [5]            # expiry instant of the t=0 version
         assert inst["commit_time"] == 9   # re-read of the t=5 version
 
-        inst = run_outcomes(mv_continuation_config(FreshnessMode.MULTIVERSION))[1]["t1#0"]
+        inst = run_outcomes(mv_continuation_config(FreshnessMode.MULTIVERSION))[2]["t1#0"]
         assert inst["state"] == "committed"
         assert inst["commit_time"] == 7
         assert inst["vi_restarts"] == 0
@@ -151,7 +152,7 @@ def test_criterion_4_feasible_commit_bound():
     with criterion(4, "feasible isolated source reads commit on first attempt"):
         for seed in range(200):
             cfg = feasible_isolated_config(seed)
-            inst = run_outcomes(cfg)[1]["t0#0"]
+            inst = run_outcomes(cfg)[2]["t0#0"]
             assert inst["state"] == "committed", f"seed {seed}"
             assert inst["restarts"] == 0, f"seed {seed}"
             first_work = cfg.transactions[0].arrival.t  # the one release
@@ -163,10 +164,11 @@ def test_criterion_4_feasible_commit_bound():
 class PinCountingSimulator(Simulator):
     """Keeps each object's peak number of pins, counted from the holders of
     its chain right after each install's sweep, when the aggregator samples
-    its live versions."""
+    its live versions, and every trace record."""
 
     def __init__(self, config):
-        super().__init__(config)
+        self.records = []
+        super().__init__(config, sink=self.records.extend)
         self.peak_pins = {}
 
     def _wake_waiters(self, object_id):
@@ -179,12 +181,12 @@ MV_SWEEP_RESULTS = []
 
 
 def mv_sweep_runs():
-    """(result, outcomes, peak pins per object) of 200 multiversion runs."""
+    """(report, outcomes, peak pins per object) of 200 multiversion runs."""
     if not MV_SWEEP_RESULTS:
         for seed in range(200):
             sim = PinCountingSimulator(random_config(
                 seed, mode=FreshnessMode.MULTIVERSION, horizon_range=(30, 150)))
-            MV_SWEEP_RESULTS.append((sim.run(), outcomes(sim), sim.peak_pins))
+            MV_SWEEP_RESULTS.append((sim.run(), outcomes(sim, sim.records), sim.peak_pins))
     return MV_SWEEP_RESULTS
 
 
@@ -198,21 +200,21 @@ def test_criterion_5_multiversion_zero_restart_sweep():
 
 def test_criterion_6_on_demand_savings():
     with criterion(6, "on-demand updates bounded by accesses, periodic exact"):
-        periodic = run_config(on_demand_savings_config(PeriodicPolicy()))
-        assert periodic.report.updates_performed == 1000 // 10 + 1  # 101
+        periodic = Simulator(on_demand_savings_config(PeriodicPolicy())).run()
+        assert periodic.updates_performed == 1000 // 10 + 1  # 101
 
-        ondemand = run_config(on_demand_savings_config(OnDemandPolicy()))
-        accesses = ondemand.report.overall.released
+        ondemand = Simulator(on_demand_savings_config(OnDemandPolicy())).run()
+        accesses = ondemand.overall.released
         assert accesses > 0
-        assert ondemand.report.updates_performed <= accesses
-        assert ondemand.report.updates_performed < periodic.report.updates_performed
+        assert ondemand.updates_performed <= accesses
+        assert ondemand.updates_performed < periodic.updates_performed
 
 
 def test_criterion_7_mk_firm_window_property():
     with criterion(7, "every k consecutive instances hold at least m updates"):
         for m, k in ((1, 2), (2, 3), (3, 5)):
-            result = run_config(mk_window_config(m, k))
-            decisions = [detail["decision"] for _, kind, _, detail in result.trace
+            decisions = [detail["decision"] for _, kind, _, detail
+                         in run_records(mk_window_config(m, k))[1]
                          if kind == "update_decision"]
             assert len(decisions) == 100
             padded = ["perform"] * (k - 1) + decisions
@@ -232,8 +234,8 @@ def sink_error(decision: dict) -> float:
 
 def test_criterion_8_similarity_and_prediction_error_bounds():
     with criterion(8, "dead-band and prediction bounds hold at every sample"):
-        result = run_config(error_bound_config(SimilarityPolicy(delta=0.5)))
-        decisions = [detail for _, kind, _, detail in result.trace
+        decisions = [detail for _, kind, _, detail
+                     in run_records(error_bound_config(SimilarityPolicy(delta=0.5)))[1]
                      if kind == "update_decision"]
         assert len(decisions) == 1000
         assert any(d["decision"] == "skip" for d in decisions)
@@ -244,9 +246,9 @@ def test_criterion_8_similarity_and_prediction_error_bounds():
                 assert sink_error(d) == 0.0
 
         for predictor in ("lastvalue", "linear"):
-            result = run_config(error_bound_config(
+            _, records = run_records(error_bound_config(
                 PredictionPolicy(predictor=predictor, epsilon=1.0)))
-            decisions = [detail for _, kind, _, detail in result.trace
+            decisions = [detail for _, kind, _, detail in records
                          if kind == "update_decision"]
             assert len(decisions) == 1000
             assert any(d["decision"] == "suppress" for d in decisions)
@@ -287,17 +289,17 @@ def test_criterion_11_determinism():
         configs += [feasible_isolated_config(s) for s in range(5)]
         configs += [random_config(s) for s in range(10)]
         for cfg in configs:
-            first = run_config(cfg)
-            second = run_config(cfg)
-            assert trace_hash(first.trace) == trace_hash(second.trace)
-            csv_a = emit_csv(first.report, cfg.name, cfg.mode.value, "p")
-            csv_b = emit_csv(second.report, cfg.name, cfg.mode.value, "p")
+            first, first_records = run_records(cfg)
+            second, second_records = run_records(cfg)
+            assert hash_records(first_records) == hash_records(second_records)
+            csv_a = emit_csv_rows(first, cfg.name, cfg.mode.value, "p")
+            csv_b = emit_csv_rows(second, cfg.name, cfg.mode.value, "p")
             assert csv_a == csv_b
 
 
 def test_criterion_12_gc_safety_and_bounded_chains():
     with criterion(12, "no pinned version reclaimed; chains bounded by pinners"):
         # reuses the criterion-5 sweep: any pinned reclaim raises inside gc
-        for result, _, peak_pins in mv_sweep_runs():
-            for oid, stats in result.report.per_object.items():
+        for report, _, peak_pins in mv_sweep_runs():
+            for oid, stats in report.per_object.items():
                 assert stats.peak_live_versions <= 1 + peak_pins.get(oid, 0), oid

@@ -12,9 +12,10 @@ from freshsim.core import (
     feasibility_check,
     is_fresh,
 )
-from freshsim.engine import Simulator
 from freshsim.policies import PeriodicPolicy
 from freshsim.workload import ConstantProcess, SimConfig
+
+from support import run_records
 
 
 def _version(u, oid="o1"):
@@ -111,7 +112,7 @@ def test_admit_examples(vi, r, a, enforce, admitted):
                                            value_process=ConstantProcess(value=0.0))],
                        policies={"o1": PeriodicPolicy()},
                        transactions=[_txn(["o1"], {"o1": r}, {"o1": a})])
-    trace = Simulator(config).run().trace
+    trace = run_records(config)[1]
     rejected = [record for record in trace if record[1] == "txn_rejected"]
     assert rejected == ([] if admitted else [(0, "txn_rejected", "t1", {"failing": ["o1"]})])
     assert any(kind == "txn_released" for _, kind, _, _ in trace) is admitted

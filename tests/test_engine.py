@@ -7,12 +7,11 @@ import pytest
 
 from freshsim.core import Arrival, ConfigError, FreshnessMode, ObjectSpec, UserTxnSpec
 from freshsim.engine import _BATCH_RECORDS, TXN_ARRIVAL, Simulator, TxnInstance
-from freshsim.metrics import trace_hash
 from freshsim.policies import ElasticPolicy, OnDemandPolicy, PeriodicPolicy
 from freshsim.workload import ConstantProcess, SimConfig, config_from_dict
 
 from randgen import random_config
-from support import one_object_config, run_config, run_outcomes
+from support import hash_records, one_object_config, run_outcomes, run_records
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 if str(BENCH_DIR) not in sys.path:
@@ -25,18 +24,18 @@ def test_empty_workload_is_vacuous():
     cfg = SimConfig(horizon=100, mode=FreshnessMode.CLASSICAL,
                     enforce_admission=False, seed=1, objects=[], policies={},
                     transactions=[])
-    result, txns = run_outcomes(cfg)
+    report, records, txns = run_outcomes(cfg)
     assert txns == {}
-    assert result.trace == []
-    assert result.report.overall.released == 0
-    assert result.report.overall.miss_ratio == 0.0
+    assert records == []
+    assert report.overall.released == 0
+    assert report.overall.miss_ratio == 0.0
 
 
 def test_sink_batches_are_the_trace_cut_at_tick_boundaries():
     cfg = config_from_dict(gen.generate("restart_cycle", 1))
     batches = []
     Simulator(cfg, sink=batches.append).run()
-    trace = Simulator(cfg).run().trace
+    trace = run_records(cfg)[1]
     assert [record for batch in batches for record in batch] == trace
     assert len(batches) > 10
     for batch, following in zip(batches, batches[1:]):
@@ -50,7 +49,8 @@ def test_the_engine_sweeps_the_store_only_when_a_chain_is_dirty(workload):
     # chain and reclaims something, or from an install that reclaimed the
     # version it superseded: one `reclaimed: 1` record right after the
     # `install` of the same object at the same t
-    sim = Simulator(config_from_dict(gen.generate(workload, 1)))
+    trace = []
+    sim = Simulator(config_from_dict(gen.generate(workload, 1)), sink=trace.extend)
     gc_calls = []
     collect = sim.store.gc
 
@@ -61,7 +61,7 @@ def test_the_engine_sweeps_the_store_only_when_a_chain_is_dirty(workload):
         return reclaimed
 
     sim.store.gc = checked
-    trace = sim.run().trace
+    sim.run()
     assert gc_calls and all(gc_calls)
     swept = [(object_id, count) for reclaimed in gc_calls
              for object_id, count in reclaimed]
@@ -97,10 +97,11 @@ def test_no_batch_ends_inside_a_tick():
 def test_run_handles_an_event_at_the_horizon_and_none_after_it():
     # updates every 10 ticks up to the horizon at 40, and a release at 40
     cfg = one_object_config(horizon=40, arrival_t=40)
-    sim = Simulator(cfg)
+    trace = []
+    sim = Simulator(cfg, sink=trace.extend)
     spec = cfg.transactions[0]
     sim.queue.push(41, TXN_ARRIVAL, spec.id, (spec, iter(())))
-    trace = sim.run().trace
+    sim.run()
     assert [t for t, kind, _, _ in trace if kind == "update_decision"] == [0, 10, 20, 30, 40]
     assert [(t, subject) for t, kind, subject, _ in trace
             if kind == "txn_released"] == [(40, "t1#0")]
@@ -114,7 +115,7 @@ def test_an_on_demand_release_queued_by_dispatch_runs_in_the_same_tick():
     # dispatch after it serves t1 from the store, all at 5
     cfg = one_object_config(vi=10, cost=0, analysis=4, arrival_t=5,
                             retrieval_mode="store", policy=OnDemandPolicy())
-    trace = Simulator(cfg).run().trace
+    trace = run_records(cfg)[1]
     assert [(t, kind) for t, kind, _, _ in trace] == [
         (5, "txn_released"), (5, "update_decision"), (5, "install"),
         (5, "access"), (9, "commit")]
@@ -136,7 +137,7 @@ def test_feasible_source_txn_commits_first_attempt():
     # vi=10, R=2, A=3: sample at 0 stays fresh through the commit at 5
     cfg = one_object_config(vi=10, period=5, cost=0, retrieval=2, analysis=3,
                             deadline=20)
-    inst = run_outcomes(cfg)[1]["t1#0"]
+    inst = run_outcomes(cfg)[2]["t1#0"]
     assert inst["state"] == "committed"
     assert inst["commit_time"] == 5
     assert inst["restarts"] == 0
@@ -145,19 +146,19 @@ def test_feasible_source_txn_commits_first_attempt():
 def test_infeasible_source_txn_cycles_until_deadline():
     # the unbounded reacquire/reanalyze cycle: restart every vi ticks
     cfg = one_object_config(vi=5, retrieval=2, analysis=4, deadline=30)
-    result, txns = run_outcomes(cfg)
+    _, records, txns = run_outcomes(cfg)
     inst = txns["t1#0"]
     assert inst["state"] == "missed"
     assert inst["miss_time"] == 30
     assert inst["vi_restarts"] == 6
-    restarts = [t for t, kind, _, _ in result.trace if kind == "restart"]
+    restarts = [t for t, kind, _, _ in records if kind == "restart"]
     assert restarts == [5, 10, 15, 20, 25, 30]
 
 
 def test_boundary_feasibility_commits_exactly_at_expiry():
     # R + A == vi: analysis completes at the expiry instant and still commits
     cfg = one_object_config(vi=6, retrieval=2, analysis=4, deadline=30)
-    inst = run_outcomes(cfg)[1]["t1#0"]
+    inst = run_outcomes(cfg)[2]["t1#0"]
     assert inst["state"] == "committed"
     assert inst["commit_time"] == 6
     assert inst["vi_restarts"] == 0
@@ -167,7 +168,7 @@ def test_store_serve_costs_only_analysis_time():
     # cached read: analysis starts at the access instant
     cfg = one_object_config(vi=5, period=5, cost=0, retrieval=0, analysis=4,
                             deadline=18, retrieval_mode="store")
-    inst = run_outcomes(cfg)[1]["t1#0"]
+    inst = run_outcomes(cfg)[2]["t1#0"]
     assert inst["state"] == "committed"
     assert inst["commit_time"] == 4
     assert inst["restarts"] == 0
@@ -176,7 +177,7 @@ def test_store_serve_costs_only_analysis_time():
 def test_classical_store_reader_restarts_on_expiry_then_rereads():
     cfg = one_object_config(vi=5, period=5, cost=0, retrieval=0, analysis=4,
                             deadline=17, arrival_t=3, retrieval_mode="store")
-    inst = run_outcomes(cfg)[1]["t1#0"]
+    inst = run_outcomes(cfg)[2]["t1#0"]
     assert inst["state"] == "committed"
     assert inst["vi_restarts"] == 1
     assert inst["commit_time"] == 9  # restarted at 5, re-read the t=5 version
@@ -186,12 +187,12 @@ def test_multiversion_reader_continues_past_expiry():
     cfg = one_object_config(vi=5, period=5, cost=0, retrieval=0, analysis=4,
                             deadline=17, arrival_t=3, retrieval_mode="store",
                             mode=FreshnessMode.MULTIVERSION)
-    result, txns = run_outcomes(cfg)
+    _, records, txns = run_outcomes(cfg)
     inst = txns["t1#0"]
     assert inst["state"] == "committed"
     assert inst["commit_time"] == 7
     assert inst["restarts"] == 0
-    commits = [detail for _, kind, _, detail in result.trace if kind == "commit"]
+    commits = [detail for _, kind, _, detail in records if kind == "commit"]
     assert commits[0]["stale_at_commit"] is True
 
 
@@ -203,13 +204,13 @@ def test_superseded_classical_reader_restarts_multiversion_continues():
             vi=50, period=5, cost=0, retrieval=0, analysis=4, deadline=30,
             arrival_t=3, retrieval_mode="store", mode=mode))
 
-    classical, txns = run(FreshnessMode.CLASSICAL)
-    restarts = [(t, detail) for t, kind, _, detail in classical.trace if kind == "restart"]
+    _, records, txns = run(FreshnessMode.CLASSICAL)
+    restarts = [(t, detail) for t, kind, _, detail in records if kind == "restart"]
     assert restarts == [(5, {"cause": "superseded", "object": "o1"})]
     inst = txns["t1#0"]
     assert (inst["state"], inst["commit_time"], inst["vi_restarts"]) == ("committed", 9, 0)
 
-    inst = run(FreshnessMode.MULTIVERSION)[1]["t1#0"]
+    inst = run(FreshnessMode.MULTIVERSION)[2]["t1#0"]
     assert (inst["state"], inst["commit_time"], inst["restarts"]) == ("committed", 7, 0)
 
 
@@ -231,7 +232,7 @@ def test_superseded_version_restarts_every_classical_holder_in_pin_order():
                     policies={"o1": PeriodicPolicy(), "o2": PeriodicPolicy()},
                     transactions=txns)
     at_6 = [(kind, subject, detail.get("cause", detail.get("reclaimed")))
-            for t, kind, subject, detail in run_config(cfg).trace
+            for t, kind, subject, detail in run_records(cfg)[1]
             if t == 6 and kind in ("install", "restart", "gc")
             and subject != "o2"]
     assert at_6 == [("install", "o1", None),
@@ -242,21 +243,21 @@ def test_superseded_version_restarts_every_classical_holder_in_pin_order():
 
 def test_admission_gate_blocks_infeasible_release():
     cfg = one_object_config(vi=5, retrieval=2, analysis=4, enforce=True)
-    result, txns = run_outcomes(cfg)
+    report, _, txns = run_outcomes(cfg)
     assert txns == {}
-    assert result.report.rejected == ["t1"]
-    assert result.report.overall.released == 0
+    assert report.rejected == ["t1"]
+    assert report.overall.released == 0
 
 
 def test_store_then_source_falls_back_and_commits():
     # cold store at t=0 with no periodic update until t=10: fetch from source
     cfg = one_object_config(vi=10, period=10, cost=5, retrieval=2, analysis=3,
                             deadline=20, retrieval_mode="store_then_source")
-    result, txns = run_outcomes(cfg)
+    _, records, txns = run_outcomes(cfg)
     inst = txns["t1#0"]
     assert inst["state"] == "committed"
     assert inst["commit_time"] == 5
-    access = [detail for _, kind, _, detail in result.trace if kind == "access"]
+    access = [detail for _, kind, _, detail in records if kind == "access"]
     assert access[0]["via"] == "source"
 
 
@@ -266,11 +267,11 @@ def test_cached_read_bound_single_vi_restart_then_source():
     cfg = one_object_config(vi=8, period=30, cost=0, retrieval=2, analysis=5,
                             deadline=25, arrival_t=4,
                             retrieval_mode="store_then_source", horizon=40)
-    result, txns = run_outcomes(cfg)
+    _, records, txns = run_outcomes(cfg)
     inst = txns["t1#0"]
     assert inst["state"] == "committed"
     assert inst["vi_restarts"] <= 1
-    vias = [detail["via"] for _, kind, _, detail in result.trace if kind == "access"]
+    vias = [detail["via"] for _, kind, _, detail in records if kind == "access"]
     assert vias == ["store", "source"]
 
 
@@ -278,12 +279,12 @@ def test_on_demand_refresh_blocks_until_install():
     cfg = one_object_config(vi=20, period=10, cost=3, retrieval=0, analysis=2,
                             deadline=30, retrieval_mode="store",
                             policy=OnDemandPolicy())
-    result, txns = run_outcomes(cfg)
+    _, records, txns = run_outcomes(cfg)
     inst = txns["t1#0"]
     assert inst["state"] == "committed"
     # refresh launched at 0, installed at 3, analysis 3..5
     assert inst["commit_time"] == 5
-    installs = [(t, detail["sample_time"]) for t, kind, _, detail in result.trace
+    installs = [(t, detail["sample_time"]) for t, kind, _, detail in records
                 if kind == "install"]
     assert installs == [(3, 0)]
 
@@ -300,8 +301,8 @@ def test_on_demand_shared_refresh_among_waiters():
     cfg = SimConfig(horizon=40, mode=FreshnessMode.MULTIVERSION,
                     enforce_admission=False, seed=1, objects=[obj],
                     policies={"o1": OnDemandPolicy()}, transactions=txns)
-    result, txns = run_outcomes(cfg)
-    decisions = [rec for rec in result.trace if rec[1] == "update_decision"]
+    _, records, txns = run_outcomes(cfg)
+    decisions = [rec for rec in records if rec[1] == "update_decision"]
     assert len(decisions) == 1  # one refresh serves both waiters
     assert all(inst["state"] == "committed" for inst in txns.values())
 
@@ -317,8 +318,8 @@ def test_edf_prefers_earlier_absolute_deadline():
                     enforce_admission=False, seed=1, objects=[obj],
                     policies={"o1": PeriodicPolicy()},
                     transactions=[mk("a", 30), mk("b", 20), mk("c", 25)])
-    result, txns = run_outcomes(cfg)
-    order = [subject for _, kind, subject, _ in result.trace if kind == "access"]
+    _, records, txns = run_outcomes(cfg)
+    order = [subject for _, kind, subject, _ in records if kind == "access"]
     assert [s.split("#")[0] for s in order[:3]] == ["b", "c", "a"]
     commits = {iid.split("#")[0]: inst["commit_time"] for iid, inst in txns.items()}
     assert commits == {"b": 4, "c": 8, "a": 12}
@@ -335,21 +336,20 @@ def test_edf_tie_broken_by_spec_id():
                     enforce_admission=False, seed=1, objects=[obj],
                     policies={"o1": PeriodicPolicy()},
                     transactions=[mk("z"), mk("a")])
-    result = run_config(cfg)
-    order = [subject for _, kind, subject, _ in result.trace if kind == "access"]
+    order = [subject for _, kind, subject, _ in run_records(cfg)[1] if kind == "access"]
     assert [s.split("#")[0] for s in order[:2]] == ["a", "z"]
 
 
 def test_deadline_mid_analysis_means_missed():
     cfg = one_object_config(vi=30, retrieval=2, analysis=10, deadline=5)
-    inst = run_outcomes(cfg)[1]["t1#0"]
+    inst = run_outcomes(cfg)[2]["t1#0"]
     assert inst["state"] == "missed"
     assert inst["miss_time"] == 5
 
 
 def test_commit_exactly_at_deadline_is_met():
     cfg = one_object_config(vi=30, retrieval=2, analysis=3, deadline=5)
-    inst = run_outcomes(cfg)[1]["t1#0"]
+    inst = run_outcomes(cfg)[2]["t1#0"]
     assert inst["state"] == "committed"
     assert inst["commit_time"] == 5
 
@@ -357,10 +357,10 @@ def test_commit_exactly_at_deadline_is_met():
 def test_in_flight_at_horizon_is_neither_committed_nor_missed():
     cfg = one_object_config(vi=30, retrieval=2, analysis=10, deadline=25,
                             arrival_t=35, horizon=40)
-    result, txns = run_outcomes(cfg)
+    report, _, txns = run_outcomes(cfg)
     inst = txns["t1#0"]
     assert inst["state"] not in ("committed", "missed")
-    overall = result.report.overall
+    overall = report.overall
     assert overall.released == 1
     assert overall.committed == overall.missed == 0
 
@@ -377,11 +377,12 @@ def test_elastic_policy_stretches_period_and_vi():
     cfg = SimConfig(horizon=40, mode=FreshnessMode.CLASSICAL,
                     enforce_admission=False, seed=1, objects=objects,
                     policies=policies, transactions=[])
-    sim = Simulator(cfg)
-    result = sim.run()
+    records = []
+    sim = Simulator(cfg, sink=records.extend)
+    sim.run()
     assert {oid: o.update_period for oid, o in sim.eff_objects.items()} == {"a": 5, "b": 5}
     assert sim.store.vis == {"a": 10, "b": 10}
-    installs_a = [t for t, kind, subject, _ in result.trace
+    installs_a = [t for t, kind, subject, _ in records
                   if kind == "install" and subject == "a"]
     # releases on the stretched grid 0,5,...,40; the install launched at 40
     # lands past the horizon and never executes
@@ -431,10 +432,10 @@ def test_cost_0_install_joins_its_ticks_installs():
     reader = UserTxnSpec(id="t1", read_set=["a"], retrieval_time={"a": 1},
                          analysis_time={"a": 1}, relative_deadline=10,
                          arrival=Arrival("oneshot", t=20), retrieval_mode="source")
-    trace = Simulator(SimConfig(horizon=8, mode=FreshnessMode.CLASSICAL,
-                                enforce_admission=False, seed=1, objects=objects,
-                                policies={"a": PeriodicPolicy(), "b": PeriodicPolicy()},
-                                transactions=[reader])).run().trace
+    trace = run_records(SimConfig(horizon=8, mode=FreshnessMode.CLASSICAL,
+                                  enforce_admission=False, seed=1, objects=objects,
+                                  policies={"a": PeriodicPolicy(), "b": PeriodicPolicy()},
+                                  transactions=[reader]))[1]
     installs = [(t, subject) for t, kind, subject, _ in trace if kind == "install"]
     assert installs == [(0, "a"), (2, "a"), (2, "b"), (4, "a"), (6, "a"), (6, "b"),
                         (8, "a")]
@@ -453,9 +454,8 @@ def test_run_keeps_no_finished_instance():
                                                         ("cycle", 2, 4, 8))]
     sim = Simulator(SimConfig(horizon=2000, mode=FreshnessMode.CLASSICAL,
                               enforce_admission=False, seed=1, objects=[obj],
-                              policies={"o1": PeriodicPolicy()}, transactions=specs),
-                    sink=lambda records: None)
-    overall = sim.run().report.overall
+                              policies={"o1": PeriodicPolicy()}, transactions=specs))
+    overall = sim.run().overall
     assert overall.released >= 1000 and overall.committed and overall.missed
     gc.collect()
     kept = [o for o in gc.get_objects()
@@ -481,12 +481,12 @@ def _always_skip_config(vi, analysis, arrival_t, deadline):
 def test_skip_extension_wakes_waiting_reader():
     # arrival at 3 finds the t=0 version expired (vi=2); the skip at 4
     # confirms it, stretching validity to 6, and the waiter reads at 4
-    result, txns = run_outcomes(_always_skip_config(vi=2, analysis=2, arrival_t=3,
-                                                    deadline=20))
+    _, records, txns = run_outcomes(_always_skip_config(vi=2, analysis=2, arrival_t=3,
+                                                        deadline=20))
     inst = txns["t1#0"]
     assert inst["state"] == "committed"
     assert inst["commit_time"] == 6
-    access = [(t, detail["staleness"]) for t, kind, _, detail in result.trace
+    access = [(t, detail["staleness"]) for t, kind, _, detail in records
               if kind == "access"]
     assert access == [(4, 4)]
 
@@ -495,7 +495,7 @@ def test_skip_extension_defers_pinned_expiry():
     # the skip at 4 moves the pinned version's expiry from 6 to 10 while the
     # reader analyzes; the commit lands exactly on the extended boundary
     inst = run_outcomes(_always_skip_config(vi=6, analysis=9, arrival_t=1,
-                                            deadline=30))[1]["t1#0"]
+                                            deadline=30))[2]["t1#0"]
     assert inst["state"] == "committed"
     assert inst["commit_time"] == 10
     assert inst["restarts"] == 0
@@ -503,8 +503,7 @@ def test_skip_extension_defers_pinned_expiry():
 
 def test_trace_times_nondecreasing():
     cfg = one_object_config(vi=5, retrieval=2, analysis=4, deadline=30)
-    result = run_config(cfg)
-    times = [t for t, _, _, _ in result.trace]
+    times = [t for t, _, _, _ in run_records(cfg)[1]]
     assert times == sorted(times)
 
 
@@ -512,17 +511,17 @@ def test_determinism_identical_runs_identical_traces():
     from randgen import random_config
     for seed in (3, 17, 88):
         cfg = random_config(seed)
-        first = run_config(cfg)
-        second = run_config(cfg)
-        assert trace_hash(first.trace) == trace_hash(second.trace)
-        assert first.trace == second.trace
+        first = run_records(cfg)[1]
+        second = run_records(cfg)[1]
+        assert hash_records(first) == hash_records(second)
+        assert first == second
 
 
 def test_multiversion_never_restarts_anything():
     from randgen import random_config
     for seed in range(40):
         cfg = random_config(seed, mode=FreshnessMode.MULTIVERSION)
-        txns = run_outcomes(cfg)[1]
+        txns = run_outcomes(cfg)[2]
         assert all(inst["vi_restarts"] == 0 for inst in txns.values())
         assert all(inst["restarts"] == 0 for inst in txns.values())
 
@@ -531,13 +530,14 @@ def test_classical_serves_only_fresh_data():
     from randgen import random_config
     for seed in range(30):
         cfg = random_config(seed, mode=FreshnessMode.CLASSICAL)
-        sim = Simulator(cfg)
-        result = sim.run()
+        records = []
+        sim = Simulator(cfg, sink=records.extend)
+        sim.run()
         vis = sim.store.vis
         # skip-capable policies legitimately extend validity past the base vi
         rigid = {oid for oid, p in cfg.policies.items()
                  if p.kind in ("periodic", "ondemand", "elastic")}
-        for _, kind, _, detail in result.trace:
+        for _, kind, _, detail in records:
             if kind == "access" and detail["via"] == "store":
                 obj = detail["object"]
                 if obj in rigid:

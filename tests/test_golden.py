@@ -20,8 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from freshsim.core import ConfigError, FreshnessMode
-from freshsim.engine import Simulator
-from freshsim.metrics import MetricsAggregator, emit_csv_rows, trace_hash
+from freshsim.metrics import MetricsAggregator, emit_csv_rows
 from freshsim.policies import (
     ElasticPolicy,
     OnDemandPolicy,
@@ -32,6 +31,7 @@ from freshsim.policies import (
 from freshsim.workload import config_from_dict, emit_config
 
 from randgen import feasible_isolated_config, random_config
+from support import hash_records, run_records
 from test_acceptance import (
     CHECK_DOC,
     error_bound_config,
@@ -97,17 +97,17 @@ def fingerprint(cfg) -> dict:
     fresh aggregator fed the run's trace gives the same report."""
     digest = _digest(emit_config(cfg))
     try:
-        result = Simulator(cfg).run()
+        result, records = run_records(cfg)
     except ConfigError as e:
         return {"config": digest, "error": str(e)}
-    first = trace_hash(result.trace)
-    assert trace_hash(Simulator(cfg).run().trace) == first
-    rows = emit_csv_rows(result.report, cfg.name, cfg.mode.value, "golden")
+    first = hash_records(records)
+    assert hash_records(run_records(cfg)[1]) == first
+    rows = emit_csv_rows(result, cfg.name, cfg.mode.value, "golden")
     replay = MetricsAggregator()
-    replay.record(result.trace)
+    replay.record(records)
     report = replay.finalize()
-    assert report.per_class == result.report.per_class
-    assert report.per_object == result.report.per_object
+    assert report.per_class == result.per_class
+    assert report.per_object == result.per_object
     assert emit_csv_rows(report, cfg.name, cfg.mode.value, "golden") == rows
     return {"config": digest, "trace": first, "report": _digest("\n".join(rows))}
 

@@ -152,7 +152,7 @@ def checks_run(cfg) -> int:
     """Run `cfg` with every check; the number of checks made. Each object's
     peak live versions in the report must be its longest chain."""
     sim = CheckedSimulator(cfg)
-    report = sim.run().report
+    report = sim.run()
     peaks = {oid: stats.peak_live_versions for oid, stats in report.per_object.items()
              if stats.peak_live_versions}
     assert peaks == sim.peaks

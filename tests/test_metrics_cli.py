@@ -13,7 +13,7 @@ import freshsim.cli
 import freshsim.engine
 import freshsim.metrics
 import freshsim.workload
-from freshsim.cli import SampledValues, _set_path, main
+from freshsim.cli import SampledValues, _set_path, _write_csv, main
 from freshsim.core import ConfigError, FreshnessMode, SimInternalError
 from freshsim.engine import Simulator
 from freshsim.policies import effective_objects
@@ -22,9 +22,7 @@ from freshsim.metrics import (
     MetricsAggregator,
     TraceLines,
     _encode_records,
-    emit_csv,
     emit_csv_rows,
-    emit_trace,
     fnv1a64,
     trace_blocks,
     trace_hash,
@@ -32,7 +30,7 @@ from freshsim.metrics import (
 from freshsim.workload import config_from_dict
 
 from randgen import random_config
-from support import one_object_config, run_config
+from support import hash_records, one_object_config, run_records
 
 
 CONFIG_INFEASIBLE = {
@@ -114,11 +112,11 @@ def test_finalize_is_idempotent():
     agg.record([(4, "miss", "t1#0", {})])
     first = agg.finalize()
     second = agg.finalize()
-    assert emit_csv(first) == emit_csv(second)
+    assert emit_csv_rows(first, "r", "m", "p") == emit_csv_rows(second, "r", "m", "p")
     # and a full rebuild of the same run aggregates identically
-    report = run_config(one_object_config()).report
-    again = run_config(one_object_config()).report
-    assert emit_csv(report) == emit_csv(again)
+    report = Simulator(one_object_config()).run()
+    again = Simulator(one_object_config()).run()
+    assert emit_csv_rows(report, "r", "m", "p") == emit_csv_rows(again, "r", "m", "p")
 
 
 def test_aggregator_keeps_only_in_flight_instances():
@@ -128,7 +126,7 @@ def test_aggregator_keeps_only_in_flight_instances():
     left, finished = [], 0
     for seed in range(40):
         sim = Simulator(random_config(seed))
-        report = sim.run().report
+        report = sim.run()
         in_flight = sum(cls.released - cls.committed - cls.missed
                         for cls in report.per_class.values())
         assert len(sim.metrics._class_of) == in_flight, seed
@@ -153,9 +151,8 @@ def test_aggregator_report_does_not_depend_on_the_batches():
              for mode in FreshnessMode]
     due = 0
     for cfg in cfgs:
-        result = Simulator(cfg).run()
-        trace = result.trace
-        rows = emit_csv_rows(result.report, "r", "m", "p")
+        expected, trace = run_records(cfg)
+        rows = emit_csv_rows(expected, "r", "m", "p")
         after_install = [i + 1 for i in range(len(trace) - 1)
                          if trace[i][1] == "install"
                          and trace[i + 1][1] in ("restart", "gc", "install")]
@@ -165,8 +162,8 @@ def test_aggregator_report_does_not_depend_on_the_batches():
             for batch in random_batches(trace, rng, cuts):
                 agg.record(batch)
             report = agg.finalize()
-            assert report.per_class == result.report.per_class
-            assert report.per_object == result.report.per_object
+            assert report.per_class == expected.per_class
+            assert report.per_object == expected.per_object
             assert emit_csv_rows(report, "r", "m", "p") == rows
     assert due > 100
 
@@ -211,7 +208,7 @@ def test_peak_live_versions_samples_a_last_install_at_finalize():
     install(agg, 10, 2)
     first = agg.finalize()
     assert first.per_object["o1"].peak_live_versions == 2
-    assert emit_csv(agg.finalize()) == emit_csv(first)
+    assert emit_csv_rows(agg.finalize(), "r", "m", "p") == emit_csv_rows(first, "r", "m", "p")
 
 
 # -- csv / trace -----------------------------------------------------------------
@@ -224,17 +221,17 @@ def test_csv_header_is_pinned():
                           "stale_at_commit")
 
 
-def test_empty_report_emits_header_and_overall():
-    text = emit_csv(MetricsAggregator().finalize(), "s", "classical", "periodic")
-    lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
+def test_empty_report_emits_header_and_overall(capsys):
+    _write_csv(emit_csv_rows(MetricsAggregator().finalize(), "s", "classical", "periodic"),
+               None)
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 2 and lines[0] == CSV_HEADER
     assert lines[1].startswith("s,classical,periodic,overall,0,0,0,0.0")
 
 
 def test_single_commit_zero_miss_ratio_column():
-    result = run_config(one_object_config(vi=10, retrieval=2, analysis=3))
-    text = emit_csv(result.report, "s", "classical", "periodic")
-    row = text.strip().split("\n")[1].split(",")
+    report = Simulator(one_object_config(vi=10, retrieval=2, analysis=3)).run()
+    row = emit_csv_rows(report, "s", "classical", "periodic")[0].split(",")
     assert row[CSV_HEADER.split(",").index("miss_ratio")] == "0.0"
 
 
@@ -256,16 +253,23 @@ def test_fnv1a64_chains_across_every_split(length):
 
 
 def test_trace_roundtrip_and_hash_stability():
-    result = run_config(one_object_config())
-    text = emit_trace(result.trace)
+    records = run_records(one_object_config())[1]
+    sink = TraceLines()
+    sink(records)
+    text = b"".join(trace_blocks(sink)).decode("utf-8")
     parsed = [json.loads(line) for line in text.strip().split("\n")]
-    assert parsed == [list(rec) for rec in result.trace]
-    assert trace_hash(result.trace) == trace_hash(parsed)
+    assert parsed == [list(rec) for rec in records]
+    assert hash_records(records) == hash_records(parsed)
 
 
 def dumps(record) -> str:
     """The trace line of `record`, as json.dumps writes it."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def dumps_bytes(records) -> bytes:
+    """The trace bytes of `records`, as json.dumps writes each line."""
+    return "".join(dumps(record) + "\n" for record in records).encode("utf-8")
 
 
 ODD_IDS = ["\u00f6bj", "\u65e5\u672c#1", 'q"uote', "back\\slash", "ctl\x00\x1f\n\t\x7f",
@@ -294,13 +298,12 @@ def test_encoder_writes_the_bytes_of_json_dumps():
         sink([record])
     expected = [dumps(record) for record in ODD_RECORDS]
     assert list(_encode_records(ODD_RECORDS)) == expected
-    assert b"".join(trace_blocks(sink)) == "".join(
-        line + "\n" for line in expected).encode("utf-8")
+    assert b"".join(trace_blocks(sink)) == dumps_bytes(ODD_RECORDS)
     # the encoder of an interpreter without the `_json` accelerator
     fallback = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     assert [fallback(record) for record in ODD_RECORDS] == expected
-    assert emit_trace(ODD_RECORDS) == "".join(line + "\n" for line in expected)
-    assert trace_hash(ODD_RECORDS) == trace_hash(sink)
+    assert hash_records(ODD_RECORDS) == trace_hash(sink) == format(
+        fnv1a64(dumps_bytes(ODD_RECORDS)), "016x")
 
 
 def test_encoder_without_the_c_accelerator_is_the_fallback(monkeypatch):
@@ -315,27 +318,30 @@ def test_encoder_without_the_c_accelerator_is_the_fallback(monkeypatch):
     assert module.c_make_encoder is None
     assert list(module._encode_records(ODD_RECORDS)) == [
         dumps(record) for record in ODD_RECORDS]
-    assert module.trace_hash(ODD_RECORDS) == trace_hash(ODD_RECORDS)
+    sink = module.TraceLines()
+    sink(ODD_RECORDS)
+    assert module.trace_hash(sink) == hash_records(ODD_RECORDS)
 
 
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
 def test_trace_lines_blocks_are_the_bytes_of_emit_trace(count):
+    # the bytes `run --trace` writes: one json.dumps line per record
     records = [(t, *ODD_RECORDS[t % len(ODD_RECORDS)][1:]) for t in range(count)]
     sink = TraceLines()
     for record in records:
         sink([record])
-    assert b"".join(trace_blocks(sink)) == emit_trace(records).encode("utf-8")
-    assert trace_hash(sink) == trace_hash(records)
+    assert b"".join(trace_blocks(sink)) == dumps_bytes(records)
+    assert trace_hash(sink) == hash_records(records)
     assert len(sink.blocks) == count // 1024
     assert len(sink.lines) == count % 1024
 
 
 def test_trace_lines_blocks_do_not_depend_on_the_batches():
-    records = Simulator(config_from_dict(_endless_restarts(4000))).run().trace
+    records = run_records(config_from_dict(_endless_restarts(4000)))[1]
     assert len(records) > 3 * 1024 and len(records) % 1024
     whole = TraceLines()
     whole(records)
-    expected = emit_trace(records).encode("utf-8")
+    expected = dumps_bytes(records)
     rng = random.Random(3)
     for _ in range(8):
         sink = TraceLines()
@@ -345,7 +351,7 @@ def test_trace_lines_blocks_do_not_depend_on_the_batches():
         assert [block.count(b"\n") for block in sink.blocks] == [1024] * (len(records) // 1024)
         assert sink.lines == whole.lines and len(sink.lines) == len(records) % 1024
         assert b"".join(trace_blocks(sink)) == expected
-        assert trace_hash(sink) == trace_hash(records)
+        assert trace_hash(sink) == hash_records(records)
 
 
 def test_trace_lines_keeps_bytes_and_fewer_than_a_block_of_lines():
@@ -362,12 +368,10 @@ def test_encoder_writes_the_bytes_of_json_dumps_for_every_record_kind():
     for doc in _every_kind_docs():
         sink = TraceLines()
         Simulator(config_from_dict(doc), sink=sink).run()
-        trace = Simulator(config_from_dict(doc)).run().trace
-        expected = [dumps(record) for record in trace]
-        assert b"".join(trace_blocks(sink)) == "".join(
-            line + "\n" for line in expected).encode("utf-8")
-        assert list(_encode_records(trace)) == expected
-        assert trace_hash(sink) == trace_hash(trace)
+        trace = run_records(config_from_dict(doc))[1]
+        assert b"".join(trace_blocks(sink)) == dumps_bytes(trace)
+        assert list(_encode_records(trace)) == [dumps(record) for record in trace]
+        assert trace_hash(sink) == hash_records(trace)
         kinds |= {kind for _, kind, _, _ in trace}
     assert kinds == set(_readme_trace_table())
 
@@ -447,12 +451,12 @@ def test_cli_run_trace_file_matches_printed_and_library_hash(tmp_path, capsys):
     assert main(["run", path, "--trace", str(trace_out), "--csv",
                  str(tmp_path / "out.csv")]) == 0
     printed = re.search(r"trace hash ([0-9a-f]{16})", capsys.readouterr().out).group(1)
-    trace = Simulator(config_from_dict(doc)).run().trace
+    trace = run_records(config_from_dict(doc))[1]
     assert sum(kind == "restart" for _, kind, _, _ in trace) > 0
     assert len(trace) > 2048
     data = trace_out.read_bytes()
-    assert format(fnv1a64(data), "016x") == printed == trace_hash(trace)
-    assert data.decode("utf-8") == emit_trace(trace)
+    assert format(fnv1a64(data), "016x") == printed == hash_records(trace)
+    assert data == dumps_bytes(trace)
 
 
 def _readme_trace_table() -> dict[str, set[str]]:
@@ -630,8 +634,7 @@ def _walk_doc() -> dict:
 
 
 def test_compare_sink_keeps_exactly_the_sampled_values():
-    cfg = config_from_dict(_walk_doc())
-    trace = Simulator(cfg).run().trace
+    trace = run_records(config_from_dict(_walk_doc()))[1]
     expected = {}
     for t, kind, subject, detail in trace:
         if kind == "update_decision":
@@ -643,9 +646,8 @@ def test_compare_sink_keeps_exactly_the_sampled_values():
                  if kind == "update_decision"}
     assert vias == {"store", "source"} and {"perform", "skip"} <= decisions
     values = SampledValues()
-    result = Simulator(config_from_dict(_walk_doc()), sink=values).run()
+    Simulator(config_from_dict(_walk_doc()), sink=values).run()
     assert values == expected
-    assert result.trace == []
     rng = random.Random(2)
     for _ in range(5):
         values = SampledValues()

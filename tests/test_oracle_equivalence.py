@@ -10,7 +10,7 @@ from freshsim.policies import OnDemandPolicy, PeriodicPolicy
 from freshsim.workload import ConstantProcess, SimConfig
 
 from randgen import random_config
-from support import engine_outcomes, run_config
+from support import engine_outcomes, run_records
 from tick_oracle import oracle_outcomes
 
 
@@ -85,7 +85,7 @@ def order_config(objects, readers, horizon=12) -> SimConfig:
 ], ids=["appended-out-of-id-order", "cost-0-install-joins-its-tick",
         "two-refreshes-from-one-dispatch"])
 def test_update_events_of_a_tick_run_in_object_id_order(cfg, tick, expected):
-    trace = run_config(cfg).trace
+    trace = run_records(cfg)[1]
     assert [(kind, subject) for t, kind, subject, _ in trace
             if t == tick and kind in ("update_decision", "install")] == expected
     assert engine_outcomes(cfg) == oracle_outcomes(cfg)

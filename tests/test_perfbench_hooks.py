@@ -74,8 +74,9 @@ def test_runs_cross_the_traced_layers(monkeypatch, walks):
                                 ("engine.pop", "engine.push", "workload.sample",
                                  "store.install")})
         with tracer.patched():
-            sim = Simulator(cfg, walks=None if walks is None else {})
-            trace = sim.run().trace
+            trace = []
+            sim = Simulator(cfg, sink=trace.extend, walks=None if walks is None else {})
+            sim.run()
         spans = tracer.spans
         decisions = sum(kind == "update_decision" for _, kind, _, _ in trace)
         source_reads = sum(kind == "access" and detail["via"] == "source"

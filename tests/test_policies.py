@@ -34,12 +34,12 @@ from freshsim.policies import (
     similarity_decision,
 )
 from freshsim.cli import main
-from freshsim.metrics import trace_hash
+from freshsim.engine import Simulator
 from freshsim.workload import ConstantProcess, SimConfig, emit_config
 
 import elastic_reference
 import freshsim.policies as freshsim_policies
-from support import one_object_config, run_config, run_outcomes
+from support import hash_records, one_object_config, run_outcomes, run_records
 
 
 def obj(oid="o1", vi=10, period=5, cost=1, weight=1.0, max_period=None):
@@ -56,8 +56,8 @@ def obj(oid="o1", vi=10, period=5, cost=1, weight=1.0, max_period=None):
 def test_periodic_instances(period, horizon, expected):
     # the engine releases a periodic object's instances at 0, P, 2P, ... up
     # to and including the horizon
-    result = run_config(one_object_config(period=period, horizon=horizon))
-    assert [t for t, kind, _, _ in result.trace if kind == "update_decision"] == expected
+    _, records = run_records(one_object_config(period=period, horizon=horizon))
+    assert [t for t, kind, _, _ in records if kind == "update_decision"] == expected
 
 
 # -- on demand ----------------------------------------------------------------
@@ -74,10 +74,10 @@ def on_demand_run(second_arrival):
     cfg = SimConfig(horizon=60, mode=FreshnessMode.MULTIVERSION,
                     enforce_admission=False, seed=1, objects=[obj],
                     policies={"o1": OnDemandPolicy()}, transactions=txns)
-    result, txns = run_outcomes(cfg)
+    _, records, txns = run_outcomes(cfg)
     assert all(inst["state"] == "committed" for inst in txns.values())
-    return ([t for t, kind, _, _ in result.trace if kind == "update_decision"],
-            [(t, detail["staleness"]) for t, kind, _, detail in result.trace
+    return ([t for t, kind, _, _ in records if kind == "update_decision"],
+            [(t, detail["staleness"]) for t, kind, _, detail in records
              if kind == "access"])
 
 
@@ -317,10 +317,14 @@ def test_extend_vi_never_shrinks():
 # -- (m,k) firm ------------------------------------------------------------------
 
 def test_mk_examples():
-    history = MKHistory(3, window=[True, False])
+    history = MKHistory(3)
+    history.append(True)
+    history.append(False)
     assert mk_firm_decision(2, 3, history) == PERFORM  # [P,S]+S would hold 1 < 2
 
-    history = MKHistory(3, window=[True, False])
+    history = MKHistory(3)
+    history.append(True)
+    history.append(False)
     assert mk_firm_decision(1, 3, history) == SKIP     # [P,S]+S holds 1 >= 1
 
     history = MKHistory(1)
@@ -334,7 +338,7 @@ def test_mk_large_window_costs_only_decisions_made():
                             policy=MKFirmPolicy(m=1, k=10 ** 6))
     tracemalloc.start()
     try:
-        run_config(cfg)
+        Simulator(cfg).run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,10 +357,10 @@ def test_mk_window_past_ssize_t_runs_like_an_unfilled_one(tmp_path):
     path.write_text(emit_config(huge), encoding="utf-8")
     assert json.loads(path.read_text())["objects"][0]["policy"]["k"] == 10 ** 30
     assert main(["run", str(path), "--csv", str(tmp_path / "out.csv")]) == 0
-    trace = run_config(huge).trace
+    trace = run_records(huge)[1]
     assert SKIP in {detail["decision"] for _, kind, _, detail in trace
                     if kind == "update_decision"}
-    assert trace_hash(trace) == trace_hash(run_config(cfg(10 ** 6 - 2, 10 ** 6)).trace)
+    assert hash_records(trace) == hash_records(run_records(cfg(10 ** 6 - 2, 10 ** 6))[1])
 
 
 def window_property_holds(decisions, m, k):

@@ -5,7 +5,7 @@ import pytest
 from freshsim.core import FreshnessMode, SimInternalError, Version
 from freshsim.store import VersionStore
 
-from support import one_object_config, run_config, run_outcomes
+from support import one_object_config, run_outcomes, run_records
 
 
 def make_store(mode=FreshnessMode.MULTIVERSION, vi=5):
@@ -130,7 +130,7 @@ def test_may_continue_multiversion_survives_expiry():
     assert [v.seq for v in store.chains["o1"]] == [1, 2]
     store.unpin(version, "r")
     # the access was fresh, so the analysis finishes at 7 on it
-    inst = run_outcomes(reader_config(FreshnessMode.MULTIVERSION))[1]["t1#0"]
+    inst = run_outcomes(reader_config(FreshnessMode.MULTIVERSION))[2]["t1#0"]
     assert (inst["state"], inst["commit_time"], inst["restarts"]) == ("committed", 7, 0)
 
 
@@ -140,8 +140,8 @@ def test_may_continue_classical():
     version = store.read_latest("o1", 3, "r")
     assert store.valid_until(version) == 5
     # the holder keeps going at 4 and restarts at the expiry instant itself
-    result = run_config(reader_config(FreshnessMode.CLASSICAL))
-    restarts = [(t, detail["cause"]) for t, kind, _, detail in result.trace
+    _, records = run_records(reader_config(FreshnessMode.CLASSICAL))
+    restarts = [(t, detail["cause"]) for t, kind, _, detail in records
                 if kind == "restart"]
     assert restarts == [(5, "vi_expiry")]
 

@@ -15,15 +15,11 @@ same config in multiversion mode gives the stale commit.
 """
 
 from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
-from freshsim.engine import Simulator
-from freshsim.metrics import emit_trace
+from freshsim.metrics import TraceLines, trace_blocks
 from freshsim.policies import PeriodicPolicy, SimilarityPolicy
-from freshsim.workload import (
-    ConstantProcess,
-    RandomWalkProcess,
-    SimConfig,
-    sample_process,
-)
+from freshsim.workload import ConstantProcess, RandomWalkProcess, SimConfig
+
+from support import run_records
 
 WALK = RandomWalkProcess(start=0.0, step_sigma=1.0, seed=0)
 # b's walk after one step, sampled at 8 = one update period
@@ -112,13 +108,12 @@ MULTIVERSION = [
 
 
 def test_walk_value_is_the_reference_walk():
-    assert sample_process(WALK, 8, 1, run_seed=1, object_id="b") == B_AT_8
+    assert WALK.value_at(8, 1, run_seed=1, object_id="b") == B_AT_8
 
 
 def test_classical_worked_trace():
-    result = Simulator(worked_config(FreshnessMode.CLASSICAL)).run()
-    assert result.trace == CLASSICAL
-    report = result.report
+    report, records = run_records(worked_config(FreshnessMode.CLASSICAL))
+    assert records == CLASSICAL
     assert report.rejected == ["x"]
     o = report.overall
     assert (o.released, o.committed, o.missed, o.restarts, o.vi_restarts) == (2, 1, 1, 2, 1)
@@ -128,15 +123,17 @@ def test_classical_worked_trace():
 
 
 def test_multiversion_worked_trace_commits_stale():
-    result = Simulator(worked_config(FreshnessMode.MULTIVERSION)).run()
-    assert result.trace == MULTIVERSION
-    o = result.report.overall
+    report, records = run_records(worked_config(FreshnessMode.MULTIVERSION))
+    assert records == MULTIVERSION
+    o = report.overall
     assert (o.committed, o.missed, o.restarts, o.stale_at_commit) == (2, 0, 0, 1)
-    assert result.report.per_object["b"].stale_at_commit == 1
+    assert report.per_object["b"].stale_at_commit == 1
 
 
 def test_worked_trace_lines():
-    text = emit_trace(CLASSICAL)
+    sink = TraceLines()
+    sink(CLASSICAL)
+    text = b"".join(trace_blocks(sink)).decode("utf-8")
     lines = text.splitlines()
     assert lines[0] == '[0,"txn_rejected","x",{"failing":["a"]}]'
     assert lines[16] == ('[8,"update_decision","b",{"decision":"skip",'

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import freshsim.workload
 from freshsim.core import Arrival, ConfigError, ObjectSpec, UserTxnSpec
+from freshsim.engine import Simulator
 from freshsim.workload import (
     BOOL,
     INT,
@@ -34,10 +35,12 @@ from freshsim.workload import (
     expand_arrivals,
     iter_arrivals,
     parse_config,
-    sample_process,
     stable_key,
     uniform_at,
+    validate_config,
 )
+
+from support import one_object_config
 
 MINIMAL = {
     "horizon": 100,
@@ -70,21 +73,21 @@ def errors_of(document) -> set[str]:
 # -- processes -----------------------------------------------------------------
 
 def test_constant_process():
-    assert sample_process(ConstantProcess(value=7.0), 123, 0) == 7.0
+    assert ConstantProcess(value=7.0).value_at(123, 0, 0, "") == 7.0
 
 
 def test_sinusoid_quarter_period():
     p = SinusoidProcess(amplitude=1.0, period_ticks=4, phase=0.0, offset=0.0)
-    assert sample_process(p, 1, 0) == pytest.approx(1.0)
-    assert sample_process(p, 0, 0) == pytest.approx(0.0)
+    assert p.value_at(1, 0, 0, "") == pytest.approx(1.0)
+    assert p.value_at(0, 0, 0, "") == pytest.approx(0.0)
 
 
 def test_randomwalk_pure_in_index():
     p = RandomWalkProcess(start=0.0, step_sigma=1.0, seed=9)
-    a = sample_process(p, 50, 10, run_seed=1, object_id="o1")
-    b = sample_process(p, 50, 10, run_seed=1, object_id="o1")
+    a = p.value_at(50, 10, run_seed=1, object_id="o1")
+    b = p.value_at(50, 10, run_seed=1, object_id="o1")
     assert a == b
-    assert sample_process(p, 50, 10, run_seed=2, object_id="o1") != a
+    assert p.value_at(50, 10, run_seed=2, object_id="o1") != a
 
 
 def test_sampler_matches_pure_function_and_is_order_insensitive():
@@ -95,7 +98,7 @@ def test_sampler_matches_pure_function_and_is_order_insensitive():
     backward = ValueSampler(7, [spec])
     values_bwd = [backward.sample("o1", t) for t in (20, 15, 10, 5, 0)][::-1]
     assert values_fwd == values_bwd
-    assert values_fwd[3] == sample_process(walk, 15, 3, run_seed=7, object_id="o1")
+    assert values_fwd[3] == walk.value_at(15, 3, run_seed=7, object_id="o1")
 
 
 def test_sampler_walk_steps_on_declared_grid():
@@ -117,7 +120,7 @@ def test_sampler_memory_does_not_grow_with_the_ordinal():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert value == sample_process(walk, 20_000, 20_000, run_seed=5, object_id="o1")
+    assert value == walk.value_at(20_000, 20_000, run_seed=5, object_id="o1")
 
 
 def test_samplers_sharing_a_walk_table_each_read_their_own_walk():
@@ -143,8 +146,8 @@ def test_samplers_sharing_a_walk_table_each_read_their_own_walk():
     asks += [(samplers[-1], t) for t in range(0, 200, 5)]
     asks += [(samplers[0], t) for t in (195, 0, 150)]
     for (sampler, seed, oid, walk), t in asks:
-        assert sampler.sample(oid, t) == sample_process(
-            walk, t, t // 5, run_seed=seed, object_id=oid), (seed, oid, walk, t)
+        assert sampler.sample(oid, t) == walk.value_at(
+            t, t // 5, run_seed=seed, object_id=oid), (seed, oid, walk, t)
     assert len(table) == len(walks) - 1
     assert len(table[7, 3, "o1", 1.0, 0.5]) == 40
 
@@ -210,7 +213,7 @@ def _walk_values(module) -> list[float]:
     walk = module.RandomWalkProcess(start=2.5, step_sigma=0.7, seed=4)
     spec = ObjectSpec(id="\u00f6bj", vi=10, update_period=3, value_process=walk)
     sampler = module.ValueSampler(11, [spec])
-    return ([module.sample_process(walk, 0, i, 11, spec.id) for i in range(0, 300, 7)]
+    return ([walk.value_at(0, i, 11, spec.id) for i in range(0, 300, 7)]
             + [sampler.sample(spec.id, t) for t in range(0, 3000, 5)])
 
 
@@ -371,6 +374,23 @@ def test_each_declared_bound_is_enforced(mutate, path):
     d["objects"][0]["max_period"] = 20
     mutate(d)
     assert path in errors_of(d)
+
+
+@pytest.mark.parametrize("process,error", [
+    (SinusoidProcess(period_ticks=0), ("objects[0].process.period", "must be > 0")),
+    (RandomWalkProcess(step_sigma=-1), ("objects[0].process.step_sigma", "must be >= 0")),
+    (None, ("objects[0].process", "missing process")),
+], ids=["sinusoid-period-0", "negative-step-sigma", "no-process"])
+def test_a_config_built_in_code_gets_the_process_rules(process, error):
+    # such a config meets the process rules only in validate_config, which
+    # Simulator runs: none of these may reach a run, where a zero period
+    # divides by zero, no process has no value and a negative sigma walks on
+    cfg = one_object_config()
+    cfg.objects[0].value_process = process
+    assert validate_config(cfg) == [error]
+    with pytest.raises(ConfigError) as err:
+        Simulator(cfg)
+    assert err.value.errors == [error]
 
 
 # a value of an exact class skips the check, so every such value must pass it

@@ -3,8 +3,10 @@
 Advances time one tick at a time and polls every rule directly; no event
 queue, no scheduled events. Policy decisions, expiry handling, and dispatch
 are re-implemented here independently of the engine so the two can be
-compared on small configs. Only the config model and the value/arrival
-plumbing are shared.
+compared on small configs. Only the config model, the arrival expansion and
+the value processes' own `value_at` are shared: values come from the
+reference walk, not from the engine's `ValueSampler`, so a sampler fault
+shows as a divergence.
 
 Per-tick order of sub-steps (the same semantics the engine encodes in event
 ranks): arrivals, segment completions, validity expiries, update releases,
@@ -25,7 +27,7 @@ from freshsim.policies import (
     PredictionPolicy,
     SimilarityPolicy,
 )
-from freshsim.workload import SimConfig, ValueSampler, expand_arrivals
+from freshsim.workload import SimConfig, expand_arrivals
 
 
 @dataclass
@@ -80,7 +82,6 @@ class TickOracle:
         self.vi = {o.id: o.vi for o in config.objects}
         self.period = {o.id: o.update_period for o in config.objects}
         self.cost = {o.id: o.update_cost for o in config.objects}
-        self.sampler = ValueSampler(config.seed, config.objects)
         self.chains: dict[str, list[OVersion]] = {o.id: [] for o in config.objects}
         self.txns: list[OTxn] = []
         self.running: str | None = None
@@ -91,7 +92,9 @@ class TickOracle:
         self.mk_decisions: dict[str, list[bool]] = {o.id: [] for o in config.objects}
         self.predictor_points: dict[str, list[tuple[float, int]]] = {
             o.id: [] for o in config.objects}
-        self.decisions: dict[str, list[tuple[int, str]]] = {o.id: [] for o in config.objects}
+        # object id -> (t, decision, sampled value) of each update decision
+        self.decisions: dict[str, list[tuple[int, str, float]]] = {
+            o.id: [] for o in config.objects}
         self.installs: dict[str, list[tuple[int, int]]] = {o.id: [] for o in config.objects}
 
         self.arrival_times: dict[str, list[int]] = {}
@@ -111,6 +114,11 @@ class TickOracle:
                     range(0, config.horizon + 1, obj.update_period))
 
     # -- helpers ------------------------------------------------------------
+
+    def sample(self, oid: str, t: int) -> float:
+        """The value of `oid` at `t`; a walk steps once per declared period."""
+        return self.objects[oid].value_process.value_at(
+            t, t // self.period[oid], self.cfg.seed, oid)
 
     def newest(self, oid: str) -> OVersion | None:
         chain = self.chains[oid]
@@ -217,9 +225,8 @@ class TickOracle:
 
     # independent policy decision logic -------------------------------------
 
-    def _decide(self, oid: str, t: int) -> str:
+    def _decide(self, oid: str, t: int, sampled: float) -> str:
         policy = self.cfg.policies[oid]
-        sampled = self.sampler.sample(oid, t)
         newest = self.newest(oid)
         if newest is None:
             if isinstance(policy, MKFirmPolicy):
@@ -263,20 +270,20 @@ class TickOracle:
         for oid in [o.id for o in self.cfg.objects]:
             if t in self.release_times[oid]:
                 self.release_times[oid].discard(t)
-                decision = self._decide(oid, t)
-                self.decisions[oid].append((t, decision))
+                sampled = self.sample(oid, t)
+                decision = self._decide(oid, t, sampled)
+                self.decisions[oid].append((t, decision, sampled))
                 if decision == "perform":
-                    self.pending_installs.append(
-                        (t + self.cost[oid], oid, self.sampler.sample(oid, t), t))
+                    self.pending_installs.append((t + self.cost[oid], oid, sampled, t))
                 else:
                     self.newest(oid).vi_extend += self.period[oid]
                     self._wake(oid)
                 changed = True
         while self.ondemand_launches:
             oid = self.ondemand_launches.pop(0)
-            self.decisions[oid].append((t, "perform"))
-            self.pending_installs.append(
-                (t + self.cost[oid], oid, self.sampler.sample(oid, t), t))
+            sampled = self.sample(oid, t)
+            self.decisions[oid].append((t, "perform", sampled))
+            self.pending_installs.append((t + self.cost[oid], oid, sampled, t))
             changed = True
         return changed
 
