@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .core import ConfigError, FreshnessMode, feasibility_check
 from .engine import Simulator
-from .metrics import CSV_HEADER, TraceLines, emit_csv_rows, trace_blocks, trace_hash
+from .metrics import CSV_HEADER, TraceLines, emit_csv_rows, trace_hash
 from .policies import effective_objects
 from .workload import SimConfig, config_from_dict, decode_json, policy_from_dict
 
@@ -79,7 +79,7 @@ def cmd_run(args) -> int:
         _write_csv(rows, args.csv)
     if args.trace:
         with open(args.trace, "wb") as out:
-            out.writelines(trace_blocks(lines))
+            out.writelines(lines.blocks)
     o = report.overall
     print(f"scenario {cfg.name}: mode={cfg.mode.value} policy={_policy_string(cfg)}")
     print(f"  released={o.released} committed={o.committed} missed={o.missed} "
@@ -159,7 +159,9 @@ def cmd_sweep(args) -> int:
     for value in values:
         doc = dict(base)
         _set_path(doc, args.param, value)
-        doc["name"] = f"{base.get('name', 'config')}[{args.param}={value}]"
+        if isinstance(doc["name"], str):
+            # any other name is left for config_from_dict to reject
+            doc["name"] = f"{doc['name']}[{args.param}={value}]"
         cfg = config_from_dict(doc)
         rows += emit_csv_rows(Simulator(cfg).run(), cfg.name, cfg.mode.value,
                               _policy_string(cfg))

@@ -33,7 +33,7 @@ from operator import attrgetter
 from .core import (ConfigError, FreshnessMode, Tick, UserTxnSpec, Version,
                    feasibility_check)
 from .metrics import MetricsAggregator, MetricsReport
-from .policies import PERFORM, TRANSMIT, effective_objects
+from .policies import PERFORMED, effective_objects
 from .store import VersionStore
 from .workload import SimConfig, ValueSampler, iter_arrivals, validate_config
 
@@ -243,7 +243,7 @@ class Simulator:
             policy = policies[oid]
             stream = self._streams[oid] = UpdateStream(
                 oid, policy.decide, policy.new_state(), eff.update_period,
-                eff.update_cost, policy.kind != "ondemand", chains[oid])
+                eff.update_cost, policy.periodic, chains[oid])
             if stream.periodic:
                 self._updates_at(0)[0].append(stream)
 
@@ -405,7 +405,7 @@ class Simulator:
                 detail["sink_value"] = sink_value
             record((t, "update_decision", object_id, detail))
 
-            if decision in (PERFORM, TRANSMIT):
+            if decision in PERFORMED:
                 self._updates_at(t + stream.cost)[1].append((stream, sampled, t))
             else:
                 # the skip confirms the stored value: a policy performs while

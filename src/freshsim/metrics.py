@@ -17,6 +17,7 @@ from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .core import SimInternalError, Tick
+from .policies import PERFORMED
 
 CSV_COLUMNS = [
     "scenario", "mode", "policy", "txn_class", "released", "committed",
@@ -157,7 +158,7 @@ class MetricsAggregator:
                     obj = per_object.get(subject)
                     if obj is None:
                         obj = self._obj(subject)
-                    if detail["decision"] in ("perform", "transmit"):
+                    if detail["decision"] in PERFORMED:
                         obj.updates_performed += 1
                     else:
                         obj.updates_skipped += 1
@@ -263,10 +264,6 @@ else:
         return map("".join, map(_c_encoder, records, repeat(0)))
 
 
-# lines per block of trace bytes: bounds the bytes held at once while hashing
-_BLOCK_LINES = 1024
-
-
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     """64-bit FNV-1a of `data`, continuing from the state `h`, so blocks
     chain: fnv1a64(a + b) == fnv1a64(b, fnv1a64(a)).
@@ -285,50 +282,27 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     return h
 
 
-def _block(lines) -> bytes:
-    """The trace bytes of canonical `lines`, each ended by a newline."""
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def trace_blocks(trace: TraceLines) -> Iterator[bytes]:
-    """The trace bytes that the sink `trace` kept, in blocks of whole lines,
-    so no string of the whole trace is built: its blocks, then its pending
-    lines."""
-    yield from trace.blocks
-    if trace.lines:
-        yield _block(trace.lines)
-
-
 def trace_hash(trace: TraceLines) -> str:
     """64-bit FNV-1a over the trace bytes that the sink `trace` kept, as
     fixed-width hex."""
     h = _FNV_OFFSET
-    for block in trace_blocks(trace):
+    for block in trace.blocks:
         h = fnv1a64(block, h)
     return format(h, "016x")
 
 
 class TraceLines:
-    """Trace sink (see `Simulator`) that keeps the canonical trace bytes.
-
-    Each batch of records is encoded as it arrives, one canonical line per
-    record, and the lines wait in `lines`; every _BLOCK_LINES lines are
-    joined into one block of bytes in `blocks`, which holds the trace in
-    about half the memory of its lines. The blocks do not depend on how the
-    records were split into batches."""
+    """Trace sink (see `Simulator`) that keeps the canonical trace bytes:
+    each non-empty batch, encoded as it arrives with one canonical line per
+    record, becomes one block of bytes in `blocks`."""
 
     def __init__(self):
         self.blocks: list[bytes] = []
-        self.lines: list[str] = []
 
     def __call__(self, records: list[tuple]) -> None:
-        lines = self.lines
-        lines += _encode_records(records)
-        full = len(lines) - len(lines) % _BLOCK_LINES
-        if full:
-            self.blocks += [_block(lines[start:start + _BLOCK_LINES])
-                            for start in range(0, full, _BLOCK_LINES)]
-            del lines[:full]
+        if records:
+            self.blocks.append(
+                ("\n".join(_encode_records(records)) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

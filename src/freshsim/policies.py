@@ -41,6 +41,7 @@ PERFORM = "perform"
 SKIP = "skip"
 TRANSMIT = "transmit"
 SUPPRESS = "suppress"
+PERFORMED = (PERFORM, TRANSMIT)  # the decisions that install a version
 
 PREDICTOR_KINDS = ("lastvalue", "linear")
 
@@ -67,8 +68,10 @@ def as_fraction(x) -> Fraction:
 
 
 class _Policy:
-    """Defaults: nothing to validate, no per-run state, every instance
-    performs and the sink takes the sample."""
+    """Defaults: releases on the update period, nothing to validate, no
+    per-run state, every instance performs and the sink takes the sample."""
+
+    periodic = True
 
     def validate(self, path, errors):
         pass
@@ -96,6 +99,7 @@ class OnDemandPolicy(_Policy):
     """Refreshes are launched by readers that find the store stale, and
     each one performs."""
 
+    periodic = False
     kind: str = "ondemand"
 
 

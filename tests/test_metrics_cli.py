@@ -24,7 +24,6 @@ from freshsim.metrics import (
     _encode_records,
     emit_csv_rows,
     fnv1a64,
-    trace_blocks,
     trace_hash,
 )
 from freshsim.workload import config_from_dict
@@ -256,7 +255,7 @@ def test_trace_roundtrip_and_hash_stability():
     records = run_records(one_object_config())[1]
     sink = TraceLines()
     sink(records)
-    text = b"".join(trace_blocks(sink)).decode("utf-8")
+    text = b"".join(sink.blocks).decode("utf-8")
     parsed = [json.loads(line) for line in text.strip().split("\n")]
     assert parsed == [list(rec) for rec in records]
     assert hash_records(records) == hash_records(parsed)
@@ -298,7 +297,7 @@ def test_encoder_writes_the_bytes_of_json_dumps():
         sink([record])
     expected = [dumps(record) for record in ODD_RECORDS]
     assert list(_encode_records(ODD_RECORDS)) == expected
-    assert b"".join(trace_blocks(sink)) == dumps_bytes(ODD_RECORDS)
+    assert b"".join(sink.blocks) == dumps_bytes(ODD_RECORDS)
     # the encoder of an interpreter without the `_json` accelerator
     fallback = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     assert [fallback(record) for record in ODD_RECORDS] == expected
@@ -324,43 +323,63 @@ def test_encoder_without_the_c_accelerator_is_the_fallback(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
-def test_trace_lines_blocks_are_the_bytes_of_emit_trace(count):
+def test_trace_lines_keeps_one_block_of_json_dumps_lines_per_batch(count):
     # the bytes `run --trace` writes: one json.dumps line per record
     records = [(t, *ODD_RECORDS[t % len(ODD_RECORDS)][1:]) for t in range(count)]
+    digest = format(fnv1a64(dumps_bytes(records)), "016x")
     sink = TraceLines()
     for record in records:
         sink([record])
-    assert b"".join(trace_blocks(sink)) == dumps_bytes(records)
-    assert trace_hash(sink) == hash_records(records)
-    assert len(sink.blocks) == count // 1024
-    assert len(sink.lines) == count % 1024
+    assert sink.blocks == [dumps_bytes([record]) for record in records]
+    whole = TraceLines()
+    whole(records)
+    assert whole.blocks == ([dumps_bytes(records)] if records else [])
+    assert b"".join(sink.blocks) == dumps_bytes(records)
+    assert trace_hash(sink) == trace_hash(whole) == digest
 
 
 def test_trace_lines_blocks_do_not_depend_on_the_batches():
+    # each block is one batch's lines; the bytes the blocks join to and
+    # their hash are the trace's, however the records were batched
     records = run_records(config_from_dict(_endless_restarts(4000)))[1]
-    assert len(records) > 3 * 1024 and len(records) % 1024
-    whole = TraceLines()
-    whole(records)
     expected = dumps_bytes(records)
+    digest = format(fnv1a64(expected), "016x")
     rng = random.Random(3)
     for _ in range(8):
+        batches = random_batches(records, rng, cuts=[1023, 1024, 2049])
         sink = TraceLines()
-        for batch in random_batches(records, rng, cuts=[1023, 1024, 2049]):
+        for batch in batches:
             sink(batch)
-        assert sink.blocks == whole.blocks
-        assert [block.count(b"\n") for block in sink.blocks] == [1024] * (len(records) // 1024)
-        assert sink.lines == whole.lines and len(sink.lines) == len(records) % 1024
-        assert b"".join(trace_blocks(sink)) == expected
-        assert trace_hash(sink) == hash_records(records)
+        assert sink.blocks == [dumps_bytes(batch) for batch in batches if batch]
+        assert b"".join(sink.blocks) == expected
+        assert trace_hash(sink) == digest
 
 
 def test_trace_lines_keeps_bytes_and_fewer_than_a_block_of_lines():
+    # one block of bytes per batch the engine hands over, and no lines
+    # waiting for a block
+    batches = []
     sink = TraceLines()
-    Simulator(config_from_dict(_endless_restarts(3000)), sink=sink).run()
-    assert len(sink.blocks) >= 2
+
+    def keep(records):
+        batches.append(records)
+        sink(records)
+
+    Simulator(config_from_dict(_endless_restarts(3000)), sink=keep).run()
+    assert len(batches) >= 2 and all(batches)
     assert {type(block) for block in sink.blocks} == {bytes}
-    assert {type(line) for line in sink.lines} <= {str}
-    assert len(sink.lines) <= 1023
+    assert sink.blocks == [dumps_bytes(batch) for batch in batches]
+    assert vars(sink) == {"blocks": sink.blocks}
+
+
+def test_trace_lines_adds_no_block_for_an_empty_batch():
+    sink = TraceLines()
+    sink([])
+    assert sink.blocks == [] and trace_hash(sink) == format(fnv1a64(b""), "016x")
+    sink(ODD_RECORDS[:2])
+    sink([])
+    assert sink.blocks == [dumps_bytes(ODD_RECORDS[:2])]
+    assert trace_hash(sink) == hash_records(ODD_RECORDS[:2])
 
 
 def test_encoder_writes_the_bytes_of_json_dumps_for_every_record_kind():
@@ -369,7 +388,7 @@ def test_encoder_writes_the_bytes_of_json_dumps_for_every_record_kind():
         sink = TraceLines()
         Simulator(config_from_dict(doc), sink=sink).run()
         trace = run_records(config_from_dict(doc))[1]
-        assert b"".join(trace_blocks(sink)) == dumps_bytes(trace)
+        assert b"".join(sink.blocks) == dumps_bytes(trace)
         assert list(_encode_records(trace)) == [dumps(record) for record in trace]
         assert trace_hash(sink) == hash_records(trace)
         kinds |= {kind for _, kind, _, _ in trace}
@@ -534,6 +553,20 @@ def test_cli_sweep_bad_path_fails(tmp_path, capsys):
     path = write_config(tmp_path, CONFIG_INFEASIBLE)
     assert main(["sweep", path, "--param", "objects[9].vi",
                  "--values", "1"]) == 1
+
+
+@pytest.mark.parametrize("name, args", [
+    (5, ["run"]),
+    (5, ["compare", "--modes", "classical"]),
+    (5, ["sweep", "--param", "objects[0].vi", "--values", "10"]),
+    ("c", ["sweep", "--param", "name", "--values", "5"]),
+], ids=["run", "compare", "sweep", "sweep-name"])
+def test_cli_rejects_a_name_that_is_not_a_string(tmp_path, capsys, name, args):
+    # sweep labels its rows from the swept config's name, and only from a
+    # string
+    path = write_config(tmp_path, {**CONFIG_INFEASIBLE, "name": name})
+    assert main([args[0], path, *args[1:]]) == 1
+    assert capsys.readouterr().err == "error: name: must be a string\n"
 
 
 def test_cli_sweep_leaves_the_loaded_document_as_it_was(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ same config in multiversion mode gives the stale commit.
 """
 
 from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
-from freshsim.metrics import TraceLines, trace_blocks
+from freshsim.metrics import TraceLines
 from freshsim.policies import PeriodicPolicy, SimilarityPolicy
 from freshsim.workload import ConstantProcess, RandomWalkProcess, SimConfig
 
@@ -133,7 +133,7 @@ def test_multiversion_worked_trace_commits_stale():
 def test_worked_trace_lines():
     sink = TraceLines()
     sink(CLASSICAL)
-    text = b"".join(trace_blocks(sink)).decode("utf-8")
+    text = b"".join(sink.blocks).decode("utf-8")
     lines = text.splitlines()
     assert lines[0] == '[0,"txn_rejected","x",{"failing":["a"]}]'
     assert lines[16] == ('[8,"update_decision","b",{"decision":"skip",'
