@@ -14,8 +14,9 @@ Subcommands:
       Validation plus the per-transaction feasibility report; exits 0 only
       if the config is valid and every transaction is feasible.
 
-Exit codes: 0 success, 1 invalid input (an unreadable or invalid config) or
-a feasibility failure, 2 runtime error.
+Exit codes: 0 success, 1 invalid input (an unreadable or invalid config, or
+an output file that cannot be written) or a feasibility failure, 2 runtime
+error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from copy import copy
 from dataclasses import replace
 from pathlib import Path
@@ -39,11 +41,20 @@ EXIT_INVALID = 1
 EXIT_RUNTIME = 2
 
 
-def _load_doc(path: str) -> dict:
+@contextmanager
+def _file_errors(path: str):
+    """An OSError on the file at `path` is bad input: a ConfigError at the
+    path, with the reason the system gives."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        yield
     except OSError as e:
         raise ConfigError([(path, e.strerror or str(e))]) from None
+
+
+def _load_doc(path: str) -> dict:
+    try:
+        with _file_errors(path):
+            text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ConfigError([(path, f"not UTF-8 text ({e.reason} at byte {e.start})")]) from None
     doc = decode_json(text)
@@ -61,7 +72,8 @@ def _write_csv(rows: list[str], path: str | None) -> None:
     """The header and `rows`, to the file at `path` or else to stdout."""
     text = "\n".join([CSV_HEADER] + rows) + "\n"
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        with _file_errors(path):
+            Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -78,7 +90,7 @@ def cmd_run(args) -> int:
     if args.csv:
         _write_csv(rows, args.csv)
     if args.trace:
-        with open(args.trace, "wb") as out:
+        with _file_errors(args.trace), open(args.trace, "wb") as out:
             out.writelines(lines.blocks)
     o = report.overall
     print(f"scenario {cfg.name}: mode={cfg.mode.value} policy={_policy_string(cfg)}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ObjectSpec, PolicyInfeasibleError, Tick, Version
@@ -195,8 +195,12 @@ PolicyConfig = (PeriodicPolicy | OnDemandPolicy | ElasticPolicy
 
 def default_elasticity(obj: ObjectSpec) -> Fraction:
     """Cold objects (updated often relative to how often they are read)
-    stretch the most: elasticity defaults to 1 / (period * access_weight)."""
-    w = as_fraction(obj.access_weight) if obj.access_weight > 0 else Fraction(1)
+    stretch the most: elasticity defaults to 1 / (period * access_weight).
+    A weight of 1, the default, or one that is not > 0, counts as 1."""
+    w = obj.access_weight
+    if w == 1 or not w > 0:
+        return Fraction(1, obj.update_period)
+    w = as_fraction(w)
     return Fraction(w.denominator, obj.update_period * w.numerator)
 
 
@@ -225,11 +229,16 @@ def elastic_rescale(objects: list[ObjectSpec], target_utilization,
     """
     target = as_fraction(target_utilization)
     new_periods = {o.id: o.update_period for o in objects}
-    active = [(o, o.max_period if o.max_period is not None else DEFAULT_MAX_PERIOD)
-              for o in objects if elasticity.get(o.id, 0) > 0 and o.update_cost > 0]
+    # (object, cap, elasticity) per active object; an elasticity is a
+    # Fraction or an int, so it is > 0 iff its numerator is
+    active = []
+    for o in objects:
+        e = elasticity.get(o.id, 0)
+        if o.update_cost > 0 and e.numerator > 0:
+            active.append((o, DEFAULT_MAX_PERIOD if o.max_period is None else o.max_period, e))
     scale = math.lcm(target.denominator, *new_periods.values(),
-                     *(cap for _, cap in active),
-                     *(elasticity[o.id].denominator for o, _ in active))
+                     *(cap for _, cap, _ in active),
+                     *(e.denominator for _, _, e in active))
     total = sum(o.update_cost * scale // o.update_period for o in objects)
     # T - fixed - sum_clamped F: the utilization left to the active objects
     budget = target.numerator * (scale // target.denominator)
@@ -238,8 +247,7 @@ def elastic_rescale(objects: list[ObjectSpec], target_utilization,
 
     # (object, cap, U, E, F) per active object
     rows = []
-    for o, cap in active:
-        e = elasticity[o.id]
+    for o, cap, e in active:
         rows.append((o, cap, o.update_cost * scale // o.update_period,
                      e.numerator * (scale // e.denominator),
                      o.update_cost * scale // cap))
@@ -303,8 +311,9 @@ def effective_objects(objects: list[ObjectSpec],
     for oid in elastic:
         obj = table[oid]
         if periods[oid] > obj.update_period:
-            table[oid] = replace(obj, update_period=periods[oid],
-                                 vi=extend_vi_for_period(obj, periods[oid]))
+            table[oid] = ObjectSpec(
+                obj.id, extend_vi_for_period(obj, periods[oid]), periods[oid],
+                obj.update_cost, obj.value_process, obj.access_weight, obj.max_period)
     return table
 
 

@@ -45,6 +45,7 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 
 # The interpreter's builtin SHA-256 and normal quantile. `hashlib` would load
 # OpenSSL's libcrypto, about 3.5 MB of resident memory, for one digest per
@@ -376,13 +377,17 @@ def _check_magnitude(r: _Reader, value, path: str, key: str, oid=None) -> None:
 
 class _Scalar:
     """A JSON value type: the check a value must pass, which every value of
-    an `exact` class passes, the error when it does not, and the stand-in."""
+    an `exact` class passes, the error when it does not, and the stand-in.
+    `_Record.read` takes a value of a `plain` class, by default the exact
+    ones, as it is, if a number within float range."""
 
-    def __init__(self, check, message, zero, exact=()):
+    def __init__(self, check, message, zero, exact=(), plain=None):
         self.check = check
         self.message = message
         self.zero = zero
         self.exact = exact
+        self.plain = exact if plain is None else plain
+        self.ranged = int in self.plain
 
     def read(self, r: _Reader, d: dict, key: str, path: str, default):
         """d[key], checked. A missing key gives `default`, or an error if
@@ -423,28 +428,69 @@ class _Durations(_Scalar):
 
 
 INT = _Scalar(_is_int, "must be an integer", 0, (int,))
-NUM = _Scalar(_is_num, "must be a number", 0.0, (int,))
+NUM = _Scalar(_is_num, "must be a number", 0.0, (int,), (int, float))
 STR = _Scalar(lambda v: isinstance(v, str), "must be a string", "", (str,))
 BOOL = _Scalar(lambda v: isinstance(v, bool), "must be a boolean", False, (bool,))
 IDS = _Scalar(lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
               "must be a list of object ids", [])
 DURATIONS = _Durations(_is_int, "must be an integer or an object id map", {}, (int,))
 
+# the value of a key that `_Record.read` does not find
+_MISSING = object()
+
 
 class _Record:
     """The fields of one JSON object; `extra` names the keys it may also
-    hold that are read outside the table."""
+    hold that are read outside the table. A record with a `cls`, a dataclass
+    whose __init__ arguments outside the table have defaults, reads into an
+    instance of it, with `kind` if given; one without reads into a dict."""
 
-    def __init__(self, fields, extra=()):
+    def __init__(self, fields, extra=(), cls=None, kind=None):
         self.fields = fields
         self.keys = {key for key, *_ in fields} | set(extra)
+        self.cls = cls
+        if cls is None:
+            self.blank = {}
+            slots = [attr for _, attr, _, _ in fields]
+        else:
+            # the positional arguments of cls, at their defaults
+            params = [f for f in dataclass_fields(cls) if f.init]
+            names = [f.name for f in params]
+            self.blank = [f.default for f in params]
+            if kind is not None:
+                self.blank[names.index("kind")] = kind
+            slots = [names.index(attr) for _, attr, _, _ in fields]
+        # each field with its slot in `blank`, its type's plain classes,
+        # whether those need the range test, and whether a missing key takes
+        # the default as it is
+        self.reads = tuple(
+            (key, slot, type_, default, getattr(type_, "plain", ()),
+             getattr(type_, "ranged", False),
+             isinstance(type_, _Scalar) and default is not REQUIRED)
+            for (key, _, type_, default), slot in zip(fields, slots))
 
-    def read(self, r: _Reader, d: dict, path: str) -> dict:
-        """{attribute: value} of every field, read in table order."""
-        out = {}
-        for key, attr, type_, default in self.fields:
-            out[attr] = type_.read(r, d, key, path, default)
-        return out
+    def read(self, r: _Reader, d: dict, path: str, key: str | None = None):
+        """The instance of `cls`, or else {attribute: value}, from every
+        field of `d`, read in table order; `d` is at `path`, or at its `key`
+        entry when a key is given. A plain value, or the default of a
+        missing optional key, is taken as it is; any other value goes
+        through its type's `read`, which alone reports errors, and only then
+        is the path built."""
+        hi = _FLOAT_MAX
+        lo = -hi
+        get = d.get
+        out = self.blank.copy()
+        for name, slot, type_, default, plain, ranged, optional in self.reads:
+            value = get(name, _MISSING)
+            if value.__class__ in plain and (not ranged or lo <= value <= hi):
+                out[slot] = value
+            elif value is _MISSING and optional:
+                out[slot] = default
+            else:
+                if key is not None:
+                    path, key = _at(path, key), None
+                out[slot] = type_.read(r, d, name, path, default)
+        return out if self.cls is None else self.cls(*out)
 
     def dump(self, obj) -> dict:
         out = {}
@@ -456,22 +502,28 @@ class _Record:
 
 
 class _Kinds:
-    """A JSON object tagged by "kind": each kind maps to the class it builds
-    (which takes `kind` as a field) and that class's record. The first kind,
-    with its defaults, stands in after an error."""
+    """A JSON object tagged by "kind": each kind maps to the record of the
+    class it builds, which takes `kind` as a field. The first kind, with its
+    defaults, stands in after an error."""
 
     def __init__(self, noun: str, table: dict):
         self.noun = noun
-        self.table = {kind: (cls, _Record(fields, ("kind",)))
+        self.table = {kind: _Record(fields, ("kind",), cls, kind)
                       for kind, (cls, fields) in table.items()}
         self.first = next(iter(table))
 
     def zero(self):
-        return self.table[self.first][0](kind=self.first)
+        return self.table[self.first].cls(kind=self.first)
 
     def read(self, r: _Reader, d: dict, key: str, path: str, default):
         """Parse d[key], or the default document if the key is missing."""
         doc = d.get(key, default)
+        if doc.__class__ is dict:
+            kind = doc.get("kind")
+            record = self.table.get(kind) if kind.__class__ is str else None
+            if record is not None and doc.keys() <= record.keys:
+                # nothing before the fields can fail: read them
+                return record.read(r, doc, path, key)
         path = _at(path, key)
         if doc is REQUIRED:
             r.fail(path, "missing")
@@ -483,12 +535,12 @@ class _Kinds:
         if kind not in self.table:
             r.fail(f"{path}.kind", f"unknown {self.noun} kind {kind!r}")
             return self.zero()
-        cls, record = self.table[kind]
+        record = self.table[kind]
         r.check_keys(doc, record.keys, path)
-        return cls(kind=kind, **record.read(r, doc, path))
+        return record.read(r, doc, path)
 
     def dump(self, value) -> dict:
-        return {"kind": value.kind, **self.table[value.kind][1].dump(value)}
+        return {"kind": value.kind, **self.table[value.kind].dump(value)}
 
 
 PROCESSES = _Kinds("process", {
@@ -532,7 +584,7 @@ OBJECT = _Record((
     ("access_weight", "access_weight", NUM, 1.0),
     ("max_period", "max_period", INT, None),
     ("process", "value_process", PROCESSES, {"kind": "constant", "value": 0.0}),
-), extra=("policy",))
+), extra=("policy",), cls=ObjectSpec)
 
 TRANSACTION = _Record((
     ("read_set", "read_set", IDS, []),
@@ -605,7 +657,7 @@ def config_from_dict(doc: dict) -> SimConfig:
     policies: dict[str, PolicyConfig] = {}
     for path, od in r.records(doc, "objects"):
         r.check_keys(od, OBJECT.keys, path)
-        obj = ObjectSpec(**OBJECT.read(r, od, path))
+        obj = OBJECT.read(r, od, path)
         objects.append(obj)
         policies[obj.id] = POLICIES.read(r, od, "policy", path, REQUIRED)
 

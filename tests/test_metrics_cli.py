@@ -2,8 +2,10 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -338,7 +340,7 @@ def test_trace_lines_keeps_one_block_of_json_dumps_lines_per_batch(count):
     assert trace_hash(sink) == trace_hash(whole) == digest
 
 
-def test_trace_lines_blocks_do_not_depend_on_the_batches():
+def test_trace_lines_joined_bytes_and_hash_do_not_depend_on_the_batches():
     # each block is one batch's lines; the bytes the blocks join to and
     # their hash are the trace's, however the records were batched
     records = run_records(config_from_dict(_endless_restarts(4000)))[1]
@@ -355,7 +357,7 @@ def test_trace_lines_blocks_do_not_depend_on_the_batches():
         assert trace_hash(sink) == digest
 
 
-def test_trace_lines_keeps_bytes_and_fewer_than_a_block_of_lines():
+def test_trace_lines_keeps_one_block_per_engine_batch_and_nothing_pending():
     # one block of bytes per batch the engine hands over, and no lines
     # waiting for a block
     batches = []
@@ -567,6 +569,32 @@ def test_cli_rejects_a_name_that_is_not_a_string(tmp_path, capsys, name, args):
     path = write_config(tmp_path, {**CONFIG_INFEASIBLE, "name": name})
     assert main([args[0], path, *args[1:]]) == 1
     assert capsys.readouterr().err == "error: name: must be a string\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--csv"],
+    ["run", "--trace"],
+    ["sweep", "--param", "objects[0].vi", "--values", "10", "--csv"],
+    ["compare", "--modes", "classical", "--csv"],
+], ids=["run-csv", "run-trace", "sweep", "compare"])
+def test_cli_output_that_cannot_be_written_is_invalid_input(tmp_path, capsys, args):
+    # the form of a config that cannot be read, not a runtime error
+    path = write_config(tmp_path, CONFIG_INFEASIBLE)
+    out = str(tmp_path / "no" / "such" / "dir" / "out")
+    assert main([args[0], path, *args[1:], out]) == 1
+    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+
+def test_python_m_freshsim_prints_what_main_prints(tmp_path, capsys):
+    path = write_config(tmp_path, CONFIG_INFEASIBLE)
+    assert main(["run", path]) == 0
+    expected = capsys.readouterr().out
+    src = Path(freshsim.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "freshsim", "run", path],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected
 
 
 def test_cli_sweep_leaves_the_loaded_document_as_it_was(tmp_path, monkeypatch):

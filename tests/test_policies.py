@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -27,6 +28,7 @@ from freshsim.policies import (
     TRANSMIT,
     as_fraction,
     default_elasticity,
+    effective_objects,
     elastic_rescale,
     extend_vi_for_period,
     mk_firm_decision,
@@ -299,6 +301,24 @@ def test_default_elasticity_is_one_over_period_times_weight(period, weight):
     # a weight <= 0 counts as 1
     w = as_fraction(weight) if weight > 0 else Fraction(1)
     assert default_elasticity(obj(period=period, weight=weight)) == Fraction(1, period) / w
+
+
+def test_a_stretched_object_keeps_every_field_but_period_and_vi():
+    declared = [
+        ObjectSpec("a", vi=4, update_period=2, update_cost=1,
+                   value_process=ConstantProcess(3.0), access_weight=0.25, max_period=9),
+        ObjectSpec("b", vi=30, update_period=3, update_cost=2,
+                   value_process=ConstantProcess(-1.0), access_weight=4),
+    ]
+    policies = dict.fromkeys("ab", ElasticPolicy(target_utilization=0.5))
+    table = effective_objects(declared, policies)
+    for o in declared:
+        stretched = table[o.id]
+        assert stretched.update_period > o.update_period
+        assert stretched.vi == max(o.vi, 2 * stretched.update_period)
+        for f in dataclasses.fields(ObjectSpec):
+            if f.name not in ("update_period", "vi"):
+                assert getattr(stretched, f.name) is getattr(o, f.name), f.name
 
 
 @pytest.mark.parametrize("period,vi,expected", [

@@ -446,6 +446,25 @@ def test_a_non_finite_or_huge_number_gives_one_error(keys, value, message):
     assert _errors_with(keys, value) == [("objects[0]." + ".".join(keys), message)]
 
 
+@pytest.mark.parametrize("kind", [[], ["constant"], {}, {"kind": "constant"}, 5, 2.5,
+                                  None, True],
+                         ids=["list", "list-of-kind", "dict", "dict-of-kind", "int",
+                              "float", "null", "true"])
+@pytest.mark.parametrize("records, key", [("objects", "process"), ("objects", "policy"),
+                                         ("transactions", "arrival")])
+def test_a_kind_that_is_not_a_string_gives_the_two_kind_errors(records, key, kind):
+    # a kind that is no table key, unhashable ones included, takes the path
+    # that reports errors
+    d = doc()
+    node = d[records][0]
+    node[key] = {**node[key], "kind": kind}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    path = f"{records}[0].{key}"
+    assert err.value.errors == [(f"{path}.kind", "must be a string"),
+                                (f"{path}.kind", f"unknown {key} kind ''")]
+
+
 def test_syntax_error_reports_location():
     with pytest.raises(ConfigError) as err:
         parse_config("{not json")
