@@ -181,6 +181,14 @@ class UserTxnSpec:
                 errors.append((f"{path}.analysis", f"missing analysis time for {oid!r}"))
             elif a <= 0:
                 errors.append((f"{path}.analysis[{oid}]", "analysis time must be > 0"))
+        if not (seen.issuperset(self.retrieval_time)
+                and seen.issuperset(self.analysis_time)):
+            for key, times in (("retrieval", self.retrieval_time),
+                               ("analysis", self.analysis_time)):
+                for oid in times:
+                    if oid not in seen:
+                        errors.append((f"{path}.{key}[{oid}]",
+                                       "object is not in the read set"))
         if self.relative_deadline <= 0:
             errors.append((f"{path}.deadline", "relative deadline must be > 0"))
         if self.retrieval_mode not in RETRIEVAL_MODES:

@@ -28,9 +28,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
-from .core import (ConfigError, FreshnessMode, Tick, UserTxnSpec, Version,
+from .core import (ConfigError, Tick, UserTxnSpec, Version,
                    feasibility_check)
 from .metrics import MetricsAggregator, MetricsReport
 from .policies import PERFORMED, effective_objects
@@ -44,7 +44,7 @@ from .workload import SimConfig, ValueSampler, iter_arrivals, validate_config
 TXN_ARRIVAL = 0   # (spec, remaining releases)
 SEGMENT_DONE = 1  # (inst, epoch): the end of a retrieval or an analysis
 VI_EXPIRY = 2     # (inst, epoch, object id)
-UPDATES = 3       # ([UpdateStream released], [(stream, value, sample time)])
+UPDATES = 3       # ([UpdateStream released], [(object id, stream, value, sample time)])
 DEADLINE = 4      # inst
 
 # Transaction states.
@@ -137,12 +137,14 @@ class UpdateStream:
 # a run hands its records over once a tick leaves at least this many pending
 _BATCH_RECORDS = 256
 
-# the object id of a queued release, and of a queued install
+# the object id of a queued release, and of a queued install, which leads
+# with it
 _release_object = attrgetter("object_id")
+_leading_object = itemgetter(0)
 
-
-def _install_object(install: tuple) -> str:
-    return install[0].object_id
+# the detail of every `gc` record of an install's in-place reclaim; records
+# may share a detail, since no one changes one after hand-over
+_RECLAIMED_ONE = {"reclaimed": 1}
 
 
 def _discard(records: list[tuple]) -> None:
@@ -157,10 +159,11 @@ class Simulator:
     (a callable taking the list), then to the metrics aggregator. A batch
     ends at a tick boundary once it holds _BATCH_RECORDS records, and the
     last one before the report is built. A sink may keep the list, but must
-    not change it; a list's `extend` collects every record. `walks` is a
-    random-walk table that runs may share, so that each reads the walk
-    steps the others computed (see `ValueSampler`). A config is validated
-    here unless `config_from_dict` built it, and so validated it already."""
+    not change it, its records or their details, which records may share; a
+    list's `extend` collects every record. `walks` is a random-walk table
+    that runs may share, so that each reads the walk steps the others
+    computed (see `ValueSampler`). A config is validated here unless
+    `config_from_dict` built it, and so validated it already."""
 
     def __init__(self, config: SimConfig,
                  sink: Callable[[list[tuple]], None] = _discard,
@@ -171,7 +174,6 @@ class Simulator:
                 raise ConfigError(errors)
         self.config = config
         self.horizon = config.horizon
-        self.mode = config.mode
         self._sink = sink
         self._batch: list[tuple] = []  # records not yet handed over
         self.metrics = MetricsAggregator()
@@ -182,6 +184,7 @@ class Simulator:
         self.sampler = ValueSampler(config.seed, config.objects, walks)
         self.store = VersionStore(config.mode,
                                   {oid: o.vi for oid, o in self.eff_objects.items()})
+        self._classical = self.store.classical
 
         self.queue = EventQueue()
         self._released: dict[str, int] = {}  # instances released per class
@@ -376,23 +379,25 @@ class Simulator:
 
     def _on_updates(self, t: Tick, subject: str,
                     updates: tuple[list, list]) -> None:
-        """Release each object of the tick's list, then install each (stream,
-        value, sample time) of it, each in object id order. The tick's lists
-        stay queued while the releases run, so a cost-0 release's install
-        joins this tick's installs; a refresh that dispatch queues at `t`
-        later starts new lists."""
+        """Release each object of the tick's list, then install each (object
+        id, stream, value, sample time) of it, each in object id order. The
+        tick's lists stay queued while the releases run, so a cost-0
+        release's install joins this tick's installs; a refresh that dispatch
+        queues at `t` later starts new lists."""
         releases, installs = updates
         if len(releases) > 1:
             releases.sort(key=_release_object)
         record = self._batch.append
         sample = self.sampler.sample
         horizon = self.horizon
+        # a tick's lists, or the tick's absence; a pair of lists is truthy
+        pending = self._updates.get
         for stream in releases:
             object_id = stream.object_id
             if stream.periodic:
                 following = t + stream.period
                 if following <= horizon:
-                    self._updates_at(following)[0].append(stream)
+                    (pending(following) or self._updates_at(following))[0].append(stream)
             sampled = sample(object_id, t)
             chain = stream.chain
             newest = chain[-1] if chain else None
@@ -400,13 +405,17 @@ class Simulator:
             # the policy, the sink error and an unchanged sink value follow
             # from the config and the sampled value, so the record leaves
             # them out
-            detail = {"decision": decision, "sampled": sampled, **extra}
+            detail = {"decision": decision, "sampled": sampled}
+            if extra:
+                detail.update(extra)
             if sink_value != sampled:
                 detail["sink_value"] = sink_value
             record((t, "update_decision", object_id, detail))
 
             if decision in PERFORMED:
-                self._updates_at(t + stream.cost)[1].append((stream, sampled, t))
+                done = t + stream.cost
+                (pending(done) or self._updates_at(done))[1].append(
+                    (object_id, stream, sampled, t))
             else:
                 # the skip confirms the stored value: a policy performs while
                 # nothing is stored, so `newest` is a version
@@ -415,10 +424,9 @@ class Simulator:
 
         del self._updates[t]
         if len(installs) > 1:
-            installs.sort(key=_install_object)
+            installs.sort(key=_leading_object)
         install_version = self.store.install_version
-        for stream, value, sample_time in installs:
-            object_id = stream.object_id
+        for object_id, stream, value, sample_time in installs:
             chain = stream.chain
             length = len(chain)
             superseded = install_version(object_id, value, sample_time)
@@ -426,7 +434,7 @@ class Simulator:
                     {"seq": chain[-1].seq, "sample_time": sample_time}))
             if len(chain) == length:
                 # the install reclaimed the unpinned version it superseded
-                record((t, "gc", object_id, {"reclaimed": 1}))
+                record((t, "gc", object_id, _RECLAIMED_ONE))
             elif superseded is not None:
                 # a classical install replaced a version someone still pins:
                 # every holder restarts (update transactions are never
@@ -501,7 +509,7 @@ class Simulator:
         self._batch.append((t, "access", inst.inst_id, {
             "object": version.object_id, "via": via, "value": version.value,
             "staleness": t - version.sample_time}))
-        if self.mode is FreshnessMode.CLASSICAL:
+        if self._classical:
             self.queue.push(self.store.valid_until(version), VI_EXPIRY, inst.inst_id,
                             (inst, inst.epoch, version.object_id))
 
@@ -514,7 +522,9 @@ class Simulator:
 # event handlers, indexed by event kind. They are bound to Simulator's own
 # functions, so a subclass that overrides a handler is not called by `run`; a
 # subclass hooks the helpers the handlers call (`_dispatch`, `_make_ready`,
-# `_wake_waiters`, `_sweep`, ...) instead.
+# `_wake_waiters`, `_sweep`, ...) instead. `_wake_waiters` runs once after
+# each install, after its reclaim or its holders' restarts, and once after
+# each skipped or suppressed decision, whether or not anyone waits.
 _HANDLERS = (
     Simulator._on_arrival,       # TXN_ARRIVAL
     Simulator._on_segment_done,  # SEGMENT_DONE

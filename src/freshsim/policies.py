@@ -85,8 +85,8 @@ class _Policy:
         """Decide the update instance released at t that sampled `sampled`;
         `newest` is the stored version, None before the first install.
         Returns the decision, the value the sink holds after it, and extra
-        detail for the trace record."""
-        return PERFORM, sampled, {}
+        detail for the trace record, or None when there is none."""
+        return PERFORM, sampled, None
 
 
 @dataclass
@@ -135,9 +135,9 @@ class MKFirmPolicy(_Policy):
         if newest is None:
             # cold start: nothing stored to confirm, update is forced
             history.append(True)
-            return PERFORM, sampled, {}
+            return PERFORM, sampled, None
         decision = mk_firm_decision(self.m, self.k, history)
-        return decision, sampled if decision == PERFORM else newest.value, {}
+        return decision, sampled if decision == PERFORM else newest.value, None
 
 
 @dataclass

@@ -40,6 +40,7 @@ class VersionStore:
 
     def __init__(self, mode: FreshnessMode, vis: dict[str, Tick]):
         self.mode = mode
+        self.classical = mode is FreshnessMode.CLASSICAL
         self.vis = dict(vis)
         self.chains: dict[str, list[Version]] = {oid: [] for oid in vis}
         # chains that `unpin` left holding a superseded unpinned version: gc
@@ -73,14 +74,13 @@ class VersionStore:
             raise SimInternalError(
                 f"non-monotone install on {object_id!r}: "
                 f"{sample_time} after {prev.sample_time}")
-        version = Version(object_id=object_id, value=value,
-                          sample_time=sample_time,
-                          seq=prev.seq + 1 if prev else 1)
+        version = Version(object_id, value, sample_time,
+                          prev.seq + 1 if prev else 1, [])
         if prev is not None and not prev.holders:
             chain[-1] = version
             return None
         chain.append(version)
-        return prev if self.mode is FreshnessMode.CLASSICAL else None
+        return prev if self.classical else None
 
     def read_latest(self, object_id: str, t: Tick, holder,
                     exclude: int = 0) -> Version | None:

@@ -300,25 +300,36 @@ class SimConfig:
     validated: bool = field(default=False, init=False, compare=False, repr=False)
 
 
+def _anchor(errors: list[tuple[str, str]], start: int, path: str) -> None:
+    """Prefix `path` to the paths of errors[start:], which a record's checks
+    reported relative to the record: each of their paths starts with the
+    one they were given, here empty."""
+    errors[start:] = [(path + at, message) for at, message in errors[start:]]
+
+
 def validate_config(cfg: SimConfig) -> list[tuple[str, str]]:
-    """Every declared invariant, checked; returns the full violation list."""
+    """Every declared invariant, checked; returns the full violation list.
+    A record's path is built only when one of its checks fails."""
     errors: list[tuple[str, str]] = []
     if cfg.horizon <= 0:
         errors.append(("horizon", "must be > 0"))
     if cfg.rng != RNG_ALGORITHM:
         errors.append(("rng", f"unsupported generator {cfg.rng!r}"))
     seen = set()
+    policies = cfg.policies
     for i, obj in enumerate(cfg.objects):
-        path = f"objects[{i}]"
+        start = len(errors)
         if obj.id in seen:
-            errors.append((f"{path}.id", f"duplicate object id {obj.id!r}"))
+            errors.append((".id", f"duplicate object id {obj.id!r}"))
         seen.add(obj.id)
-        obj.validate(path, errors)
-        policy = cfg.policies.get(obj.id)
+        obj.validate("", errors)
+        policy = policies.get(obj.id)
         if policy is None:
-            errors.append((f"{path}.policy", "missing policy"))
+            errors.append((".policy", "missing policy"))
         else:
-            policy.validate(f"{path}.policy", errors)
+            policy.validate(".policy", errors)
+        if len(errors) > start:
+            _anchor(errors, start, f"objects[{i}]")
     # an int and a float of equal value are one set member, so no float()
     # is needed, and none can overflow on an int past float range
     targets = {p.target_utilization
@@ -328,11 +339,13 @@ def validate_config(cfg: SimConfig) -> list[tuple[str, str]]:
     ids = {o.id for o in cfg.objects}
     seen_t = set()
     for i, txn in enumerate(cfg.transactions):
-        path = f"transactions[{i}]"
+        start = len(errors)
         if txn.id in seen_t:
-            errors.append((f"{path}.id", f"duplicate transaction id {txn.id!r}"))
+            errors.append((".id", f"duplicate transaction id {txn.id!r}"))
         seen_t.add(txn.id)
-        txn.validate(path, ids, errors)
+        txn.validate("", ids, errors)
+        if len(errors) > start:
+            _anchor(errors, start, f"transactions[{i}]")
     return errors
 
 

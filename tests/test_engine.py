@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import sys
@@ -7,11 +8,13 @@ import pytest
 
 from freshsim.core import Arrival, ConfigError, FreshnessMode, ObjectSpec, UserTxnSpec
 from freshsim.engine import _BATCH_RECORDS, TXN_ARRIVAL, Simulator, TxnInstance
-from freshsim.policies import ElasticPolicy, OnDemandPolicy, PeriodicPolicy
+from freshsim.policies import PERFORMED, ElasticPolicy, OnDemandPolicy, PeriodicPolicy
 from freshsim.workload import ConstantProcess, SimConfig, config_from_dict
 
 from randgen import random_config
 from support import hash_records, one_object_config, run_outcomes, run_records
+from test_acceptance import mk_window_config
+from test_golden import corpus
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 if str(BENCH_DIR) not in sys.path:
@@ -542,3 +545,84 @@ def test_classical_serves_only_fresh_data():
                 obj = detail["object"]
                 if obj in rigid:
                     assert detail["staleness"] <= vis[obj]
+
+
+# -- hand-over and subclass hooks ----------------------------------------------
+
+# golden configs (tests/test_golden.py) that together run every policy in
+# both modes, on-demand objects read by store-mode readers among them
+_HOOK_CONFIGS = (
+    [f"oracle/{seed}" for seed in (*range(12), 1000, 1001, 1002, 2000, 2001, 2002)]
+    + ["elastic/0", "elastic/1000", "elastic/2000",
+       "acceptance/criterion2/classical", "acceptance/criterion2/multiversion",
+       "acceptance/criterion6/ondemand", "acceptance/criterion7/2-3",
+       "acceptance/criterion8/similarity", "acceptance/criterion8/linear"])
+
+
+def _hook_configs():
+    picked = {name: cfg for name, cfg in corpus() if name in _HOOK_CONFIGS}
+    assert sorted(picked) == sorted(_HOOK_CONFIGS)
+    configs = list(picked.values())
+    assert {p.kind for cfg in configs for p in cfg.policies.values()} == {
+        "periodic", "ondemand", "elastic", "mkfirm", "similarity", "prediction"}
+    assert {cfg.mode for cfg in configs} == set(FreshnessMode)
+    assert any(cfg.policies[oid].kind == "ondemand"
+               for cfg in configs for txn in cfg.transactions
+               if txn.retrieval_mode == "store" for oid in txn.read_set)
+    return configs
+
+
+class SnapshotSink:
+    """Keeps each batch it is handed, and a deep copy of it made then."""
+
+    def __init__(self):
+        self.batches = []
+
+    def __call__(self, records):
+        self.batches.append((records, copy.deepcopy(records)))
+
+
+def test_records_are_never_changed_after_hand_over():
+    # records may share one detail object, so neither the engine, nor the
+    # aggregator, nor a later batch may change a record once it is handed over
+    for cfg in _hook_configs():
+        sink = SnapshotSink()
+        Simulator(cfg, sink=sink).run()
+        assert sink.batches, cfg.name
+        for handed, copied in sink.batches:
+            assert handed == copied, cfg.name
+    # nor does a run change what the next run in the process records: the
+    # `gc` records of installs' reclaims share one detail across runs
+    cfg = mk_window_config(2, 3)
+    records = run_records(cfg)[1]
+    assert any(kind == "gc" for _, kind, _, _ in records)
+    assert hash_records(run_records(cfg)[1]) == hash_records(records)
+
+
+class WakeCountingSimulator(Simulator):
+    def __init__(self, config):
+        self.records = []
+        super().__init__(config, sink=self.records.extend)
+        self.wakes = 0
+
+    def _wake_waiters(self, object_id):
+        self.wakes += 1
+        super()._wake_waiters(object_id)
+
+
+def test_wake_waiters_runs_after_every_install_and_every_skip():
+    # the hook contract above engine._HANDLERS, which the invariant and
+    # pin-counting subclasses rely on
+    woken = 0
+    for cfg in _hook_configs():
+        sim = WakeCountingSimulator(cfg)
+        sim.run()
+        expected = sum(
+            kind == "install"
+            or (kind == "update_decision" and detail["decision"] not in PERFORMED)
+            for _, kind, _, detail in sim.records)
+        assert sim.wakes == expected, cfg.name
+        woken += any(kind == "access" and detail["via"] == "store"
+                     and cfg.policies[detail["object"]].kind == "ondemand"
+                     for _, kind, _, detail in sim.records)
+    assert woken  # an on-demand refresh served a store-mode reader

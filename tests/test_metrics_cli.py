@@ -453,6 +453,21 @@ def test_cli_check_reports_validation_errors(tmp_path, capsys):
     assert "objects[0].vi" in capsys.readouterr().err
 
 
+def test_cli_rejects_durations_of_an_object_outside_the_read_set(tmp_path, capsys):
+    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
+    doc["objects"][0].update(id="a", vi=10)
+    doc["transactions"][0].update(read_set=["a"], retrieval={"a": 1, "zz": 3},
+                                  analysis={"a": 2, "zz": 4})
+    path = write_config(tmp_path, doc)
+    for command in ("check", "run"):
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert "transactions[0].retrieval[zz]: object is not in the read set" in err
+        assert "transactions[0].analysis[zz]: object is not in the read set" in err
+    del doc["transactions"][0]["retrieval"]["zz"], doc["transactions"][0]["analysis"]["zz"]
+    assert main(["check", write_config(tmp_path, doc)]) == 0
+
+
 def test_cli_run_writes_csv_and_trace(tmp_path, capsys):
     path = write_config(tmp_path, CONFIG_INFEASIBLE)
     csv_out = tmp_path / "out.csv"
