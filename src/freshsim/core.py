@@ -84,12 +84,11 @@ class ObjectSpec:
 class Version:
     """One timestamped sample of a temporal object.
 
-    `holders` lists, in pin order, whoever pins the version; a version is
-    pinned while the list is non-empty. `vi_extend` accumulates validity
-    extensions granted by skipped or suppressed update instances (each skip
-    confirms the stored value, so the effective validity grows by one update
-    period). The expiry instant is always derived: sample_time + vi +
-    vi_extend, never stored.
+    `expires` is the last instant at which the version is fresh: its
+    sample time plus the object's validity interval when it is built, plus
+    one update period for each skipped or suppressed update that confirms
+    it. `holders` lists, in pin order, whoever pins the version; a version
+    is pinned while the list is non-empty.
 
     A store numbers the versions of each chain from 1. `seq` 0 marks a
     sample a transaction fetched from the source for itself: it sits in no
@@ -100,11 +99,8 @@ class Version:
     value: float
     sample_time: Tick
     seq: int
+    expires: Tick
     holders: list = field(default_factory=list)
-    vi_extend: Tick = 0
-
-    def valid_until(self, vi: Tick) -> Tick:
-        return self.sample_time + vi + self.vi_extend
 
 
 @dataclass
@@ -197,11 +193,12 @@ class UserTxnSpec:
         self.arrival.validate(f"{path}.arrival", errors)
 
 
-def is_fresh(version: Version, vi: Tick, t: Tick) -> bool:
-    """Freshness predicate: the sample taken at u is fresh at t iff
-    t <= u + vi. The boundary is inclusive: a value is still fresh at the
-    exact instant its validity interval ends."""
-    return t <= version.valid_until(vi)
+def is_fresh(version: Version, t: Tick) -> bool:
+    """Freshness predicate: a version is fresh at t iff t <= its expiry,
+    u + vi for a sample taken at u that no skip has confirmed. The boundary
+    is inclusive: a value is still fresh at the exact instant its validity
+    interval ends."""
+    return t <= version.expires
 
 
 @dataclass

@@ -21,6 +21,16 @@ finishing exactly when the last read's validity ends still commits;
 an uncommitted holder of a version restarts at the expiry instant and, in the
 same tick, can re-read a version installed at that instant; a transaction is
 missed at its deadline only if nothing committed it earlier in the tick.
+
+The engine alone applies the config's read discipline; the store keeps every
+superseded version that someone pins, whatever the mode:
+
+* classical: a reader may use a version only while it is fresh and newest.
+  It restarts at the instant a version it holds expires, and when an install
+  supersedes that version.
+* multiversion: a reader keeps the version that was fresh when it accessed
+  the object, so an in-flight transaction may finish its analysis on it even
+  if that version expires or is replaced before the transaction commits.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import attrgetter, itemgetter
 
-from .core import (ConfigError, Tick, UserTxnSpec, Version,
+from .core import (ConfigError, FreshnessMode, Tick, UserTxnSpec, Version,
                    feasibility_check)
 from .metrics import MetricsAggregator, MetricsReport
 from .policies import PERFORMED, effective_objects
@@ -182,9 +192,8 @@ class Simulator:
         # Value trajectories are keyed on the declared update grid, so policy
         # variants of one seeded workload sample identical values.
         self.sampler = ValueSampler(config.seed, config.objects, walks)
-        self.store = VersionStore(config.mode,
-                                  {oid: o.vi for oid, o in self.eff_objects.items()})
-        self._classical = self.store.classical
+        self.store = VersionStore({oid: o.vi for oid, o in self.eff_objects.items()})
+        self._classical = config.mode is FreshnessMode.CLASSICAL
 
         self.queue = EventQueue()
         self._released: dict[str, int] = {}  # instances released per class
@@ -308,9 +317,7 @@ class Simulator:
         self._make_ready(inst)
 
     def _commit(self, inst: TxnInstance, t: Tick) -> None:
-        stale = sorted(
-            v.object_id for v in inst.accesses.values()
-            if self.store.valid_until(v) < t)
+        stale = sorted(v.object_id for v in inst.accesses.values() if v.expires < t)
         inst.state = COMMITTED
         self._batch.append((t, "commit", inst.inst_id,
                             {"stale_at_commit": bool(stale), "stale_objects": stale}))
@@ -333,10 +340,9 @@ class Simulator:
             return
         # same epoch, so the version read that scheduled this expiry is still held
         version = inst.accesses[object_id]
-        until = self.store.valid_until(version)
-        if t < until:
+        if t < version.expires:
             # a skipped update extended the version; check again at the new end
-            self.queue.push(until, VI_EXPIRY, subject, payload)
+            self.queue.push(version.expires, VI_EXPIRY, subject, payload)
             return
         self._restart(inst, t, cause="vi_expiry", version=version)
 
@@ -419,7 +425,7 @@ class Simulator:
             else:
                 # the skip confirms the stored value: a policy performs while
                 # nothing is stored, so `newest` is a version
-                newest.vi_extend += stream.period
+                newest.expires += stream.period
                 self._wake_waiters(object_id)
 
         del self._updates[t]
@@ -427,21 +433,20 @@ class Simulator:
             installs.sort(key=_leading_object)
         install_version = self.store.install_version
         for object_id, stream, value, sample_time in installs:
-            chain = stream.chain
-            length = len(chain)
             superseded = install_version(object_id, value, sample_time)
             record((t, "install", object_id,
-                    {"seq": chain[-1].seq, "sample_time": sample_time}))
-            if len(chain) == length:
-                # the install reclaimed the unpinned version it superseded
-                record((t, "gc", object_id, _RECLAIMED_ONE))
-            elif superseded is not None:
-                # a classical install replaced a version someone still pins:
-                # every holder restarts (update transactions are never
-                # delayed by readers), and each restart's sweep reclaims what
-                # its unpins freed; only unfinished instances hold pins
-                for inst in list(superseded.holders):
-                    self._restart(inst, t, cause="superseded", version=superseded)
+                    {"seq": stream.chain[-1].seq, "sample_time": sample_time}))
+            if superseded is not None:
+                if not superseded.holders:
+                    # the install reclaimed the version it superseded
+                    record((t, "gc", object_id, _RECLAIMED_ONE))
+                elif self._classical:
+                    # a classical install replaced a pinned version: every
+                    # holder restarts (update transactions are never delayed
+                    # by readers), and each restart's sweep reclaims what its
+                    # unpins freed; only unfinished instances hold pins
+                    for inst in list(superseded.holders):
+                        self._restart(inst, t, cause="superseded", version=superseded)
             stream.refreshing = False
             self._wake_waiters(object_id)
 
@@ -487,8 +492,8 @@ class Simulator:
 
         if mode != "store":
             # the source, directly or when the store cannot serve
-            sample = Version(object_id=obj, value=self.sampler.sample(obj, t),
-                             sample_time=t, seq=0)
+            sample = Version(obj, self.sampler.sample(obj, t), t, 0,
+                             t + self.store.vis[obj])
             self._acquire(inst, t, sample, "source")
             self._run_segment(inst, RETRIEVING, t + inst.spec.retrieval_time[obj])
             return
@@ -510,7 +515,7 @@ class Simulator:
             "object": version.object_id, "via": via, "value": version.value,
             "staleness": t - version.sample_time}))
         if self._classical:
-            self.queue.push(self.store.valid_until(version), VI_EXPIRY, inst.inst_id,
+            self.queue.push(version.expires, VI_EXPIRY, inst.inst_id,
                             (inst, inst.epoch, version.object_id))
 
     def _run_segment(self, inst: TxnInstance, state: str, end: Tick) -> None:

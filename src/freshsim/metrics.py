@@ -309,8 +309,27 @@ class TraceLines:
 # CSV
 
 
-def _row(values: list) -> str:
-    return ",".join(str(v) if v is not None else "" for v in values)
+def _field(value) -> str:
+    """One CSV field: empty for None, else its text, quoted as RFC 4180 does
+    when it holds a comma, a quote or a line break."""
+    if value is None:
+        return ""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _row(label: tuple, stats: TxnClassStats, performed=None, skipped=None,
+         sink_error=None, peak_live=None) -> str:
+    """The row of one class, or of the overall stats with the run-wide
+    figures, which class rows leave empty; `label` is (scenario, mode,
+    policy, txn_class)."""
+    return ",".join(_field(v) for v in (
+        *label, stats.released, stats.committed, stats.missed, stats.miss_ratio,
+        stats.restarts, stats.vi_restarts, performed, skipped,
+        stats.mean_staleness, stats.max_staleness, sink_error, peak_live,
+        stats.stale_at_commit))
 
 
 def emit_csv_rows(report: MetricsReport, scenario: str, mode: str,
@@ -318,22 +337,9 @@ def emit_csv_rows(report: MetricsReport, scenario: str, mode: str,
     """One overall row, then one row per transaction class. Update counts,
     sink error, and peak live versions are run-wide figures and appear only
     on the overall row."""
-    o = report.overall
-    rows = [_row([
-        scenario, mode, policy, "overall",
-        o.released, o.committed, o.missed, o.miss_ratio,
-        o.restarts, o.vi_restarts,
-        report.updates_performed, report.updates_skipped,
-        o.mean_staleness, o.max_staleness,
-        report.max_sink_error, report.peak_live_versions, o.stale_at_commit,
-    ])]
-    for name, cls in report.per_class.items():
-        rows.append(_row([
-            scenario, mode, policy, name,
-            cls.released, cls.committed, cls.missed, cls.miss_ratio,
-            cls.restarts, cls.vi_restarts,
-            None, None,
-            cls.mean_staleness, cls.max_staleness,
-            None, None, cls.stale_at_commit,
-        ]))
+    rows = [_row((scenario, mode, policy, "overall"), report.overall,
+                 report.updates_performed, report.updates_skipped,
+                 report.max_sink_error, report.peak_live_versions)]
+    rows += [_row((scenario, mode, policy, name), cls)
+             for name, cls in report.per_class.items()]
     return rows

@@ -1,47 +1,36 @@
 """Version store for temporal objects.
 
-Keeps an ascending chain of versions per object and implements the two read
-disciplines:
-
-* classical: one live version per object; installing a new version replaces
-  the previous one, and a replaced version that is still pinned is handed
-  back to the caller, whose holders must restart.
-* multiversion: superseded versions are retained while pinned, so an in-flight
-  transaction may finish its analysis on the version that was fresh when it
-  accessed the object, even if that version expires or is replaced before the
-  transaction commits.
-
-New accesses are only ever served the newest version; history exists purely to
-let in-flight readers finish. All mutation happens on the simulation thread.
-Operations return what they did and never call back: the engine writes the
-trace records and restarts the readers. A version's pins are its `holders`;
-the peak chain length is derived from the `install` and `gc` records.
+Keeps an ascending chain of versions per object, with the pins that keep a
+superseded version alive. New accesses are only ever served the newest
+version, and only while it is fresh; history exists purely to let in-flight
+readers finish. Which readers may keep a superseded version is the engine's
+read discipline, not the store's. All mutation happens on the simulation
+thread. Operations return what they did and never call back: the engine
+writes the trace records and restarts the readers. A version's pins are its
+`holders`; the peak chain length is derived from the `install` and `gc`
+records.
 """
 
 from __future__ import annotations
 
-from .core import FreshnessMode, SimInternalError, Tick, Version, is_fresh
+from .core import SimInternalError, Tick, Version, is_fresh
 
 
 class VersionStore:
     """Per-run store of version chains, pinning, and garbage collection.
 
     `vis` maps object id to its effective validity interval (after any
-    config-time period rescaling). A version's expiry instant additionally
-    includes per-version extensions granted by skipped updates, which the
-    engine adds to the newest version's `vi_extend`. Each object's list in
-    `chains` is changed only in place, so it stays the object's chain for
-    the life of the store.
+    config-time period rescaling); an install sets the new version's
+    `expires` from it. Each object's list in `chains` is changed only in
+    place, so it stays the object's chain for the life of the store.
 
     A superseded version is reclaimed once nobody pins it: by the install
     that supersedes it when it is unpinned by then, else by the `gc` after
     the `unpin` that frees it.
     """
 
-    def __init__(self, mode: FreshnessMode, vis: dict[str, Tick]):
-        self.mode = mode
-        self.classical = mode is FreshnessMode.CLASSICAL
-        self.vis = dict(vis)
+    def __init__(self, vis: dict[str, Tick]):
+        self.vis = vis
         self.chains: dict[str, list[Version]] = {oid: [] for oid in vis}
         # chains that `unpin` left holding a superseded unpinned version: gc
         # visits only these, in declaration order, and each loses at least
@@ -49,38 +38,36 @@ class VersionStore:
         self._order = {oid: i for i, oid in enumerate(vis)}
         self.dirty: set[str] = set()
 
-    # -- helpers -----------------------------------------------------------
-
-    def valid_until(self, version: Version) -> Tick:
-        return version.valid_until(self.vis[version.object_id])
-
     # -- operations --------------------------------------------------------
 
     def install_version(self, object_id: str, value: float,
                         sample_time: Tick) -> Version | None:
-        """Append a new version sampled at `sample_time`.
+        """Append a new version sampled at `sample_time`; returns the version
+        it supersedes, or None on the object's first install.
 
         Sample times must strictly increase per object. A superseded version
         that nobody pins is reclaimed here, in place of the new version, and
         leaves the chain unmarked: between events every other superseded
         version is pinned, so it is the only version an install can make
-        reclaimable. The caller sees it by the chain's length, which stays
-        the same. Returns the superseded version when it is still pinned in
-        classical mode: its holders must restart.
+        reclaimable. The caller tells the reclaim by the returned version's
+        empty `holders`.
         """
         chain = self.chains[object_id]
-        prev = chain[-1] if chain else None
-        if prev is not None and prev.sample_time >= sample_time:
+        expires = sample_time + self.vis[object_id]
+        if not chain:
+            chain.append(Version(object_id, value, sample_time, 1, expires, []))
+            return None
+        prev = chain[-1]
+        if prev.sample_time >= sample_time:
             raise SimInternalError(
                 f"non-monotone install on {object_id!r}: "
                 f"{sample_time} after {prev.sample_time}")
-        version = Version(object_id, value, sample_time,
-                          prev.seq + 1 if prev else 1, [])
-        if prev is not None and not prev.holders:
+        version = Version(object_id, value, sample_time, prev.seq + 1, expires, [])
+        if prev.holders:
+            chain.append(version)
+        else:
             chain[-1] = version
-            return None
-        chain.append(version)
-        return prev if self.classical else None
+        return prev
 
     def read_latest(self, object_id: str, t: Tick, holder,
                     exclude: int = 0) -> Version | None:
@@ -98,7 +85,7 @@ class VersionStore:
         version = chain[-1]
         if version.seq == exclude:
             return None
-        if not is_fresh(version, self.vis[object_id], t):
+        if not is_fresh(version, t):
             return None
         version.holders.append(holder)
         return version

@@ -265,12 +265,13 @@ def iter_arrivals(spec: UserTxnSpec, horizon: Tick, seed: int) -> Iterator[Tick]
     t = 0
     i = 0
     while True:
-        u = uniform_at(key, i)
-        gap = max(1, math.ceil(-a.mean_gap * math.log(u)))
-        t += gap
-        i += 1
-        if t > horizon:
+        gap = max(1, -a.mean_gap * math.log(uniform_at(key, i)))
+        # tested before it is rounded up, since a huge mean gap makes it
+        # infinite; for an integer bound, ceil(gap) > bound iff gap > bound
+        if gap > horizon - t:
             return
+        t += math.ceil(gap)
+        i += 1
         yield t
 
 

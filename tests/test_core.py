@@ -18,8 +18,8 @@ from freshsim.workload import ConstantProcess, SimConfig
 from support import run_records
 
 
-def _version(u, oid="o1"):
-    return Version(object_id=oid, value=0.0, sample_time=u, seq=1)
+def _version(u, vi, oid="o1"):
+    return Version(object_id=oid, value=0.0, sample_time=u, seq=1, expires=u + vi)
 
 
 def _txn(read_set, retrieval, analysis, deadline=20, mode="source"):
@@ -39,7 +39,7 @@ def _objects(**vis):
     (0, 10, 0, True),   # access at the sampling instant
 ])
 def test_is_fresh_examples(u, vi, t, expected):
-    assert is_fresh(_version(u), vi, t) is expected
+    assert is_fresh(_version(u, vi), t) is expected
 
 
 def test_is_fresh_boundary_property():
@@ -47,8 +47,8 @@ def test_is_fresh_boundary_property():
     for _ in range(200):
         u = rng.randint(0, 1000)
         vi = rng.randint(1, 100)
-        assert is_fresh(_version(u), vi, u + vi)
-        assert not is_fresh(_version(u), vi, u + vi + 1)
+        assert is_fresh(_version(u, vi), u + vi)
+        assert not is_fresh(_version(u, vi), u + vi + 1)
 
 
 def test_is_fresh_monotone_in_time():
@@ -58,16 +58,15 @@ def test_is_fresh_monotone_in_time():
         vi = rng.randint(1, 60)
         t2 = rng.randint(u, u + 2 * vi)
         t1 = rng.randint(u, t2)
-        if is_fresh(_version(u), vi, t2):
-            assert is_fresh(_version(u), vi, t1)
+        if is_fresh(_version(u, vi), t2):
+            assert is_fresh(_version(u, vi), t1)
 
 
 def test_version_extension_moves_expiry():
-    v = _version(10)
-    assert v.valid_until(5) == 15
-    v.vi_extend += 4
-    assert v.valid_until(5) == 19
-    assert is_fresh(v, 5, 19) and not is_fresh(v, 5, 20)
+    v = _version(10, 5)
+    assert v.expires == 15
+    v.expires += 4
+    assert is_fresh(v, 19) and not is_fresh(v, 20)
 
 
 @pytest.mark.parametrize("vi,r,a,expected", [

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -20,6 +21,7 @@ from freshsim.core import ConfigError, FreshnessMode, SimInternalError
 from freshsim.engine import Simulator
 from freshsim.policies import effective_objects
 from freshsim.metrics import (
+    CSV_COLUMNS,
     CSV_HEADER,
     MetricsAggregator,
     TraceLines,
@@ -228,6 +230,37 @@ def test_empty_report_emits_header_and_overall(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 2 and lines[0] == CSV_HEADER
     assert lines[1].startswith("s,classical,periodic,overall,0,0,0,0.0")
+
+
+@pytest.mark.parametrize("file_name, name, class_id", [
+    ("a,b.json", None, "t1"),
+    ("config.json", 'a,b "q"', "t1"),
+    ("config.json", "two\nlines", "t,1"),
+    ("config.json", "plain", 'say "x"\r\n'),
+], ids=["stem-comma", "name-comma-quote", "class-comma", "class-quote-crlf"])
+def test_cli_csv_reads_back_with_csv_reader(tmp_path, capsys, file_name, name, class_id):
+    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
+    if name is not None:
+        doc["name"] = name
+    doc["transactions"][0]["id"] = class_id
+    path = write_config(tmp_path, doc, name=file_name)
+    out = tmp_path / "out.csv"
+    assert main(["run", path, "--csv", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == CSV_COLUMNS
+    scenario = name if name is not None else Path(file_name).stem
+    assert [row[:4] for row in rows[1:]] == [
+        [scenario, "classical", "periodic", "overall"],
+        [scenario, "classical", "periodic", class_id]]
+    assert all(len(row) == len(CSV_COLUMNS) for row in rows)
+
+
+def test_csv_quotes_only_fields_that_need_it():
+    report = Simulator(one_object_config(vi=10, retrieval=2, analysis=3)).run()
+    plain = emit_csv_rows(report, "s", "classical", "periodic")
+    quoted = emit_csv_rows(report, 's,"t"', "classical", "periodic")
+    assert quoted == ['"s,""t"""' + row[1:] for row in plain]
 
 
 def test_single_commit_zero_miss_ratio_column():
@@ -598,6 +631,18 @@ def test_cli_output_that_cannot_be_written_is_invalid_input(tmp_path, capsys, ar
     out = str(tmp_path / "no" / "such" / "dir" / "out")
     assert main([args[0], path, *args[1:], out]) == 1
     assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+
+def test_cli_run_with_a_huge_poisson_mean_gap_releases_nothing(tmp_path, capsys):
+    # the first gap of seed 6 is infinite as a float
+    u = freshsim.workload.uniform_at(freshsim.workload.stable_key(6, "t1", "arrivals"), 0)
+    assert -10 ** 308 * math.log(u) == math.inf
+    doc = {**CONFIG_INFEASIBLE, "seed": 6}
+    doc["transactions"] = [{**CONFIG_INFEASIBLE["transactions"][0],
+                            "arrival": {"kind": "poisson", "mean_gap": 10 ** 308}}]
+    path = write_config(tmp_path, doc)
+    assert main(["run", path]) == 0
+    assert "released=0 " in capsys.readouterr().out
 
 
 def test_python_m_freshsim_prints_what_main_prints(tmp_path, capsys):

@@ -8,15 +8,15 @@ from freshsim.store import VersionStore
 from support import one_object_config, run_outcomes, run_records
 
 
-def make_store(mode=FreshnessMode.MULTIVERSION, vi=5):
-    return VersionStore(mode, {"o1": vi})
+def make_store(vi=5):
+    return VersionStore({"o1": vi})
 
 
 def install(store, object_id, value, sample_time):
     """Install as the engine does: the engine sweeps after every unpin, so
     the versions earlier unpins freed are swept first and the install finds
-    every superseded version pinned. Returns the superseded pinned version,
-    if any."""
+    every superseded version pinned. Returns the superseded version, if
+    any."""
     store.gc()
     return store.install_version(object_id, value, sample_time)
 
@@ -25,25 +25,11 @@ def test_first_install():
     store = make_store()
     assert store.install_version("o1", 1.0, 0) is None
     assert [v.seq for v in store.chains["o1"]] == [1]
+    assert store.chains["o1"][0].expires == 5  # sample time + vi
 
 
-def test_mv_install_retains_pinned_predecessor():
+def test_install_hands_back_a_pinned_predecessor_until_its_reader_unpins():
     store = make_store()
-    install(store, "o1", 1.0, 0)
-    store.read_latest("o1", 1, "r")  # pins seq 1
-    assert install(store, "o1", 2.0, 10) is None  # never handed back
-    assert [v.seq for v in store.chains["o1"]] == [1, 2]
-
-
-def test_classical_install_replaces_unpinned():
-    store = make_store(FreshnessMode.CLASSICAL)
-    install(store, "o1", 1.0, 0)
-    install(store, "o1", 2.0, 10)
-    assert [v.seq for v in store.chains["o1"]] == [2]
-
-
-def test_classical_install_notifies_pinned_readers():
-    store = make_store(FreshnessMode.CLASSICAL)
     install(store, "o1", 1.0, 0)
     first = store.read_latest("o1", 1, "r")
     superseded = install(store, "o1", 2.0, 3)
@@ -55,25 +41,22 @@ def test_classical_install_notifies_pinned_readers():
     assert [v.seq for v in store.chains["o1"]] == [2]
 
 
-@pytest.mark.parametrize("mode", list(FreshnessMode))
-def test_install_reclaims_an_unpinned_predecessor_in_place(mode):
-    store = make_store(mode)
+@pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+def test_install_returns_what_it_supersedes_and_reclaims_it_iff_unpinned(pinned):
+    store = make_store()
     install(store, "o1", 1.0, 0)
     chain = store.chains["o1"]
-    assert store.install_version("o1", 2.0, 10) is None
-    assert store.chains["o1"] is chain
-    assert [v.seq for v in chain] == [2]
-    assert not store.dirty
-
-
-@pytest.mark.parametrize("mode", list(FreshnessMode))
-def test_install_keeps_a_pinned_predecessor(mode):
-    store = make_store(mode)
-    install(store, "o1", 1.0, 0)
-    first = store.read_latest("o1", 1, "r")
+    first = chain[0]
+    if pinned:
+        assert store.read_latest("o1", 1, "r") is first
     superseded = store.install_version("o1", 2.0, 10)
-    assert superseded is (first if mode is FreshnessMode.CLASSICAL else None)
-    assert [v.seq for v in store.chains["o1"]] == [1, 2]
+    assert superseded is first
+    assert superseded.holders == (["r"] if pinned else [])
+    # reclaimed in place, or kept for its holder; either way the chain
+    # stays the object's list and nothing is left for gc
+    assert store.chains["o1"] is chain
+    assert [v.seq for v in chain] == ([1, 2] if pinned else [2])
+    assert chain[-1].expires == 15
     assert not store.dirty
 
 
@@ -121,12 +104,12 @@ def test_may_continue_multiversion_survives_expiry():
     store = make_store(vi=5)
     install(store, "o1", 1.0, 0)
     version = store.read_latest("o1", 3, "r")
-    assert store.valid_until(version) == 5
-    # past its expiry and its replacement the pinned version stays and
-    # nobody is told to restart
+    assert version.expires == 5
+    # past its expiry and its replacement the pinned version stays; the
+    # store hands it back, and only the classical engine restarts its holder
     superseded = install(store, "o1", 2.0, 6)
     store.gc()
-    assert superseded is None
+    assert superseded is version
     assert [v.seq for v in store.chains["o1"]] == [1, 2]
     store.unpin(version, "r")
     # the access was fresh, so the analysis finishes at 7 on it
@@ -135,10 +118,10 @@ def test_may_continue_multiversion_survives_expiry():
 
 
 def test_may_continue_classical():
-    store = make_store(FreshnessMode.CLASSICAL, vi=5)
+    store = make_store(vi=5)
     store.install_version("o1", 1.0, 0)
     version = store.read_latest("o1", 3, "r")
-    assert store.valid_until(version) == 5
+    assert version.expires == 5
     # the holder keeps going at 4 and restarts at the expiry instant itself
     _, records = run_records(reader_config(FreshnessMode.CLASSICAL))
     restarts = [(t, detail["cause"]) for t, kind, _, detail in records
@@ -175,7 +158,7 @@ def test_extend_validity_defers_expiry():
     assert store.read_latest("o1", 6, "r") is None
     assert store.chains["o1"][-1].holders == []  # untouched by the failed read
     # a skipped update extends the newest version by one period
-    store.chains["o1"][-1].vi_extend += 5
+    store.chains["o1"][-1].expires += 5
     assert store.read_latest("o1", 6, "r") is not None
 
 
@@ -201,8 +184,8 @@ def test_gc_never_reclaims_pinned_random_walkthrough():
 
 
 class FullSweepStore(VersionStore):
-    """Reference store: an install only appends, and `gc` sweeps every chain
-    in declaration order."""
+    """Reference store: an install only appends and returns the version it
+    supersedes, and `gc` sweeps every chain in declaration order."""
 
     def install_version(self, object_id, value, sample_time):
         chain = self.chains[object_id]
@@ -211,10 +194,9 @@ class FullSweepStore(VersionStore):
         prev = chain[-1] if chain else None
         chain.append(Version(object_id=object_id, value=value,
                              sample_time=sample_time,
-                             seq=prev.seq + 1 if prev else 1))
-        if prev is not None and prev.holders and self.mode is FreshnessMode.CLASSICAL:
-            return prev
-        return None
+                             seq=prev.seq + 1 if prev else 1,
+                             expires=sample_time + self.vis[object_id]))
+        return prev
 
     def gc(self):
         reclaimed = []
@@ -226,8 +208,8 @@ class FullSweepStore(VersionStore):
         return reclaimed
 
 
-def _twin_stores(mode, vis):
-    return VersionStore(mode, vis), FullSweepStore(mode, vis)
+def _twin_stores(vis):
+    return VersionStore(vis), FullSweepStore(vis)
 
 
 def _checked_gc(store):
@@ -247,12 +229,11 @@ def _assert_twins_agree(stores):
                 == [(v.seq, v.holders) for v in full.chains[oid]])
 
 
-@pytest.mark.parametrize("mode", list(FreshnessMode))
-@pytest.mark.parametrize("seed", range(4))
-def test_dirty_chain_gc_matches_full_sweep(mode, seed):
+@pytest.mark.parametrize("seed", range(8))
+def test_dirty_chain_gc_matches_full_sweep(seed):
     rng = random.Random(seed)
     vis = {"o3": 6, "o1": 9, "o2": 4, "o4": 12}  # declaration order is not sorted
-    stores = _twin_stores(mode, vis)
+    stores = _twin_stores(vis)
     pins = []  # (object id, seq, holder), pinned in both stores
     last_sample = dict.fromkeys(vis, -1)
     now = 0
@@ -267,6 +248,8 @@ def test_dirty_chain_gc_matches_full_sweep(mode, seed):
             length = len(stores[0].chains[oid])
             superseded = [store.install_version(oid, float(i), now) for store in stores]
             assert len({v.seq if v else None for v in superseded}) == 1
+            assert len({(v.expires, len(v.holders)) if v else None
+                        for v in superseded}) == 1
             assert not stores[0].dirty
             # what the install reclaimed in place, the reference sweeps
             inline = length + 1 - len(stores[0].chains[oid])
@@ -293,7 +276,7 @@ def test_dirty_chain_gc_matches_full_sweep(mode, seed):
 
 def test_dirty_chain_gc_sweeps_in_declaration_order():
     # "b" becomes reclaimable before "a", yet "a" is declared first
-    stores = _twin_stores(FreshnessMode.MULTIVERSION, {"a": 50, "b": 50})
+    stores = _twin_stores({"a": 50, "b": 50})
     for store in stores:
         pinned = {oid: (install(store, oid, 1.0, 0),
                         store.read_latest(oid, 1, "r"))[1] for oid in ("a", "b")}

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import inspect
@@ -174,6 +175,27 @@ def test_importing_freshsim_loads_no_openssl_and_no_statistics():
     assert out.stdout == "[]\n"
 
 
+# Python 3.12 renamed the builtin `_sha256` to `_sha2`, so each interpreter
+# lists only one of the two names workload.py tries
+_ALLOWED = sys.stdlib_module_names | {"_sha2", "_sha256", "freshsim"}
+
+
+def test_freshsim_imports_only_the_standard_library():
+    src = Path(freshsim.workload.__file__).resolve().parent
+    outside = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one: freshsim itself
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in _ALLOWED]
+    assert outside == []
+
+
 @pytest.mark.parametrize("parts", KEY_PARTS)
 def test_stable_key_is_the_head_of_hashlib_sha256(parts):
     text = "|".join(str(p) for p in parts).encode("utf-8")
@@ -262,6 +284,28 @@ def test_arrivals_poisson_deterministic_and_mean_scaled():
     assert all(y > x for x, y in zip(a, a[1:]))
     mean_gap = a[-1] / len(a)
     assert 40 < mean_gap < 60  # inverse-transform exponential, rounded up
+
+
+def _rounded_first_poisson_releases(spec, horizon, seed):
+    """Poisson releases with each gap rounded up before it is compared with
+    the horizon: the reference for iter_arrivals, which compares first."""
+    key = stable_key(seed, spec.id, "arrivals")
+    t = i = 0
+    while True:
+        t += max(1, math.ceil(-spec.arrival.mean_gap * math.log(uniform_at(key, i))))
+        i += 1
+        if t > horizon:
+            return
+        yield t
+
+
+@pytest.mark.parametrize("mean_gap", [1, 2, 7, 50, 10 ** 4])
+def test_poisson_releases_do_not_change_with_the_unrounded_gap_test(mean_gap):
+    spec = _txn(Arrival("poisson", mean_gap=mean_gap))
+    for seed in range(20):
+        for horizon in (1, 2, 30, 5000):
+            assert (expand_arrivals(spec, horizon, seed)
+                    == list(_rounded_first_poisson_releases(spec, horizon, seed)))
 
 
 @pytest.mark.parametrize("arrival", [Arrival("oneshot", t=5),
