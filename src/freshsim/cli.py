@@ -208,33 +208,6 @@ def _parse_policy_token(token: str) -> dict:
     raise ConfigError([("policies", f"cannot parse policy token {token!r}")])
 
 
-class SampledValues(dict):
-    """Trace sink of `compare`: keeps (object id, t) -> value for every
-    sampled value in the trace (update decisions and source accesses) and
-    drops the records.
-
-    One instance serves every variant of a compare, whose shared seed pins
-    the value trajectory: a value that differs from the one kept for its
-    instant raises ConfigError, naming `variant`, the variant being run."""
-
-    variant = None
-
-    def __call__(self, records: list[tuple]) -> None:
-        setdefault = self.setdefault
-        for t, kind, subject, detail in records:
-            if kind == "update_decision":
-                key, value = (subject, t), detail["sampled"]
-            elif kind == "access" and detail["via"] == "source":
-                key, value = (detail["object"], t), detail["value"]
-            else:
-                continue
-            kept = setdefault(key, value)
-            if kept != value:
-                raise ConfigError(
-                    [("compare", f"value trajectories diverged at {key}: "
-                                 f"{kept} vs {value} under {self.variant}")])
-
-
 def _variant_doc(base: dict, mode: str | None, policy: dict | None) -> dict:
     """The document of one variant: a shallow copy of `base` with new dicts
     only where it differs, so that the loaded document is never changed."""
@@ -268,9 +241,8 @@ def cmd_compare(args) -> int:
     modes = args.modes.split(",") if args.modes else [None]
     tokens = args.policies.split(",") if args.policies else [None]
     rows = []
-    values = SampledValues()
-    # the variants share the seed and the objects, and so every walk: each
-    # step is computed once, by the first variant that needs it
+    # the variants share the seed, the objects and so every sampled value;
+    # each walk step is computed once, by the first variant that needs it
     walks = {}
     first = None
     for mode in modes:
@@ -284,8 +256,7 @@ def cmd_compare(args) -> int:
                 if first is None:
                     first = cfg
             label = token if token is not None else _policy_string(cfg)
-            values.variant = (cfg.mode.value, label)
-            report = Simulator(cfg, sink=values, walks=walks).run()
+            report = Simulator(cfg, walks=walks).run()
             rows += emit_csv_rows(report, cfg.name, cfg.mode.value, label)
     _write_csv(rows, args.csv)
     return EXIT_OK

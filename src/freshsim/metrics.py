@@ -250,6 +250,10 @@ if c_make_encoder is None:
     def _encode_records(records: Iterable[tuple]) -> Iterator[str]:
         """The canonical line of each record, in order, as it is drawn."""
         return map(_encode, records)
+
+    def _encode_batch(records: list[tuple]) -> str:
+        """The canonical lines of `records`, joined by line breaks."""
+        return "\n".join(_encode_records(records))
 else:
     # JSONEncoder(sort_keys=True, separators=(",", ":")).encode builds this C
     # encoder anew for every record; built once here with the same arguments,
@@ -262,6 +266,21 @@ else:
         """The canonical line of each record, in order, as it is drawn; no
         Python frame runs per record."""
         return map("".join, map(_c_encoder, records, repeat(0)))
+
+    _CALL_RECORDS = 64
+
+    def _encode_batch(records: list[tuple]) -> str:
+        """The canonical lines of `records`, joined by line breaks. One call
+        encodes _CALL_RECORDS records to "[" + their lines joined by "," +
+        "]", so each "],[" is a line break, unless a string or a nested array
+        holds one too: then each record is encoded on its own. A call keeps
+        each piece it writes as a string until it returns, so one call per
+        batch would peak at several times the batch's text."""
+        text = ",".join(["".join(_c_encoder(records[i:i + _CALL_RECORDS], 0))[1:-1]
+                         for i in range(0, len(records), _CALL_RECORDS)])
+        if text.count("],[") == len(records) - 1:
+            return text.replace("],[", "]\n[")
+        return "\n".join(_encode_records(records))
 
 
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -301,8 +320,7 @@ class TraceLines:
 
     def __call__(self, records: list[tuple]) -> None:
         if records:
-            self.blocks.append(
-                ("\n".join(_encode_records(records)) + "\n").encode("utf-8"))
+            self.blocks.append((_encode_batch(records) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

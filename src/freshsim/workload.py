@@ -187,7 +187,9 @@ class ValueSampler:
     samplers share: (run seed, process seed, object id, start, step_sigma),
     which is all that a walk's values depend on, maps to the list of the
     walk's values by ordinal, extended as far as any sampler has asked. It
-    holds about horizon / period values per walk.
+    holds about horizon / period values per walk. A walk the sampler has
+    read there is served with one lookup of its values and period, up to
+    the table's end; past it, the sampler extends the table.
     """
 
     def __init__(self, seed: int, objects: list[ObjectSpec],
@@ -195,13 +197,20 @@ class ValueSampler:
         self.seed = seed
         self.specs = {o.id: o for o in objects}
         self.walks = walks
-        # object id -> (stream key, ordinal, walk value at that ordinal), or
-        # with a table, [stream key or None, the walk's values in the table]:
-        # the key is computed when the sampler first extends the walk, which
-        # a run whose walks an earlier run computed may never do
-        self._walks: dict[str, tuple | list] = {}
+        # object id -> [the walk's values in `walks`, update period, stream
+        # key], for each walk the sampler has read there; the key is computed
+        # when the sampler first extends the walk, which it may never do
+        self._table: dict[str, list] = {}
+        # object id -> (stream key, ordinal, walk value at that ordinal)
+        self._walks: dict[str, tuple] = {}
 
     def sample(self, object_id: str, t: Tick) -> float:
+        walk = self._table.get(object_id)
+        if walk is not None:
+            values, period, _ = walk
+            index = t // period
+            if index < len(values):
+                return values[index]
         obj = self.specs[object_id]
         process = obj.value_process
         index = t // obj.update_period
@@ -214,15 +223,15 @@ class ValueSampler:
 
     def _table_value(self, obj: ObjectSpec, process: RandomWalkProcess,
                      index: int) -> float:
-        walk = self._walks.get(obj.id)
+        walk = self._table.get(obj.id)
         if walk is None:
-            walk = self._walks[obj.id] = [None, self.walks.setdefault(
+            walk = self._table[obj.id] = [self.walks.setdefault(
                 (self.seed, process.seed, obj.id, process.start, process.step_sigma),
-                [float(process.start)])]
-        key, values = walk
+                [float(process.start)]), obj.update_period, None]
+        values, _, key = walk
         if index >= len(values):
             if key is None:
-                key = walk[0] = stable_key(self.seed, process.seed, obj.id, "walk")
+                key = walk[2] = stable_key(self.seed, process.seed, obj.id, "walk")
             value = values[-1]
             for j in range(len(values), index + 1):
                 value += process.step_sigma * _normal_dist_inv_cdf(
@@ -343,6 +352,8 @@ def validate_config(cfg: SimConfig) -> list[tuple[str, str]]:
         start = len(errors)
         if txn.id in seen_t:
             errors.append((".id", f"duplicate transaction id {txn.id!r}"))
+        if txn.id == "overall":
+            errors.append((".id", "'overall' labels the run-wide CSV row"))
         seen_t.add(txn.id)
         txn.validate("", ids, errors)
         if len(errors) > start:

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,8 @@ import freshsim.cli
 import freshsim.engine
 import freshsim.metrics
 import freshsim.workload
-from freshsim.cli import SampledValues, _set_path, _write_csv, main
-from freshsim.core import ConfigError, FreshnessMode, SimInternalError
+from freshsim.cli import _set_path, _write_csv, main
+from freshsim.core import FreshnessMode, SimInternalError
 from freshsim.engine import Simulator
 from freshsim.policies import effective_objects
 from freshsim.metrics import (
@@ -34,6 +35,12 @@ from freshsim.workload import config_from_dict
 
 from randgen import random_config
 from support import hash_records, one_object_config, run_records
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
+
+import gen  # noqa: E402
 
 
 CONFIG_INFEASIBLE = {
@@ -357,6 +364,40 @@ def test_encoder_without_the_c_accelerator_is_the_fallback(monkeypatch):
     assert module.trace_hash(sink) == hash_records(ODD_RECORDS)
 
 
+@pytest.mark.parametrize("odd", [
+    ("access", "t],[1#0", {"object": "o],[", "staleness": 0, "via": "store"}),
+    ("commit", "t1#0", {"stale_at_commit": True, "stale_objects": ["a", "],[", "b"]}),
+    ("txn_rejected", "t2", {"failing": [["a"], ["b"]]}),
+    ("restart", "t3#1", {"cause": "vi_expiry", "object": "]],[["}),
+])
+def test_a_batch_holding_the_line_separator_is_encoded_record_by_record(
+        monkeypatch, odd):
+    # a batch is encoded with one call per slice of records, and the "],["
+    # between records become line breaks; a batch with "],[" inside a
+    # record takes one call per record
+    per_record = []
+    encode_records = freshsim.metrics._encode_records
+
+    def spy(records):
+        per_record.append(len(records))
+        return encode_records(records)
+
+    monkeypatch.setattr(freshsim.metrics, "_encode_records", spy)
+    clean = ODD_RECORDS * 5
+    sink = TraceLines()
+    sink(clean)
+    assert sink.blocks == [dumps_bytes(clean)] and per_record == []
+    # the odd record in the first slice of one batch and the second of another
+    assert len(ODD_RECORDS) * 4 == freshsim.metrics._CALL_RECORDS + 4
+    batches = [ODD_RECORDS[:4] + [(11, *odd)] + ODD_RECORDS[4:],
+               ODD_RECORDS * 4 + [(12, *odd)] + ODD_RECORDS, [(13, *odd)]]
+    for batch in batches:
+        sink(batch)
+    assert per_record == [len(batch) for batch in batches]
+    assert sink.blocks[1:] == [dumps_bytes(batch) for batch in batches]
+    assert trace_hash(sink) == hash_records(clean + sum(batches, []))
+
+
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
 def test_trace_lines_keeps_one_block_of_json_dumps_lines_per_batch(count):
     # the bytes `run --trace` writes: one json.dumps line per record
@@ -645,6 +686,17 @@ def test_cli_run_with_a_huge_poisson_mean_gap_releases_nothing(tmp_path, capsys)
     assert "released=0 " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["run"], ["check"], ["compare", "--modes", "multiversion"]])
+def test_cli_rejects_a_class_with_the_overall_rows_label(tmp_path, capsys, command):
+    # its CSV row would be told from the run-wide row by the empty columns only
+    doc = {**CONFIG_INFEASIBLE, "transactions": [
+        {**CONFIG_INFEASIBLE["transactions"][0], "id": "overall"}]}
+    path = write_config(tmp_path, doc)
+    assert main([command[0], path, *command[1:]]) == 1
+    assert capsys.readouterr().err == (
+        "error: transactions[0].id: 'overall' labels the run-wide CSV row\n")
+
+
 def test_python_m_freshsim_prints_what_main_prints(tmp_path, capsys):
     path = write_config(tmp_path, CONFIG_INFEASIBLE)
     assert main(["run", path]) == 0
@@ -754,56 +806,55 @@ def _walk_doc() -> dict:
     }
 
 
-def test_compare_sink_keeps_exactly_the_sampled_values():
-    trace = run_records(config_from_dict(_walk_doc()))[1]
-    expected = {}
+def _sampled_values(trace: list[tuple]) -> dict[tuple, float]:
+    """(object id, t) -> value, for each value sampled in `trace`: by an
+    update decision or by a source access."""
+    values = {}
     for t, kind, subject, detail in trace:
         if kind == "update_decision":
-            expected[(subject, t)] = detail["sampled"]
+            values[(subject, t)] = detail["sampled"]
         elif kind == "access" and detail["via"] == "source":
-            expected[(detail["object"], t)] = detail["value"]
-    vias = {detail["via"] for _, kind, _, detail in trace if kind == "access"}
-    decisions = {detail["decision"] for _, kind, _, detail in trace
-                 if kind == "update_decision"}
-    assert vias == {"store", "source"} and {"perform", "skip"} <= decisions
-    values = SampledValues()
-    Simulator(config_from_dict(_walk_doc()), sink=values).run()
-    assert values == expected
-    rng = random.Random(2)
-    for _ in range(5):
-        values = SampledValues()
-        for batch in random_batches(trace, rng):
-            values(batch)
-        assert values == expected
+            values[(detail["object"], t)] = detail["value"]
+    return values
 
 
-def test_compare_sink_names_the_first_diverged_value_of_a_batch():
-    values = SampledValues()
-    values.variant = ("classical", "periodic")
-    values([(3, "update_decision", "o1", {"decision": "perform", "sampled": 1.5})])
-    with pytest.raises(ConfigError) as e:
-        values([(3, "access", "t1#0", {"object": "o2", "via": "store", "value": 9.0}),
-                (3, "update_decision", "o1", {"decision": "skip", "sampled": 2.5}),
-                (4, "access", "t1#0", {"object": "o1", "via": "source", "value": 7.0})])
-    assert e.value.errors == [("compare", "value trajectories diverged at ('o1', 3): "
-                                          "1.5 vs 2.5 under ('classical', 'periodic')")]
-
-
-def test_cli_compare_rejects_diverged_value_trajectories(tmp_path, capsys, monkeypatch):
-    # the multiversion variant samples another seed's walk, so the two
-    # variants disagree on the value at a shared (object, t)
+@pytest.mark.parametrize("workload", ["policy_fleet", "walk"])
+def test_cli_compare_variants_sample_equal_values_at_equal_instants(
+        tmp_path, monkeypatch, workload):
+    # compare keeps no sampled value: its variants share the seed, the
+    # objects and one walk table, so a value depends only on (object, t)
+    if workload == "walk":
+        doc, args = _walk_doc(), ["--policies", ",".join(_POLICY_DOCS)]
+    else:
+        spec = gen.load_spec()
+        doc = gen.generate(workload, spec["default_seed"])
+        args = spec["workloads"][workload]["cli"][1:]
+    runs = []
     simulator = freshsim.cli.Simulator
 
-    def reseeded(cfg, *args, **kwargs):
-        if cfg.mode.value == "multiversion":
-            cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
-        return simulator(cfg, *args, **kwargs)
+    def listed(cfg, walks=None):
+        trace = []
+        runs.append((trace, walks))
+        return simulator(cfg, sink=trace.extend, walks=walks)
 
-    path = write_config(tmp_path, _walk_doc())
-    assert main(["compare", path, "--modes", "classical,multiversion"]) == 0
-    monkeypatch.setattr(freshsim.cli, "Simulator", reseeded)
-    assert main(["compare", path, "--modes", "classical,multiversion"]) == 1
-    assert "value trajectories diverged" in capsys.readouterr().err
+    monkeypatch.setattr(freshsim.cli, "Simulator", listed)
+    assert main(["compare", write_config(tmp_path, doc), "--modes",
+                 "classical,multiversion", *args,
+                 "--csv", str(tmp_path / "out.csv")]) == 0
+    assert len(runs) == 12
+    walks = runs[0][1]
+    assert walks and all(shared is walks for _, shared in runs)
+    first = {}
+    variants = Counter()
+    for trace, _ in runs:
+        for key, value in _sampled_values(trace).items():
+            assert first.setdefault(key, value) == value, key
+            variants[key] += 1
+    assert max(variants.values()) > 1
+    if workload == "walk":
+        vias = {detail["via"] for trace, _ in runs
+                for _, kind, _, detail in trace if kind == "access"}
+        assert vias == {"store", "source"}
 
 
 _POLICY_DOCS = {

@@ -5,10 +5,12 @@ import inspect
 import json
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
 
@@ -151,6 +153,31 @@ def test_samplers_sharing_a_walk_table_each_read_their_own_walk():
             t, t // 5, run_seed=seed, object_id=oid), (seed, oid, walk, t)
     assert len(table) == len(walks) - 1
     assert len(table[7, 3, "o1", 1.0, 0.5]) == 40
+
+
+def test_samplers_sharing_a_table_serve_out_of_order_samples_past_its_end():
+    # each sampler serves a walk it has read with one lookup up to the
+    # table's end, and extends the table past it; the other sampler then
+    # reads the extension through its own entry
+    walks = {"a": (RandomWalkProcess(start=1.0, step_sigma=0.5, seed=3), 4),
+             "b": (RandomWalkProcess(start=-2.0, step_sigma=1.5, seed=1), 7)}
+    specs = [ObjectSpec(id=oid, vi=10, update_period=period, value_process=walk)
+             for oid, (walk, period) in walks.items()]
+    table = {}
+    samplers = [ValueSampler(9, specs, table), ValueSampler(9, specs, table)]
+    rng = random.Random(4)
+    reach = 30
+    served = Counter()
+    for _ in range(600):
+        reach += rng.choice((0, 0, 0, 9))
+        i, oid, t = rng.randrange(2), rng.choice("ab"), rng.randrange(reach)
+        walk, period = walks[oid]
+        values = table.get((9, walk.seed, oid, walk.start, walk.step_sigma), ())
+        served[i, t // period < len(values)] += 1
+        assert samplers[i].sample(oid, t) == walk.value_at(
+            t, t // period, run_seed=9, object_id=oid), (i, oid, t)
+    assert len(table) == 2
+    assert min(served[i, in_table] for i in (0, 1) for in_table in (False, True)) > 10
 
 
 # -- builtin hash and quantile ---------------------------------------------------
