@@ -5,9 +5,11 @@ dispatched by earliest deadline first at segment boundaries; updates run on a
 separate update server so freshness effects are not confounded with CPU
 contention. Every event is an integer-time entry in one queue with a total
 order, which makes runs bit-reproducible. The update events of one tick
-share one queue entry: its release list and its install list, which its
-handler sorts by object id, so they run in the order that entries of their
-own would.
+share one queue entry. The periodic streams of one effective period form a
+cohort, sorted once by object id, which releases together and re-queues
+itself once per period; a tick's entry holds its due cohorts, its on-demand
+refreshes and its installs, and its handler runs the releases, then the
+installs, each in object id order, as entries of their own would run them.
 
 Within one tick, events settle in a fixed rank order:
 
@@ -54,7 +56,7 @@ from .workload import SimConfig, ValueSampler, iter_arrivals, validate_config
 TXN_ARRIVAL = 0   # (spec, remaining releases)
 SEGMENT_DONE = 1  # (inst, epoch): the end of a retrieval or an analysis
 VI_EXPIRY = 2     # (inst, epoch, object id)
-UPDATES = 3       # ([UpdateStream released], [(object id, stream, value, sample time)])
+UPDATES = 3       # ([Cohort], [UpdateStream refreshed], [(object id, stream, value, sample time)])
 DEADLINE = 4      # inst
 
 # Transaction states.
@@ -131,8 +133,11 @@ class UpdateStream:
     one tick, the policy's bound `decide` and its per-run state, the
     effective update period and cost, whether the object updates
     periodically (every policy but on-demand does), the object's version
-    chain, which the store changes only in place, and, for an on-demand
-    object, whether a refresh is queued or running."""
+    chain, which the store changes only in place, its random walk's values
+    in a shared walk table and the declared period that indexes them (see
+    `ValueSampler.table_walk`), and, for an on-demand object, whether a
+    refresh is queued or running. A release samples a value inside the table
+    with one index; any other value comes from `ValueSampler.sample`."""
 
     object_id: str
     decide: Callable
@@ -141,13 +146,25 @@ class UpdateStream:
     cost: Tick
     periodic: bool
     chain: list[Version]
+    walk: list[float] | None
+    walk_period: Tick
     refreshing: bool = False
+
+
+@dataclass(eq=False, slots=True)
+class Cohort:
+    """The periodic streams that share one effective period, sorted by
+    object id: they release together at every multiple of the period up to
+    the horizon, so the cohort, not each stream, has one pending release."""
+
+    period: Tick
+    streams: list[UpdateStream]
 
 
 # a run hands its records over once a tick leaves at least this many pending
 _BATCH_RECORDS = 256
 
-# the object id of a queued release, and of a queued install, which leads
+# the object id of a released stream, and of a queued install, which leads
 # with it
 _release_object = attrgetter("object_id")
 _leading_object = itemgetter(0)
@@ -204,9 +221,11 @@ class Simulator:
         self.waiting: dict[str, list[TxnInstance]] = {o.id: [] for o in config.objects}
         # object id -> its UpdateStream, built when the workload is queued
         self._streams: dict[str, UpdateStream] = {}
-        # tick -> its (releases, installs) not yet handled, in push order:
-        # the payload of its tick's one queue entry
-        self._updates: dict[Tick, tuple[list, list]] = {}
+        # the cohorts of the periodic streams, built with them
+        self._cohorts: list[Cohort] = []
+        # tick -> its (cohorts, refreshes, installs) not yet handled, in push
+        # order: the payload of its tick's one queue entry
+        self._updates: dict[Tick, tuple[list, list, list]] = {}
 
     # -- trace -------------------------------------------------------------
 
@@ -224,12 +243,12 @@ class Simulator:
         self._batch += [(t, "gc", object_id, {"reclaimed": reclaimed})
                         for object_id, reclaimed in self.store.gc()]
 
-    def _updates_at(self, t: Tick) -> tuple[list, list]:
-        """The (releases, installs) lists of tick `t`; the first update event
-        there queues them."""
+    def _updates_at(self, t: Tick) -> tuple[list, list, list]:
+        """The (cohorts, refreshes, installs) lists of tick `t`; the first
+        update event there queues them."""
         updates = self._updates.get(t)
         if updates is None:
-            self._updates[t] = updates = ([], [])
+            self._updates[t] = updates = ([], [], [])
             self.queue.push(t, UPDATES, "", updates)
         return updates
 
@@ -237,9 +256,10 @@ class Simulator:
 
     def _schedule_workload(self) -> None:
         """Queue the first release of each admitted class and of each
-        periodically updated object; each release queues the next one when
-        it fires, so no stream has more than one release pending. Every
-        object gets its UpdateStream here, on-demand ones included."""
+        cohort, at 0; each release queues the next one when it fires, so no
+        class or cohort has more than one release pending. Every object gets
+        its UpdateStream here, on-demand ones included, and each periodic
+        one joins the cohort of its effective period."""
         # with enforcement off every class runs, even one that can restart
         # without end
         enforce = self.config.enforce_admission
@@ -251,13 +271,20 @@ class Simulator:
             self._push_arrival(spec, iter_arrivals(spec, self.horizon, self.config.seed))
         policies = self.config.policies
         chains = self.store.chains
+        table_walk = self.sampler.table_walk
+        by_period: dict[Tick, list[UpdateStream]] = {}
         for oid, eff in self.eff_objects.items():
             policy = policies[oid]
+            walk, walk_period = table_walk(oid) or (None, 0)
             stream = self._streams[oid] = UpdateStream(
                 oid, policy.decide, policy.new_state(), eff.update_period,
-                eff.update_cost, policy.periodic, chains[oid])
+                eff.update_cost, policy.periodic, chains[oid], walk, walk_period)
             if stream.periodic:
-                self._updates_at(0)[0].append(stream)
+                by_period.setdefault(stream.period, []).append(stream)
+        self._cohorts = [Cohort(period, sorted(streams, key=_release_object))
+                         for period, streams in by_period.items()]
+        if self._cohorts:
+            self._updates_at(0)[0].extend(self._cohorts)
 
     def _push_arrival(self, spec: UserTxnSpec, releases: Iterator[Tick]) -> None:
         release = next(releases, None)
@@ -384,27 +411,40 @@ class Simulator:
     # -- update server -------------------------------------------------------
 
     def _on_updates(self, t: Tick, subject: str,
-                    updates: tuple[list, list]) -> None:
-        """Release each object of the tick's list, then install each (object
-        id, stream, value, sample time) of it, each in object id order. The
-        tick's lists stay queued while the releases run, so a cost-0
-        release's install joins this tick's installs; a refresh that dispatch
-        queues at `t` later starts new lists."""
-        releases, installs = updates
-        if len(releases) > 1:
+                    updates: tuple[list, list, list]) -> None:
+        """Release each stream of the tick's cohorts and refreshes, then
+        install each (object id, stream, value, sample time) of its list,
+        each in object id order; each due cohort first queues its next
+        release. A lone cohort is in that order already, and any other mix
+        is merged. The tick's lists stay queued while the releases run, so a
+        cost-0 release's install joins this tick's installs; a refresh that
+        dispatch queues at `t` later starts new lists."""
+        cohorts, refreshes, installs = updates
+        horizon = self.horizon
+        # a tick's lists, or the tick's absence; a triple of lists is truthy
+        pending = self._updates.get
+        for cohort in cohorts:
+            following = t + cohort.period
+            if following <= horizon:
+                (pending(following) or self._updates_at(following))[0].append(cohort)
+        if refreshes or len(cohorts) > 1:
+            # each cohort is a sorted run, which the sort merges
+            releases = refreshes.copy()
+            for cohort in cohorts:
+                releases += cohort.streams
             releases.sort(key=_release_object)
+        else:
+            releases = cohorts[0].streams if cohorts else ()
         record = self._batch.append
         sample = self.sampler.sample
-        horizon = self.horizon
-        # a tick's lists, or the tick's absence; a pair of lists is truthy
-        pending = self._updates.get
+        waiting = self.waiting
         for stream in releases:
             object_id = stream.object_id
-            if stream.periodic:
-                following = t + stream.period
-                if following <= horizon:
-                    (pending(following) or self._updates_at(following))[0].append(stream)
-            sampled = sample(object_id, t)
+            values = stream.walk
+            if values is not None and (index := t // stream.walk_period) < len(values):
+                sampled = values[index]
+            else:
+                sampled = sample(object_id, t)
             chain = stream.chain
             newest = chain[-1] if chain else None
             decision, sink_value, extra = stream.decide(stream.state, t, sampled, newest)
@@ -420,13 +460,14 @@ class Simulator:
 
             if decision in PERFORMED:
                 done = t + stream.cost
-                (pending(done) or self._updates_at(done))[1].append(
+                (pending(done) or self._updates_at(done))[2].append(
                     (object_id, stream, sampled, t))
             else:
                 # the skip confirms the stored value: a policy performs while
                 # nothing is stored, so `newest` is a version
                 newest.expires += stream.period
-                self._wake_waiters(object_id)
+                if waiting[object_id]:
+                    self._wake_waiters(object_id)
 
         del self._updates[t]
         if len(installs) > 1:
@@ -448,15 +489,17 @@ class Simulator:
                     for inst in list(superseded.holders):
                         self._restart(inst, t, cause="superseded", version=superseded)
             stream.refreshing = False
-            self._wake_waiters(object_id)
+            if waiting[object_id]:
+                self._wake_waiters(object_id)
 
     def _wake_waiters(self, object_id: str) -> None:
-        # an instance that stops waiting leaves its list (_leave_waiting)
+        """Ready every instance on the object's wait list, which the caller
+        found non-empty. An instance that stops waiting otherwise leaves its
+        list (_leave_waiting)."""
         waiting = self.waiting[object_id]
-        if waiting:
-            for inst in waiting:
-                self._make_ready(inst)
-            waiting.clear()
+        for inst in waiting:
+            self._make_ready(inst)
+        waiting.clear()
 
     # -- dispatch --------------------------------------------------------------
 
@@ -502,7 +545,7 @@ class Simulator:
         stream = self._streams[obj]
         if not stream.periodic and not stream.refreshing:
             stream.refreshing = True
-            self._updates_at(t)[0].append(stream)
+            self._updates_at(t)[1].append(stream)
         inst.state = WAITING
         self.waiting[obj].append(inst)
 
@@ -529,7 +572,9 @@ class Simulator:
 # subclass hooks the helpers the handlers call (`_dispatch`, `_make_ready`,
 # `_wake_waiters`, `_sweep`, ...) instead. `_wake_waiters` runs once after
 # each install, after its reclaim or its holders' restarts, and once after
-# each skipped or suppressed decision, whether or not anyone waits.
+# each skipped or suppressed decision, if the object's wait list is truthy:
+# a subclass whose wait lists are always truthy sees every install and skip
+# there (tests/support.py, `watch_updates`).
 _HANDLERS = (
     Simulator._on_arrival,       # TXN_ARRIVAL
     Simulator._on_segment_done,  # SEGMENT_DONE

@@ -186,10 +186,10 @@ class ValueSampler:
     an earlier ordinal walks again from the start. `walks` is a table that
     samplers share: (run seed, process seed, object id, start, step_sigma),
     which is all that a walk's values depend on, maps to the list of the
-    walk's values by ordinal, extended as far as any sampler has asked. It
-    holds about horizon / period values per walk. A walk the sampler has
-    read there is served with one lookup of its values and period, up to
-    the table's end; past it, the sampler extends the table.
+    walk's values by ordinal, extended in place as far as any sampler has
+    asked. It holds about horizon / period values per walk. `table_walk`
+    hands an object's list to its update stream, which indexes a value
+    inside the table itself; `sample` extends the table past its end.
     """
 
     def __init__(self, seed: int, objects: list[ObjectSpec],
@@ -197,20 +197,25 @@ class ValueSampler:
         self.seed = seed
         self.specs = {o.id: o for o in objects}
         self.walks = walks
-        # object id -> [the walk's values in `walks`, update period, stream
-        # key], for each walk the sampler has read there; the key is computed
-        # when the sampler first extends the walk, which it may never do
+        # object id -> [the walk's values in `walks`, stream key], for each
+        # walk the sampler has read there; the key is computed when the
+        # sampler first extends the walk, which it may never do
         self._table: dict[str, list] = {}
         # object id -> (stream key, ordinal, walk value at that ordinal)
         self._walks: dict[str, tuple] = {}
 
+    def table_walk(self, object_id: str) -> tuple[list[float], Tick] | None:
+        """The values of the object's random walk in `walks`, a list that
+        the samplers only extend, and the declared update period that indexes
+        them: the value at t is at t // period while that is inside the list.
+        None without `walks` or for another process."""
+        obj = self.specs[object_id]
+        process = obj.value_process
+        if self.walks is None or not isinstance(process, RandomWalkProcess):
+            return None
+        return self._table_walk(obj, process)[0], obj.update_period
+
     def sample(self, object_id: str, t: Tick) -> float:
-        walk = self._table.get(object_id)
-        if walk is not None:
-            values, period, _ = walk
-            index = t // period
-            if index < len(values):
-                return values[index]
         obj = self.specs[object_id]
         process = obj.value_process
         index = t // obj.update_period
@@ -221,17 +226,21 @@ class ValueSampler:
             return self._table_value(obj, process, index)
         return process.value_at(t, index, self.seed, object_id)
 
-    def _table_value(self, obj: ObjectSpec, process: RandomWalkProcess,
-                     index: int) -> float:
+    def _table_walk(self, obj: ObjectSpec, process: RandomWalkProcess) -> list:
         walk = self._table.get(obj.id)
         if walk is None:
             walk = self._table[obj.id] = [self.walks.setdefault(
                 (self.seed, process.seed, obj.id, process.start, process.step_sigma),
-                [float(process.start)]), obj.update_period, None]
-        values, _, key = walk
+                [float(process.start)]), None]
+        return walk
+
+    def _table_value(self, obj: ObjectSpec, process: RandomWalkProcess,
+                     index: int) -> float:
+        walk = self._table_walk(obj, process)
+        values, key = walk
         if index >= len(values):
             if key is None:
-                key = walk[2] = stable_key(self.seed, process.seed, obj.id, "walk")
+                key = walk[1] = stable_key(self.seed, process.seed, obj.id, "walk")
             value = values[-1]
             for j in range(len(values), index + 1):
                 value += process.step_sigma * _normal_dist_inv_cdf(

@@ -28,6 +28,20 @@ def one_object_config(vi=5, period=10, cost=0, retrieval=2, analysis=4,
                      transactions=[txn])
 
 
+class WatchedWaitList(list):
+    """A wait list that reads as non-empty even when it is empty."""
+
+    def __bool__(self) -> bool:
+        return True
+
+
+def watch_updates(sim: Simulator) -> None:
+    """Give `sim` wait lists that always read as non-empty, so that its
+    `_wake_waiters` runs after every install and every skip, as it does for
+    an object that someone waits on, not only for those."""
+    sim.waiting = {object_id: WatchedWaitList() for object_id in sim.waiting}
+
+
 def run_records(cfg: SimConfig) -> tuple[MetricsReport, list[tuple]]:
     """Run `cfg` with a list sink; its report and every trace record."""
     records = []

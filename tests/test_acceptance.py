@@ -28,6 +28,7 @@ from support import (
     outcomes,
     run_outcomes,
     run_records,
+    watch_updates,
 )
 from tick_oracle import oracle_outcomes
 
@@ -164,11 +165,12 @@ def test_criterion_4_feasible_commit_bound():
 class PinCountingSimulator(Simulator):
     """Keeps each object's peak number of pins, counted from the holders of
     its chain right after each install's sweep, when the aggregator samples
-    its live versions, and every trace record."""
+    its live versions, and after each skip, and every trace record."""
 
     def __init__(self, config):
         self.records = []
         super().__init__(config, sink=self.records.extend)
+        watch_updates(self)
         self.peak_pins = {}
 
     def _wake_waiters(self, object_id):

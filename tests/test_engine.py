@@ -12,7 +12,8 @@ from freshsim.policies import PERFORMED, ElasticPolicy, OnDemandPolicy, Periodic
 from freshsim.workload import ConstantProcess, SimConfig, config_from_dict
 
 from randgen import random_config
-from support import hash_records, one_object_config, run_outcomes, run_records
+from support import (hash_records, one_object_config, run_outcomes, run_records,
+                     watch_updates)
 from test_acceptance import mk_window_config
 from test_golden import corpus
 
@@ -412,15 +413,22 @@ def test_scheduling_queues_one_release_per_stream(horizon):
     push = sim.queue.push
     sim.queue.push = lambda *event: (pushes.append(event), push(*event))
     sim._schedule_workload()
-    # one pending release per admitted class and per periodically updated
-    # object, whatever the horizon: an arrival in the queue, or a stream in
-    # the release list of its tick, which is queued once
+    # one pending release per admitted class and per cohort, whatever the
+    # horizon: an arrival in the queue, or a cohort in the list of its tick,
+    # which is queued once. Each periodic stream is in exactly one cohort,
+    # and no on-demand stream has a refresh pending
     admitted = len(transactions) - len(sim.metrics.rejected)
-    streams = admitted + sum(p.kind != "ondemand" for p in policies.values())
-    assert streams == 5
+    assert admitted == 3
     arrivals = sum(kind == TXN_ARRIVAL for _, kind, _, _, _ in sim.queue._heap)
-    listed = sum(len(releases) for releases, _ in sim._updates.values())
-    assert arrivals + listed == streams
+    assert arrivals == admitted
+    periodic = [oid for oid, p in policies.items() if p.kind != "ondemand"]
+    members = [stream.object_id for cohort in sim._cohorts for stream in cohort.streams]
+    assert sorted(members) == periodic == ["a", "c"]
+    assert len(sim._cohorts) == len({sim._streams[oid].period for oid in periodic})
+    assert list(sim._updates) == [0]
+    cohorts, refreshes, installs = sim._updates[0]
+    assert [id(c) for c in cohorts] == [id(c) for c in sim._cohorts]
+    assert refreshes == installs == []
     assert len(pushes) == len(sim.queue) == arrivals + len(sim._updates)
 
 
@@ -442,6 +450,43 @@ def test_cost_0_install_joins_its_ticks_installs():
     installs = [(t, subject) for t, kind, subject, _ in trace if kind == "install"]
     assert installs == [(0, "a"), (2, "a"), (2, "b"), (4, "a"), (6, "a"), (6, "b"),
                         (8, "a")]
+
+
+class RefreshWithTheCohorts(Simulator):
+    """Queues a refresh of `b` into the entry of tick 6 before the run."""
+
+    def _schedule_workload(self):
+        super()._schedule_workload()
+        stream = self._streams["b"]
+        stream.refreshing = True
+        self._updates_at(6)[1].append(stream)
+
+
+def test_two_cohorts_and_a_refresh_release_in_object_id_order():
+    # at 6 the cohort of period 2 (a, d) and that of period 3 (c) are due,
+    # with a refresh of the on-demand b; e (period 5, cost 1) installs what
+    # it released at 5, and the cost-0 installs of a and b join it. A
+    # refresh that dispatch queues starts an entry of its own, so the test
+    # queues this one with the cohorts of its tick, where they merge
+    objects = [ObjectSpec(id=oid, vi=20, update_period=period, update_cost=cost,
+                          value_process=ConstantProcess(value=0.0))
+               for oid, period, cost in (("a", 2, 0), ("b", 4, 0), ("c", 3, 1),
+                                         ("d", 2, 1), ("e", 5, 1))]
+    policies = {oid: PeriodicPolicy() for oid in "acde"}
+    policies["b"] = OnDemandPolicy()
+    records = []
+    sim = RefreshWithTheCohorts(
+        SimConfig(horizon=7, mode=FreshnessMode.CLASSICAL, enforce_admission=False,
+                  seed=1, objects=objects, policies=policies, transactions=[]),
+        sink=records.extend)
+    sim.run()
+    assert sorted((c.period, [s.object_id for s in c.streams]) for c in sim._cohorts) == [
+        (2, ["a", "d"]), (3, ["c"]), (5, ["e"])]
+    assert [(kind, subject) for t, kind, subject, _ in records
+            if t == 6 and kind in ("update_decision", "install")] == [
+        ("update_decision", "a"), ("update_decision", "b"), ("update_decision", "c"),
+        ("update_decision", "d"), ("install", "a"), ("install", "b"), ("install", "e")]
+    assert not sim._streams["b"].refreshing
 
 
 def test_run_keeps_no_finished_instance():
@@ -600,29 +645,45 @@ def test_records_are_never_changed_after_hand_over():
 
 
 class WakeCountingSimulator(Simulator):
-    def __init__(self, config):
+    """Counts its `_wake_waiters` calls, and those that found a waiter."""
+
+    def __init__(self, config, watched):
         self.records = []
         super().__init__(config, sink=self.records.extend)
+        if watched:
+            watch_updates(self)
         self.wakes = 0
+        self.found = 0
 
     def _wake_waiters(self, object_id):
         self.wakes += 1
+        self.found += len(self.waiting[object_id]) > 0
         super()._wake_waiters(object_id)
+        assert len(self.waiting[object_id]) == 0
 
 
 def test_wake_waiters_runs_after_every_install_and_every_skip():
     # the hook contract above engine._HANDLERS, which the invariant and
-    # pin-counting subclasses rely on
+    # pin-counting subclasses rely on: a run calls `_wake_waiters` after an
+    # install or a skip only for an object that someone waits on, and a run
+    # whose wait lists always read as non-empty calls it after each of them
     woken = 0
+    saved = 0
     for cfg in _hook_configs():
-        sim = WakeCountingSimulator(cfg)
+        sim = WakeCountingSimulator(cfg, watched=False)
         sim.run()
+        watched = WakeCountingSimulator(cfg, watched=True)
+        watched.run()
+        assert watched.records == sim.records, cfg.name
         expected = sum(
             kind == "install"
             or (kind == "update_decision" and detail["decision"] not in PERFORMED)
             for _, kind, _, detail in sim.records)
-        assert sim.wakes == expected, cfg.name
+        assert watched.wakes == expected, cfg.name
+        assert sim.wakes == sim.found == watched.found, cfg.name
+        saved += expected - sim.wakes
         woken += any(kind == "access" and detail["via"] == "store"
                      and cfg.policies[detail["object"]].kind == "ondemand"
                      for _, kind, _, detail in sim.records)
     assert woken  # an on-demand refresh served a store-mode reader
+    assert saved  # some install or skip found no one waiting

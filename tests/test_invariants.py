@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from freshsim.core import FreshnessMode
+from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
 from freshsim.engine import (
     ANALYZING,
     DEADLINE,
@@ -26,9 +26,11 @@ from freshsim.engine import (
     Simulator,
 )
 from freshsim.metrics import TxnClassStats
-from freshsim.workload import config_from_dict
+from freshsim.policies import ElasticPolicy, OnDemandPolicy, PeriodicPolicy
+from freshsim.workload import ConstantProcess, SimConfig, config_from_dict
 
 from randgen import random_config
+from support import watch_updates
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 if str(BENCH_DIR) not in sys.path:
@@ -37,11 +39,18 @@ if str(BENCH_DIR) not in sys.path:
 import gen  # noqa: E402
 
 
-class CheckedSimulator(Simulator):
-    """A Simulator that checks every invariant after each `_dispatch`."""
+class StopRun(Exception):
+    pass
 
-    def __init__(self, config):
+
+class CheckedSimulator(Simulator):
+    """A Simulator that checks every invariant after each `_dispatch`, and
+    samples each object's chain after every install and every skip."""
+
+    def __init__(self, config, last=None):
         super().__init__(config, sink=lambda records: None)
+        watch_updates(self)
+        self.last = last  # the run stops after the check at this tick
         self.unfinished = {}  # instance id -> instance, pruned at each check
         self.checks = 0
         # object id -> its longest chain right after an install
@@ -64,9 +73,16 @@ class CheckedSimulator(Simulator):
         self.unfinished[inst.inst_id] = inst
         super()._make_ready(inst)
 
+    def _schedule_workload(self):
+        super()._schedule_workload()
+        # every cohort's first release is due at 0
+        self.check_cohorts(-1)
+
     def _dispatch(self, t):
         super()._dispatch(t)
         self.check(t)
+        if self.last is not None and t >= self.last:
+            raise StopRun
 
     def _wake_waiters(self, object_id):
         # called right after each install's reclaim or its holders'
@@ -131,8 +147,7 @@ class CheckedSimulator(Simulator):
         for cls, count in arrivals.items():
             assert count == 1, f"{count} pending arrivals of {cls} {where}"
         # each tick's update lists are the payload of its one queue entry
-        # and hold at least one event, and a stream has at most one pending
-        # release
+        # and hold at least one event
         entries = [(time, payload) for time, kind, _, _, payload in heap
                    if kind == UPDATES]
         assert len(entries) == len(self._updates), (
@@ -140,12 +155,49 @@ class CheckedSimulator(Simulator):
         for time, payload in entries:
             assert self._updates.get(time) is payload, (
                 f"the update entry at {time} is not its tick's lists {where}")
-            releases, installs = payload
-            assert releases or installs, f"empty update lists at {time} {where}"
-        streams = Counter(stream.object_id for releases, _ in self._updates.values()
-                          for stream in releases)
-        for object_id, count in streams.items():
-            assert count == 1, f"{count} pending releases of {object_id} {where}"
+            assert any(payload), f"empty update lists at {time} {where}"
+        self.check_cohorts(t)
+
+    def check_cohorts(self, t):
+        """Each periodic stream belongs to exactly one cohort, whose streams
+        share its period in object id order; each cohort has one pending
+        release, at its next multiple after `t`, unless that passes the
+        horizon; each on-demand stream has at most one pending refresh."""
+        where = f"at t={t}"
+        members = Counter(stream.object_id for cohort in self._cohorts
+                           for stream in cohort.streams)
+        periodic = {oid for oid, stream in self._streams.items() if stream.periodic}
+        assert set(members) == periodic, f"cohorts hold {sorted(members)} {where}"
+        for object_id, count in members.items():
+            assert count == 1, f"{object_id} in {count} cohorts {where}"
+        for cohort in self._cohorts:
+            ids = [stream.object_id for stream in cohort.streams]
+            assert ids == sorted(ids), f"cohort {cohort.period} out of order {where}"
+            assert all(stream.period == cohort.period for stream in cohort.streams), (
+                f"cohort {cohort.period} holds another period {where}")
+        assert len({cohort.period for cohort in self._cohorts}) == len(self._cohorts), (
+            f"two cohorts share a period {where}")
+        releases = Counter()
+        refreshes = Counter()
+        for time, (cohorts, refreshed, _) in self._updates.items():
+            for cohort in cohorts:
+                releases[id(cohort)] += 1
+                following = (t // cohort.period + 1) * cohort.period
+                assert time == following, (
+                    f"cohort {cohort.period} releases at {time}, not {following} {where}")
+            refreshes.update(stream.object_id for stream in refreshed)
+        for cohort in self._cohorts:
+            due = (t // cohort.period + 1) * cohort.period <= self.horizon
+            assert releases[id(cohort)] == due, (
+                f"{releases[id(cohort)]} pending releases of cohort "
+                f"{cohort.period} {where}")
+        assert sum(releases.values()) == sum(len(c) for c, _, _ in self._updates.values()), (
+            f"a pending cohort outside the run's cohorts {where}")
+        for object_id, count in refreshes.items():
+            stream = self._streams[object_id]
+            assert count == 1, f"{count} pending refreshes of {object_id} {where}"
+            assert not stream.periodic and stream.refreshing, (
+                f"refresh of {object_id} pending unmarked {where}")
 
 
 def checks_run(cfg) -> int:
@@ -171,3 +223,30 @@ def test_invariants_hold_on_the_oracle_seeds():
 @pytest.mark.parametrize("workload", ["restart_cycle", "policy_fleet"])
 def test_invariants_hold_on_the_benchmark_configs(workload):
     assert checks_run(config_from_dict(gen.generate(workload, 1))) > 0
+
+
+@pytest.mark.parametrize("horizon", [10**3, 10**9])
+def test_cohort_queue_invariants_hold_at_both_horizons(horizon):
+    # two periodic streams share a cohort, an elastic one has its own, and
+    # store readers make the on-demand b refresh; a run up to 10**9 is
+    # checked up to tick 900, as the run up to 10**3 is
+    objects = [ObjectSpec(id=oid, vi=12, update_period=period, update_cost=1,
+                          value_process=ConstantProcess(value=0.0))
+               for oid, period in (("a", 3), ("b", 5), ("c", 7), ("d", 3))]
+    policies = {"a": PeriodicPolicy(), "b": OnDemandPolicy(),
+                "c": ElasticPolicy(target_utilization=0.95), "d": PeriodicPolicy()}
+    transactions = [UserTxnSpec(id=f"t{oid}", read_set=[oid], retrieval_time={oid: 1},
+                                analysis_time={oid: 2}, relative_deadline=12,
+                                arrival=Arrival("periodic", start=1, period=period),
+                                retrieval_mode="store")
+                    for oid, period in (("a", 4), ("b", 9), ("c", 6))]
+    sim = CheckedSimulator(SimConfig(horizon=horizon, mode=FreshnessMode.CLASSICAL,
+                                     enforce_admission=False, seed=1, objects=objects,
+                                     policies=policies, transactions=transactions),
+                           last=900)
+    with pytest.raises(StopRun):
+        sim.run()
+    assert [[s.object_id for s in cohort.streams] for cohort in sim._cohorts] == [
+        ["a", "d"], ["c"]]
+    assert sim.checks > 300
+    assert sim.metrics.per_object["b"].updates_performed > 40

@@ -4,7 +4,8 @@
 metrics out, so a rename in freshsim would silently drop per-layer figures;
 the tracer test fails instead. A fast path that went round a traced
 function would make its counts read low, so the runs here check that the
-engine still crosses the traced layers once per event and per sample. The
+engine still crosses the traced layers once per event, and once per sample
+but those that an update stream indexes in a shared walk table. The
 benchmark prints the trace hash of its `run` workload without checking it,
 so the hash is pinned here, and so is the CSV of its `compare` workload,
 which the benchmark checks only when it runs."""
@@ -20,7 +21,7 @@ import freshsim.engine
 from freshsim.cli import main
 from freshsim.core import FreshnessMode
 from freshsim.engine import Simulator
-from freshsim.workload import config_from_dict
+from freshsim.workload import RandomWalkProcess, config_from_dict
 
 from randgen import random_config
 
@@ -57,7 +58,10 @@ def _small_configs():
 
 @pytest.mark.parametrize("walks", [None, "shared"])
 def test_runs_cross_the_traced_layers(monkeypatch, walks):
-    # "shared": each run reads a random-walk table, as a compare variant does
+    # "shared": each config runs twice on one random-walk table, as compare
+    # variants do. The first run samples each walk value the table lacks;
+    # in the second, every update samples a walk inside the table, which
+    # its stream indexes without a `sample` call
     handled = Counter()
 
     def counted(handler):
@@ -70,25 +74,38 @@ def test_runs_cross_the_traced_layers(monkeypatch, walks):
                         tuple(map(counted, freshsim.engine._HANDLERS)))
     crossed = Counter()
     for cfg in _small_configs():
-        tracer = layers.Tracer({name: layers.TARGETS[name] for name in
-                                ("engine.pop", "engine.push", "workload.sample",
-                                 "store.install")})
-        with tracer.patched():
-            trace = []
-            sim = Simulator(cfg, sink=trace.extend, walks=None if walks is None else {})
-            sim.run()
-        spans = tracer.spans
-        decisions = sum(kind == "update_decision" for _, kind, _, _ in trace)
-        source_reads = sum(kind == "access" and detail["via"] == "source"
-                           for _, kind, _, detail in trace)
-        installs = sum(kind == "install" for _, kind, _, _ in trace)
-        assert spans["workload.sample"].calls == decisions + source_reads
-        assert spans["engine.pop"].calls == handled[sim]
-        # every event pushed was popped, unless the horizon cut it off
-        assert spans["engine.pop"].calls == spans["engine.push"].calls - len(sim.queue)
-        assert spans["store.install"].calls == installs
-        crossed.update(decisions=decisions, source_reads=source_reads, installs=installs)
-    assert all(crossed[name] for name in ("decisions", "source_reads", "installs"))
+        walked = {o.id for o in cfg.objects if isinstance(o.value_process, RandomWalkProcess)}
+        table = None if walks is None else {}
+        for repeat in range(1 if table is None else 2):
+            tracer = layers.Tracer({name: layers.TARGETS[name] for name in
+                                    ("engine.pop", "engine.push", "workload.sample",
+                                     "store.install")})
+            with tracer.patched():
+                trace = []
+                sim = Simulator(cfg, sink=trace.extend, walks=table)
+                sim.run()
+            spans = tracer.spans
+            decisions = sum(kind == "update_decision" for _, kind, _, _ in trace)
+            # the update samples of other processes than a random walk
+            unwalked = sum(kind == "update_decision" and subject not in walked
+                           for _, kind, subject, _ in trace)
+            source_reads = sum(kind == "access" and detail["via"] == "source"
+                               for _, kind, _, detail in trace)
+            installs = sum(kind == "install" for _, kind, _, _ in trace)
+            samples = spans["workload.sample"].calls
+            if table is None:
+                assert samples == decisions + source_reads
+            elif repeat:
+                assert samples == unwalked + source_reads
+            else:
+                assert unwalked + source_reads <= samples <= decisions + source_reads
+            assert spans["engine.pop"].calls == handled[sim]
+            # every event pushed was popped, unless the horizon cut it off
+            assert spans["engine.pop"].calls == spans["engine.push"].calls - len(sim.queue)
+            assert spans["store.install"].calls == installs
+            crossed.update(decisions=decisions, source_reads=source_reads,
+                           installs=installs, bound=decisions - unwalked)
+    assert all(crossed[name] for name in ("decisions", "source_reads", "installs", "bound"))
 
 
 def test_policy_fleet_default_seed_reproduces_the_pinned_csv(tmp_path):

@@ -156,9 +156,9 @@ def test_samplers_sharing_a_walk_table_each_read_their_own_walk():
 
 
 def test_samplers_sharing_a_table_serve_out_of_order_samples_past_its_end():
-    # each sampler serves a walk it has read with one lookup up to the
-    # table's end, and extends the table past it; the other sampler then
-    # reads the extension through its own entry
+    # each sampler serves a walk it has read from the table up to its end,
+    # and extends the table past it; the other sampler then reads the
+    # extension through its own entry
     walks = {"a": (RandomWalkProcess(start=1.0, step_sigma=0.5, seed=3), 4),
              "b": (RandomWalkProcess(start=-2.0, step_sigma=1.5, seed=1), 7)}
     specs = [ObjectSpec(id=oid, vi=10, update_period=period, value_process=walk)
@@ -178,6 +178,86 @@ def test_samplers_sharing_a_table_serve_out_of_order_samples_past_its_end():
             t, t // period, run_seed=9, object_id=oid), (i, oid, t)
     assert len(table) == 2
     assert min(served[i, in_table] for i in (0, 1) for in_table in (False, True)) > 10
+
+
+def _walk_fleet(horizon):
+    """Random walks updated periodically, one of them on a stretched grid
+    (elastic), and one store reader of each: every sample is an update's."""
+    walk = {"kind": "randomwalk", "start": 1.0, "step_sigma": 0.5}
+    objects = [{"id": oid, "vi": 2 * period, "period": period, "cost": 1,
+                "process": {**walk, "seed": i}, "policy": policy}
+               for i, (oid, period, policy) in enumerate((
+                   ("a", 4, {"kind": "periodic"}),
+                   ("b", 6, {"kind": "elastic", "target_utilization": 0.55}),
+                   ("c", 5, {"kind": "similarity", "delta": 0.3})))]
+    txns = [{"id": f"t{i}", "read_set": [o["id"]], "retrieval": {o["id"]: 0},
+             "analysis": {o["id"]: 2}, "deadline": 12,
+             "arrival": {"kind": "periodic", "start": 1, "period": 9},
+             "retrieval_mode": "store"} for i, o in enumerate(objects)]
+    return config_from_dict({"name": "walks", "horizon": horizon,
+                             "mode": "multiversion", "enforce_admission": False,
+                             "seed": 11, "objects": objects, "transactions": txns})
+
+
+def _decisions_match_value_at(cfg, records):
+    """The number of update decisions in `records`, each checked against
+    `RandomWalkProcess.value_at` on the declared grid."""
+    specs = {o.id: o for o in cfg.objects}
+    decisions = 0
+    for t, kind, subject, detail in records:
+        if kind == "update_decision":
+            spec = specs[subject]
+            assert detail["sampled"] == spec.value_process.value_at(
+                t, t // spec.update_period, cfg.seed, subject), (subject, t)
+            decisions += 1
+    return decisions
+
+
+def test_a_run_without_walks_registers_no_table_entry():
+    cfg = _walk_fleet(300)
+    records = []
+    sim = Simulator(cfg, sink=records.extend)
+    sim.run()
+    assert sim.sampler._table == {}
+    assert all(stream.walk is None for stream in sim._streams.values())
+    assert _decisions_match_value_at(cfg, records) > 100
+
+
+def test_stream_bound_samples_match_value_at_inside_and_past_a_shared_table():
+    # the first run fills the table up to 200; the second reads it there
+    # through its streams and extends it past its end
+    walks = {}
+    short, long = _walk_fleet(200), _walk_fleet(500)
+    assert {p.kind for p in short.policies.values()} == {"periodic", "elastic", "similarity"}
+    Simulator(short, walks=walks).run()
+    reach = {key[2]: len(values) for key, values in walks.items()}
+    assert sorted(reach) == ["a", "b", "c"]
+    records = []
+    sim = Simulator(long, sink=records.extend, walks=walks)
+    asked = set()  # the (object id, t) of each `sample` call
+    sample = sim.sampler.sample
+
+    def counted(object_id, t):
+        asked.add((object_id, t))
+        return sample(object_id, t)
+
+    sim.sampler.sample = counted
+    sim.run()
+    # b releases on a stretched grid, indexed by its declared period
+    assert sim._streams["b"].period > sim._streams["b"].walk_period == 6
+    tables = {key[2]: values for key, values in walks.items()}
+    assert all(stream.walk is tables[oid] for oid, stream in sim._streams.items())
+    assert _decisions_match_value_at(long, records) > 150
+    specs = {o.id: o for o in long.objects}
+    inside = past = 0
+    for t, kind, subject, _ in records:
+        if kind == "update_decision":
+            in_table = t // specs[subject].update_period < reach[subject]
+            # a sample inside the table is the stream's, past it the sampler's
+            assert ((subject, t) not in asked) == in_table, (subject, t)
+            inside += in_table
+            past += not in_table
+    assert inside > 50 and past > 50
 
 
 # -- builtin hash and quantile ---------------------------------------------------
