@@ -30,7 +30,7 @@ from copy import copy
 from dataclasses import replace
 from pathlib import Path
 
-from .core import ConfigError, FreshnessMode, feasibility_check
+from .core import ConfigError, FreshnessMode, ObjectSpec, feasibility_check
 from .engine import Simulator
 from .metrics import CSV_HEADER, TraceLines, emit_csv_rows, trace_hash
 from .policies import effective_objects
@@ -65,7 +65,7 @@ def _load_doc(path: str) -> dict:
 
 
 def _policy_string(cfg: SimConfig) -> str:
-    return "+".join(sorted({p.kind for p in cfg.policies.values()})) or "none"
+    return "+".join(sorted({o.policy.kind for o in cfg.objects})) or "none"
 
 
 def _write_csv(rows: list[str], path: str | None) -> None:
@@ -113,7 +113,7 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     doc = _load_doc(args.config)
     cfg = config_from_dict(doc)
-    objects = effective_objects(cfg.objects, cfg.policies)
+    objects = effective_objects(cfg.objects)
     all_ok = True
     for txn in cfg.transactions:
         report = feasibility_check(txn, objects)
@@ -222,15 +222,19 @@ def _variant_doc(base: dict, mode: str | None, policy: dict | None) -> dict:
 
 
 def _derive(first: SimConfig, mode: str | None, policy: dict | None) -> SimConfig | None:
-    """`first` under `mode`, with `policy` for every object and all else
-    shared; None when the mode or the policy does not read. The result is
-    checked by the `validate_config` that `Simulator` runs."""
+    """`first` under `mode`, with `policy` in place of each object's own and
+    all else shared; None when the mode or the policy does not read. The
+    result is checked by the `validate_config` that `Simulator` runs."""
     changes = {}
     try:
         if mode is not None:
             changes["mode"] = FreshnessMode(mode)
         if policy is not None:
-            changes["policies"] = dict.fromkeys(first.policies, policy_from_dict(policy))
+            p = policy_from_dict(policy)
+            changes["objects"] = [
+                ObjectSpec(o.id, o.vi, o.update_period, o.update_cost,
+                           o.value_process, o.access_weight, o.max_period, p)
+                for o in first.objects]
     except (ValueError, ConfigError):
         return None
     return replace(first, **changes)
@@ -241,8 +245,9 @@ def cmd_compare(args) -> int:
     modes = args.modes.split(",") if args.modes else [None]
     tokens = args.policies.split(",") if args.policies else [None]
     rows = []
-    # the variants share the seed, the objects and so every sampled value;
-    # each walk step is computed once, by the first variant that needs it
+    # the variants share the seed and the objects' value processes, and so
+    # every sampled value; each walk step is computed once, by the first
+    # variant that needs it
     walks = {}
     first = None
     for mode in modes:

@@ -45,12 +45,15 @@ RETRIEVAL_MODES = ("source", "store", "store_then_source")
 
 @dataclass
 class ObjectSpec:
-    """A temporal data object: identity, validity interval, and update costs.
+    """A temporal data object: identity, validity interval, update costs,
+    and the update policy that governs it.
 
     `vi` is the validity interval: a sampled value is fresh at time t iff
     t <= sample_time + vi. `update_period` and `update_cost` drive the update
     workload; `access_weight` expresses relative access frequency and feeds
-    the default elasticity of period rescaling.
+    the default elasticity of period rescaling. `policy` is one of the
+    policy configs of `freshsim.policies`, which decides each update
+    instance of this object.
     """
 
     id: str
@@ -60,6 +63,7 @@ class ObjectSpec:
     value_process: Any = None
     access_weight: float = 1.0
     max_period: Tick | None = None
+    policy: Any = None
 
     def validate(self, path: str, errors: list[tuple[str, str]]) -> None:
         if self.vi <= 0:
@@ -78,6 +82,10 @@ class ObjectSpec:
             errors.append((f"{path}.process", "missing process"))
         else:
             self.value_process.validate(f"{path}.process", errors)
+        if self.policy is None:
+            errors.append((f"{path}.policy", "missing policy"))
+        else:
+            self.policy.validate(f"{path}.policy", errors)
 
 
 @dataclass(slots=True)

@@ -204,7 +204,7 @@ class Simulator:
         self._sink = sink
         self._batch: list[tuple] = []  # records not yet handed over
         self.metrics = MetricsAggregator()
-        self.eff_objects = effective_objects(config.objects, config.policies)
+        self.eff_objects = effective_objects(config.objects)
 
         # Value trajectories are keyed on the declared update grid, so policy
         # variants of one seeded workload sample identical values.
@@ -269,12 +269,11 @@ class Simulator:
                                     {"failing": report.failing_objects()}))
                 continue
             self._push_arrival(spec, iter_arrivals(spec, self.horizon, self.config.seed))
-        policies = self.config.policies
         chains = self.store.chains
         table_walk = self.sampler.table_walk
         by_period: dict[Tick, list[UpdateStream]] = {}
         for oid, eff in self.eff_objects.items():
-            policy = policies[oid]
+            policy = eff.policy
             walk, walk_period = table_walk(oid) or (None, 0)
             stream = self._streams[oid] = UpdateStream(
                 oid, policy.decide, policy.new_state(), eff.update_period,

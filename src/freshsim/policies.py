@@ -289,31 +289,25 @@ def extend_vi_for_period(obj: ObjectSpec, new_period: Tick) -> Tick:
     return max(obj.vi, 2 * new_period)
 
 
-def effective_objects(objects: list[ObjectSpec],
-                      policies: dict[str, PolicyConfig]) -> dict[str, ObjectSpec]:
+def effective_objects(objects: list[ObjectSpec]) -> dict[str, ObjectSpec]:
     """The object table a run uses, by id. Rescaling happens at config time:
     an elastic object whose period the rescale stretches is replaced by a
     copy with the stretched period and the validity interval that goes with
-    it; every other object is the declared one."""
+    it, and its own policy; every other object is the declared one."""
     table = {o.id: o for o in objects}
-    elastic = {oid: p for oid, p in policies.items() if isinstance(p, ElasticPolicy)}
+    elastic = [o for o in objects if isinstance(o.policy, ElasticPolicy)]
     if not elastic:
         return table
-    elasticity = {}
-    for oid, policy in elastic.items():
-        if policy.elasticity is None:
-            elasticity[oid] = default_elasticity(table[oid])
-        else:
-            elasticity[oid] = as_fraction(policy.elasticity)
+    elasticity = {o.id: default_elasticity(o) if o.policy.elasticity is None
+                  else as_fraction(o.policy.elasticity) for o in elastic}
     # elastic objects share one target (validate_config)
-    target = next(iter(elastic.values())).target_utilization
-    periods = elastic_rescale(objects, target, elasticity)
-    for oid in elastic:
-        obj = table[oid]
-        if periods[oid] > obj.update_period:
-            table[oid] = ObjectSpec(
-                obj.id, extend_vi_for_period(obj, periods[oid]), periods[oid],
-                obj.update_cost, obj.value_process, obj.access_weight, obj.max_period)
+    periods = elastic_rescale(objects, elastic[0].policy.target_utilization, elasticity)
+    for obj in elastic:
+        period = periods[obj.id]
+        if period > obj.update_period:
+            table[obj.id] = ObjectSpec(
+                obj.id, extend_vi_for_period(obj, period), period, obj.update_cost,
+                obj.value_process, obj.access_weight, obj.max_period, obj.policy)
     return table
 
 

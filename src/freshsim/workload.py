@@ -304,12 +304,14 @@ def expand_arrivals(spec: UserTxnSpec, horizon: Tick, seed: int) -> list[Tick]:
 
 @dataclass
 class SimConfig:
+    """One run's config: the objects, each with the policy that governs its
+    updates, and the transactions that read them."""
+
     horizon: Tick
     mode: FreshnessMode
     enforce_admission: bool
     seed: int
     objects: list[ObjectSpec]
-    policies: dict[str, PolicyConfig]
     transactions: list[UserTxnSpec]
     name: str = "config"
     rng: str = RNG_ALGORITHM
@@ -335,24 +337,18 @@ def validate_config(cfg: SimConfig) -> list[tuple[str, str]]:
     if cfg.rng != RNG_ALGORITHM:
         errors.append(("rng", f"unsupported generator {cfg.rng!r}"))
     seen = set()
-    policies = cfg.policies
     for i, obj in enumerate(cfg.objects):
         start = len(errors)
         if obj.id in seen:
             errors.append((".id", f"duplicate object id {obj.id!r}"))
         seen.add(obj.id)
         obj.validate("", errors)
-        policy = policies.get(obj.id)
-        if policy is None:
-            errors.append((".policy", "missing policy"))
-        else:
-            policy.validate(".policy", errors)
         if len(errors) > start:
             _anchor(errors, start, f"objects[{i}]")
     # an int and a float of equal value are one set member, so no float()
     # is needed, and none can overflow on an int past float range
-    targets = {p.target_utilization
-               for p in cfg.policies.values() if isinstance(p, ElasticPolicy)}
+    targets = {o.policy.target_utilization
+               for o in cfg.objects if isinstance(o.policy, ElasticPolicy)}
     if len(targets) > 1:
         errors.append(("objects", "elastic objects must share one target_utilization"))
     ids = {o.id for o in cfg.objects}
@@ -618,7 +614,8 @@ OBJECT = _Record((
     ("access_weight", "access_weight", NUM, 1.0),
     ("max_period", "max_period", INT, None),
     ("process", "value_process", PROCESSES, {"kind": "constant", "value": 0.0}),
-), extra=("policy",), cls=ObjectSpec)
+    ("policy", "policy", POLICIES, REQUIRED),
+), cls=ObjectSpec)
 
 TRANSACTION = _Record((
     ("read_set", "read_set", IDS, []),
@@ -688,12 +685,9 @@ def config_from_dict(doc: dict) -> SimConfig:
         r.fail("mode", f"must be 'classical' or 'multiversion', got {mode_s!r}")
 
     objects = []
-    policies: dict[str, PolicyConfig] = {}
     for path, od in r.records(doc, "objects"):
         r.check_keys(od, OBJECT.keys, path)
-        obj = OBJECT.read(r, od, path)
-        objects.append(obj)
-        policies[obj.id] = POLICIES.read(r, od, "policy", path, REQUIRED)
+        objects.append(OBJECT.read(r, od, path))
 
     transactions = []
     for path, td in r.records(doc, "transactions"):
@@ -707,8 +701,7 @@ def config_from_dict(doc: dict) -> SimConfig:
 
     top = TOP.read(r, doc, "")
     top["seed"] &= _MASK64
-    cfg = SimConfig(mode=mode, objects=objects, policies=policies,
-                    transactions=transactions, **top)
+    cfg = SimConfig(mode=mode, objects=objects, transactions=transactions, **top)
     errors = r.errors + validate_config(cfg)
     if errors:
         raise ConfigError(errors)
@@ -752,8 +745,7 @@ def config_to_dict(cfg: SimConfig) -> dict:
     return {
         **TOP.dump(cfg),
         "mode": cfg.mode.value,
-        "objects": [{**OBJECT.dump(o), "policy": POLICIES.dump(cfg.policies[o.id])}
-                    for o in cfg.objects],
+        "objects": [OBJECT.dump(o) for o in cfg.objects],
         "transactions": [TRANSACTION.dump(t) for t in cfg.transactions],
     }
 

@@ -61,19 +61,19 @@ def random_config(seed: int, mode: FreshnessMode | None = None,
     rng = random.Random(seed)
     n_obj = rng.randint(1, max_objects)
     objects = []
-    policies = {}
     for i in range(n_obj):
         period = rng.randint(2, 12)
-        obj = ObjectSpec(
+        # arguments are evaluated in order, so the policy's draws come last:
+        # the golden corpus's configs depend on the order of the draws
+        objects.append(ObjectSpec(
             id=f"o{i}",
             vi=rng.randint(2, 20),
             update_period=period,
             update_cost=rng.randint(0, min(period, 4)),
             value_process=_process(rng),
             access_weight=round(rng.uniform(0.2, 3.0), 2),
-        )
-        objects.append(obj)
-        policies[obj.id] = _policy(rng)
+            policy=_policy(rng),
+        ))
 
     txns = []
     for j in range(rng.randint(1, max_txns)):
@@ -103,7 +103,6 @@ def random_config(seed: int, mode: FreshnessMode | None = None,
         enforce_admission=(rng.random() < 0.25) if enforce is None else enforce,
         seed=rng.randrange(1 << 32),
         objects=objects,
-        policies=policies,
         transactions=txns,
     )
     errors = validate_config(cfg)
@@ -121,7 +120,7 @@ def feasible_isolated_config(seed: int) -> SimConfig:
     period = rng.randint(2, 12)
     obj = ObjectSpec(id="o0", vi=vi, update_period=period,
                      update_cost=rng.randint(0, min(period, 3)),
-                     value_process=_process(rng))
+                     value_process=_process(rng), policy=PeriodicPolicy())
     arrival_t = rng.randint(0, 20)
     txn = UserTxnSpec(
         id="t0", read_set=["o0"],
@@ -137,7 +136,6 @@ def feasible_isolated_config(seed: int) -> SimConfig:
         enforce_admission=False,
         seed=rng.randrange(1 << 32),
         objects=[obj],
-        policies={"o0": PeriodicPolicy()},
         transactions=[txn],
     )
     assert not validate_config(cfg)

@@ -15,7 +15,8 @@ def one_object_config(vi=5, period=10, cost=0, retrieval=2, analysis=4,
                       retrieval_mode="source", horizon=40, policy=None,
                       enforce=False, process=None, seed=1) -> SimConfig:
     obj = ObjectSpec(id="o1", vi=vi, update_period=period, update_cost=cost,
-                     value_process=process or ConstantProcess(value=1.0))
+                     value_process=process or ConstantProcess(value=1.0),
+                     policy=policy or PeriodicPolicy())
     txn = UserTxnSpec(id="t1", read_set=["o1"],
                       retrieval_time={"o1": retrieval},
                       analysis_time={"o1": analysis},
@@ -23,9 +24,7 @@ def one_object_config(vi=5, period=10, cost=0, retrieval=2, analysis=4,
                       arrival=Arrival("oneshot", t=arrival_t),
                       retrieval_mode=retrieval_mode)
     return SimConfig(horizon=horizon, mode=mode, enforce_admission=enforce,
-                     seed=seed, objects=[obj],
-                     policies={"o1": policy or PeriodicPolicy()},
-                     transactions=[txn])
+                     seed=seed, objects=[obj], transactions=[txn])
 
 
 class WatchedWaitList(list):

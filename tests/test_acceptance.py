@@ -76,7 +76,7 @@ def mv_continuation_config(mode):
 
 def on_demand_savings_config(policy):
     obj = ObjectSpec(id="o1", vi=20, update_period=10, update_cost=1,
-                     value_process=ConstantProcess(value=1.0))
+                     value_process=ConstantProcess(value=1.0), policy=policy)
     txn = UserTxnSpec(id="t1", read_set=["o1"],
                       retrieval_time={"o1": 0},
                       analysis_time={"o1": 1},
@@ -85,25 +85,26 @@ def on_demand_savings_config(policy):
                       retrieval_mode="store")
     return SimConfig(horizon=1000, mode=FreshnessMode.MULTIVERSION,
                      enforce_admission=False, seed=11, objects=[obj],
-                     policies={"o1": policy}, transactions=[txn])
+                     transactions=[txn])
 
 
 def mk_window_config(m, k):
     obj = ObjectSpec(id="o1", vi=20, update_period=10, update_cost=0,
-                     value_process=ConstantProcess(value=1.0))
+                     value_process=ConstantProcess(value=1.0),
+                     policy=MKFirmPolicy(m=m, k=k))
     return SimConfig(horizon=990, mode=FreshnessMode.MULTIVERSION,
                      enforce_admission=False, seed=m * 10 + k,
-                     objects=[obj], policies={"o1": MKFirmPolicy(m=m, k=k)},
-                     transactions=[])
+                     objects=[obj], transactions=[])
 
 
 def error_bound_config(policy):
     obj = ObjectSpec(id="o1", vi=2, update_period=1, update_cost=0,
                      value_process=RandomWalkProcess(start=0.0, step_sigma=0.3,
-                                                     seed=5))
+                                                     seed=5),
+                     policy=policy)
     return SimConfig(horizon=999, mode=FreshnessMode.MULTIVERSION,
                      enforce_admission=False, seed=23, objects=[obj],
-                     policies={"o1": policy}, transactions=[])
+                     transactions=[])
 
 
 def test_criterion_1_infeasible_restart_reproduction():

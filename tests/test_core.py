@@ -108,8 +108,8 @@ def test_admit_examples(vi, r, a, enforce, admitted):
     config = SimConfig(horizon=20, mode=FreshnessMode.CLASSICAL,
                        enforce_admission=enforce, seed=1,
                        objects=[ObjectSpec(id="o1", vi=vi, update_period=5,
-                                           value_process=ConstantProcess(value=0.0))],
-                       policies={"o1": PeriodicPolicy()},
+                                           value_process=ConstantProcess(value=0.0),
+                                           policy=PeriodicPolicy())],
                        transactions=[_txn(["o1"], {"o1": r}, {"o1": a})])
     trace = run_records(config)[1]
     rejected = [record for record in trace if record[1] == "txn_rejected"]

@@ -26,8 +26,7 @@ import gen  # noqa: E402
 
 def test_empty_workload_is_vacuous():
     cfg = SimConfig(horizon=100, mode=FreshnessMode.CLASSICAL,
-                    enforce_admission=False, seed=1, objects=[], policies={},
-                    transactions=[])
+                    enforce_admission=False, seed=1, objects=[], transactions=[])
     report, records, txns = run_outcomes(cfg)
     assert txns == {}
     assert records == []
@@ -222,7 +221,8 @@ def test_superseded_version_restarts_every_classical_holder_in_pin_order():
     # a pins o1's t=0 version at 1; b, with the earlier deadline, pins it at
     # 5 after a's first analysis; the t=6 install replaces it under both
     objects = [ObjectSpec(id=oid, vi=20, update_period=6, update_cost=0,
-                          value_process=ConstantProcess(value=1.0))
+                          value_process=ConstantProcess(value=1.0),
+                          policy=PeriodicPolicy())
                for oid in ("o1", "o2")]
     txns = [UserTxnSpec(id=tid, read_set=read_set,
                         retrieval_time=dict.fromkeys(read_set, 0),
@@ -232,9 +232,7 @@ def test_superseded_version_restarts_every_classical_holder_in_pin_order():
             for tid, read_set, release, deadline in (("a", ["o1", "o2"], 1, 29),
                                                      ("b", ["o1"], 2, 20))]
     cfg = SimConfig(horizon=30, mode=FreshnessMode.CLASSICAL, enforce_admission=False,
-                    seed=1, objects=objects,
-                    policies={"o1": PeriodicPolicy(), "o2": PeriodicPolicy()},
-                    transactions=txns)
+                    seed=1, objects=objects, transactions=txns)
     at_6 = [(kind, subject, detail.get("cause", detail.get("reclaimed")))
             for t, kind, subject, detail in run_records(cfg)[1]
             if t == 6 and kind in ("install", "restart", "gc")
@@ -295,7 +293,7 @@ def test_on_demand_refresh_blocks_until_install():
 
 def test_on_demand_shared_refresh_among_waiters():
     obj = ObjectSpec(id="o1", vi=20, update_period=10, update_cost=4,
-                     value_process=ConstantProcess(value=1.0))
+                     value_process=ConstantProcess(value=1.0), policy=OnDemandPolicy())
     txns = [
         UserTxnSpec(id=f"t{i}", read_set=["o1"], retrieval_time={"o1": 0},
                     analysis_time={"o1": 2}, relative_deadline=30,
@@ -304,7 +302,7 @@ def test_on_demand_shared_refresh_among_waiters():
     ]
     cfg = SimConfig(horizon=40, mode=FreshnessMode.MULTIVERSION,
                     enforce_admission=False, seed=1, objects=[obj],
-                    policies={"o1": OnDemandPolicy()}, transactions=txns)
+                    transactions=txns)
     _, records, txns = run_outcomes(cfg)
     decisions = [rec for rec in records if rec[1] == "update_decision"]
     assert len(decisions) == 1  # one refresh serves both waiters
@@ -313,14 +311,13 @@ def test_on_demand_shared_refresh_among_waiters():
 
 def test_edf_prefers_earlier_absolute_deadline():
     obj = ObjectSpec(id="o1", vi=50, update_period=10, update_cost=0,
-                     value_process=ConstantProcess(value=1.0))
+                     value_process=ConstantProcess(value=1.0), policy=PeriodicPolicy())
     mk = lambda tid, deadline: UserTxnSpec(
         id=tid, read_set=["o1"], retrieval_time={"o1": 2},
         analysis_time={"o1": 2}, relative_deadline=deadline,
         arrival=Arrival("oneshot", t=0), retrieval_mode="source")
     cfg = SimConfig(horizon=60, mode=FreshnessMode.CLASSICAL,
                     enforce_admission=False, seed=1, objects=[obj],
-                    policies={"o1": PeriodicPolicy()},
                     transactions=[mk("a", 30), mk("b", 20), mk("c", 25)])
     _, records, txns = run_outcomes(cfg)
     order = [subject for _, kind, subject, _ in records if kind == "access"]
@@ -331,14 +328,13 @@ def test_edf_prefers_earlier_absolute_deadline():
 
 def test_edf_tie_broken_by_spec_id():
     obj = ObjectSpec(id="o1", vi=50, update_period=10, update_cost=0,
-                     value_process=ConstantProcess(value=1.0))
+                     value_process=ConstantProcess(value=1.0), policy=PeriodicPolicy())
     mk = lambda tid: UserTxnSpec(
         id=tid, read_set=["o1"], retrieval_time={"o1": 2},
         analysis_time={"o1": 2}, relative_deadline=20,
         arrival=Arrival("oneshot", t=0), retrieval_mode="source")
     cfg = SimConfig(horizon=60, mode=FreshnessMode.CLASSICAL,
                     enforce_admission=False, seed=1, objects=[obj],
-                    policies={"o1": PeriodicPolicy()},
                     transactions=[mk("z"), mk("a")])
     order = [subject for _, kind, subject, _ in run_records(cfg)[1] if kind == "access"]
     assert [s.split("#")[0] for s in order[:2]] == ["a", "z"]
@@ -370,17 +366,12 @@ def test_in_flight_at_horizon_is_neither_committed_nor_missed():
 
 
 def test_elastic_policy_stretches_period_and_vi():
-    objects = [
-        ObjectSpec(id="a", vi=8, update_period=4, update_cost=1,
-                   value_process=ConstantProcess(value=0.0)),
-        ObjectSpec(id="b", vi=8, update_period=4, update_cost=1,
-                   value_process=ConstantProcess(value=0.0)),
-    ]
-    policies = {"a": ElasticPolicy(target_utilization=0.4, elasticity=1.0),
-                "b": ElasticPolicy(target_utilization=0.4, elasticity=1.0)}
+    objects = [ObjectSpec(id=oid, vi=8, update_period=4, update_cost=1,
+                          value_process=ConstantProcess(value=0.0),
+                          policy=ElasticPolicy(target_utilization=0.4, elasticity=1.0))
+               for oid in ("a", "b")]
     cfg = SimConfig(horizon=40, mode=FreshnessMode.CLASSICAL,
-                    enforce_admission=False, seed=1, objects=objects,
-                    policies=policies, transactions=[])
+                    enforce_admission=False, seed=1, objects=objects, transactions=[])
     records = []
     sim = Simulator(cfg, sink=records.extend)
     sim.run()
@@ -396,10 +387,10 @@ def test_elastic_policy_stretches_period_and_vi():
 @pytest.mark.parametrize("horizon", [10**3, 10**9])
 def test_scheduling_queues_one_release_per_stream(horizon):
     objects = [ObjectSpec(id=oid, vi=20, update_period=period, update_cost=1,
-                          value_process=ConstantProcess(value=0.0))
-               for oid, period in (("a", 3), ("b", 5), ("c", 7))]
-    policies = {"a": PeriodicPolicy(), "b": OnDemandPolicy(),
-                "c": ElasticPolicy(target_utilization=0.6)}
+                          value_process=ConstantProcess(value=0.0), policy=policy)
+               for oid, period, policy in (("a", 3, PeriodicPolicy()),
+                                           ("b", 5, OnDemandPolicy()),
+                                           ("c", 7, ElasticPolicy(target_utilization=0.6)))]
     arrivals = [Arrival("oneshot", t=5), Arrival("periodic", start=0, period=4),
                 Arrival("poisson", mean_gap=3)]
     transactions = [UserTxnSpec(id=f"t{i}", read_set=["a"], retrieval_time={"a": 1},
@@ -408,7 +399,7 @@ def test_scheduling_queues_one_release_per_stream(horizon):
                     for i, arrival in enumerate(arrivals)]
     sim = Simulator(SimConfig(horizon=horizon, mode=FreshnessMode.CLASSICAL,
                               enforce_admission=False, seed=1, objects=objects,
-                              policies=policies, transactions=transactions))
+                              transactions=transactions))
     pushes = []
     push = sim.queue.push
     sim.queue.push = lambda *event: (pushes.append(event), push(*event))
@@ -421,7 +412,7 @@ def test_scheduling_queues_one_release_per_stream(horizon):
     assert admitted == 3
     arrivals = sum(kind == TXN_ARRIVAL for _, kind, _, _, _ in sim.queue._heap)
     assert arrivals == admitted
-    periodic = [oid for oid, p in policies.items() if p.kind != "ondemand"]
+    periodic = [o.id for o in objects if o.policy.kind != "ondemand"]
     members = [stream.object_id for cohort in sim._cohorts for stream in cohort.streams]
     assert sorted(members) == periodic == ["a", "c"]
     assert len(sim._cohorts) == len({sim._streams[oid].period for oid in periodic})
@@ -438,14 +429,13 @@ def test_cost_0_install_joins_its_ticks_installs():
     # joins the installs already queued for its tick, so the two run in
     # object id order, not in the order they were queued
     objects = [ObjectSpec(id=oid, vi=8, update_period=period, update_cost=cost,
-                          value_process=ConstantProcess(value=0.0))
+                          value_process=ConstantProcess(value=0.0), policy=PeriodicPolicy())
                for oid, period, cost in (("a", 2, 0), ("b", 4, 2))]
     reader = UserTxnSpec(id="t1", read_set=["a"], retrieval_time={"a": 1},
                          analysis_time={"a": 1}, relative_deadline=10,
                          arrival=Arrival("oneshot", t=20), retrieval_mode="source")
     trace = run_records(SimConfig(horizon=8, mode=FreshnessMode.CLASSICAL,
                                   enforce_admission=False, seed=1, objects=objects,
-                                  policies={"a": PeriodicPolicy(), "b": PeriodicPolicy()},
                                   transactions=[reader]))[1]
     installs = [(t, subject) for t, kind, subject, _ in trace if kind == "install"]
     assert installs == [(0, "a"), (2, "a"), (2, "b"), (4, "a"), (6, "a"), (6, "b"),
@@ -469,15 +459,14 @@ def test_two_cohorts_and_a_refresh_release_in_object_id_order():
     # refresh that dispatch queues starts an entry of its own, so the test
     # queues this one with the cohorts of its tick, where they merge
     objects = [ObjectSpec(id=oid, vi=20, update_period=period, update_cost=cost,
-                          value_process=ConstantProcess(value=0.0))
+                          value_process=ConstantProcess(value=0.0),
+                          policy=OnDemandPolicy() if oid == "b" else PeriodicPolicy())
                for oid, period, cost in (("a", 2, 0), ("b", 4, 0), ("c", 3, 1),
                                          ("d", 2, 1), ("e", 5, 1))]
-    policies = {oid: PeriodicPolicy() for oid in "acde"}
-    policies["b"] = OnDemandPolicy()
     records = []
     sim = RefreshWithTheCohorts(
         SimConfig(horizon=7, mode=FreshnessMode.CLASSICAL, enforce_admission=False,
-                  seed=1, objects=objects, policies=policies, transactions=[]),
+                  seed=1, objects=objects, transactions=[]),
         sink=records.extend)
     sim.run()
     assert sorted((c.period, [s.object_id for s in c.streams]) for c in sim._cohorts) == [
@@ -493,7 +482,7 @@ def test_run_keeps_no_finished_instance():
     # a class that commits and one that cycles through vi restarts until it
     # misses; after the run only in-flight work may still be referenced
     obj = ObjectSpec(id="o1", vi=5, update_period=5, update_cost=1,
-                     value_process=ConstantProcess(value=1.0))
+                     value_process=ConstantProcess(value=1.0), policy=PeriodicPolicy())
     specs = [UserTxnSpec(id=tid, read_set=["o1"], retrieval_time={"o1": retrieval},
                          analysis_time={"o1": analysis}, relative_deadline=deadline,
                          arrival=Arrival("periodic", start=0, period=4),
@@ -502,7 +491,7 @@ def test_run_keeps_no_finished_instance():
                                                         ("cycle", 2, 4, 8))]
     sim = Simulator(SimConfig(horizon=2000, mode=FreshnessMode.CLASSICAL,
                               enforce_admission=False, seed=1, objects=[obj],
-                              policies={"o1": PeriodicPolicy()}, transactions=specs))
+                              transactions=specs))
     overall = sim.run().overall
     assert overall.released >= 1000 and overall.committed and overall.missed
     gc.collect()
@@ -514,7 +503,8 @@ def test_run_keeps_no_finished_instance():
 def _always_skip_config(vi, analysis, arrival_t, deadline):
     from freshsim.policies import SimilarityPolicy
     obj = ObjectSpec(id="o1", vi=vi, update_period=4, update_cost=0,
-                     value_process=ConstantProcess(value=1.0))
+                     value_process=ConstantProcess(value=1.0),
+                     policy=SimilarityPolicy(delta=99.0))
     txn = UserTxnSpec(id="t1", read_set=["o1"], retrieval_time={"o1": 0},
                       analysis_time={"o1": analysis},
                       relative_deadline=deadline,
@@ -522,7 +512,6 @@ def _always_skip_config(vi, analysis, arrival_t, deadline):
                       retrieval_mode="store")
     return SimConfig(horizon=40, mode=FreshnessMode.CLASSICAL,
                      enforce_admission=False, seed=3, objects=[obj],
-                     policies={"o1": SimilarityPolicy(delta=99.0)},
                      transactions=[txn])
 
 
@@ -583,8 +572,8 @@ def test_classical_serves_only_fresh_data():
         sim.run()
         vis = sim.store.vis
         # skip-capable policies legitimately extend validity past the base vi
-        rigid = {oid for oid, p in cfg.policies.items()
-                 if p.kind in ("periodic", "ondemand", "elastic")}
+        rigid = {o.id for o in cfg.objects
+                 if o.policy.kind in ("periodic", "ondemand", "elastic")}
         for _, kind, _, detail in records:
             if kind == "access" and detail["via"] == "store":
                 obj = detail["object"]
@@ -608,12 +597,12 @@ def _hook_configs():
     picked = {name: cfg for name, cfg in corpus() if name in _HOOK_CONFIGS}
     assert sorted(picked) == sorted(_HOOK_CONFIGS)
     configs = list(picked.values())
-    assert {p.kind for cfg in configs for p in cfg.policies.values()} == {
+    assert {o.policy.kind for cfg in configs for o in cfg.objects} == {
         "periodic", "ondemand", "elastic", "mkfirm", "similarity", "prediction"}
     assert {cfg.mode for cfg in configs} == set(FreshnessMode)
-    assert any(cfg.policies[oid].kind == "ondemand"
+    assert any(o.policy.kind == "ondemand" and o.id in txn.read_set
                for cfg in configs for txn in cfg.transactions
-               if txn.retrieval_mode == "store" for oid in txn.read_set)
+               if txn.retrieval_mode == "store" for o in cfg.objects)
     return configs
 
 
@@ -682,8 +671,9 @@ def test_wake_waiters_runs_after_every_install_and_every_skip():
         assert watched.wakes == expected, cfg.name
         assert sim.wakes == sim.found == watched.found, cfg.name
         saved += expected - sim.wakes
+        ondemand = {o.id for o in cfg.objects if o.policy.kind == "ondemand"}
         woken += any(kind == "access" and detail["via"] == "store"
-                     and cfg.policies[detail["object"]].kind == "ondemand"
+                     and detail["object"] in ondemand
                      for _, kind, _, detail in sim.records)
     assert woken  # an on-demand refresh served a store-mode reader
     assert saved  # some install or skip found no one waiting

@@ -80,8 +80,9 @@ def corpus():
     with every object elastic, and the acceptance scenarios."""
     for name, cfg in _oracle_seeds():
         yield f"oracle/{name}", cfg
-        elastic = {oid: ElasticPolicy(target_utilization=0.5) for oid in cfg.policies}
-        yield f"elastic/{name}", replace(cfg, policies=elastic)
+        elastic = [replace(o, policy=ElasticPolicy(target_utilization=0.5))
+                   for o in cfg.objects]
+        yield f"elastic/{name}", replace(cfg, objects=elastic)
     for name, cfg in _acceptance():
         yield f"acceptance/{name}", cfg
 
@@ -142,9 +143,9 @@ def malformed_doc(case: int) -> dict:
     rng = random.Random(case)
     cfg = random_config(rng.randrange(10_000))
     if rng.random() < 0.3:
-        elastic = {oid: ElasticPolicy(target_utilization=0.5, elasticity=1.0)
-                   for oid in cfg.policies}
-        cfg = replace(cfg, policies=elastic)
+        elastic = [replace(o, policy=ElasticPolicy(target_utilization=0.5, elasticity=1.0))
+                   for o in cfg.objects]
+        cfg = replace(cfg, objects=elastic)
     doc = json.loads(emit_config(cfg))
     for _ in range(rng.randint(1, 3)):
         picked = _pick(rng, doc)

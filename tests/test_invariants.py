@@ -231,10 +231,11 @@ def test_cohort_queue_invariants_hold_at_both_horizons(horizon):
     # store readers make the on-demand b refresh; a run up to 10**9 is
     # checked up to tick 900, as the run up to 10**3 is
     objects = [ObjectSpec(id=oid, vi=12, update_period=period, update_cost=1,
-                          value_process=ConstantProcess(value=0.0))
-               for oid, period in (("a", 3), ("b", 5), ("c", 7), ("d", 3))]
-    policies = {"a": PeriodicPolicy(), "b": OnDemandPolicy(),
-                "c": ElasticPolicy(target_utilization=0.95), "d": PeriodicPolicy()}
+                          value_process=ConstantProcess(value=0.0), policy=policy)
+               for oid, period, policy in (("a", 3, PeriodicPolicy()),
+                                           ("b", 5, OnDemandPolicy()),
+                                           ("c", 7, ElasticPolicy(target_utilization=0.95)),
+                                           ("d", 3, PeriodicPolicy()))]
     transactions = [UserTxnSpec(id=f"t{oid}", read_set=[oid], retrieval_time={oid: 1},
                                 analysis_time={oid: 2}, relative_deadline=12,
                                 arrival=Arrival("periodic", start=1, period=period),
@@ -242,7 +243,7 @@ def test_cohort_queue_invariants_hold_at_both_horizons(horizon):
                     for oid, period in (("a", 4), ("b", 9), ("c", 6))]
     sim = CheckedSimulator(SimConfig(horizon=horizon, mode=FreshnessMode.CLASSICAL,
                                      enforce_admission=False, seed=1, objects=objects,
-                                     policies=policies, transactions=transactions),
+                                     transactions=transactions),
                            last=900)
     with pytest.raises(StopRun):
         sim.run()

@@ -516,7 +516,7 @@ def test_cli_run_rescales_a_tiny_weight_beside_a_float_elasticity(tmp_path, caps
     out = capsys.readouterr().out
     assert "txn t1 object o1: vi=2097152 retrieval=2 analysis=4 [ok]" in out
     cfg = config_from_dict(doc)
-    assert effective_objects(cfg.objects, cfg.policies)["o2"].update_period == 3
+    assert effective_objects(cfg.objects)["o2"].update_period == 3
 
 
 def test_cli_check_reports_validation_errors(tmp_path, capsys):
@@ -822,7 +822,8 @@ def _sampled_values(trace: list[tuple]) -> dict[tuple, float]:
 def test_cli_compare_variants_sample_equal_values_at_equal_instants(
         tmp_path, monkeypatch, workload):
     # compare keeps no sampled value: its variants share the seed, the
-    # objects and one walk table, so a value depends only on (object, t)
+    # objects' value processes and one walk table, so a value depends only
+    # on (object, t)
     if workload == "walk":
         doc, args = _walk_doc(), ["--policies", ",".join(_POLICY_DOCS)]
     else:
@@ -1043,9 +1044,60 @@ def test_cli_compare_reports_a_bad_later_variant_as_its_config_would(
     assert capsys.readouterr().err == "".join(f"error: {e}\n" for e in errors)
 
 
+def _compared_configs(tmp_path, monkeypatch, args) -> list:
+    """The config of each variant that `compare` runs with `args`."""
+    configs = []
+    simulator = freshsim.cli.Simulator
+
+    def listed(cfg, walks=None):
+        configs.append(cfg)
+        return simulator(cfg, walks=walks)
+
+    monkeypatch.setattr(freshsim.cli, "Simulator", listed)
+    assert main(["compare", write_config(tmp_path, _walk_doc()), *args,
+                 "--csv", str(tmp_path / "compare.csv")]) == 0
+    return configs
+
+
+def test_cli_compare_gives_each_policy_variant_objects_of_its_own(tmp_path, monkeypatch):
+    # a policy variant copies the first variant's objects, each with the
+    # token's one policy in place of its own and every other field shared
+    first, *derived = _compared_configs(tmp_path, monkeypatch, [
+        "--modes", "classical,multiversion", "--policies", "periodic,mkfirm:2:3"])
+    assert [(cfg.mode.value, cfg.objects[0].policy.kind) for cfg in derived] == [
+        ("classical", "mkfirm"), ("multiversion", "periodic"), ("multiversion", "mkfirm")]
+    for cfg in derived:
+        [policy] = {id(o.policy) for o in cfg.objects}
+        assert len(cfg.objects) == len(first.objects) > 1
+        for o, declared in zip(cfg.objects, first.objects):
+            assert o is not declared
+            for f in dataclasses.fields(o):
+                if f.name != "policy":
+                    assert getattr(o, f.name) is getattr(declared, f.name), f.name
+    assert derived[1].objects[0].policy == first.objects[0].policy
+
+
+def test_cli_compare_mode_variants_share_the_first_variants_objects(tmp_path, monkeypatch):
+    first, second = _compared_configs(tmp_path, monkeypatch,
+                                      ["--modes", "classical,multiversion"])
+    assert second.mode is FreshnessMode.MULTIVERSION
+    assert second.objects is first.objects
+
+
 def test_cli_compare_requires_a_variant_axis(tmp_path, capsys):
     path = write_config(tmp_path, CONFIG_INFEASIBLE)
     assert main(["compare", path]) == 2
+
+
+def test_cli_an_engine_fault_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # a fault of the program, not of the input: one stderr line, exit 2
+    def broken(self):
+        raise SimInternalError("version chain out of order")
+
+    monkeypatch.setattr(Simulator, "run", broken)
+    assert main(["run", write_config(tmp_path, CONFIG_INFEASIBLE)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "runtime error: version chain out of order\n")
 
 
 def test_cli_missing_file_is_invalid(tmp_path):

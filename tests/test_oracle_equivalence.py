@@ -49,8 +49,8 @@ def order_config(objects, readers, horizon=12) -> SimConfig:
     """Constant objects `(id, period, cost, policy)` and store readers
     `(id, read set, arrival tick)`, each object's analysis taking 1 tick."""
     specs = [ObjectSpec(id=oid, vi=8, update_period=period, update_cost=cost,
-                        value_process=ConstantProcess(value=1.0))
-             for oid, period, cost, _ in objects]
+                        value_process=ConstantProcess(value=1.0), policy=policy)
+             for oid, period, cost, policy in objects]
     txns = [UserTxnSpec(id=tid, read_set=read_set,
                         retrieval_time={o: 0 for o in read_set},
                         analysis_time={o: 1 for o in read_set},
@@ -59,7 +59,6 @@ def order_config(objects, readers, horizon=12) -> SimConfig:
             for i, (tid, read_set, t) in enumerate(readers)]
     return SimConfig(horizon=horizon, mode=FreshnessMode.CLASSICAL,
                      enforce_admission=False, seed=1, objects=specs,
-                     policies={oid: policy for oid, _, _, policy in objects},
                      transactions=txns)
 
 

@@ -68,14 +68,14 @@ def on_demand_run(second_arrival):
     """Two store readers of one on-demand object (vi 20, cost 3): the first
     arrives at 0 to a cold store, the second at `second_arrival`."""
     obj = ObjectSpec(id="o1", vi=20, update_period=10, update_cost=3,
-                     value_process=ConstantProcess(value=1.0))
+                     value_process=ConstantProcess(value=1.0), policy=OnDemandPolicy())
     txns = [UserTxnSpec(id=f"t{i}", read_set=["o1"], retrieval_time={"o1": 0},
                         analysis_time={"o1": 2}, relative_deadline=30,
                         arrival=Arrival("oneshot", t=t), retrieval_mode="store")
             for i, t in enumerate((0, second_arrival))]
     cfg = SimConfig(horizon=60, mode=FreshnessMode.MULTIVERSION,
                     enforce_admission=False, seed=1, objects=[obj],
-                    policies={"o1": OnDemandPolicy()}, transactions=txns)
+                    transactions=txns)
     _, records, txns = run_outcomes(cfg)
     assert all(inst["state"] == "committed" for inst in txns.values())
     return ([t for t, kind, _, _ in records if kind == "update_decision"],
@@ -304,14 +304,16 @@ def test_default_elasticity_is_one_over_period_times_weight(period, weight):
 
 
 def test_a_stretched_object_keeps_every_field_but_period_and_vi():
+    # its policy included
     declared = [
         ObjectSpec("a", vi=4, update_period=2, update_cost=1,
-                   value_process=ConstantProcess(3.0), access_weight=0.25, max_period=9),
+                   value_process=ConstantProcess(3.0), access_weight=0.25, max_period=9,
+                   policy=ElasticPolicy(target_utilization=0.5)),
         ObjectSpec("b", vi=30, update_period=3, update_cost=2,
-                   value_process=ConstantProcess(-1.0), access_weight=4),
+                   value_process=ConstantProcess(-1.0), access_weight=4,
+                   policy=ElasticPolicy(target_utilization=0.5)),
     ]
-    policies = dict.fromkeys("ab", ElasticPolicy(target_utilization=0.5))
-    table = effective_objects(declared, policies)
+    table = effective_objects(declared)
     for o in declared:
         stretched = table[o.id]
         assert stretched.update_period > o.update_period

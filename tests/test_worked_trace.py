@@ -28,9 +28,9 @@ B_AT_8 = -0.2155158270894896
 
 def worked_config(mode: FreshnessMode) -> SimConfig:
     objects = [ObjectSpec(id="a", vi=6, update_period=4, update_cost=1,
-                          value_process=ConstantProcess(value=1.0)),
+                          value_process=ConstantProcess(value=1.0), policy=PeriodicPolicy()),
                ObjectSpec(id="b", vi=4, update_period=8, update_cost=0,
-                          value_process=WALK)]
+                          value_process=WALK, policy=SimilarityPolicy(delta=5.0))]
 
     def txn(tid, obj, retrieval_mode, retrieval, analysis, release, deadline):
         return UserTxnSpec(id=tid, read_set=[obj], retrieval_time={obj: retrieval},
@@ -40,7 +40,6 @@ def worked_config(mode: FreshnessMode) -> SimConfig:
 
     return SimConfig(
         horizon=12, mode=mode, enforce_admission=True, seed=1, objects=objects,
-        policies={"a": PeriodicPolicy(), "b": SimilarityPolicy(delta=5.0)},
         transactions=[txn("x", "a", "source", 4, 3, 0, 10),
                       txn("e", "b", "store_then_source", 1, 3, 2, 5),
                       txn("s", "a", "store", 0, 3, 4, 10)])

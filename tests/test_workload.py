@@ -228,7 +228,7 @@ def test_stream_bound_samples_match_value_at_inside_and_past_a_shared_table():
     # through its streams and extends it past its end
     walks = {}
     short, long = _walk_fleet(200), _walk_fleet(500)
-    assert {p.kind for p in short.policies.values()} == {"periodic", "elastic", "similarity"}
+    assert {o.policy.kind for o in short.objects} == {"periodic", "elastic", "similarity"}
     Simulator(short, walks=walks).run()
     reach = {key[2]: len(values) for key, values in walks.items()}
     assert sorted(reach) == ["a", "b", "c"]
@@ -435,7 +435,7 @@ def test_minimal_config_parses():
     cfg = parse_config(json.dumps(MINIMAL))
     assert cfg.horizon == 100
     assert cfg.objects[0].vi == 10
-    assert cfg.policies["o1"].kind == "periodic"
+    assert cfg.objects[0].policy.kind == "periodic"
     assert cfg.transactions[0].retrieval_time == {"o1": 2}
 
 
@@ -635,6 +635,72 @@ def test_duplicate_ids_rejected():
     d = doc()
     d["objects"].append(json.loads(json.dumps(d["objects"][0])))
     assert "objects[1].id" in errors_of(d)
+
+
+_MK_5_2 = {"kind": "mkfirm", "m": 5, "k": 2}
+_M_ABOVE_K = "m <= k violated (m=5, k=2)"
+_DUPLICATE = ("objects[1].id", "duplicate object id 'o1'")
+
+
+@pytest.mark.parametrize("first, second, errors", [
+    (_MK_5_2, {"kind": "periodic"},
+     [("objects[0].policy", _M_ABOVE_K), _DUPLICATE]),
+    ({"kind": "periodic"}, _MK_5_2,
+     [_DUPLICATE, ("objects[1].policy", _M_ABOVE_K)]),
+    (_MK_5_2, {"kind": "similarity", "delta": -1.0},
+     [("objects[0].policy", _M_ABOVE_K), _DUPLICATE,
+      ("objects[1].policy.delta", "must be >= 0")]),
+], ids=["bad-first", "bad-second", "both-bad"])
+def test_objects_with_one_id_each_report_their_own_policy(first, second, errors):
+    # each object holds its policy, so a duplicated id neither hides one
+    # object's bad policy nor reports it at the other object's path
+    d = doc()
+    d["objects"].append(json.loads(json.dumps(d["objects"][0])))
+    d["objects"][0]["policy"] = first
+    d["objects"][1]["policy"] = second
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert err.value.errors == errors
+
+
+def _parse_errors(mutate) -> list[tuple[str, str]]:
+    d = doc()
+    mutate(d)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    return err.value.errors
+
+
+def _build_errors(mutate) -> list[tuple[str, str]]:
+    """The errors of a config built in code, which Simulator validates."""
+    cfg = one_object_config()
+    mutate(cfg)
+    with pytest.raises(ConfigError) as err:
+        Simulator(cfg)
+    assert validate_config(cfg) == err.value.errors
+    return err.value.errors
+
+
+@pytest.mark.parametrize("errors_of_mutated, mutate, errors", [
+    (_parse_errors, lambda d: d["transactions"].append(dict(d["transactions"][0])),
+     [("transactions[1].id", "duplicate transaction id 't1'")]),
+    (_parse_errors, lambda d: d["transactions"][0].__setitem__(
+        "arrival", {"kind": "periodic", "start": -1, "period": 5}),
+     [("transactions[0].arrival.start", "start must be >= 0")]),
+    (_parse_errors, lambda d: d["objects"][0].__setitem__(
+        "policy", {"kind": "elastic", "target_utilization": 0.5, "elasticity": -0.5}),
+     [("objects[0].policy.elasticity", "must be >= 0")]),
+    (_parse_errors, lambda d: d["objects"][0].__setitem__(
+        "policy", {"kind": "prediction", "predictor": "linear", "epsilon": -0.5}),
+     [("objects[0].policy.epsilon", "must be >= 0")]),
+    (_build_errors, lambda cfg: setattr(cfg.transactions[0], "arrival", Arrival("burst")),
+     [("transactions[0].arrival.kind", "unknown arrival kind 'burst'")]),
+    (_build_errors, lambda cfg: setattr(cfg.objects[0], "policy", None),
+     [("objects[0].policy", "missing policy")]),
+], ids=["duplicate-transaction", "negative-arrival-start", "negative-elasticity",
+        "negative-epsilon", "unknown-arrival-kind", "missing-policy"])
+def test_each_validation_rule_reports_its_exact_errors(errors_of_mutated, mutate, errors):
+    assert errors_of_mutated(mutate) == errors
 
 
 def test_duplicate_read_set_entries_rejected():

@@ -109,8 +109,7 @@ class TickOracle:
                                                           config.seed)
         self.release_times: dict[str, set[int]] = {}
         for obj in config.objects:
-            policy = config.policies[obj.id]
-            if isinstance(policy, OnDemandPolicy):
+            if isinstance(obj.policy, OnDemandPolicy):
                 self.release_times[obj.id] = set()
             else:
                 self.release_times[obj.id] = set(
@@ -229,7 +228,7 @@ class TickOracle:
     # independent policy decision logic -------------------------------------
 
     def _decide(self, oid: str, t: int, sampled: float) -> str:
-        policy = self.cfg.policies[oid]
+        policy = self.objects[oid].policy
         newest = self.newest(oid)
         if newest is None:
             if isinstance(policy, MKFirmPolicy):
@@ -375,8 +374,8 @@ class TickOracle:
         if mode == "store_then_source":
             self._start_fetch(txn, t, oid)
             return
-        policy = self.cfg.policies[oid]
-        if isinstance(policy, OnDemandPolicy) and oid not in self.refresh_inflight:
+        if (isinstance(self.objects[oid].policy, OnDemandPolicy)
+                and oid not in self.refresh_inflight):
             self.refresh_inflight.add(oid)
             self.ondemand_launches.append(oid)
         txn.state = "waiting"
