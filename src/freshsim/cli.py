@@ -160,7 +160,8 @@ def _set_path(doc: dict, path: str, value) -> None:
 def _parse_value(text: str):
     try:
         return json.loads(text)
-    except ValueError:  # not JSON, or an integer past int()'s digit limit
+    # not JSON, an integer past int()'s digit limit, or nested too deeply
+    except (ValueError, RecursionError):
         return text
 
 

@@ -5,11 +5,12 @@ dispatched by earliest deadline first at segment boundaries; updates run on a
 separate update server so freshness effects are not confounded with CPU
 contention. Every event is an integer-time entry in one queue with a total
 order, which makes runs bit-reproducible. The update events of one tick
-share one queue entry. The periodic streams of one effective period form a
-cohort, sorted once by object id, which releases together and re-queues
-itself once per period; a tick's entry holds its due cohorts, its on-demand
-refreshes and its installs, and its handler runs the releases, then the
-installs, each in object id order, as entries of their own would run them.
+share one queue entry, which holds the tick's release runs and its installs.
+A run is a list of update streams sorted by object id: the periodic streams
+of one effective period, which release together and re-queue themselves as
+one run once per period, or the one stream of an on-demand refresh. The
+entry's handler runs the releases of every run, then the installs, each in
+object id order, as entries of their own would run them.
 
 Within one tick, events settle in a fixed rank order:
 
@@ -56,7 +57,7 @@ from .workload import SimConfig, ValueSampler, iter_arrivals, validate_config
 TXN_ARRIVAL = 0   # (spec, remaining releases)
 SEGMENT_DONE = 1  # (inst, epoch): the end of a retrieval or an analysis
 VI_EXPIRY = 2     # (inst, epoch, object id)
-UPDATES = 3       # ([Cohort], [UpdateStream refreshed], [(object id, stream, value, sample time)])
+UPDATES = 3       # ([[UpdateStream] run], [(object id, stream, value, sample time)])
 DEADLINE = 4      # inst
 
 # Transaction states.
@@ -135,8 +136,9 @@ class UpdateStream:
     periodically (every policy but on-demand does), the object's version
     chain, which the store changes only in place, its random walk's values
     in a shared walk table and the declared period that indexes them (see
-    `ValueSampler.table_walk`), and, for an on-demand object, whether a
-    refresh is queued or running. A release samples a value inside the table
+    `ValueSampler.table_walk`), for an on-demand object, whether a refresh is
+    queued or running, and the instances that wait on the object, in the
+    order they started waiting. A release samples a value inside the table
     with one index; any other value comes from `ValueSampler.sample`."""
 
     object_id: str
@@ -149,16 +151,7 @@ class UpdateStream:
     walk: list[float] | None
     walk_period: Tick
     refreshing: bool = False
-
-
-@dataclass(eq=False, slots=True)
-class Cohort:
-    """The periodic streams that share one effective period, sorted by
-    object id: they release together at every multiple of the period up to
-    the horizon, so the cohort, not each stream, has one pending release."""
-
-    period: Tick
-    streams: list[UpdateStream]
+    waiting: list[TxnInstance] = field(default_factory=list)
 
 
 # a run hands its records over once a tick leaves at least this many pending
@@ -218,14 +211,11 @@ class Simulator:
         # of instances that left READY since are skipped when popped
         self._ready: list[tuple] = []
         self.running: TxnInstance | None = None
-        self.waiting: dict[str, list[TxnInstance]] = {o.id: [] for o in config.objects}
         # object id -> its UpdateStream, built when the workload is queued
         self._streams: dict[str, UpdateStream] = {}
-        # the cohorts of the periodic streams, built with them
-        self._cohorts: list[Cohort] = []
-        # tick -> its (cohorts, refreshes, installs) not yet handled, in push
-        # order: the payload of its tick's one queue entry
-        self._updates: dict[Tick, tuple[list, list, list]] = {}
+        # tick -> its (runs, installs) not yet handled, in push order: the
+        # payload of its tick's one queue entry
+        self._updates: dict[Tick, tuple[list, list]] = {}
 
     # -- trace -------------------------------------------------------------
 
@@ -235,20 +225,12 @@ class Simulator:
         self._sink(batch)
         self.metrics.record(batch)
 
-    def _sweep(self, t: Tick) -> None:
-        """Garbage-collect the store and record what it reclaimed. A store
-        with no chain marked dirty has nothing to reclaim."""
-        if not self.store.dirty:
-            return
-        self._batch += [(t, "gc", object_id, {"reclaimed": reclaimed})
-                        for object_id, reclaimed in self.store.gc()]
-
-    def _updates_at(self, t: Tick) -> tuple[list, list, list]:
-        """The (cohorts, refreshes, installs) lists of tick `t`; the first
-        update event there queues them."""
+    def _updates_at(self, t: Tick) -> tuple[list, list]:
+        """The (runs, installs) lists of tick `t`; the first update event
+        there queues them."""
         updates = self._updates.get(t)
         if updates is None:
-            self._updates[t] = updates = ([], [], [])
+            self._updates[t] = updates = ([], [])
             self.queue.push(t, UPDATES, "", updates)
         return updates
 
@@ -256,10 +238,10 @@ class Simulator:
 
     def _schedule_workload(self) -> None:
         """Queue the first release of each admitted class and of each
-        cohort, at 0; each release queues the next one when it fires, so no
-        class or cohort has more than one release pending. Every object gets
-        its UpdateStream here, on-demand ones included, and each periodic
-        one joins the cohort of its effective period."""
+        periodic run, at 0; each release queues the next one when it fires,
+        so no class or run has more than one release pending. Every object
+        gets its UpdateStream here, on-demand ones included, and each
+        periodic one joins the run of its effective period."""
         # with enforcement off every class runs, even one that can restart
         # without end
         enforce = self.config.enforce_admission
@@ -280,10 +262,9 @@ class Simulator:
                 eff.update_cost, policy.periodic, chains[oid], walk, walk_period)
             if stream.periodic:
                 by_period.setdefault(stream.period, []).append(stream)
-        self._cohorts = [Cohort(period, sorted(streams, key=_release_object))
-                         for period, streams in by_period.items()]
-        if self._cohorts:
-            self._updates_at(0)[0].extend(self._cohorts)
+        if by_period:
+            self._updates_at(0)[0].extend(sorted(streams, key=_release_object)
+                                          for streams in by_period.values())
 
     def _push_arrival(self, spec: UserTxnSpec, releases: Iterator[Tick]) -> None:
         release = next(releases, None)
@@ -347,8 +328,7 @@ class Simulator:
         inst.state = COMMITTED
         self._batch.append((t, "commit", inst.inst_id,
                             {"stale_at_commit": bool(stale), "stale_objects": stale}))
-        self._release_pins(inst)
-        self._sweep(t)
+        self._release_pins(inst, t)
 
     def _on_deadline(self, t: Tick, subject: str, inst: TxnInstance) -> None:
         if inst.terminal():
@@ -357,8 +337,7 @@ class Simulator:
         self._free_processor(inst)
         self._leave_waiting(inst)
         self._batch.append((t, "miss", inst.inst_id, {}))
-        self._release_pins(inst)
-        self._sweep(t)
+        self._release_pins(inst, t)
 
     def _on_vi_expiry(self, t: Tick, subject: str, payload) -> None:
         inst, epoch, object_id = payload
@@ -383,19 +362,25 @@ class Simulator:
                 inst.source_only.add(version.object_id)
         self._batch.append((t, "restart", inst.inst_id,
                             {"cause": cause, "object": version.object_id}))
-        self._release_pins(inst)
+        self._release_pins(inst, t)
         self._free_processor(inst)
         self._leave_waiting(inst)
         inst.cursor = 0
         inst.epoch += 1
         self._make_ready(inst)
-        self._sweep(t)
 
-    def _release_pins(self, inst: TxnInstance) -> None:
+    def _release_pins(self, inst: TxnInstance, t: Tick) -> None:
+        """Unpin every version `inst` read, then garbage-collect the store
+        and record what it reclaimed; a store with no chain marked dirty has
+        nothing to reclaim."""
+        store = self.store
         for version in inst.accesses.values():
             if version.seq:
-                self.store.unpin(version, inst)
+                store.unpin(version, inst)
         inst.accesses.clear()
+        if store.dirty:
+            self._batch += [(t, "gc", object_id, {"reclaimed": reclaimed})
+                            for object_id, reclaimed in store.gc()]
 
     def _free_processor(self, inst: TxnInstance) -> None:
         if self.running is inst:
@@ -403,40 +388,39 @@ class Simulator:
 
     def _leave_waiting(self, inst: TxnInstance) -> None:
         # a waiting instance waits on the object its cursor points at
-        queue = self.waiting[inst.current_object()]
+        queue = self._streams[inst.current_object()].waiting
         if inst in queue:
             queue.remove(inst)
 
     # -- update server -------------------------------------------------------
 
     def _on_updates(self, t: Tick, subject: str,
-                    updates: tuple[list, list, list]) -> None:
-        """Release each stream of the tick's cohorts and refreshes, then
-        install each (object id, stream, value, sample time) of its list,
-        each in object id order; each due cohort first queues its next
-        release. A lone cohort is in that order already, and any other mix
-        is merged. The tick's lists stay queued while the releases run, so a
-        cost-0 release's install joins this tick's installs; a refresh that
+                    updates: tuple[list, list]) -> None:
+        """Release each stream of the tick's runs, then install each
+        (object id, stream, value, sample time) of its list, each in object
+        id order; a run of periodic streams first queues itself one period
+        on. A lone run is in that order already, and several are merged. The
+        tick's lists stay queued while the releases run, so a cost-0
+        release's install joins this tick's installs; a refresh that
         dispatch queues at `t` later starts new lists."""
-        cohorts, refreshes, installs = updates
+        runs, installs = updates
         horizon = self.horizon
-        # a tick's lists, or the tick's absence; a triple of lists is truthy
+        # a tick's lists, or the tick's absence; a pair of lists is truthy
         pending = self._updates.get
-        for cohort in cohorts:
-            following = t + cohort.period
-            if following <= horizon:
-                (pending(following) or self._updates_at(following))[0].append(cohort)
-        if refreshes or len(cohorts) > 1:
-            # each cohort is a sorted run, which the sort merges
-            releases = refreshes.copy()
-            for cohort in cohorts:
-                releases += cohort.streams
+        for run in runs:
+            first = run[0]
+            if first.periodic and (following := t + first.period) <= horizon:
+                (pending(following) or self._updates_at(following))[0].append(run)
+        if len(runs) > 1:
+            # each run is sorted, which the sort merges
+            releases = []
+            for run in runs:
+                releases += run
             releases.sort(key=_release_object)
         else:
-            releases = cohorts[0].streams if cohorts else ()
+            releases = runs[0] if runs else ()
         record = self._batch.append
         sample = self.sampler.sample
-        waiting = self.waiting
         for stream in releases:
             object_id = stream.object_id
             values = stream.walk
@@ -459,14 +443,14 @@ class Simulator:
 
             if decision in PERFORMED:
                 done = t + stream.cost
-                (pending(done) or self._updates_at(done))[2].append(
+                (pending(done) or self._updates_at(done))[1].append(
                     (object_id, stream, sampled, t))
             else:
                 # the skip confirms the stored value: a policy performs while
                 # nothing is stored, so `newest` is a version
                 newest.expires += stream.period
-                if waiting[object_id]:
-                    self._wake_waiters(object_id)
+                if stream.waiting:
+                    self._wake_waiters(stream)
 
         del self._updates[t]
         if len(installs) > 1:
@@ -483,19 +467,19 @@ class Simulator:
                 elif self._classical:
                     # a classical install replaced a pinned version: every
                     # holder restarts (update transactions are never delayed
-                    # by readers), and each restart's sweep reclaims what its
-                    # unpins freed; only unfinished instances hold pins
+                    # by readers), and each restart reclaims what its unpins
+                    # freed; only unfinished instances hold pins
                     for inst in list(superseded.holders):
                         self._restart(inst, t, cause="superseded", version=superseded)
             stream.refreshing = False
-            if waiting[object_id]:
-                self._wake_waiters(object_id)
+            if stream.waiting:
+                self._wake_waiters(stream)
 
-    def _wake_waiters(self, object_id: str) -> None:
-        """Ready every instance on the object's wait list, which the caller
-        found non-empty. An instance that stops waiting otherwise leaves its
+    def _wake_waiters(self, stream: UpdateStream) -> None:
+        """Ready every instance on the stream's wait list, which the caller
+        found non-empty. An instance that stops waiting otherwise leaves the
         list (_leave_waiting)."""
-        waiting = self.waiting[object_id]
+        waiting = stream.waiting
         for inst in waiting:
             self._make_ready(inst)
         waiting.clear()
@@ -544,9 +528,9 @@ class Simulator:
         stream = self._streams[obj]
         if not stream.periodic and not stream.refreshing:
             stream.refreshing = True
-            self._updates_at(t)[1].append(stream)
+            self._updates_at(t)[0].append([stream])
         inst.state = WAITING
-        self.waiting[obj].append(inst)
+        stream.waiting.append(inst)
 
     def _acquire(self, inst: TxnInstance, t: Tick, version: Version,
                  via: str) -> None:
@@ -569,10 +553,10 @@ class Simulator:
 # event handlers, indexed by event kind. They are bound to Simulator's own
 # functions, so a subclass that overrides a handler is not called by `run`; a
 # subclass hooks the helpers the handlers call (`_dispatch`, `_make_ready`,
-# `_wake_waiters`, `_sweep`, ...) instead. `_wake_waiters` runs once after
-# each install, after its reclaim or its holders' restarts, and once after
-# each skipped or suppressed decision, if the object's wait list is truthy:
-# a subclass whose wait lists are always truthy sees every install and skip
+# `_wake_waiters`, ...) instead. `_wake_waiters` runs once after each
+# install, after its reclaim or its holders' restarts, and once after each
+# skipped or suppressed decision, if the stream's wait list is truthy: a
+# subclass whose wait lists are always truthy sees every install and skip
 # there (tests/support.py, `watch_updates`).
 _HANDLERS = (
     Simulator._on_arrival,       # TXN_ARRIVAL

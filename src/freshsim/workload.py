@@ -728,9 +728,11 @@ def decode_json(text: str):
         raise ConfigError([("$", f"JSON syntax error: {e.msg} "
                                  f"(line {e.lineno}, column {e.colno})")]) from None
     except ValueError:
-        # the only other failure: an integer literal past int()'s digit limit
+        # an integer literal past int()'s digit limit
         raise ConfigError([("$", "integer literal longer than "
                                  f"{sys.get_int_max_str_digits()} digits")]) from None
+    except RecursionError:
+        raise ConfigError([("$", "JSON nested too deeply to decode")]) from None
 
 
 def parse_config(text: str) -> SimConfig:

@@ -35,10 +35,19 @@ class WatchedWaitList(list):
 
 
 def watch_updates(sim: Simulator) -> None:
-    """Give `sim` wait lists that always read as non-empty, so that its
-    `_wake_waiters` runs after every install and every skip, as it does for
-    an object that someone waits on, not only for those."""
-    sim.waiting = {object_id: WatchedWaitList() for object_id in sim.waiting}
+    """Give the update streams of `sim` wait lists that always read as
+    non-empty, so that its `_wake_waiters` runs after every install and
+    every skip, as it does for an object that someone waits on, not only for
+    those. The streams are built when the run queues its workload, so the
+    lists are swapped in right after."""
+    schedule = sim._schedule_workload
+
+    def watched_schedule() -> None:
+        schedule()
+        for stream in sim._streams.values():
+            stream.waiting = WatchedWaitList()
+
+    sim._schedule_workload = watched_schedule
 
 
 def run_records(cfg: SimConfig) -> tuple[MetricsReport, list[tuple]]:
@@ -60,10 +69,10 @@ def outcomes(sim: Simulator, records: list[tuple]) -> dict[str, dict]:
     `records`, the trace of `sim`, a finished run: its `commit` or `miss`
     record gives the state and time, its `restart` records the restarts
     (`vi_restarts` counts those with cause `vi_expiry`). An instance with
-    neither record is in flight: the running one, a waiting one (in
-    `sim.waiting`), or else ready."""
+    neither record is in flight: the running one, a waiting one (on the wait
+    list of an update stream of `sim`), or else ready."""
     in_flight = {inst.inst_id: "waiting"
-                 for queue in sim.waiting.values() for inst in queue}
+                 for stream in sim._streams.values() for inst in stream.waiting}
     if sim.running is not None:
         in_flight[sim.running.inst_id] = sim.running.state
     txns = {}

@@ -174,10 +174,11 @@ class PinCountingSimulator(Simulator):
         watch_updates(self)
         self.peak_pins = {}
 
-    def _wake_waiters(self, object_id):
-        pins = sum(len(v.holders) for v in self.store.chains[object_id])
+    def _wake_waiters(self, stream):
+        object_id = stream.object_id
+        pins = sum(len(v.holders) for v in stream.chain)
         self.peak_pins[object_id] = max(self.peak_pins.get(object_id, 0), pins)
-        super()._wake_waiters(object_id)
+        super()._wake_waiters(stream)
 
 
 MV_SWEEP_RESULTS = []

@@ -404,22 +404,24 @@ def test_scheduling_queues_one_release_per_stream(horizon):
     push = sim.queue.push
     sim.queue.push = lambda *event: (pushes.append(event), push(*event))
     sim._schedule_workload()
-    # one pending release per admitted class and per cohort, whatever the
-    # horizon: an arrival in the queue, or a cohort in the list of its tick,
-    # which is queued once. Each periodic stream is in exactly one cohort,
+    # one pending release per admitted class and per period of the
+    # periodic streams, whatever the horizon: an arrival in the queue, or a
+    # run in the list of its tick, which is queued once. Each periodic
+    # stream is in exactly one run, with the other streams of its period,
     # and no on-demand stream has a refresh pending
     admitted = len(transactions) - len(sim.metrics.rejected)
     assert admitted == 3
     arrivals = sum(kind == TXN_ARRIVAL for _, kind, _, _, _ in sim.queue._heap)
     assert arrivals == admitted
     periodic = [o.id for o in objects if o.policy.kind != "ondemand"]
-    members = [stream.object_id for cohort in sim._cohorts for stream in cohort.streams]
-    assert sorted(members) == periodic == ["a", "c"]
-    assert len(sim._cohorts) == len({sim._streams[oid].period for oid in periodic})
     assert list(sim._updates) == [0]
-    cohorts, refreshes, installs = sim._updates[0]
-    assert [id(c) for c in cohorts] == [id(c) for c in sim._cohorts]
-    assert refreshes == installs == []
+    runs, installs = sim._updates[0]
+    members = [stream.object_id for run in runs for stream in run]
+    assert sorted(members) == periodic == ["a", "c"]
+    assert len(runs) == len({sim._streams[oid].period for oid in periodic})
+    for run in runs:
+        assert all(stream.periodic and stream.period == run[0].period for stream in run)
+    assert installs == []
     assert len(pushes) == len(sim.queue) == arrivals + len(sim._updates)
 
 
@@ -442,35 +444,36 @@ def test_cost_0_install_joins_its_ticks_installs():
                         (8, "a")]
 
 
-class RefreshWithTheCohorts(Simulator):
-    """Queues a refresh of `b` into the entry of tick 6 before the run."""
+class RefreshWithThePeriodicRuns(Simulator):
+    """Queues a refresh of `b` into the entry of tick 6 before the run, and
+    keeps the object ids of the runs first queued, at 0."""
 
     def _schedule_workload(self):
         super()._schedule_workload()
+        self.first_runs = [[s.object_id for s in run] for run in self._updates[0][0]]
         stream = self._streams["b"]
         stream.refreshing = True
-        self._updates_at(6)[1].append(stream)
+        self._updates_at(6)[0].append([stream])
 
 
 def test_two_cohorts_and_a_refresh_release_in_object_id_order():
-    # at 6 the cohort of period 2 (a, d) and that of period 3 (c) are due,
+    # at 6 the run of period 2 (a, d) and that of period 3 (c) are due,
     # with a refresh of the on-demand b; e (period 5, cost 1) installs what
     # it released at 5, and the cost-0 installs of a and b join it. A
     # refresh that dispatch queues starts an entry of its own, so the test
-    # queues this one with the cohorts of its tick, where they merge
+    # queues this one with the periodic runs of its tick, where they merge
     objects = [ObjectSpec(id=oid, vi=20, update_period=period, update_cost=cost,
                           value_process=ConstantProcess(value=0.0),
                           policy=OnDemandPolicy() if oid == "b" else PeriodicPolicy())
                for oid, period, cost in (("a", 2, 0), ("b", 4, 0), ("c", 3, 1),
                                          ("d", 2, 1), ("e", 5, 1))]
     records = []
-    sim = RefreshWithTheCohorts(
+    sim = RefreshWithThePeriodicRuns(
         SimConfig(horizon=7, mode=FreshnessMode.CLASSICAL, enforce_admission=False,
                   seed=1, objects=objects, transactions=[]),
         sink=records.extend)
     sim.run()
-    assert sorted((c.period, [s.object_id for s in c.streams]) for c in sim._cohorts) == [
-        (2, ["a", "d"]), (3, ["c"]), (5, ["e"])]
+    assert sorted(sim.first_runs) == [["a", "d"], ["c"], ["e"]]
     assert [(kind, subject) for t, kind, subject, _ in records
             if t == 6 and kind in ("update_decision", "install")] == [
         ("update_decision", "a"), ("update_decision", "b"), ("update_decision", "c"),
@@ -644,11 +647,11 @@ class WakeCountingSimulator(Simulator):
         self.wakes = 0
         self.found = 0
 
-    def _wake_waiters(self, object_id):
+    def _wake_waiters(self, stream):
         self.wakes += 1
-        self.found += len(self.waiting[object_id]) > 0
-        super()._wake_waiters(object_id)
-        assert len(self.waiting[object_id]) == 0
+        self.found += len(stream.waiting) > 0
+        super()._wake_waiters(stream)
+        assert len(stream.waiting) == 0
 
 
 def test_wake_waiters_runs_after_every_install_and_every_skip():

@@ -4,8 +4,8 @@ The engine leans on these instead of testing for them at run time: a
 superseded version's holders all restart without a `terminal()` test, a wait
 list is woken without a state test, `VersionStore.unpin` trusts that a
 pinned version is still in its chain, and an install reclaims in place the
-one version it can make reclaimable, since every handler that frees a
-version sweeps the store before it returns. The same runs check the report's
+one version it can make reclaimable, since the engine sweeps the store right
+after every unpin (`_release_pins`). The same runs check the report's
 `peak_live_versions`, which the aggregator derives from the `install` and
 `gc` records, against the chain lengths in the store."""
 
@@ -75,8 +75,8 @@ class CheckedSimulator(Simulator):
 
     def _schedule_workload(self):
         super()._schedule_workload()
-        # every cohort's first release is due at 0
-        self.check_cohorts(-1)
+        # every periodic run's first release is due at 0
+        self.check_runs(-1)
 
     def _dispatch(self, t):
         super()._dispatch(t)
@@ -84,13 +84,13 @@ class CheckedSimulator(Simulator):
         if self.last is not None and t >= self.last:
             raise StopRun
 
-    def _wake_waiters(self, object_id):
+    def _wake_waiters(self, stream):
         # called right after each install's reclaim or its holders'
         # restarts, and after a skip, when the chain cannot be longer than
         # after the install before it
-        self.peaks[object_id] = max(self.peaks.get(object_id, 0),
-                                    len(self.store.chains[object_id]))
-        super()._wake_waiters(object_id)
+        object_id = stream.object_id
+        self.peaks[object_id] = max(self.peaks.get(object_id, 0), len(stream.chain))
+        super()._wake_waiters(stream)
 
     def check(self, t):
         # the aggregator reads the records handed over so far: all of them
@@ -121,10 +121,10 @@ class CheckedSimulator(Simulator):
                         f"{inst.inst_id} holds {object_id}#{version.seq} "
                         f"outside its chain {where}")
             if inst.state == WAITING:
-                assert inst in self.waiting[inst.current_object()], (
+                assert inst in self._streams[inst.current_object()].waiting, (
                     f"waiting {inst.inst_id} on no wait list {where}")
-        for object_id, queue in self.waiting.items():
-            for inst in queue:
+        for object_id, stream in self._streams.items():
+            for inst in stream.waiting:
                 assert inst.state == WAITING and inst.current_object() == object_id, (
                     f"{inst.inst_id} ({inst.state}) on the wait list of "
                     f"{object_id} {where}")
@@ -156,48 +156,47 @@ class CheckedSimulator(Simulator):
             assert self._updates.get(time) is payload, (
                 f"the update entry at {time} is not its tick's lists {where}")
             assert any(payload), f"empty update lists at {time} {where}"
-        self.check_cohorts(t)
+        self.check_runs(t)
 
-    def check_cohorts(self, t):
-        """Each periodic stream belongs to exactly one cohort, whose streams
-        share its period in object id order; each cohort has one pending
-        release, at its next multiple after `t`, unless that passes the
-        horizon; each on-demand stream has at most one pending refresh."""
+    def check_runs(self, t):
+        """Each periodic stream sits in exactly one pending run, unless its
+        next multiple of its period after `t` passes the horizon: a run of
+        this simulator's streams in object id order, which holds every
+        periodic stream of that period and no other, due at that multiple.
+        Each on-demand stream sits in at most one pending run, of itself
+        alone, and is marked `refreshing`."""
         where = f"at t={t}"
-        members = Counter(stream.object_id for cohort in self._cohorts
-                           for stream in cohort.streams)
-        periodic = {oid for oid, stream in self._streams.items() if stream.periodic}
-        assert set(members) == periodic, f"cohorts hold {sorted(members)} {where}"
-        for object_id, count in members.items():
-            assert count == 1, f"{object_id} in {count} cohorts {where}"
-        for cohort in self._cohorts:
-            ids = [stream.object_id for stream in cohort.streams]
-            assert ids == sorted(ids), f"cohort {cohort.period} out of order {where}"
-            assert all(stream.period == cohort.period for stream in cohort.streams), (
-                f"cohort {cohort.period} holds another period {where}")
-        assert len({cohort.period for cohort in self._cohorts}) == len(self._cohorts), (
-            f"two cohorts share a period {where}")
-        releases = Counter()
-        refreshes = Counter()
-        for time, (cohorts, refreshed, _) in self._updates.items():
-            for cohort in cohorts:
-                releases[id(cohort)] += 1
-                following = (t // cohort.period + 1) * cohort.period
-                assert time == following, (
-                    f"cohort {cohort.period} releases at {time}, not {following} {where}")
-            refreshes.update(stream.object_id for stream in refreshed)
-        for cohort in self._cohorts:
-            due = (t // cohort.period + 1) * cohort.period <= self.horizon
-            assert releases[id(cohort)] == due, (
-                f"{releases[id(cohort)]} pending releases of cohort "
-                f"{cohort.period} {where}")
-        assert sum(releases.values()) == sum(len(c) for c, _, _ in self._updates.values()), (
-            f"a pending cohort outside the run's cohorts {where}")
-        for object_id, count in refreshes.items():
-            stream = self._streams[object_id]
-            assert count == 1, f"{count} pending refreshes of {object_id} {where}"
-            assert not stream.periodic and stream.refreshing, (
-                f"refresh of {object_id} pending unmarked {where}")
+        by_period = {}
+        for object_id, stream in sorted(self._streams.items()):
+            if stream.periodic:
+                by_period.setdefault(stream.period, []).append(object_id)
+        pending = Counter()
+        for time, (runs, _) in self._updates.items():
+            for run in runs:
+                ids = [stream.object_id for stream in run]
+                assert ids == sorted(ids), f"run {ids} out of order {where}"
+                assert all(self._streams[s.object_id] is s for s in run), (
+                    f"run {ids} holds a stream outside the run's streams {where}")
+                pending.update(ids)
+                first = run[0]
+                if first.periodic:
+                    assert ids == by_period[first.period], (
+                        f"run {ids} is not the periodic streams of period "
+                        f"{first.period} {where}")
+                    following = (t // first.period + 1) * first.period
+                    assert time == following, (
+                        f"run {ids} releases at {time}, not {following} {where}")
+                else:
+                    assert len(run) == 1 and first.refreshing, (
+                        f"refresh run {ids} is not one marked stream {where}")
+        for object_id, stream in self._streams.items():
+            if stream.periodic:
+                due = (t // stream.period + 1) * stream.period <= self.horizon
+                assert pending[object_id] == due, (
+                    f"{object_id} in {pending[object_id]} pending runs {where}")
+            else:
+                assert pending[object_id] <= 1, (
+                    f"{pending[object_id]} pending refreshes of {object_id} {where}")
 
 
 def checks_run(cfg) -> int:
@@ -227,7 +226,7 @@ def test_invariants_hold_on_the_benchmark_configs(workload):
 
 @pytest.mark.parametrize("horizon", [10**3, 10**9])
 def test_cohort_queue_invariants_hold_at_both_horizons(horizon):
-    # two periodic streams share a cohort, an elastic one has its own, and
+    # two periodic streams share a run, an elastic one has its own, and
     # store readers make the on-demand b refresh; a run up to 10**9 is
     # checked up to tick 900, as the run up to 10**3 is
     objects = [ObjectSpec(id=oid, vi=12, update_period=period, update_cost=1,
@@ -247,7 +246,7 @@ def test_cohort_queue_invariants_hold_at_both_horizons(horizon):
                            last=900)
     with pytest.raises(StopRun):
         sim.run()
-    assert [[s.object_id for s in cohort.streams] for cohort in sim._cohorts] == [
-        ["a", "d"], ["c"]]
+    assert sorted([s.object_id for s in run] for runs, _ in sim._updates.values()
+                  for run in runs if run[0].periodic) == [["a", "d"], ["c"]]
     assert sim.checks > 300
     assert sim.metrics.per_object["b"].updates_performed > 40

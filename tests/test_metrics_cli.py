@@ -620,6 +620,21 @@ def test_cli_run_trace_lines_match_the_readme_table(tmp_path):
     assert keys == set().union(*table.values())
 
 
+def test_cli_checks_and_runs_the_readme_minimal_example(tmp_path, capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text[text.index("Minimal example"):]
+    block = block[block.index("```json\n") + len("```json\n"):]
+    config = tmp_path / "minimal.json"
+    config.write_text(block[:block.index("```")], encoding="utf-8")
+    # vi 10 covers retrieval 2 + analysis 3
+    assert main(["check", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "txn t1 object o1: vi=10 retrieval=2 analysis=3 [ok]", "txn t1: feasible"]
+    assert main(["run", str(config)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_run_is_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, CONFIG_INFEASIBLE)
     main(["run", path])
@@ -1216,6 +1231,26 @@ def test_cli_sweep_takes_an_overlong_integer_as_text(tmp_path, capsys):
                  "--values", "9" * (sys.get_int_max_str_digits() + 1)]) == 1
     assert capsys.readouterr().err.splitlines()[0] == (
         "error: objects[0].vi: must be an integer")
+
+
+def test_cli_check_takes_too_deeply_nested_json_as_bad_input(tmp_path, capsys):
+    # past the decoder's recursion limit: one error at the document, exit 1
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 200_000, encoding="utf-8")
+    assert main(["check", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $: JSON nested too deeply to decode\n"
+
+
+def test_cli_sweep_takes_a_too_deeply_nested_value_as_text(tmp_path, capsys):
+    path = write_config(tmp_path, CONFIG_INFEASIBLE)
+    assert main(["sweep", path, "--param", "objects[0].vi",
+                 "--values", "[" * 200_000]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: objects[0].vi: must be an integer\n"
+                            "error: objects[0].vi: validity interval must be > 0\n")
 
 
 @pytest.mark.parametrize("param, message", [
