@@ -134,19 +134,21 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-_PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)|\[(\d+)\]")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_PATH = re.compile(rf"{_NAME}(?:\.{_NAME}|\[\d+\])*")
+_PATH_TOKEN = re.compile(rf"({_NAME})|\[(\d+)\]")
 
 
 def _set_path(doc: dict, path: str, value) -> None:
     """Set the entry at `path`, which must exist, to `value`. `doc` itself
     is changed, but each container below it on the path is replaced by a
     copy first: set on a shallow copy of a document, it leaves the
-    document as it was."""
-    tokens = [m.group(1) if m.group(1) is not None else int(m.group(2))
-              for m in _PATH_TOKEN.finditer(path)]
-    if not tokens:
+    document as it was. A path is a name followed by `.name` or `[n]`
+    steps."""
+    if not _PATH.fullmatch(path):
         raise ConfigError([("param", f"cannot parse path {path!r}")])
-    *parents, last = tokens
+    *parents, last = [m.group(1) if m.group(1) is not None else int(m.group(2))
+                      for m in _PATH_TOKEN.finditer(path)]
     target = doc
     try:
         for tok in parents:

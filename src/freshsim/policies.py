@@ -10,8 +10,9 @@ Six policies are supported, one per object per run:
                     intervals with them) until total update utilization meets
                     a target; colder objects stretch more.
 * mkfirm          - periodic instances, but skip as many as the (m,k) window
-                    guarantee allows: every k consecutive instances perform
-                    at least m updates.
+                    guarantee allows: after the cold start, every k
+                    instances skip k-m and then perform m, so every k
+                    consecutive instances perform at least m updates.
 * similarity      - periodic instances; skip when the sampled value is within
                     a dead band `delta` of the last installed value.
 * prediction      - periodic instances; transmit only when the sampled value
@@ -27,9 +28,8 @@ update confirming the stored value.
 
 from __future__ import annotations
 
+import itertools
 import math
-import sys
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,15 +128,16 @@ class MKFirmPolicy(_Policy):
         if not (1 <= self.m <= self.k):
             errors.append((f"{path}", f"m <= k violated (m={self.m}, k={self.k})"))
 
-    def new_state(self) -> MKHistory:
-        return MKHistory(self.k)
+    def new_state(self) -> itertools.count:
+        """The index of the next decision made with a stored version."""
+        return itertools.count()
 
-    def decide(self, history, t, sampled, newest):
+    def decide(self, index, t, sampled, newest):
         if newest is None:
-            # cold start: nothing stored to confirm, update is forced
-            history.append(True)
+            # cold start: nothing stored to confirm, update is forced; it
+            # leaves the window all performs, so it takes no index
             return PERFORM, sampled, None
-        decision = mk_firm_decision(self.m, self.k, history)
+        decision = mk_firm_decision(self.m, self.k, next(index))
         return decision, sampled if decision == PERFORM else newest.value, None
 
 
@@ -315,44 +316,20 @@ def effective_objects(objects: list[ObjectSpec]) -> dict[str, ObjectSpec]:
 # (m,k)-firm skipping
 
 
-class MKHistory:
-    """Sliding window of the last k-1 decisions (True = performed).
+def mk_firm_decision(m: int, k: int, index: int) -> str:
+    """Greedy (m,k) rule for the decision at `index`, counted from the first
+    decision made with a stored version.
 
-    The instances before the run started count as performs. They are
-    counted in `pre_run`, not stored, and `count`, the performs in the
-    window, is kept as decisions enter and leave, so a decision costs O(1)
-    and memory grows only with the decisions actually made."""
-
-    def __init__(self, k: int):
-        self.size = max(k - 1, 0)
-        # deque needs a C ssize_t: no run makes sys.maxsize decisions, so the
-        # capped window never fills either way
-        self.window = deque(maxlen=min(self.size, sys.maxsize))
-        self.pre_run = self.size
-        self.count = self.size
-
-    def append(self, performed: bool) -> None:
-        if not self.size:
-            return
-        if self.pre_run:
-            self.pre_run -= 1
-            self.count -= 1
-        elif len(self.window) == self.size:
-            self.count -= self.window[0]
-        self.window.append(performed)
-        self.count += performed
-
-
-def mk_firm_decision(m: int, k: int, history: MKHistory) -> str:
-    """Greedy (m,k) rule: skip this instance iff the window of the last k-1
+    The greedy rule skips an instance iff the window of the last k-1
     decisions plus this skip still holds at least m performs; otherwise the
-    update is forced. Every k consecutive instances then contain >= m
-    performs. The decision is appended to the history."""
-    if history.count >= m:
-        history.append(False)
-        return SKIP
-    history.append(True)
-    return PERFORM
+    update is forced. The instances before the run count as performs, and a
+    forced cold-start perform appends a perform to a window of performs, so
+    it leaves the window as it was. From k-1 performs the rule skips k-m
+    instances, then performs m, and repeats: any k consecutive decisions of
+    that pattern hold exactly m performs, so the k-1 before a perform hold
+    m-1 and the k-1 before a skip hold m, which is the greedy test. Every k
+    consecutive instances then contain >= m performs."""
+    return SKIP if index % k < k - m else PERFORM
 
 
 # ---------------------------------------------------------------------------

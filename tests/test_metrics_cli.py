@@ -1258,6 +1258,10 @@ def test_cli_sweep_takes_a_too_deeply_nested_value_as_text(tmp_path, capsys):
     ("objects[0].nokey", "path 'objects[0].nokey' does not resolve"),
     ("horizon.vi", "path 'horizon.vi' does not resolve"),
     ("...", "cannot parse path '...'"),
+    # characters outside the path grammar are not skipped
+    ("horizon%$", "cannot parse path 'horizon%$'"),
+    ("objects[0]]]vi", "cannot parse path 'objects[0]]]vi'"),
+    ("objects.0", "cannot parse path 'objects.0'"),
     # a string can be indexed but not set
     ("name[0]", "path 'name[0]' does not resolve"),
 ])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
-from freshsim.policies import OnDemandPolicy, PeriodicPolicy
+from freshsim.policies import MKFirmPolicy, OnDemandPolicy, PeriodicPolicy
 from freshsim.workload import ConstantProcess, SimConfig
 
 from randgen import random_config
@@ -88,3 +88,18 @@ def test_update_events_of_a_tick_run_in_object_id_order(cfg, tick, expected):
     assert [(kind, subject) for t, kind, subject, _ in trace
             if t == tick and kind in ("update_decision", "install")] == expected
     assert engine_outcomes(cfg) == oracle_outcomes(cfg)
+
+
+@pytest.mark.parametrize("cost", [0, 1, 3])
+@pytest.mark.parametrize("m, k", [(3, 7), (5, 12), (1, 1000), (998, 1000)])
+def test_engine_matches_oracle_on_mkfirm_past_the_generators_k(m, k, cost):
+    # the generator draws k <= 5; at a cost of one period (3) the release at
+    # 3 comes before the first install, so two performs are forced
+    cfg = order_config([("o", 3, cost, MKFirmPolicy(m=m, k=k))],
+                       [("t1", ["o"], 5)], horizon=60)
+    engine = engine_outcomes(cfg)
+    assert engine == oracle_outcomes(cfg)
+    decisions = [d for _, d, _ in engine["decisions"]["o"]]
+    forced = 2 if cost == 3 else 1
+    # every (m, k) here skips k - m >= 2 instances after the cold start
+    assert decisions[:forced + 1] == ["perform"] * forced + ["skip"]

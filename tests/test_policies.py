@@ -19,7 +19,6 @@ from freshsim.policies import (
     DEFAULT_MAX_PERIOD,
     ElasticPolicy,
     MKFirmPolicy,
-    MKHistory,
     OnDemandPolicy,
     PERFORM,
     PredictorState,
@@ -338,24 +337,53 @@ def test_extend_vi_never_shrinks():
 
 # -- (m,k) firm ------------------------------------------------------------------
 
+def greedy_window_decisions(m, k, cold_start, count):
+    """The greedy (m,k) rule on an explicit window, as a reference for the
+    closed form: the k-1 instances before the run count as performs, each
+    of the `cold_start` forced performs is appended, and then `count`
+    decisions follow, each skipping iff the last k-1 decisions plus the
+    skip still hold m performs."""
+    made = [True] * cold_start  # True = performed; the pre-run ones are counted
+    decisions = []
+    for _ in range(count):
+        start = max(len(made) - (k - 1), 0)
+        performs = sum(made[start:]) + (k - 1) - (len(made) - start)
+        performed = performs < m
+        made.append(performed)
+        decisions.append(PERFORM if performed else SKIP)
+    return decisions
+
+
+def test_mk_closed_form_matches_the_greedy_window():
+    for k in range(1, 25):
+        for m in range(1, k + 1):
+            for cold_start in range(4):
+                assert ([mk_firm_decision(m, k, i) for i in range(4 * k)]
+                        == greedy_window_decisions(m, k, cold_start, 4 * k)), \
+                    (m, k, cold_start)
+
+
+@pytest.mark.parametrize("m", [1, 10 ** 30 - 2, 10 ** 30])
+def test_mk_closed_form_matches_the_greedy_window_past_ssize_t(m):
+    k = 10 ** 30
+    assert ([mk_firm_decision(m, k, i) for i in range(50)]
+            == greedy_window_decisions(m, k, 0, 50))
+
+
 def test_mk_examples():
-    history = MKHistory(3)
-    history.append(True)
-    history.append(False)
-    assert mk_firm_decision(2, 3, history) == PERFORM  # [P,S]+S would hold 1 < 2
-
-    history = MKHistory(3)
-    history.append(True)
-    history.append(False)
-    assert mk_firm_decision(1, 3, history) == SKIP     # [P,S]+S holds 1 >= 1
-
-    history = MKHistory(1)
-    for _ in range(5):
-        assert mk_firm_decision(1, 1, history) == PERFORM  # no skipping at m=k
+    # from k-1 = 2 pre-run performs: [P,P]+S holds 2 >= 2, so skip; then
+    # [P,S]+S would hold 1 < 2, so perform, and [S,P]+S too
+    assert [mk_firm_decision(2, 3, i) for i in range(6)] == [
+        SKIP, PERFORM, PERFORM, SKIP, PERFORM, PERFORM]
+    # [P,S]+S holds 1 >= 1, so skip; [S,S]+S holds 0 < 1, so perform
+    assert [mk_firm_decision(1, 3, i) for i in range(6)] == [
+        SKIP, SKIP, PERFORM, SKIP, SKIP, PERFORM]
+    for i in range(5):
+        assert mk_firm_decision(1, 1, i) == PERFORM  # no skipping at m=k
 
 
 def test_mk_large_window_costs_only_decisions_made():
-    # the k-1 performs before the run are counted, not stored
+    # the k-1 performs before the run are never stored
     cfg = one_object_config(vi=20, period=10, horizon=100,
                             policy=MKFirmPolicy(m=1, k=10 ** 6))
     tracemalloc.start()
@@ -368,8 +396,8 @@ def test_mk_large_window_costs_only_decisions_made():
 
 
 def test_mk_window_past_ssize_t_runs_like_an_unfilled_one(tmp_path):
-    # a deque's maxlen is a C ssize_t, so the window is capped at sys.maxsize;
-    # until it fills, the greedy rule depends only on k - m
+    # k is past a C ssize_t; until k decisions are made, the greedy rule
+    # depends only on k - m
     def cfg(m, k):
         return one_object_config(vi=20, period=10, horizon=100,
                                  policy=MKFirmPolicy(m=m, k=k))
@@ -396,8 +424,7 @@ def window_property_holds(decisions, m, k):
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 3), (3, 5), (1, 1), (4, 4), (2, 7)])
 def test_mk_window_property_on_greedy_traces(m, k):
-    history = MKHistory(k)
-    decisions = [mk_firm_decision(m, k, history) for _ in range(200)]
+    decisions = [mk_firm_decision(m, k, i) for i in range(200)]
     assert window_property_holds(decisions, m, k)
     # greedy skips as aggressively as the guarantee allows
     if k > m:

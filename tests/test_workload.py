@@ -303,6 +303,31 @@ def test_freshsim_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_freshsim_imports_no_name_it_never_uses():
+    src = Path(freshsim.workload.__file__).resolve().parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # `import a.b` binds `a`
+                imported += [alias.asname or alias.name.partition(".")[0]
+                             for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                # a package's exports use the names it imports
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert unused == []
+
+
 @pytest.mark.parametrize("parts", KEY_PARTS)
 def test_stable_key_is_the_head_of_hashlib_sha256(parts):
     text = "|".join(str(p) for p in parts).encode("utf-8")
