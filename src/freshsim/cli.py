@@ -226,21 +226,29 @@ def _variant_doc(base: dict, mode: str | None, policy: dict | None) -> dict:
 
 def _derive(first: SimConfig, mode: str | None, policy: dict | None) -> SimConfig | None:
     """`first` under `mode`, with `policy` in place of each object's own and
-    all else shared; None when the mode or the policy does not read. The
-    result is checked by the `validate_config` that `Simulator` runs."""
+    all else shared, marked validated; None when the mode or the policy does
+    not read, or the policy breaks a rule of its own. `first` was validated,
+    and the result differs from it only in its mode, or in one policy that
+    every object shares and whose rules hold, so no other rule can fail."""
     changes = {}
     try:
         if mode is not None:
             changes["mode"] = FreshnessMode(mode)
         if policy is not None:
             p = policy_from_dict(policy)
+            errors = []
+            p.validate("", errors)
+            if errors:
+                return None
             changes["objects"] = [
                 ObjectSpec(o.id, o.vi, o.update_period, o.update_cost,
                            o.value_process, o.access_weight, o.max_period, p)
                 for o in first.objects]
     except (ValueError, ConfigError):
         return None
-    return replace(first, **changes)
+    cfg = replace(first, **changes)
+    cfg.validated = True
+    return cfg
 
 
 def cmd_compare(args) -> int:
@@ -258,8 +266,9 @@ def cmd_compare(args) -> int:
             policy = None if token is None else _parse_policy_token(token)
             cfg = None if first is None else _derive(first, mode, policy)
             if cfg is None:
-                # the first variant, or a token that does not read: the
-                # variant's document gives its config or the errors of it
+                # the first variant, or a token that does not read or
+                # breaks its policy's rules: the variant's document gives
+                # its config or the errors of it
                 cfg = config_from_dict(_variant_doc(base, mode, policy))
                 if first is None:
                     first = cfg

@@ -101,6 +101,13 @@ class Version:
     A store numbers the versions of each chain from 1. `seq` 0 marks a
     sample a transaction fetched from the source for itself: it sits in no
     chain and is never pinned.
+
+    A version in a chain is not immutable: a skip extends its `expires`,
+    and the install that supersedes it while nobody pins it rewrites its
+    value, sample time, seq and expiry as the new newest version. Only its
+    chain refers to such a version, since a reader refers to no store
+    version that it does not pin; whoever keeps a store version must pin
+    it.
     """
 
     object_id: str

@@ -47,7 +47,7 @@ from .core import (ConfigError, FreshnessMode, Tick, UserTxnSpec, Version,
                    feasibility_check)
 from .metrics import MetricsAggregator, MetricsReport
 from .policies import PERFORMED, effective_objects
-from .store import VersionStore
+from .store import RECLAIMED, VersionStore
 from .workload import SimConfig, ValueSampler, iter_arrivals, validate_config
 
 # Event kinds, in within-tick processing order. Each event carries what it
@@ -182,8 +182,9 @@ class Simulator:
     not change it, its records or their details, which records may share; a
     list's `extend` collects every record. `walks` is a random-walk table
     that runs may share, so that each reads the walk steps the others
-    computed (see `ValueSampler`). A config is validated here unless
-    `config_from_dict` built it, and so validated it already."""
+    computed (see `ValueSampler`). A config is validated here unless it is
+    marked validated: `config_from_dict` validated it, or `compare` derived
+    it from such a config by a change it checked."""
 
     def __init__(self, config: SimConfig,
                  sink: Callable[[list[tuple]], None] = _discard,
@@ -460,17 +461,16 @@ class Simulator:
             superseded = install_version(object_id, value, sample_time)
             record((t, "install", object_id,
                     {"seq": stream.chain[-1].seq, "sample_time": sample_time}))
-            if superseded is not None:
-                if not superseded.holders:
-                    # the install reclaimed the version it superseded
-                    record((t, "gc", object_id, _RECLAIMED_ONE))
-                elif self._classical:
-                    # a classical install replaced a pinned version: every
-                    # holder restarts (update transactions are never delayed
-                    # by readers), and each restart reclaims what its unpins
-                    # freed; only unfinished instances hold pins
-                    for inst in list(superseded.holders):
-                        self._restart(inst, t, cause="superseded", version=superseded)
+            if superseded is RECLAIMED:
+                # the install rewrote the unpinned version it superseded
+                record((t, "gc", object_id, _RECLAIMED_ONE))
+            elif superseded is not None and self._classical:
+                # a classical install replaced a pinned version: every
+                # holder restarts (update transactions are never delayed
+                # by readers), and each restart reclaims what its unpins
+                # freed; only unfinished instances hold pins
+                for inst in list(superseded.holders):
+                    self._restart(inst, t, cause="superseded", version=superseded)
             stream.refreshing = False
             if stream.waiting:
                 self._wake_waiters(stream)

@@ -9,11 +9,20 @@ thread. Operations return what they did and never call back: the engine
 writes the trace records and restarts the readers. A version's pins are its
 `holders`; the peak chain length is derived from the `install` and `gc`
 records.
+
+Only its chain refers to a superseded version that nobody pins: a reader
+refers to the versions it pins and to source samples (`seq` 0), which are
+never in a chain. So an install may rewrite such a version in place as the
+new newest one (`RECLAIMED`) instead of building another.
 """
 
 from __future__ import annotations
 
 from .core import SimInternalError, Tick, Version, is_fresh
+
+# what `install_version` returns when it rewrote the version it superseded,
+# which nobody pinned, in place as the new one
+RECLAIMED = "reclaimed"
 
 
 class VersionStore:
@@ -25,8 +34,9 @@ class VersionStore:
     place, so it stays the object's chain for the life of the store.
 
     A superseded version is reclaimed once nobody pins it: by the install
-    that supersedes it when it is unpinned by then, else by the `gc` after
-    the `unpin` that frees it.
+    that supersedes it when it is unpinned by then, which rewrites that
+    version in place as the new one, else by the `gc` after the `unpin`
+    that frees it.
     """
 
     def __init__(self, vis: dict[str, Tick]):
@@ -41,16 +51,17 @@ class VersionStore:
     # -- operations --------------------------------------------------------
 
     def install_version(self, object_id: str, value: float,
-                        sample_time: Tick) -> Version | None:
-        """Append a new version sampled at `sample_time`; returns the version
-        it supersedes, or None on the object's first install.
+                        sample_time: Tick) -> Version | str | None:
+        """Make a version sampled at `sample_time` the object's newest.
+        Returns None on the object's first install, `RECLAIMED` when the
+        superseded version was unpinned and has been rewritten in place as
+        the new one, and else the superseded version, which stays in the
+        chain for its holders.
 
-        Sample times must strictly increase per object. A superseded version
-        that nobody pins is reclaimed here, in place of the new version, and
-        leaves the chain unmarked: between events every other superseded
-        version is pinned, so it is the only version an install can make
-        reclaimable. The caller tells the reclaim by the returned version's
-        empty `holders`.
+        Sample times must strictly increase per object. A reclaim leaves the
+        chain unmarked: between events every other superseded version is
+        pinned, so the superseded one is the only version an install can
+        make reclaimable, and only the chain refers to it.
         """
         chain = self.chains[object_id]
         expires = sample_time + self.vis[object_id]
@@ -62,12 +73,15 @@ class VersionStore:
             raise SimInternalError(
                 f"non-monotone install on {object_id!r}: "
                 f"{sample_time} after {prev.sample_time}")
-        version = Version(object_id, value, sample_time, prev.seq + 1, expires, [])
         if prev.holders:
-            chain.append(version)
-        else:
-            chain[-1] = version
-        return prev
+            chain.append(Version(object_id, value, sample_time, prev.seq + 1, expires, []))
+            return prev
+        # its empty holder list stays
+        prev.value = value
+        prev.sample_time = sample_time
+        prev.seq += 1
+        prev.expires = expires
+        return RECLAIMED
 
     def read_latest(self, object_id: str, t: Tick, holder,
                     exclude: int = 0) -> Version | None:

@@ -27,7 +27,9 @@ The config is a JSON document:
     }
 
 All durations are integer ticks; unknown keys are rejected. Validation
-reports every violation with its path, not just the first. The schema
+reports every violation with its path, not just the first, and none that
+follows from another: no rule reports on the stand-in that replaces a value
+that failed its check (`_Reader.stand_in`). The schema
 tables below (TOP, OBJECT, TRANSACTION, and the PROCESSES, POLICIES and
 ARRIVALS kinds) state every key with its type and default, once, for both
 parsing and emission.
@@ -315,9 +317,10 @@ class SimConfig:
     transactions: list[UserTxnSpec]
     name: str = "config"
     rng: str = RNG_ALGORITHM
-    # set by config_from_dict on the config it validated, so that Simulator
-    # does not validate it again; `dataclasses.replace` builds a config
-    # without the mark, since the field is not an __init__ argument
+    # set by config_from_dict on the config it validated, and by `compare`
+    # on a variant it derived from one, so that Simulator does not validate
+    # it again; `dataclasses.replace` builds a config without the mark,
+    # since the field is not an __init__ argument
     validated: bool = field(default=False, init=False, compare=False, repr=False)
 
 
@@ -422,26 +425,28 @@ class _Scalar:
     def read(self, r: _Reader, d: dict, key: str, path: str, default):
         """d[key], checked. A missing key gives `default`, or an error if
         that is REQUIRED. After a type error the default, or else the zero,
-        stands in, so that every violation gets reported. A number past
-        float range is itself returned after its error: it compares exactly,
-        so later checks report only what else is wrong with it."""
+        stands in, so that the parse goes on; no rule reports on it (see
+        `_Reader.stand_in`). A number past float range is itself returned
+        after its error: it compares exactly, so later checks report only
+        what else is wrong with it."""
         if key in d:
             value = d[key]
             if value.__class__ not in self.exact and not self.check(value):
-                r.fail(_at(path, key), self.message)
+                r.stand_in(_at(path, key), self.message)
                 return self.zero if default is None or default is REQUIRED else default
             if value.__class__ is int and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 _check_magnitude(r, value, path, key)
             return value
         if default is REQUIRED:
-            r.fail(_at(path, key), "missing")
+            r.stand_in(_at(path, key), "missing")
             return self.zero
         return default
 
 
 class _Durations(_Scalar):
     """Ticks per object id, or one int for every object read (expanded once
-    the read set is known)."""
+    the read set is known). An entry that is not an integer has the stand-in
+    0."""
 
     def read(self, r, d, key, path, default):
         value = d.get(key)
@@ -453,7 +458,8 @@ class _Durations(_Scalar):
                 _check_magnitude(r, ticks, path, key, oid)
                 out[oid] = ticks
             else:
-                r.fail(f"{_at(path, key)}[{oid}]", "must be an integer")
+                r.stand_in(f"{_at(path, key)}[{oid}]", "must be an integer")
+                out[oid] = 0
         return out
 
 
@@ -556,14 +562,16 @@ class _Kinds:
                 return record.read(r, doc, path, key)
         path = _at(path, key)
         if doc is REQUIRED:
-            r.fail(path, "missing")
+            r.stand_in(path, "missing")
             return self.zero()
         if not isinstance(doc, dict):
-            r.fail(path, "must be an object")
+            r.stand_in(path, "must be an object")
             return self.zero()
         kind = STR.read(r, doc, "kind", path, REQUIRED)
         if kind not in self.table:
-            r.fail(f"{path}.kind", f"unknown {self.noun} kind {kind!r}")
+            if isinstance(doc.get("kind"), str):
+                # else the kind's read reported it missing or not a string
+                r.stand_in(f"{path}.kind", f"unknown {self.noun} kind {kind!r}")
             return self.zero()
         record = self.table[kind]
         r.check_keys(doc, record.keys, path)
@@ -645,9 +653,20 @@ class _Reader:
 
     def __init__(self):
         self.errors: list[tuple[str, str]] = []
+        # the paths of the values that failed their check and got a
+        # stand-in, which the rules of `validate_config` must not report on
+        self.failed: set[str] = set()
 
     def fail(self, path, msg):
         self.errors.append((path, msg))
+
+    def stand_in(self, path, msg):
+        """Report `msg` at `path`, whose value the read replaces with a
+        stand-in: any error that a rule finds in that value, in a value
+        below it, or in a comparison with it, follows from this one and is
+        not reported (`_follows_on`)."""
+        self.errors.append((path, msg))
+        self.failed.add(path)
 
     def check_keys(self, d, allowed, path):
         if d.keys() <= allowed:
@@ -702,17 +721,51 @@ def config_from_dict(doc: dict) -> SimConfig:
     top = TOP.read(r, doc, "")
     top["seed"] &= _MASK64
     cfg = SimConfig(mode=mode, objects=objects, transactions=transactions, **top)
-    errors = r.errors + validate_config(cfg)
+    errors = validate_config(cfg)
+    if r.failed:
+        errors = [e for e in errors if not _follows_on(r.failed, *e)]
+    errors = r.errors + errors
     if errors:
         raise ConfigError(errors)
     cfg.validated = True
     return cfg
 
 
+def _follows_on(failed: set[str], path: str, message: str) -> bool:
+    """Whether the rule of `validate_config` that reported `message` at
+    `path` read a stand-in, a value at one of the `failed` paths: the value
+    at `path`, one above it, or one that the rule compares with it. Its
+    error would then follow from the first, and may be false."""
+    if any(path == f or path.startswith((f + ".", f + "[")) for f in failed):
+        return True
+    # the record the path is in, such as `objects[0]`, or "" at the top
+    record = path[:path.find("]") + 1]
+    if message in ("update cost must be <= update period",
+                   "max_period must be >= period"):
+        reads = (record + ".period",)
+    elif message.startswith("retrieval time must be"):
+        reads = (record + ".retrieval_mode",)
+    elif message == "object is not in the read set":
+        reads = (record + ".read_set",)
+    elif message.startswith("m <= k violated"):
+        reads = (path + ".m", path + ".k")
+    elif message.startswith("elastic objects"):
+        # compares the target of every elastic object
+        return any(f.startswith("objects[") and f.endswith(".policy.target_utilization")
+                   for f in failed)
+    elif message.startswith("duplicate") and path.endswith("].id"):
+        # compares the id of every record of the list
+        head = path[:path.index("[") + 1]
+        return any(f.startswith(head) and f.endswith("].id") for f in failed)
+    else:
+        return False
+    return not failed.isdisjoint(reads)
+
+
 def policy_from_dict(doc: dict) -> PolicyConfig:
     """Read one policy document through the POLICIES table. A ConfigError
     lists what the read reported, at paths under `policy`. The policy's own
-    rules (its `validate`) are left to `validate_config`."""
+    rules (its `validate`) are left to the caller."""
     r = _Reader()
     policy = POLICIES.read(r, {"policy": doc}, "policy", "", REQUIRED)
     if r.errors:

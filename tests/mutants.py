@@ -1,0 +1,190 @@
+"""The mutant corpus: faults in `src/freshsim` that the tests must catch.
+
+Each mutant is a record: a name, a file under `src/freshsim`, an exact
+snippet that occurs once in that file, the replacement that makes the
+fault, the change the mutant comes from (by its commit where it has one),
+and the test node ids that must fail with it.
+
+Usage, from the root of the checkout:
+
+    python tests/mutants.py [NAME ...]
+
+It copies the checkout's `src`, `tests`, `perfbench`, `pyproject.toml` and
+`README.md` to a temporary directory, applies one mutant at a time there,
+and runs only that mutant's nodes, with pytest's `pythonpath` pointing at
+the copy. Each mutant is reported as
+
+* caught: every one of its nodes failed;
+* survived: some node passed (named in the report);
+* stale: its snippet does not occur exactly once, so the code it broke has
+  moved and the record must follow it.
+
+First it runs every chosen node on the unmutated copy: a node that fails
+there proves nothing, and stops the run. The exit status is 1 then, and if
+any mutant survived or is stale. pytest does not
+collect this file (it has no `test_` prefix); `test_mutants.py` checks the
+snippets without running anything.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "freshsim"
+# what a run of the tests reads from the checkout
+COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/freshsim
+    old: str
+    new: str
+    source: str
+    nodes: tuple[str, ...]
+
+
+_IN_PLACE = "reclaim in place: an install rewrites the unpinned version it supersedes"
+_STREAMS = ("2db7948 Keep each object's update state on its stream: wait lists on "
+            "UpdateStream, cohorts and refreshes as one kind of release run")
+_MK_INDEX = "e47020f Decide (m,k)-firm skips from the instance's index and delete MKHistory"
+
+_ORACLE_SEEDS = "tests/test_invariants.py::test_invariants_hold_on_the_oracle_seeds"
+_RUNS = "tests/test_invariants.py::test_cohort_queue_invariants_hold_at_both_horizons[1000]"
+
+MUTANTS = (
+    Mutant("rewrite-a-pinned-version", "store.py",
+           "        if prev.holders:\n            chain.append(",
+           "        if False:\n            chain.append(",
+           _IN_PLACE,
+           (_ORACLE_SEEDS,
+            "tests/test_store.py::test_install_returns_what_it_supersedes_and_"
+            "reclaims_it_iff_unpinned[pinned]")),
+    Mutant("drop-the-in-place-gc-record", "engine.py",
+           '                record((t, "gc", object_id, _RECLAIMED_ONE))',
+           "                pass",
+           _IN_PLACE,
+           ("tests/test_engine.py::test_the_engine_sweeps_the_store_only_when_a_"
+            "chain_is_dirty[policy_fleet]",
+            "tests/test_invariants.py::test_invariants_hold_on_the_benchmark_configs"
+            "[policy_fleet]")),
+    Mutant("derive-skips-the-policy-validate", "cli.py",
+           '            p.validate("", errors)',
+           "            pass",
+           _IN_PLACE,
+           ("tests/test_metrics_cli.py::test_cli_compare_validates_each_variant_once",
+            "tests/test_metrics_cli.py::test_cli_compare_reports_a_bad_later_variant_as_"
+            "its_config_would[args2-errors2]")),
+    Mutant("one-run-per-periodic-stream", "engine.py",
+           "by_period.setdefault(stream.period, [])",
+           "by_period.setdefault(oid, [])",
+           _STREAMS,
+           (_RUNS,)),
+    Mutant("refresh-queued-unmarked", "engine.py",
+           "            stream.refreshing = True\n",
+           "",
+           _STREAMS,
+           (_RUNS,)),
+    Mutant("periodic-run-requeued-two-periods-on", "engine.py",
+           "(following := t + first.period)",
+           "(following := t + 2 * first.period)",
+           _STREAMS,
+           (_RUNS,)),
+    Mutant("first-runs-sorted-in-reverse", "engine.py",
+           "sorted(streams, key=_release_object)",
+           "sorted(streams, key=_release_object, reverse=True)",
+           _STREAMS,
+           (_RUNS,)),
+    Mutant("leave-waiting-keeps-the-instance", "engine.py",
+           "        if inst in queue:\n            queue.remove(inst)",
+           "        if inst in queue:\n            pass",
+           _STREAMS,
+           (_ORACLE_SEEDS,)),
+    Mutant("cold-start-perform-takes-an-index", "policies.py",
+           "            # leaves the window all performs, so it takes no index\n"
+           "            return PERFORM, sampled, None",
+           "            # leaves the window all performs, so it takes no index\n"
+           "            next(index)\n"
+           "            return PERFORM, sampled, None",
+           _MK_INDEX,
+           ("tests/test_oracle_equivalence.py::test_engine_matches_oracle_on_mkfirm_"
+            "past_the_generators_k[3-7-3]",)),
+)
+
+
+def occurrences(mutant: Mutant, src: Path = SRC) -> int:
+    """How often the mutant's snippet occurs in its file."""
+    return (src / mutant.file).read_text(encoding="utf-8").count(mutant.old)
+
+
+def _failed_nodes(output: str) -> set[str]:
+    """The node ids of the `FAILED` lines of a `pytest -rf` report."""
+    return {line.split()[1] for line in output.splitlines()
+            if line.startswith("FAILED ")}
+
+
+def _run_nodes(work: Path, nodes) -> set[str]:
+    """Run `nodes` in the copy at `work`; the nodes that failed."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *nodes],
+        cwd=work, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    return _failed_nodes(result.stdout)
+
+
+def run(mutant: Mutant, work: Path) -> tuple[str, list[str]]:
+    """Apply `mutant` in the copy at `work`, run its nodes, restore the
+    file; the verdict and the nodes that passed."""
+    if occurrences(mutant, work / "src" / "freshsim") != 1:
+        return "stale", []
+    path = work / "src" / "freshsim" / mutant.file
+    original = path.read_text(encoding="utf-8")
+    path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        failed = _run_nodes(work, mutant.nodes)
+    finally:
+        path.write_text(original, encoding="utf-8")
+    survivors = [node for node in mutant.nodes if node not in failed]
+    return ("survived" if survivors else "caught"), survivors
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 1
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, work / name, ignore=ignore)
+            else:
+                shutil.copy2(source, work / name)
+        nodes = sorted({node for mutant in chosen for node in mutant.nodes})
+        failing = _run_nodes(work, nodes)
+        if failing or not nodes:
+            print(f"failing without a mutant: {', '.join(sorted(failing)) or 'no nodes'}")
+            return 1
+        for mutant in chosen:
+            verdict, survivors = run(mutant, work)
+            bad += verdict != "caught"
+            print(f"{verdict:8} {mutant.name}"
+                  + (f" (passed: {', '.join(survivors)})" if survivors else ""))
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants caught")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -5,7 +5,9 @@ superseded version's holders all restart without a `terminal()` test, a wait
 list is woken without a state test, `VersionStore.unpin` trusts that a
 pinned version is still in its chain, and an install reclaims in place the
 one version it can make reclaimable, since the engine sweeps the store right
-after every unpin (`_release_pins`). The same runs check the report's
+after every unpin (`_release_pins`). That reclaim rewrites the version as the
+new one, so every version an unfinished instance holds must keep the seq,
+value and sample time it had when the instance read it. The same runs check the report's
 `peak_live_versions`, which the aggregator derives from the `install` and
 `gc` records, against the chain lengths in the store."""
 
@@ -52,6 +54,9 @@ class CheckedSimulator(Simulator):
         watch_updates(self)
         self.last = last  # the run stops after the check at this tick
         self.unfinished = {}  # instance id -> instance, pruned at each check
+        # (instance id, object id) -> the version read and its (seq, value,
+        # sample_time) then, for the instance's latest access of the object
+        self.accessed = {}
         self.checks = 0
         # object id -> its longest chain right after an install
         self.peaks = {}
@@ -72,6 +77,11 @@ class CheckedSimulator(Simulator):
         # every instance becomes ready at its release
         self.unfinished[inst.inst_id] = inst
         super()._make_ready(inst)
+
+    def _acquire(self, inst, t, version, via):
+        self.accessed[inst.inst_id, version.object_id] = (
+            version, (version.seq, version.value, version.sample_time))
+        super()._acquire(inst, t, version, via)
 
     def _schedule_workload(self):
         super()._schedule_workload()
@@ -114,6 +124,13 @@ class CheckedSimulator(Simulator):
                 f"live versions of {object_id} counted from the records {where}")
         for inst in self.unfinished.values():
             for object_id, version in inst.accesses.items():
+                # no one rewrites a version while it is held; a skip may
+                # still extend its expiry
+                read, fields = self.accessed[inst.inst_id, object_id]
+                assert read is version and (
+                    version.seq, version.value, version.sample_time) == fields, (
+                    f"{inst.inst_id} holds {object_id}#{version.seq}, which was "
+                    f"#{fields[0]} when it was read {where}")
                 if version.seq:
                     assert inst in version.holders, (
                         f"{inst.inst_id} not a holder of {object_id} {where}")

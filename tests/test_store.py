@@ -3,7 +3,7 @@ import random
 import pytest
 
 from freshsim.core import FreshnessMode, SimInternalError, Version
-from freshsim.store import VersionStore
+from freshsim.store import RECLAIMED, VersionStore
 
 from support import one_object_config, run_outcomes, run_records
 
@@ -47,15 +47,22 @@ def test_install_returns_what_it_supersedes_and_reclaims_it_iff_unpinned(pinned)
     install(store, "o1", 1.0, 0)
     chain = store.chains["o1"]
     first = chain[0]
+    holders = first.holders
     if pinned:
         assert store.read_latest("o1", 1, "r") is first
     superseded = store.install_version("o1", 2.0, 10)
-    assert superseded is first
-    assert superseded.holders == (["r"] if pinned else [])
-    # reclaimed in place, or kept for its holder; either way the chain
-    # stays the object's list and nothing is left for gc
+    # kept for its holder, or reclaimed by rewriting it in place as the new
+    # version; either way the chain stays the object's list and nothing is
+    # left for gc
     assert store.chains["o1"] is chain
-    assert [v.seq for v in chain] == ([1, 2] if pinned else [2])
+    if pinned:
+        assert superseded is first
+        assert (first.seq, first.value, first.sample_time, first.holders) == (1, 1.0, 0, ["r"])
+        assert [v.seq for v in chain] == [1, 2]
+    else:
+        assert superseded is RECLAIMED
+        assert chain == [first] and first.holders is holders == []
+        assert (first.seq, first.value, first.sample_time) == (2, 2.0, 10)
     assert chain[-1].expires == 15
     assert not store.dirty
 
@@ -184,8 +191,9 @@ def test_gc_never_reclaims_pinned_random_walkthrough():
 
 
 class FullSweepStore(VersionStore):
-    """Reference store: an install only appends and returns the version it
-    supersedes, and `gc` sweeps every chain in declaration order."""
+    """Reference store: an install only appends a new version and returns
+    the one it supersedes, pinned or not, and `gc` sweeps every chain in
+    declaration order."""
 
     def install_version(self, object_id, value, sample_time):
         chain = self.chains[object_id]
@@ -225,8 +233,10 @@ def _checked_gc(store):
 def _assert_twins_agree(stores):
     dirty, full = stores
     for oid in full.chains:
-        assert ([(v.seq, v.holders) for v in dirty.chains[oid]]
-                == [(v.seq, v.holders) for v in full.chains[oid]])
+        assert ([(v.seq, v.value, v.sample_time, v.expires, v.holders)
+                 for v in dirty.chains[oid]]
+                == [(v.seq, v.value, v.sample_time, v.expires, v.holders)
+                    for v in full.chains[oid]])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -245,15 +255,24 @@ def test_dirty_chain_gc_matches_full_sweep(seed):
             # the engine sweeps after every unpin, so an install finds every
             # superseded version pinned
             assert _checked_gc(stores[0]) == stores[1].gc()
-            length = len(stores[0].chains[oid])
-            superseded = [store.install_version(oid, float(i), now) for store in stores]
-            assert len({v.seq if v else None for v in superseded}) == 1
-            assert len({(v.expires, len(v.holders)) if v else None
-                        for v in superseded}) == 1
+            chain = stores[0].chains[oid]
+            newest = chain[-1] if chain else None
+            superseded, reference = [store.install_version(oid, float(i), now)
+                                     for store in stores]
             assert not stores[0].dirty
-            # what the install reclaimed in place, the reference sweeps
-            inline = length + 1 - len(stores[0].chains[oid])
-            assert stores[1].gc() == ([(oid, inline)] if inline else [])
+            if reference is None or reference.holders:
+                # the first install, or a pinned predecessor kept
+                assert (superseded is reference is None
+                        or (superseded is newest and superseded.seq == reference.seq
+                            and superseded.expires == reference.expires
+                            and superseded.holders == reference.holders))
+                assert stores[1].gc() == []
+            else:
+                # the unpinned predecessor is rewritten as the new version,
+                # and the reference sweeps it
+                assert superseded is RECLAIMED and chain[-1] is newest
+                assert stores[1].gc() == [(oid, 1)]
+            assert chain[-1].sample_time == now
         elif action < 0.65:
             seqs = [v.seq if v else None for v in
                     (store.read_latest(oid, now, f"r{i}") for store in stores)]

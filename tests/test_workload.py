@@ -628,17 +628,28 @@ def test_a_non_finite_or_huge_number_gives_one_error(keys, value, message):
                               "float", "null", "true"])
 @pytest.mark.parametrize("records, key", [("objects", "process"), ("objects", "policy"),
                                          ("transactions", "arrival")])
-def test_a_kind_that_is_not_a_string_gives_the_two_kind_errors(records, key, kind):
+def test_a_kind_that_is_not_a_string_gives_one_kind_error(records, key, kind):
     # a kind that is no table key, unhashable ones included, takes the path
-    # that reports errors
+    # that reports errors; the stand-in "" names no kind, but that follows
+    # from the type error and is not reported
     d = doc()
     node = d[records][0]
     node[key] = {**node[key], "kind": kind}
     with pytest.raises(ConfigError) as err:
         config_from_dict(d)
     path = f"{records}[0].{key}"
-    assert err.value.errors == [(f"{path}.kind", "must be a string"),
-                                (f"{path}.kind", f"unknown {key} kind ''")]
+    assert err.value.errors == [(f"{path}.kind", "must be a string")]
+
+
+@pytest.mark.parametrize("records, key", [("objects", "process"), ("objects", "policy"),
+                                         ("transactions", "arrival")])
+def test_a_string_that_names_no_kind_gives_one_kind_error(records, key):
+    d = doc()
+    node = d[records][0]
+    node[key] = {**node[key], "kind": "bogus"}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert err.value.errors == [(f"{records}[0].{key}.kind", f"unknown {key} kind 'bogus'")]
 
 
 def test_syntax_error_reports_location():
@@ -743,6 +754,78 @@ def test_elastic_targets_must_agree():
     d["objects"].append(second)
     d["transactions"][0]["read_set"] = ["o1"]
     assert "objects" in errors_of(d)
+
+
+# -- follow-on errors ----------------------------------------------------------------
+
+def _set(path, value):
+    """A mutation of `doc()` that sets the entry at `path`, a tuple of keys."""
+    def mutate(d):
+        *parents, last = path
+        node = d
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return mutate
+
+
+def _second_object(**fields):
+    """A mutation that declares a second object like the first."""
+    def mutate(d):
+        d["objects"].append({**d["objects"][0], "id": "o2", **fields})
+    return mutate
+
+
+@pytest.mark.parametrize("mutations, errors", [
+    # the zero that stands in for a value that failed its type check meets
+    # no rule: not the value's own range rule
+    ([_set(("horizon",), "x")], [("horizon", "must be an integer")]),
+    ([lambda d: d.pop("horizon")], [("horizon", "missing")]),
+    # nor one that compares another field with it
+    ([_set(("objects", 0, "period"), "x")],
+     [("objects[0].period", "must be an integer")]),
+    # nor one that reads it, such as the read set's for the duration maps
+    ([_set(("transactions", 0, "read_set"), 5)],
+     [("transactions[0].read_set", "must be a list of object ids")]),
+    ([_set(("transactions", 0, "retrieval", "o1"), "x")],
+     [("transactions[0].retrieval[o1]", "must be an integer")]),
+    ([_set(("transactions", 0, "retrieval_mode"), 5),
+      _set(("transactions", 0, "retrieval", "o1"), 0)],
+     [("transactions[0].retrieval_mode", "must be a string")]),
+    ([_set(("objects", 0, "policy"), {"kind": "mkfirm", "m": "x", "k": 3})],
+     [("objects[0].policy.m", "must be an integer")]),
+    ([_set(("objects", 0, "policy"), {"kind": "elastic", "target_utilization": "x"}),
+      _second_object(policy={"kind": "elastic", "target_utilization": 0.5})],
+     [("objects[0].policy.target_utilization", "must be a number")]),
+    ([_set(("objects", 0, "id"), 5), _second_object(id="")],
+     [("objects[0].id", "must be a string"),
+      ("transactions[0].read_set[0]", "unknown object id 'o1'")]),
+    # a rule that reads no stand-in still reports
+    ([_set(("objects", 0, "period"), "x"), _set(("objects", 0, "cost"), -1)],
+     [("objects[0].period", "must be an integer"),
+      ("objects[0].cost", "update cost must be >= 0")]),
+    ([_set(("transactions", 0, "retrieval"), {"o1": "x", "o2": 1})],
+     [("transactions[0].retrieval[o1]", "must be an integer"),
+      ("transactions[0].retrieval[o2]", "object is not in the read set")]),
+    ([_set(("objects", 0, "id"), 5)],
+     [("objects[0].id", "must be a string"),
+      ("transactions[0].read_set[0]", "unknown object id 'o1'")]),
+    # a number past float range is kept, not replaced, so its rules run
+    ([_set(("objects", 0, "vi"), -10 ** 400)],
+     [("objects[0].vi", "magnitude exceeds the largest float (1.798e+308)"),
+      ("objects[0].vi", "validity interval must be > 0")]),
+], ids=["horizon-type", "horizon-missing", "period-type", "read-set-type",
+        "duration-entry-type", "retrieval-mode-type", "mkfirm-m-type",
+        "elastic-target-type", "object-id-type", "period-type-cost-range",
+        "duration-entry-type-not-in-read-set", "object-id-unknown-in-read-set",
+        "huge-negative-vi"])
+def test_a_value_that_fails_its_check_gets_no_follow_on_errors(mutations, errors):
+    d = doc()
+    for mutate in mutations:
+        mutate(d)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert err.value.errors == errors
 
 
 # -- round trip ----------------------------------------------------------------------
