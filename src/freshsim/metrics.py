@@ -11,6 +11,9 @@ fingerprint: identical configs and seeds must produce identical hashes.
 from __future__ import annotations
 
 import json
+import re
+import sys
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -283,30 +286,89 @@ else:
         return "\n".join(_encode_records(records))
 
 
-def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
+# A text run's table: the state that FNV-1a ends at over the run from each
+# of the 256 start states 0-255. It is filled with the 256 start states as
+# the 128-bit lanes of one integer, lane i holding start i: XOR with b * _ONES
+# reaches every lane, a lane times the prime stays under 2**105, and the
+# lane mask keeps each lane's low 64 bits, so no lane carries into the next.
+_LANES = 256
+_ONES = sum(1 << (128 * i) for i in range(_LANES))
+_LANE_MASK = _MASK64 * _ONES
+_LANE_STARTS = sum(i << (128 * i) for i in range(_LANES))
+# the low 64-bit word of each lane, lane 0 first, in the integer's native bytes
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+# a text run is hashed through its table from its _TABLE_AT-th sighting in
+# one trace on, and byte by byte before: a fill costs about as much as
+# hashing a trace text run byte by byte 30 times
+_TABLE_AT = 32
+# digit runs of at most 16 bytes, and the text runs between them; a longer
+# digit run splits into several, with empty text runs between
+_split_runs = re.compile(rb"(\d{1,16})").split
+
+
+def _run_table(run: bytes) -> tuple[array, int]:
+    """(ends, multiplier) of the text run `run`: ends[c] is the FNV-1a state
+    after `run` from the state c, for each c < 256, and the multiplier is
+    the prime to the power len(run), modulo 2**64."""
+    p = _FNV_PRIME
+    ones = _ONES
+    mask = _LANE_MASK
+    lanes = _LANE_STARTS
+    for b in run:
+        lanes = (lanes ^ b * ones) * p & mask
+    words = memoryview(lanes.to_bytes(16 * _LANES, sys.byteorder)).cast("Q")
+    return array("Q", words[_LOW_WORDS]), pow(p, len(run), 1 << 64)
+
+
+def fnv1a64(data: bytes, h: int = _FNV_OFFSET, tables: dict | None = None) -> int:
     """64-bit FNV-1a of `data`, continuing from the state `h`, so blocks
     chain: fnv1a64(a + b) == fnv1a64(b, fnv1a64(a)).
 
-    The loop takes 8 bytes per pass and masks once per pass. That gives the
-    bytewise result, because the low 64 bits of XOR and multiply depend only
-    on the low 64 bits of their operands."""
+    `data` is split into digit runs and the text runs between them. A text
+    run that recurs is hashed through its table of 256 endings (see
+    _run_table). XOR with a byte changes only the state's low byte, and a
+    multiple of 256 stays one when multiplied, so over a run s the state h
+    ends at ends[h & 255] + p**len(s) * (h - (h & 255)), modulo 2**64.
+    `tables` maps each text run seen so far to its sightings, then, from
+    its _TABLE_AT-th, to its table; pass one dict to every block of a trace
+    so that the tables carry over. Digit runs, and text runs seen fewer
+    times, are hashed byte by byte. The state is masked to 64 bits once
+    after a digit run, not after each of its bytes: the low 64 bits of XOR
+    and multiply depend only on the low 64 bits of their operands, and a run
+    of at most 16 digits keeps the state under 64 + 16 * 41 bits."""
+    if tables is None:
+        tables = {}
     p = _FNV_PRIME
     m = _MASK64
-    it = iter(data)
-    for b0, b1, b2, b3, b4, b5, b6, b7 in zip(it, it, it, it, it, it, it, it):
-        h = ((((((((h ^ b0) * p ^ b1) * p ^ b2) * p ^ b3) * p ^ b4) * p ^ b5)
-               * p ^ b6) * p ^ b7) * p & m
-    for byte in data[len(data) & ~7:]:
-        h = (h ^ byte) * p & m
+    get = tables.get
+    runs = _split_runs(data)
+    runs.insert(0, b"")  # from here on, each digit run is followed by a text run
+    it = iter(runs)
+    for digits, text in zip(it, it):
+        for b in digits:
+            h = (h ^ b) * p
+        entry = get(text, 0)
+        if entry.__class__ is int:
+            if entry < _TABLE_AT - 1:
+                tables[text] = entry + 1
+                h &= m
+                for b in text:
+                    h = (h ^ b) * p & m
+                continue
+            entry = tables[text] = _run_table(text)
+        ends, multiplier = entry
+        h = (ends[h & 255] + multiplier * (h & -256)) & m
     return h
 
 
 def trace_hash(trace: TraceLines) -> str:
     """64-bit FNV-1a over the trace bytes that the sink `trace` kept, as
-    fixed-width hex."""
+    fixed-width hex. The blocks share one dict of text-run tables, which
+    lives for this call only."""
     h = _FNV_OFFSET
+    tables: dict = {}
     for block in trace.blocks:
-        h = fnv1a64(block, h)
+        h = fnv1a64(block, h, tables)
     return format(h, "016x")
 
 

@@ -302,7 +302,14 @@ def effective_objects(objects: list[ObjectSpec]) -> dict[str, ObjectSpec]:
     elasticity = {o.id: default_elasticity(o) if o.policy.elasticity is None
                   else as_fraction(o.policy.elasticity) for o in elastic}
     # elastic objects share one target (validate_config)
-    periods = elastic_rescale(objects, elastic[0].policy.target_utilization, elasticity)
+    try:
+        periods = elastic_rescale(objects, elastic[0].policy.target_utilization, elasticity)
+    except PolicyInfeasibleError as e:
+        # the target is the first elastic object's, so the error is anchored there
+        first = next(i for i, o in enumerate(objects) if o is elastic[0])
+        raise PolicyInfeasibleError(
+            [(f"objects[{first}].policy.target_utilization", message)
+             for _, message in e.errors]) from None
     for obj in elastic:
         period = periods[obj.id]
         if period > obj.update_period:

@@ -56,9 +56,14 @@ _IN_PLACE = "reclaim in place: an install rewrites the unpinned version it super
 _STREAMS = ("2db7948 Keep each object's update state on its stream: wait lists on "
             "UpdateStream, cohorts and refreshes as one kind of release run")
 _MK_INDEX = "e47020f Decide (m,k)-firm skips from the instance's index and delete MKHistory"
+_RUN_TABLES = ("hash the trace a text run at a time: each recurring text run through "
+               "its table of 256 endings")
 
 _ORACLE_SEEDS = "tests/test_invariants.py::test_invariants_hold_on_the_oracle_seeds"
 _RUNS = "tests/test_invariants.py::test_cohort_queue_invariants_hold_at_both_horizons[1000]"
+_BYTEWISE_PROPERTY = ("tests/test_metrics_cli.py::test_fnv1a64_is_bytewise_fnv1a_with_and_"
+                      "without_shared_tables")
+_DEFAULT_SEED_HASH = "tests/test_perfbench_hooks.py::test_restart_cycle_default_seed_trace_hash"
 
 MUTANTS = (
     Mutant("rewrite-a-pinned-version", "store.py",
@@ -117,6 +122,23 @@ MUTANTS = (
            _MK_INDEX,
            ("tests/test_oracle_equivalence.py::test_engine_matches_oracle_on_mkfirm_"
             "past_the_generators_k[3-7-3]",)),
+    Mutant("table-read-at-seven-low-bits", "metrics.py",
+           "h = (ends[h & 255] + multiplier * (h & -256)) & m",
+           "h = (ends[h & 127] + multiplier * (h & -256)) & m",
+           _RUN_TABLES,
+           (_BYTEWISE_PROPERTY, _DEFAULT_SEED_HASH)),
+    Mutant("run-multiplier-one-power-short", "metrics.py",
+           "pow(p, len(run), 1 << 64)",
+           "pow(p, len(run) - 1, 1 << 64)",
+           _RUN_TABLES,
+           ("tests/test_metrics_cli.py::test_run_table_ends_where_bytewise_fnv1a_ends"
+            "[restart-record]",
+            _BYTEWISE_PROPERTY)),
+    Mutant("table-building-sighting-unhashed", "metrics.py",
+           "            entry = tables[text] = _run_table(text)\n",
+           "            tables[text] = _run_table(text)\n            continue\n",
+           _RUN_TABLES,
+           (_BYTEWISE_PROPERTY, _DEFAULT_SEED_HASH)),
 )
 
 

@@ -12,6 +12,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import freshsim.cli
 import freshsim.engine
@@ -26,7 +28,9 @@ from freshsim.metrics import (
     CSV_HEADER,
     MetricsAggregator,
     TraceLines,
+    _TABLE_AT,
     _encode_records,
+    _run_table,
     emit_csv_rows,
     fnv1a64,
     trace_hash,
@@ -276,21 +280,106 @@ def test_single_commit_zero_miss_ratio_column():
     assert row[CSV_HEADER.split(",").index("miss_ratio")] == "0.0"
 
 
+def fnv1a64_bytewise(data: bytes, h: int = 0xCBF29CE484222325) -> int:
+    """FNV-1a by its definition: XOR in a byte, then multiply by the prime."""
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % 2 ** 64
+    return h
+
+
 def test_fnv1a64_reference_values():
-    # standard FNV-1a test vectors
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+    # standard FNV-1a test vectors, for the hash and for its reference
+    for fnv in (fnv1a64, fnv1a64_bytewise):
+        assert fnv(b"") == 0xCBF29CE484222325
+        assert fnv(b"a") == 0xAF63DC4C8601EC8C
+        assert fnv(b"foobar") == 0x85944171F73967E8
 
 
 @pytest.mark.parametrize("length", range(21))
 def test_fnv1a64_chains_across_every_split(length):
-    # lengths 0-20 cross the 8-byte unrolled pass and its remainder loop
+    # the second part starts from every state that the first part reaches,
+    # and each split point cuts a digit run or a text run of the data
     data = bytes((37 * i + 11) % 256 for i in range(length))
     whole = fnv1a64(data)
     for split in range(length + 1):
         a, b = data[:split], data[split:]
         assert fnv1a64(b, fnv1a64(a)) == whole
+
+
+# the 40-byte text run of a restart record between its time and the next
+# record's, with a letter-only object id
+_RESTART_TEXT_RUN = b'",{"cause":"vi_expiry","object":"oa"}]\n['
+
+
+@pytest.mark.parametrize("run", [b"", b"[", _RESTART_TEXT_RUN],
+                         ids=["empty", "one-byte", "restart-record"])
+def test_run_table_ends_where_bytewise_fnv1a_ends(run):
+    ends, multiplier = _run_table(run)
+    assert len(ends) == 256
+    assert list(ends) == [fnv1a64_bytewise(run, start) for start in range(256)]
+    assert multiplier == 0x100000001B3 ** len(run) % 2 ** 64
+    # the identity the hash uses, from states beyond the table's starts
+    for h in (256, 0xCBF29CE484222325, 2 ** 64 - 1, 0x0123456789ABCDEF):
+        assert (ends[h & 255] + multiplier * (h - (h & 255))) % 2 ** 64 == \
+            fnv1a64_bytewise(run, h)
+
+
+# text runs without digits, so each stays one run between its digit runs
+_TEXT_RUNS = (b",", b"#", b'"]\n[', b"x" * 17, _RESTART_TEXT_RUN)
+# digit runs up to 21 digits, longer than the 16 that one split run holds
+_DIGIT_RUNS = st.integers(0, 10 ** 21).map(lambda n: str(n).encode())
+
+
+@st.composite
+def _recurring_runs(draw):
+    """(data, sightings): the data, from text runs each seen just below, at
+    or just above _TABLE_AT times, in a drawn order, each followed by a
+    digit run; and each text run's number of sightings."""
+    sightings = {run: _TABLE_AT + draw(st.integers(-1, 1)) for run in _TEXT_RUNS}
+    runs = draw(st.permutations([run for run, n in sightings.items() for _ in range(n)]))
+    digits = draw(st.lists(_DIGIT_RUNS, min_size=len(runs), max_size=len(runs)))
+    return b"".join(t + d for t, d in zip(runs, digits)), sightings
+
+
+# no shrink phase: each example holds about 160 runs, and shrinking a
+# failing one would take minutes
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(drawn=_recurring_runs(), start=st.integers(0, 2 ** 64 - 1), data=st.data())
+def test_fnv1a64_is_bytewise_fnv1a_with_and_without_shared_tables(drawn, start, data):
+    whole, sightings = drawn
+    expected = fnv1a64_bytewise(whole, start)
+    tables = {}
+    assert fnv1a64(whole, start, tables) == expected
+    # a table from the _TABLE_AT-th sighting on, a count before
+    for run, n in sightings.items():
+        assert isinstance(tables[run], tuple) == (n >= _TABLE_AT), (run, n)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(whole)), max_size=6)))
+    blocks = [whole[i:j] for i, j in zip([0] + cuts, cuts + [len(whole)])]
+    shared, fresh, tables = start, start, {}
+    for block in blocks:
+        shared = fnv1a64(block, shared, tables)
+        fresh = fnv1a64(block, fresh, {})
+    assert shared == fresh == expected
+
+
+def test_trace_hash_tables_live_for_one_call(monkeypatch):
+    # each trace_hash call hands its blocks one fresh dict of tables
+    seen = []
+
+    def recording(data, h, tables):
+        seen.append(tables)
+        return original(data, h, tables)
+
+    original = freshsim.metrics.fnv1a64
+    monkeypatch.setattr(freshsim.metrics, "fnv1a64", recording)
+    sink = TraceLines()
+    sink(ODD_RECORDS)
+    sink(ODD_RECORDS)
+    first = trace_hash(sink)
+    assert trace_hash(sink) == first
+    assert len(seen) == 4 and seen[0] is seen[1] and seen[2] is seen[3]
+    assert seen[0] is not seen[2]
 
 
 def test_trace_roundtrip_and_hash_stability():
@@ -496,6 +585,22 @@ def test_cli_check_uses_the_rescaled_objects(tmp_path, capsys):
     assert main(["check", path]) == 0
     out = capsys.readouterr().out
     assert "txn t1 object o1: vi=8 retrieval=3 analysis=3 [ok]" in out
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_cli_reports_an_unreachable_elastic_target_at_the_first_elastic_object(
+        tmp_path, capsys, command):
+    # o2's utilization 1 stays above the target 0.1 even at its maximal
+    # period 2; the target read is o2's, objects[1]
+    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
+    doc["objects"].append({"id": "o2", "vi": 4, "period": 2, "cost": 2, "max_period": 2,
+                           "process": {"kind": "constant", "value": 1.0},
+                           "policy": {"kind": "elastic", "target_utilization": 0.1}})
+    path = write_config(tmp_path, doc)
+    assert main([command, path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: objects[1].policy.target_utilization: target utilization 1/10 "
+        "unreachable even at maximal periods (residual over target: 0.9)"]
 
 
 def test_cli_run_rescales_a_tiny_weight_beside_a_float_elasticity(tmp_path, capsys):
