@@ -11,7 +11,6 @@ fingerprint: identical configs and seeds must produce identical hashes.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from array import array
 from collections.abc import Iterable, Iterator
@@ -301,9 +300,10 @@ _LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, 
 # one trace on, and byte by byte before: a fill costs about as much as
 # hashing a trace text run byte by byte 30 times
 _TABLE_AT = 32
-# digit runs of at most 16 bytes, and the text runs between them; a longer
-# digit run splits into several, with empty text runs between
-_split_runs = re.compile(rb"(\d{1,16})").split
+# NUL and the digits are the marked bytes: with each digit mapped to NUL, a
+# split at NUL gives the text runs; deleting every other byte, the marked ones
+_DIGITS_TO_NUL = bytes.maketrans(b"0123456789", bytes(10))
+_UNMARKED = bytes(range(1, 48)) + bytes(range(58, 256))
 
 
 def _run_table(run: bytes) -> tuple[array, int]:
@@ -324,34 +324,34 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET, tables: dict | None = None) -> in
     """64-bit FNV-1a of `data`, continuing from the state `h`, so blocks
     chain: fnv1a64(a + b) == fnv1a64(b, fnv1a64(a)).
 
-    `data` is split into digit runs and the text runs between them. A text
-    run that recurs is hashed through its table of 256 endings (see
+    Its marked bytes, each digit and NUL, split `data` into text runs. A
+    text run that recurs is hashed through its table of 256 endings (see
     _run_table). XOR with a byte changes only the state's low byte, and a
     multiple of 256 stays one when multiplied, so over a run s the state h
     ends at ends[h & 255] + p**len(s) * (h - (h & 255)), modulo 2**64.
-    `tables` maps each text run seen so far to its sightings, then, from
-    its _TABLE_AT-th, to its table; pass one dict to every block of a trace
-    so that the tables carry over. Digit runs, and text runs seen fewer
-    times, are hashed byte by byte. The state is masked to 64 bits once
-    after a digit run, not after each of its bytes: the low 64 bits of XOR
-    and multiply depend only on the low 64 bits of their operands, and a run
-    of at most 16 digits keeps the state under 64 + 16 * 41 bits."""
+    `tables` maps each non-empty text run seen so far to its sightings,
+    then, from its _TABLE_AT-th, to its table; pass one dict to every block
+    of a trace so that the tables carry over. Marked bytes, and text runs
+    seen fewer times, are hashed byte by byte."""
     if tables is None:
         tables = {}
     p = _FNV_PRIME
     m = _MASK64
     get = tables.get
-    runs = _split_runs(data)
-    runs.insert(0, b"")  # from here on, each digit run is followed by a text run
-    it = iter(runs)
-    for digits, text in zip(it, it):
-        for b in digits:
-            h = (h ^ b) * p
+    texts = data.translate(_DIGITS_TO_NUL).split(b"\0")
+    marked = data.translate(None, _UNMARKED)
+    # a text run, maybe empty, follows each marked byte, and the first one
+    # follows a NUL put ahead of the data, from the state that NUL takes to
+    # h: the prime is odd, so it has an inverse modulo 2**64
+    h = h * pow(p, -1, 1 << 64) & m
+    for b, text in zip(b"\0" + marked, texts):
+        h = (h ^ b) * p & m
+        if not text:
+            continue
         entry = get(text, 0)
         if entry.__class__ is int:
             if entry < _TABLE_AT - 1:
                 tables[text] = entry + 1
-                h &= m
                 for b in text:
                     h = (h ^ b) * p & m
                 continue

@@ -58,12 +58,19 @@ _STREAMS = ("2db7948 Keep each object's update state on its stream: wait lists o
 _MK_INDEX = "e47020f Decide (m,k)-firm skips from the instance's index and delete MKHistory"
 _RUN_TABLES = ("hash the trace a text run at a time: each recurring text run through "
                "its table of 256 endings")
+_TRANSLATE = "split the trace for hashing with two bytes.translate passes, not a regex"
+_HOLDERS = "ebe0b66 Keep each engine fact once: events carry their instance"
+_AGGREGATOR = "cf7d440 Document trace v2 and tie the README table to the code"
+_INVARIANTS = "95a5e72 Fold the segment-end handlers into one and drop unreachable branches"
 
 _ORACLE_SEEDS = "tests/test_invariants.py::test_invariants_hold_on_the_oracle_seeds"
 _RUNS = "tests/test_invariants.py::test_cohort_queue_invariants_hold_at_both_horizons[1000]"
 _BYTEWISE_PROPERTY = ("tests/test_metrics_cli.py::test_fnv1a64_is_bytewise_fnv1a_with_and_"
                       "without_shared_tables")
 _DEFAULT_SEED_HASH = "tests/test_perfbench_hooks.py::test_restart_cycle_default_seed_trace_hash"
+_OPENING_RUN = ("tests/test_metrics_cli.py::test_fnv1a64_counts_and_tables_the_run_that_"
+                "opens_the_data")
+_EDGE_INPUT = "tests/test_metrics_cli.py::test_fnv1a64_is_bytewise_fnv1a_on_edge_inputs"
 
 MUTANTS = (
     Mutant("rewrite-a-pinned-version", "store.py",
@@ -139,6 +146,37 @@ MUTANTS = (
            "            tables[text] = _run_table(text)\n            continue\n",
            _RUN_TABLES,
            (_BYTEWISE_PROPERTY, _DEFAULT_SEED_HASH)),
+    Mutant("nul-left-out-of-the-marked-bytes", "metrics.py",
+           "_UNMARKED = bytes(range(1, 48))",
+           "_UNMARKED = bytes(range(48))",
+           _TRANSLATE,
+           (f"{_EDGE_INPUT}[nuls]", f"{_EDGE_INPUT}[nul-next-to-digits]")),
+    Mutant("first-text-run-hashed-uncounted", "metrics.py",
+           "    h = h * pow(p, -1, 1 << 64) & m\n"
+           '    for b, text in zip(b"\\0" + marked, texts):\n',
+           "    for b in texts[0]:\n"
+           "        h = (h ^ b) * p & m\n"
+           "    for b, text in zip(marked, texts[1:]):\n",
+           _TRANSLATE,
+           (f"{_OPENING_RUN}[1]", f"{_OPENING_RUN}[32]", _BYTEWISE_PROPERTY)),
+    Mutant("holders-walked-in-reverse", "engine.py",
+           "for inst in list(superseded.holders):",
+           "for inst in reversed(superseded.holders):",
+           _HOLDERS,
+           ("tests/test_engine.py::test_superseded_version_restarts_every_classical_"
+            "holder_in_pin_order",)),
+    Mutant("aggregator-never-forgets-a-commit", "metrics.py",
+           "cls = self._class_of.pop(subject)",
+           "cls = self._class_of[subject]",
+           _AGGREGATOR,
+           ("tests/test_metrics_cli.py::test_aggregator_keeps_only_in_flight_instances",)),
+    Mutant("gc-reclaims-pinned-versions", "store.py",
+           "kept = [v for v in chain[:-1] if v.holders]",
+           "kept = []",
+           _INVARIANTS,
+           (_ORACLE_SEEDS,
+            "tests/test_store.py::test_gc_never_reclaims_pinned_random_walkthrough",
+            "tests/test_store.py::test_dirty_chain_gc_matches_full_sweep[0]")),
 )
 
 

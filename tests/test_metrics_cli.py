@@ -326,7 +326,7 @@ def test_run_table_ends_where_bytewise_fnv1a_ends(run):
 
 # text runs without digits, so each stays one run between its digit runs
 _TEXT_RUNS = (b",", b"#", b'"]\n[', b"x" * 17, _RESTART_TEXT_RUN)
-# digit runs up to 21 digits, longer than the 16 that one split run holds
+# digit runs of 1 to 22 digits
 _DIGIT_RUNS = st.integers(0, 10 ** 21).map(lambda n: str(n).encode())
 
 
@@ -361,6 +361,58 @@ def test_fnv1a64_is_bytewise_fnv1a_with_and_without_shared_tables(drawn, start, 
         shared = fnv1a64(block, shared, tables)
         fresh = fnv1a64(block, fresh, {})
     assert shared == fresh == expected
+
+
+# inputs that no trace holds: NUL is a marked byte, like a digit
+_EDGE_INPUTS = {
+    "nul": b"\0",
+    "nuls": b"\0" * 40,
+    "nul-between-text": b'"a\0b"\0]\n',
+    "nul-next-to-digits": b"[1\x002,\x00\x003\x004]9\x00",
+    "digit-run-100000": bytes(48 + (7 * i + i // 10) % 10 for i in range(100_000)),
+    "no-digits": bytes(range(1, 48)) + bytes(range(58, 256)) + b"no digits" * 500,
+}
+
+
+@pytest.mark.parametrize("data", _EDGE_INPUTS.values(), ids=_EDGE_INPUTS.keys())
+def test_fnv1a64_is_bytewise_fnv1a_on_edge_inputs(data):
+    for start in (0xCBF29CE484222325, 0, 2 ** 64 - 1):
+        assert fnv1a64(data, start) == fnv1a64_bytewise(data, start)
+    # the same data _TABLE_AT + 1 times over, so that its text runs recur
+    # until they are hashed through their tables
+    tables = {}
+    h = shared = 0xCBF29CE484222325
+    for _ in range(_TABLE_AT + 1):
+        h = fnv1a64_bytewise(data, h)
+        shared = fnv1a64(data, shared, tables)
+        assert shared == h
+
+
+@pytest.mark.parametrize("blocks", [1, _TABLE_AT])
+def test_fnv1a64_counts_and_tables_the_run_that_opens_the_data(blocks):
+    # the run b"ab" opens every block and is seen _TABLE_AT times in all,
+    # so the last sighting builds its table
+    data = b"ab" + b"1ab" * (_TABLE_AT // blocks - 1)
+    tables = {}
+    h = 0xCBF29CE484222325
+    for _ in range(blocks):
+        h = fnv1a64(data, h, tables)
+    assert h == fnv1a64_bytewise(data * blocks)
+    assert isinstance(tables[b"ab"], tuple)
+
+
+def test_fnv1a64_fills_a_pinned_number_of_tables_on_the_default_seed_trace():
+    # a deterministic cost guard: a change that cut the trace's text runs
+    # into other pieces would fill another number of tables, and fail here
+    # without timing anything
+    sink = TraceLines()
+    Simulator(config_from_dict(gen.generate("restart_cycle", 1)), sink=sink).run()
+    h = 0xCBF29CE484222325
+    tables = {}
+    for block in sink.blocks:
+        h = fnv1a64(block, h, tables)
+    assert format(h, "016x") == "27cc95db8d131847"
+    assert sum(isinstance(entry, tuple) for entry in tables.values()) == 33
 
 
 def test_trace_hash_tables_live_for_one_call(monkeypatch):
