@@ -17,7 +17,11 @@ Tick = int
 
 class ConfigError(Exception):
     """Raised on invalid configuration. Carries every violation found, each as
-    a (path, message) pair, not just the first."""
+    a (path, message) pair, not just the first.
+
+    The `validate` methods of the config types append such pairs to the list
+    they are given; a rule that compares the value at `path` with other
+    fields names their paths after the message."""
 
     def __init__(self, errors: list[tuple[str, str]]):
         self.errors = errors
@@ -73,11 +77,13 @@ class ObjectSpec:
         if self.update_cost < 0:
             errors.append((f"{path}.cost", "update cost must be >= 0"))
         elif self.update_cost > self.update_period:
-            errors.append((f"{path}.cost", "update cost must be <= update period"))
+            errors.append((f"{path}.cost", "update cost must be <= update period",
+                           f"{path}.period"))
         if self.access_weight < 0:
             errors.append((f"{path}.access_weight", "access weight must be >= 0"))
         if self.max_period is not None and self.max_period < self.update_period:
-            errors.append((f"{path}.max_period", "max_period must be >= period"))
+            errors.append((f"{path}.max_period", "max_period must be >= period",
+                           f"{path}.period"))
         if self.value_process is None:
             errors.append((f"{path}.process", "missing process"))
         else:
@@ -184,9 +190,11 @@ class UserTxnSpec:
             elif self.retrieval_mode in ("source", "store_then_source"):
                 if r <= 0:
                     errors.append((f"{path}.retrieval[{oid}]",
-                                   "retrieval time must be > 0 for source acquisition"))
+                                   "retrieval time must be > 0 for source acquisition",
+                                   f"{path}.retrieval_mode"))
             elif r < 0:
-                errors.append((f"{path}.retrieval[{oid}]", "retrieval time must be >= 0"))
+                errors.append((f"{path}.retrieval[{oid}]", "retrieval time must be >= 0",
+                               f"{path}.retrieval_mode"))
             a = self.analysis_time.get(oid)
             if a is None:
                 errors.append((f"{path}.analysis", f"missing analysis time for {oid!r}"))
@@ -199,7 +207,7 @@ class UserTxnSpec:
                 for oid in times:
                     if oid not in seen:
                         errors.append((f"{path}.{key}[{oid}]",
-                                       "object is not in the read set"))
+                                       "object is not in the read set", f"{path}.read_set"))
         if self.relative_deadline <= 0:
             errors.append((f"{path}.deadline", "relative deadline must be > 0"))
         if self.retrieval_mode not in RETRIEVAL_MODES:

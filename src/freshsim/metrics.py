@@ -15,8 +15,6 @@ import sys
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
-from itertools import repeat
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .core import SimInternalError, Tick
 from .policies import PERFORMED
@@ -245,44 +243,34 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
-if c_make_encoder is None:
-    # no `_json` accelerator: the pure-Python encoder of json.dumps
-    _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the encoder of json.dumps(record, sort_keys=True, separators=(",", ":")):
+# `encode` takes json's C path itself, or its Python path on an interpreter
+# without the `_json` accelerator. A record holds no cycle, so no markers
+# are kept.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode
 
-    def _encode_records(records: Iterable[tuple]) -> Iterator[str]:
-        """The canonical line of each record, in order, as it is drawn."""
-        return map(_encode, records)
 
-    def _encode_batch(records: list[tuple]) -> str:
-        """The canonical lines of `records`, joined by line breaks."""
-        return "\n".join(_encode_records(records))
-else:
-    # JSONEncoder(sort_keys=True, separators=(",", ":")).encode builds this C
-    # encoder anew for every record; built once here with the same arguments,
-    # but no circular-check markers, since a record holds no cycle
-    _c_encoder = c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None,
-        ":", ",", True, False, True)
+def _encode_records(records: Iterable[tuple]) -> Iterator[str]:
+    """The canonical line of each record, in order, as it is drawn."""
+    return map(_encode, records)
 
-    def _encode_records(records: Iterable[tuple]) -> Iterator[str]:
-        """The canonical line of each record, in order, as it is drawn; no
-        Python frame runs per record."""
-        return map("".join, map(_c_encoder, records, repeat(0)))
 
-    _CALL_RECORDS = 64
+_CALL_RECORDS = 64
 
-    def _encode_batch(records: list[tuple]) -> str:
-        """The canonical lines of `records`, joined by line breaks. One call
-        encodes _CALL_RECORDS records to "[" + their lines joined by "," +
-        "]", so each "],[" is a line break, unless a string or a nested array
-        holds one too: then each record is encoded on its own. A call keeps
-        each piece it writes as a string until it returns, so one call per
-        batch would peak at several times the batch's text."""
-        text = ",".join(["".join(_c_encoder(records[i:i + _CALL_RECORDS], 0))[1:-1]
-                         for i in range(0, len(records), _CALL_RECORDS)])
-        if text.count("],[") == len(records) - 1:
-            return text.replace("],[", "]\n[")
-        return "\n".join(_encode_records(records))
+
+def _encode_batch(records: list[tuple]) -> str:
+    """The canonical lines of `records`, joined by line breaks. One call
+    encodes _CALL_RECORDS records to "[" + their lines joined by "," + "]",
+    so each "],[" is a line break, unless a string or a nested array holds
+    one too: then each record is encoded on its own. A call keeps each piece
+    it writes as a string until it returns, so one call per batch would peak
+    at several times the batch's text."""
+    text = ",".join([_encode(records[i:i + _CALL_RECORDS])[1:-1]
+                     for i in range(0, len(records), _CALL_RECORDS)])
+    if text.count("],[") == len(records) - 1:
+        return text.replace("],[", "]\n[")
+    return "\n".join(_encode_records(records))
 
 
 # A text run's table: the state that FNV-1a ends at over the run from each

@@ -126,7 +126,8 @@ class MKFirmPolicy(_Policy):
 
     def validate(self, path, errors):
         if not (1 <= self.m <= self.k):
-            errors.append((f"{path}", f"m <= k violated (m={self.m}, k={self.k})"))
+            errors.append((path, f"m <= k violated (m={self.m}, k={self.k})",
+                           f"{path}.m", f"{path}.k"))
 
     def new_state(self) -> itertools.count:
         """The index of the next decision made with a stored version."""

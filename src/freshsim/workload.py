@@ -29,7 +29,9 @@ The config is a JSON document:
 All durations are integer ticks; unknown keys are rejected. Validation
 reports every violation with its path, not just the first, and none that
 follows from another: no rule reports on the stand-in that replaces a value
-that failed its check (`_Reader.stand_in`). The schema
+that failed its check (`_Reader.stand_in`). A rule that compares a value
+with other fields names their paths beside its error, so the parse drops
+the error of a rule that compared a stand-in by its paths alone. The schema
 tables below (TOP, OBJECT, TRANSACTION, and the PROCESSES, POLICIES and
 ARRIVALS kinds) state every key with its type and default, once, for both
 parsing and emission.
@@ -324,46 +326,61 @@ class SimConfig:
     validated: bool = field(default=False, init=False, compare=False, repr=False)
 
 
-def _anchor(errors: list[tuple[str, str]], start: int, path: str) -> None:
+def _anchor(errors: list[tuple], start: int, path: str) -> None:
     """Prefix `path` to the paths of errors[start:], which a record's checks
-    reported relative to the record: each of their paths starts with the
-    one they were given, here empty."""
-    errors[start:] = [(path + at, message) for at, message in errors[start:]]
+    reported relative to the record: each of their paths, and each path a
+    rule named beside its message, starts with the one they were given,
+    here empty."""
+    errors[start:] = [(path + at, message, *(path + p for p in compared))
+                      for at, message, *compared in errors[start:]]
 
 
 def validate_config(cfg: SimConfig) -> list[tuple[str, str]]:
-    """Every declared invariant, checked; returns the full violation list.
-    A record's path is built only when one of its checks fails."""
-    errors: list[tuple[str, str]] = []
+    """Every declared invariant, checked; returns the full violation list as
+    (path, message) pairs, without the paths that a rule compared
+    (`_violations`). A record's path is built only when one of its checks
+    fails."""
+    return [(path, message) for path, message, *_ in _violations(cfg)]
+
+
+def _violations(cfg: SimConfig) -> list[tuple]:
+    """The violations of `validate_config`, each with the paths that its
+    rule compared the value at its path with (`ConfigError`). A repeated id
+    names the first record with that id. The elastic objects' shared target
+    is compared among the targets that meet their own range rule, so a
+    stand-in, 0.0, takes no part."""
+    errors: list[tuple] = []
     if cfg.horizon <= 0:
         errors.append(("horizon", "must be > 0"))
     if cfg.rng != RNG_ALGORITHM:
         errors.append(("rng", f"unsupported generator {cfg.rng!r}"))
-    seen = set()
+    # the index of the first record with each id
+    object_at = {}
     for i, obj in enumerate(cfg.objects):
+        if (held := object_at.setdefault(obj.id, i)) != i:
+            errors.append((f"objects[{i}].id", f"duplicate object id {obj.id!r}",
+                           f"objects[{held}].id"))
         start = len(errors)
-        if obj.id in seen:
-            errors.append((".id", f"duplicate object id {obj.id!r}"))
-        seen.add(obj.id)
         obj.validate("", errors)
         if len(errors) > start:
             _anchor(errors, start, f"objects[{i}]")
     # an int and a float of equal value are one set member, so no float()
     # is needed, and none can overflow on an int past float range
-    targets = {o.policy.target_utilization
-               for o in cfg.objects if isinstance(o.policy, ElasticPolicy)}
+    targets = {o.policy.target_utilization for o in cfg.objects
+               if isinstance(o.policy, ElasticPolicy)
+               and 0 < o.policy.target_utilization <= 1}
     if len(targets) > 1:
         errors.append(("objects", "elastic objects must share one target_utilization"))
-    ids = {o.id for o in cfg.objects}
-    seen_t = set()
+    txn_at = {}
     for i, txn in enumerate(cfg.transactions):
+        if (held := txn_at.setdefault(txn.id, i)) != i:
+            errors.append((f"transactions[{i}].id",
+                           f"duplicate transaction id {txn.id!r}",
+                           f"transactions[{held}].id"))
         start = len(errors)
-        if txn.id in seen_t:
-            errors.append((".id", f"duplicate transaction id {txn.id!r}"))
         if txn.id == "overall":
             errors.append((".id", "'overall' labels the run-wide CSV row"))
-        seen_t.add(txn.id)
-        txn.validate("", ids, errors)
+        txn.validate("", object_at.keys(), errors)
         if len(errors) > start:
             _anchor(errors, start, f"transactions[{i}]")
     return errors
@@ -662,9 +679,9 @@ class _Reader:
 
     def stand_in(self, path, msg):
         """Report `msg` at `path`, whose value the read replaces with a
-        stand-in: any error that a rule finds in that value, in a value
-        below it, or in a comparison with it, follows from this one and is
-        not reported (`_follows_on`)."""
+        stand-in. An error of `validate_config` at that path or below it,
+        or one that names such a path as a value its rule compared, follows
+        from this one and is not reported."""
         self.errors.append((path, msg))
         self.failed.add(path)
 
@@ -721,45 +738,20 @@ def config_from_dict(doc: dict) -> SimConfig:
     top = TOP.read(r, doc, "")
     top["seed"] &= _MASK64
     cfg = SimConfig(mode=mode, objects=objects, transactions=transactions, **top)
-    errors = validate_config(cfg)
     if r.failed:
-        errors = [e for e in errors if not _follows_on(r.failed, *e)]
+        # a rule that read a stand-in, at its own path or at one it
+        # compared, found what follows from the failed check
+        below = tuple(f + c for f in r.failed for c in ".[")
+        errors = [(path, message) for path, message, *compared in _violations(cfg)
+                  if not any(p in r.failed or p.startswith(below)
+                             for p in (path, *compared))]
+    else:
+        errors = validate_config(cfg)
     errors = r.errors + errors
     if errors:
         raise ConfigError(errors)
     cfg.validated = True
     return cfg
-
-
-def _follows_on(failed: set[str], path: str, message: str) -> bool:
-    """Whether the rule of `validate_config` that reported `message` at
-    `path` read a stand-in, a value at one of the `failed` paths: the value
-    at `path`, one above it, or one that the rule compares with it. Its
-    error would then follow from the first, and may be false."""
-    if any(path == f or path.startswith((f + ".", f + "[")) for f in failed):
-        return True
-    # the record the path is in, such as `objects[0]`, or "" at the top
-    record = path[:path.find("]") + 1]
-    if message in ("update cost must be <= update period",
-                   "max_period must be >= period"):
-        reads = (record + ".period",)
-    elif message.startswith("retrieval time must be"):
-        reads = (record + ".retrieval_mode",)
-    elif message == "object is not in the read set":
-        reads = (record + ".read_set",)
-    elif message.startswith("m <= k violated"):
-        reads = (path + ".m", path + ".k")
-    elif message.startswith("elastic objects"):
-        # compares the target of every elastic object
-        return any(f.startswith("objects[") and f.endswith(".policy.target_utilization")
-                   for f in failed)
-    elif message.startswith("duplicate") and path.endswith("].id"):
-        # compares the id of every record of the list
-        head = path[:path.index("[") + 1]
-        return any(f.startswith(head) and f.endswith("].id") for f in failed)
-    else:
-        return False
-    return not failed.isdisjoint(reads)
 
 
 def policy_from_dict(doc: dict) -> PolicyConfig:

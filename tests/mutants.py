@@ -59,6 +59,9 @@ _MK_INDEX = "e47020f Decide (m,k)-firm skips from the instance's index and delet
 _RUN_TABLES = ("hash the trace a text run at a time: each recurring text run through "
                "its table of 256 endings")
 _TRANSLATE = "split the trace for hashing with two bytes.translate passes, not a regex"
+_NAMED = ("config rules name the values they compare: each error of a comparing rule "
+          "names the paths it compared, and `_follows_on` is gone")
+_ENCODER = "one trace encoder, whose `encode` takes json's C or Python path itself"
 _HOLDERS = "ebe0b66 Keep each engine fact once: events carry their instance"
 _AGGREGATOR = "cf7d440 Document trace v2 and tie the README table to the code"
 _INVARIANTS = "95a5e72 Fold the segment-end handlers into one and drop unreachable branches"
@@ -71,6 +74,8 @@ _DEFAULT_SEED_HASH = "tests/test_perfbench_hooks.py::test_restart_cycle_default_
 _OPENING_RUN = ("tests/test_metrics_cli.py::test_fnv1a64_counts_and_tables_the_run_that_"
                 "opens_the_data")
 _EDGE_INPUT = "tests/test_metrics_cli.py::test_fnv1a64_is_bytewise_fnv1a_on_edge_inputs"
+_FOLLOW_ON = ("tests/test_workload.py::test_a_value_that_fails_its_check_gets_no_follow_"
+              "on_errors")
 
 MUTANTS = (
     Mutant("rewrite-a-pinned-version", "store.py",
@@ -177,6 +182,35 @@ MUTANTS = (
            (_ORACLE_SEEDS,
             "tests/test_store.py::test_gc_never_reclaims_pinned_random_walkthrough",
             "tests/test_store.py::test_dirty_chain_gc_matches_full_sweep[0]")),
+    Mutant("cost-rule-names-no-period", "core.py",
+           '"update cost must be <= update period",\n'
+           '                           f"{path}.period"))',
+           '"update cost must be <= update period"))',
+           _NAMED,
+           (f"{_FOLLOW_ON}[period-type]",)),
+    Mutant("filter-ignores-named-paths", "workload.py",
+           "for p in (path, *compared))",
+           "for p in (path,))",
+           _NAMED,
+           (f"{_FOLLOW_ON}[period-type]", f"{_FOLLOW_ON}[read-set-type]",
+            f"{_FOLLOW_ON}[retrieval-mode-type]", f"{_FOLLOW_ON}[mkfirm-m-type]")),
+    Mutant("duplicate-names-no-first-holder", "workload.py",
+           'f"duplicate object id {obj.id!r}",\n'
+           '                           f"objects[{held}].id"))',
+           'f"duplicate object id {obj.id!r}"))',
+           _NAMED,
+           (f"{_FOLLOW_ON}[object-id-type]",)),
+    Mutant("elastic-rule-compares-stand-ins", "workload.py",
+           "\n               and 0 < o.policy.target_utilization <= 1}",
+           "}",
+           _NAMED,
+           (f"{_FOLLOW_ON}[elastic-target-type]", f"{_FOLLOW_ON}[elastic-target-out-of-range]")),
+    Mutant("encoder-loses-sort-keys", "metrics.py",
+           'json.JSONEncoder(sort_keys=True, separators=(",", ":"),',
+           'json.JSONEncoder(separators=(",", ":"),',
+           _ENCODER,
+           ("tests/test_metrics_cli.py::test_encoder_writes_the_bytes_of_json_dumps",
+            _DEFAULT_SEED_HASH)),
 )
 
 

@@ -140,4 +140,7 @@ def test_store_mode_allows_zero_retrieval_time():
     errors = []
     txn = _txn(["o1"], {"o1": 0}, {"o1": 4}, mode="store_then_source")
     txn.validate("transactions[0]", {"o1"}, errors)
-    assert any("retrieval" in p for p, _ in errors)
+    # the rule compares the time with the mode, so it names the mode's path
+    assert errors == [("transactions[0].retrieval[o1]",
+                       "retrieval time must be > 0 for source acquisition",
+                       "transactions[0].retrieval_mode")]

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import importlib.util
 import json
 import math
 import os
@@ -488,21 +487,40 @@ def test_encoder_writes_the_bytes_of_json_dumps():
         fnv1a64(dumps_bytes(ODD_RECORDS)), "016x")
 
 
-def test_encoder_without_the_c_accelerator_is_the_fallback(monkeypatch):
-    # metrics.py executed again, as on an interpreter without `_json`; its
-    # dataclasses look their module up in sys.modules
-    name = "freshsim._metrics_without_c"
-    spec = importlib.util.spec_from_file_location(name, freshsim.metrics.__file__)
-    module = importlib.util.module_from_spec(spec)
+def _without_the_c_encoder(monkeypatch) -> list:
+    """Switch json's C encoder off, as on an interpreter without `_json`;
+    returns the list of json's Python-path encoders built from then on."""
+    built = []
+    make = json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return make(*args, **kwargs)
+
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    monkeypatch.setitem(sys.modules, name, module)
-    spec.loader.exec_module(module)
-    assert module.c_make_encoder is None
-    assert list(module._encode_records(ODD_RECORDS)) == [
-        dumps(record) for record in ODD_RECORDS]
-    sink = module.TraceLines()
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    return built
+
+
+def test_encoder_without_the_c_accelerator_is_the_fallback(monkeypatch):
+    # one encoder, whose `encode` takes json's Python path by itself
+    expected = [dumps(record) for record in ODD_RECORDS]
+    expected_hash = hash_records(ODD_RECORDS)
+    built = _without_the_c_encoder(monkeypatch)
+    assert list(_encode_records(ODD_RECORDS)) == expected
+    assert len(built) == len(ODD_RECORDS)
+    sink = TraceLines()
     sink(ODD_RECORDS)
-    assert module.trace_hash(sink) == hash_records(ODD_RECORDS)
+    assert len(built) == len(ODD_RECORDS) + 1
+    assert trace_hash(sink) == expected_hash
+
+
+def test_restart_cycle_default_seed_trace_hash_without_the_c_encoder(monkeypatch):
+    built = _without_the_c_encoder(monkeypatch)
+    sink = TraceLines()
+    Simulator(config_from_dict(gen.generate("restart_cycle", 1)), sink=sink).run()
+    assert built
+    assert trace_hash(sink) == "27cc95db8d131847"
 
 
 @pytest.mark.parametrize("odd", [

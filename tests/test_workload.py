@@ -776,6 +776,17 @@ def _second_object(**fields):
     return mutate
 
 
+def _another_transaction(**fields):
+    """A mutation that declares one more transaction like the first."""
+    def mutate(d):
+        d["transactions"].append({**d["transactions"][0], **fields})
+    return mutate
+
+
+def _elastic(target):
+    return {"kind": "elastic", "target_utilization": target}
+
+
 @pytest.mark.parametrize("mutations, errors", [
     # the zero that stands in for a value that failed its type check meets
     # no rule: not the value's own range rule
@@ -814,11 +825,34 @@ def _second_object(**fields):
     ([_set(("objects", 0, "vi"), -10 ** 400)],
      [("objects[0].vi", "magnitude exceeds the largest float (1.798e+308)"),
       ("objects[0].vi", "validity interval must be > 0")]),
+    # a duplicate id is compared with the first record that holds it, so
+    # another record's failed id hides nothing
+    ([_second_object(id="o1"), _second_object(id=5)],
+     [("objects[2].id", "must be a string"),
+      ("objects[1].id", "duplicate object id 'o1'")]),
+    ([_another_transaction(), _another_transaction(id=7)],
+     [("transactions[2].id", "must be a string"),
+      ("transactions[1].id", "duplicate transaction id 't1'")]),
+    # the shared target is compared among the targets in range
+    ([_set(("objects", 0, "policy"), _elastic(0.5)),
+      _second_object(policy=_elastic(0.9)), _second_object(id="o3", policy=_elastic("x"))],
+     [("objects[2].policy.target_utilization", "must be a number"),
+      ("objects", "elastic objects must share one target_utilization")]),
+    ([_set(("objects", 0, "policy"), _elastic("x")),
+      _second_object(policy=_elastic(0.5)), _second_object(id="o3", policy=_elastic(0.9))],
+     [("objects[0].policy.target_utilization", "must be a number"),
+      ("objects", "elastic objects must share one target_utilization")]),
+    ([_set(("objects", 0, "policy"), _elastic(0.5)), _second_object(policy=_elastic(1.5))],
+     [("objects[1].policy.target_utilization", "must be in (0, 1]")]),
 ], ids=["horizon-type", "horizon-missing", "period-type", "read-set-type",
         "duration-entry-type", "retrieval-mode-type", "mkfirm-m-type",
         "elastic-target-type", "object-id-type", "period-type-cost-range",
         "duration-entry-type-not-in-read-set", "object-id-unknown-in-read-set",
-        "huge-negative-vi"])
+        "huge-negative-vi", "object-id-duplicate-beside-a-type-error",
+        "transaction-id-duplicate-beside-a-type-error",
+        "elastic-targets-differ-beside-a-type-error-last",
+        "elastic-targets-differ-beside-a-type-error-first",
+        "elastic-target-out-of-range"])
 def test_a_value_that_fails_its_check_gets_no_follow_on_errors(mutations, errors):
     d = doc()
     for mutate in mutations:
