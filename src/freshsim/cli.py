@@ -34,7 +34,17 @@ from .core import ConfigError, FreshnessMode, ObjectSpec, feasibility_check
 from .engine import Simulator
 from .metrics import CSV_HEADER, TraceLines, emit_csv_rows, trace_hash
 from .policies import effective_objects
-from .workload import SimConfig, config_from_dict, decode_json, policy_from_dict
+from .workload import (
+    INT,
+    NUM,
+    POLICIES,
+    REQUIRED,
+    STR,
+    SimConfig,
+    config_from_dict,
+    decode_json,
+    policy_from_dict,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -188,26 +198,26 @@ def cmd_sweep(args) -> int:
 # compare
 
 
+_TOKEN_VALUE = {INT: int, NUM: float, STR: str}
+
+
 def _parse_policy_token(token: str) -> dict:
-    parts = token.split(":")
-    kind = parts[0]
-    try:
-        if kind == "periodic" and len(parts) == 1:
-            return {"kind": "periodic"}
-        if kind == "ondemand" and len(parts) == 1:
-            return {"kind": "ondemand"}
-        if kind == "elastic" and len(parts) <= 2:
-            target = float(parts[1]) if len(parts) == 2 else 1.0
-            return {"kind": "elastic", "target_utilization": target}
-        if kind == "mkfirm" and len(parts) == 3:
-            return {"kind": "mkfirm", "m": int(parts[1]), "k": int(parts[2])}
-        if kind == "similarity" and len(parts) == 2:
-            return {"kind": "similarity", "delta": float(parts[1])}
-        if kind == "prediction" and len(parts) == 3:
-            return {"kind": "prediction", "predictor": parts[1],
-                    "epsilon": float(parts[2])}
-    except ValueError:
-        pass
+    """The policy document of a `--policies` token: its kind, then one value
+    for each REQUIRED field of the kind's POLICIES record, in table order,
+    converted by the field's type."""
+    kind, *values = token.split(":")
+    if kind == "elastic" and not values:
+        values = ["1"]  # a bare elastic token targets full utilization
+    record = POLICIES.table.get(kind)
+    if record is not None:
+        fields = [(key, type_) for key, _, type_, default in record.fields
+                  if default is REQUIRED]
+        if len(values) == len(fields):
+            try:
+                return {"kind": kind, **{key: _TOKEN_VALUE[type_](value)
+                                         for (key, type_), value in zip(fields, values)}}
+            except ValueError:
+                pass
     raise ConfigError([("policies", f"cannot parse policy token {token!r}")])
 
 

@@ -19,9 +19,9 @@ class ConfigError(Exception):
     """Raised on invalid configuration. Carries every violation found, each as
     a (path, message) pair, not just the first.
 
-    The `validate` methods of the config types append such pairs to the list
-    they are given; a rule that compares the value at `path` with other
-    fields names their paths after the message."""
+    The `validate` methods of the config types append such pairs, under the
+    record path they are given, to the list they are given; a rule that
+    compares the value at `path` with others names their paths after it."""
 
     def __init__(self, errors: list[tuple[str, str]]):
         self.errors = errors

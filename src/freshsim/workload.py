@@ -29,12 +29,14 @@ The config is a JSON document:
 All durations are integer ticks; unknown keys are rejected. Validation
 reports every violation with its path, not just the first, and none that
 follows from another: no rule reports on the stand-in that replaces a value
-that failed its check (`_Reader.stand_in`). A rule that compares a value
-with other fields names their paths beside its error, so the parse drops
-the error of a rule that compared a stand-in by its paths alone. The schema
-tables below (TOP, OBJECT, TRANSACTION, and the PROCESSES, POLICIES and
-ARRIVALS kinds) state every key with its type and default, once, for both
-parsing and emission.
+that failed its check (`_Reader.stand_in`). The rules check each record at
+the path the reader gave it, its place in the document's list, and a rule
+that compares a value with other fields names their paths beside its error,
+so the parse drops the error of a rule that compared a stand-in by its paths
+alone. A record id that failed its check stands in as None, which equals no
+id, so the duplicate rule never compares one. The schema tables below (TOP,
+OBJECT, TRANSACTION, and the PROCESSES, POLICIES and ARRIVALS kinds) state
+every key with its type and default, once, for both parsing and emission.
 
 Value processes are counter based: the value at a sampling instant is a pure
 function of (seed, object id, instant), so a policy that skips samples cannot
@@ -326,63 +328,49 @@ class SimConfig:
     validated: bool = field(default=False, init=False, compare=False, repr=False)
 
 
-def _anchor(errors: list[tuple], start: int, path: str) -> None:
-    """Prefix `path` to the paths of errors[start:], which a record's checks
-    reported relative to the record: each of their paths, and each path a
-    rule named beside its message, starts with the one they were given,
-    here empty."""
-    errors[start:] = [(path + at, message, *(path + p for p in compared))
-                      for at, message, *compared in errors[start:]]
-
-
 def validate_config(cfg: SimConfig) -> list[tuple[str, str]]:
     """Every declared invariant, checked; returns the full violation list as
     (path, message) pairs, without the paths that a rule compared
-    (`_violations`). A record's path is built only when one of its checks
-    fails."""
-    return [(path, message) for path, message, *_ in _violations(cfg)]
+    (`_violations`). Each record's path is its place in its list."""
+    return [(path, message) for path, message, *_ in _violations(
+        cfg, {f"objects[{i}]": o for i, o in enumerate(cfg.objects)},
+        {f"transactions[{i}]": t for i, t in enumerate(cfg.transactions)})]
 
 
-def _violations(cfg: SimConfig) -> list[tuple]:
+def _violations(cfg: SimConfig, objects: dict[str, ObjectSpec],
+                transactions: dict[str, UserTxnSpec]) -> list[tuple]:
     """The violations of `validate_config`, each with the paths that its
-    rule compared the value at its path with (`ConfigError`). A repeated id
-    names the first record with that id. The elastic objects' shared target
-    is compared among the targets that meet their own range rule, so a
-    stand-in, 0.0, takes no part."""
+    rule compared the value at its path with (`ConfigError`). `objects` and
+    `transactions` map each record of `cfg` to its path. A repeated id is
+    reported at each record after the first that holds it. The elastic
+    objects' shared target is compared among the targets that meet their
+    own range rule, so a stand-in, 0.0, takes no part."""
     errors: list[tuple] = []
     if cfg.horizon <= 0:
         errors.append(("horizon", "must be > 0"))
     if cfg.rng != RNG_ALGORITHM:
         errors.append(("rng", f"unsupported generator {cfg.rng!r}"))
-    # the index of the first record with each id
-    object_at = {}
-    for i, obj in enumerate(cfg.objects):
-        if (held := object_at.setdefault(obj.id, i)) != i:
-            errors.append((f"objects[{i}].id", f"duplicate object id {obj.id!r}",
-                           f"objects[{held}].id"))
-        start = len(errors)
-        obj.validate("", errors)
-        if len(errors) > start:
-            _anchor(errors, start, f"objects[{i}]")
+    object_ids = set()
+    for path, obj in objects.items():
+        if obj.id in object_ids:
+            errors.append((f"{path}.id", f"duplicate object id {obj.id!r}"))
+        object_ids.add(obj.id)
+        obj.validate(path, errors)
     # an int and a float of equal value are one set member, so no float()
     # is needed, and none can overflow on an int past float range
-    targets = {o.policy.target_utilization for o in cfg.objects
+    targets = {o.policy.target_utilization for o in objects.values()
                if isinstance(o.policy, ElasticPolicy)
                and 0 < o.policy.target_utilization <= 1}
     if len(targets) > 1:
         errors.append(("objects", "elastic objects must share one target_utilization"))
-    txn_at = {}
-    for i, txn in enumerate(cfg.transactions):
-        if (held := txn_at.setdefault(txn.id, i)) != i:
-            errors.append((f"transactions[{i}].id",
-                           f"duplicate transaction id {txn.id!r}",
-                           f"transactions[{held}].id"))
-        start = len(errors)
+    txn_ids = set()
+    for path, txn in transactions.items():
+        if txn.id in txn_ids:
+            errors.append((f"{path}.id", f"duplicate transaction id {txn.id!r}"))
+        txn_ids.add(txn.id)
         if txn.id == "overall":
-            errors.append((".id", "'overall' labels the run-wide CSV row"))
-        txn.validate("", object_at.keys(), errors)
-        if len(errors) > start:
-            _anchor(errors, start, f"transactions[{i}]")
+            errors.append((f"{path}.id", "'overall' labels the run-wide CSV row"))
+        txn.validate(path, object_ids, errors)
     return errors
 
 
@@ -483,6 +471,8 @@ class _Durations(_Scalar):
 INT = _Scalar(_is_int, "must be an integer", 0, (int,))
 NUM = _Scalar(_is_num, "must be a number", 0.0, (int,), (int, float))
 STR = _Scalar(lambda v: isinstance(v, str), "must be a string", "", (str,))
+# a record id: its stand-in, None, equals no id that passed its check
+ID = _Scalar(STR.check, STR.message, None, (str,))
 BOOL = _Scalar(lambda v: isinstance(v, bool), "must be a boolean", False, (bool,))
 IDS = _Scalar(lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
               "must be a list of object ids", [])
@@ -632,7 +622,7 @@ ARRIVALS = _Kinds("arrival", {
 })
 
 OBJECT = _Record((
-    ("id", "id", STR, REQUIRED),
+    ("id", "id", ID, REQUIRED),
     ("vi", "vi", INT, REQUIRED),
     ("period", "update_period", INT, REQUIRED),
     ("cost", "update_cost", INT, 0),
@@ -644,7 +634,7 @@ OBJECT = _Record((
 
 TRANSACTION = _Record((
     ("read_set", "read_set", IDS, []),
-    ("id", "id", STR, REQUIRED),
+    ("id", "id", ID, REQUIRED),
     ("retrieval", "retrieval_time", DURATIONS, REQUIRED),
     ("analysis", "analysis_time", DURATIONS, REQUIRED),
     ("deadline", "relative_deadline", INT, REQUIRED),
@@ -671,7 +661,7 @@ class _Reader:
     def __init__(self):
         self.errors: list[tuple[str, str]] = []
         # the paths of the values that failed their check and got a
-        # stand-in, which the rules of `validate_config` must not report on
+        # stand-in, which the rules of `_violations` must not report on
         self.failed: set[str] = set()
 
     def fail(self, path, msg):
@@ -679,9 +669,9 @@ class _Reader:
 
     def stand_in(self, path, msg):
         """Report `msg` at `path`, whose value the read replaces with a
-        stand-in. An error of `validate_config` at that path or below it,
-        or one that names such a path as a value its rule compared, follows
-        from this one and is not reported."""
+        stand-in. A rule error at that path or below it, or one that names
+        such a path as a value its rule compared, follows from this one and
+        is not reported."""
         self.errors.append((path, msg))
         self.failed.add(path)
 
@@ -720,12 +710,13 @@ def config_from_dict(doc: dict) -> SimConfig:
         # mode has its error from the read already
         r.fail("mode", f"must be 'classical' or 'multiversion', got {mode_s!r}")
 
-    objects = []
+    # each record by the path the reader gave it
+    objects = {}
     for path, od in r.records(doc, "objects"):
         r.check_keys(od, OBJECT.keys, path)
-        objects.append(OBJECT.read(r, od, path))
+        objects[path] = OBJECT.read(r, od, path)
 
-    transactions = []
+    transactions = {}
     for path, td in r.records(doc, "transactions"):
         r.check_keys(td, TRANSACTION.keys, path)
         txn = TRANSACTION.read(r, td, path)
@@ -733,21 +724,18 @@ def config_from_dict(doc: dict) -> SimConfig:
         for attr in ("retrieval_time", "analysis_time"):
             if not isinstance(txn[attr], dict):
                 txn[attr] = dict.fromkeys(read_set, txn[attr])
-        transactions.append(UserTxnSpec(**txn))
+        transactions[path] = UserTxnSpec(**txn)
 
     top = TOP.read(r, doc, "")
     top["seed"] &= _MASK64
-    cfg = SimConfig(mode=mode, objects=objects, transactions=transactions, **top)
-    if r.failed:
-        # a rule that read a stand-in, at its own path or at one it
-        # compared, found what follows from the failed check
-        below = tuple(f + c for f in r.failed for c in ".[")
-        errors = [(path, message) for path, message, *compared in _violations(cfg)
-                  if not any(p in r.failed or p.startswith(below)
-                             for p in (path, *compared))]
-    else:
-        errors = validate_config(cfg)
-    errors = r.errors + errors
+    cfg = SimConfig(mode=mode, objects=list(objects.values()),
+                    transactions=list(transactions.values()), **top)
+    # a rule that read a stand-in, at its own path or at one it compared,
+    # found what follows from the failed check
+    below = tuple(f + c for f in r.failed for c in ".[")
+    errors = r.errors + [
+        (path, message) for path, message, *compared in _violations(cfg, objects, transactions)
+        if not any(p in r.failed or p.startswith(below) for p in (path, *compared))]
     if errors:
         raise ConfigError(errors)
     cfg.validated = True

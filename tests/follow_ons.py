@@ -16,9 +16,11 @@ that takes out, and exits 1 on the first case that differs.
 
 It states the rules on its own, and does not call the parser. It reads them
 from the error lists alone, but for the two rules that compare records:
-a duplicate id, which follows on iff the first record with that id failed
-its check, and the elastic objects' shared target, which compares only the
-targets in (0, 1]. For those it reads the case's document.
+a duplicate id, which follows on iff no earlier entry of the document's list
+holds that id as a string (the stand-in of an id that failed its check is
+None, which equals no id), and the elastic objects' shared target, which
+compares only the targets in (0, 1]. For those it reads the case's
+document.
 """
 
 import ast
@@ -72,12 +74,11 @@ def _compared_a_stand_in(doc: dict, path: str, message: str) -> bool:
                    and not isinstance(t, bool) and 0 < t <= 1}
         return len(targets) < 2
     if (m := re.fullmatch(r"duplicate (object|transaction) id (.*)", message)) \
-            and path.endswith("].id"):
-        # an id that is not a string has the stand-in ''
+            and (at := re.fullmatch(r"(\w+)\[(\d+)\]\.id", path)):
+        # paths number the entries of the document's list, objects or not
         oid = ast.literal_eval(m.group(2))
-        first = next(d.get("id") for d in _records(doc, path[:path.index("[")])
-                     if (d.get("id") if isinstance(d.get("id"), str) else "") == oid)
-        return not isinstance(first, str)
+        return not any(isinstance(d, dict) and d.get("id") == oid
+                       for d in doc[at.group(1)][:int(at.group(2))])
     return False
 
 

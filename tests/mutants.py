@@ -65,6 +65,14 @@ _ENCODER = "one trace encoder, whose `encode` takes json's C or Python path itse
 _HOLDERS = "ebe0b66 Keep each engine fact once: events carry their instance"
 _AGGREGATOR = "cf7d440 Document trace v2 and tie the README table to the code"
 _INVARIANTS = "95a5e72 Fold the segment-end handlers into one and drop unreachable branches"
+_READER_PATHS = ("config rules are checked at the paths the reader gave each record, and "
+                 "an id that failed its check stands in as None")
+_TOKENS = "policy tokens are read through the POLICIES table"
+_CLAMPED = "f53aadd Cut compare's per-variant overhead and dispatch records by kind"
+_DURATION_RANGE = ("201e635 Derive peak live versions from install/gc records; drop the "
+                   "store's counters")
+_OVERALL = ("e8cc685 Cut the per-record work around the engine: compare drops its value sink, "
+            "shared walks take one lookup, TraceLines encodes a batch in a few calls")
 
 _ORACLE_SEEDS = "tests/test_invariants.py::test_invariants_hold_on_the_oracle_seeds"
 _RUNS = "tests/test_invariants.py::test_cohort_queue_invariants_hold_at_both_horizons[1000]"
@@ -194,17 +202,51 @@ MUTANTS = (
            _NAMED,
            (f"{_FOLLOW_ON}[period-type]", f"{_FOLLOW_ON}[read-set-type]",
             f"{_FOLLOW_ON}[retrieval-mode-type]", f"{_FOLLOW_ON}[mkfirm-m-type]")),
-    Mutant("duplicate-names-no-first-holder", "workload.py",
-           'f"duplicate object id {obj.id!r}",\n'
-           '                           f"objects[{held}].id"))',
-           'f"duplicate object id {obj.id!r}"))',
-           _NAMED,
-           (f"{_FOLLOW_ON}[object-id-type]",)),
     Mutant("elastic-rule-compares-stand-ins", "workload.py",
            "\n               and 0 < o.policy.target_utilization <= 1}",
            "}",
            _NAMED,
            (f"{_FOLLOW_ON}[elastic-target-type]", f"{_FOLLOW_ON}[elastic-target-out-of-range]")),
+    Mutant("id-stand-in-is-the-empty-string", "workload.py",
+           "ID = _Scalar(STR.check, STR.message, None, (str,))",
+           'ID = _Scalar(STR.check, STR.message, "", (str,))',
+           _READER_PATHS,
+           (f"{_FOLLOW_ON}[object-ids-empty-after-a-type-error]",
+            f"{_FOLLOW_ON}[transaction-ids-empty-after-a-type-error]")),
+    Mutant("rule-paths-from-list-positions", "workload.py",
+           "objects[path] = OBJECT.read(r, od, path)",
+           'objects[f"objects[{len(objects)}]"] = OBJECT.read(r, od, path)',
+           _READER_PATHS,
+           (f"{_FOLLOW_ON}[non-object-before-a-bad-object]",)),
+    Mutant("token-values-zipped-in-reverse-field-order", "cli.py",
+           "zip(fields, values)",
+           "zip(fields[::-1], values)",
+           _TOKENS,
+           ("tests/test_metrics_cli.py::test_a_policy_token_gives_its_values_to_the_"
+            "required_fields_in_order[mkfirm:2:3]",
+            "tests/test_metrics_cli.py::test_a_policy_token_gives_its_values_to_the_"
+            "required_fields_in_order[prediction:linear:0.5]")),
+    # regressions: each brings back a fault that an earlier change mended
+    Mutant("uniform-draw-left-unclamped", "workload.py",
+           "return u if u < 1.0 else _BELOW_ONE",
+           "return u",
+           _CLAMPED,
+           ("tests/test_workload.py::test_uniform_draws_stay_inside_the_open_unit_"
+            "interval[18446744073709551615-0.9999999999999999]",)),
+    Mutant("duration-entry-past-float-range-accepted", "workload.py",
+           "                _check_magnitude(r, ticks, path, key, oid)\n",
+           "",
+           _DURATION_RANGE,
+           ("tests/test_metrics_cli.py::test_cli_rejects_a_per_object_duration_past_"
+            "float_range[retrieval]",
+            "tests/test_metrics_cli.py::test_cli_rejects_a_per_object_duration_past_"
+            "float_range[analysis]")),
+    Mutant("overall-label-accepted-as-a-transaction-id", "workload.py",
+           'if txn.id == "overall":',
+           "if False:",
+           _OVERALL,
+           ("tests/test_metrics_cli.py::test_cli_rejects_a_class_with_the_overall_rows_"
+            "label[command0]",)),
     Mutant("encoder-loses-sort-keys", "metrics.py",
            'json.JSONEncoder(sort_keys=True, separators=(",", ":"),',
            'json.JSONEncoder(separators=(",", ":"),',

@@ -18,8 +18,8 @@ import freshsim.cli
 import freshsim.engine
 import freshsim.metrics
 import freshsim.workload
-from freshsim.cli import _set_path, _write_csv, main
-from freshsim.core import FreshnessMode, SimInternalError
+from freshsim.cli import _parse_policy_token, _set_path, _write_csv, main
+from freshsim.core import ConfigError, FreshnessMode, SimInternalError
 from freshsim.engine import Simulator
 from freshsim.policies import effective_objects
 from freshsim.metrics import (
@@ -1141,16 +1141,16 @@ def test_cli_compare_parses_its_config_once(tmp_path, monkeypatch):
 
 
 def _count_validations(monkeypatch) -> list:
-    """Count every `validate_config` call, from parsing and from Simulator."""
+    """Count every pass of the config rules (`workload._violations`), which
+    a parse makes once, and `validate_config` from Simulator once."""
     calls = []
-    validate = freshsim.workload.validate_config
+    violations = freshsim.workload._violations
 
-    def counted(cfg):
+    def counted(cfg, *records):
         calls.append(cfg)
-        return validate(cfg)
+        return violations(cfg, *records)
 
-    monkeypatch.setattr(freshsim.workload, "validate_config", counted)
-    monkeypatch.setattr(freshsim.engine, "validate_config", counted)
+    monkeypatch.setattr(freshsim.workload, "_violations", counted)
     return calls
 
 
@@ -1473,6 +1473,32 @@ def test_cli_sweep_names_a_bad_param_path(tmp_path, capsys, param, message):
     path = write_config(tmp_path, CONFIG_INFEASIBLE)
     assert main(["sweep", path, "--param", param, "--values", "1"]) == 1
     assert capsys.readouterr().err == f"error: param: {message}\n"
+
+
+_TOKEN_DOCS = {
+    **_POLICY_DOCS,
+    # a bare elastic token targets full utilization
+    "elastic": {"kind": "elastic", "target_utilization": 1.0},
+    "elastic:0.5": {"kind": "elastic", "target_utilization": 0.5},
+    # float() reads these; the policy's own read rejects them later
+    "similarity:nan": {"kind": "similarity", "delta": math.nan},
+    "similarity:1e400": {"kind": "similarity", "delta": math.inf},
+}
+
+
+@pytest.mark.parametrize("token, policy", _TOKEN_DOCS.items(), ids=_TOKEN_DOCS)
+def test_a_policy_token_gives_its_values_to_the_required_fields_in_order(token, policy):
+    # repr, since nan equals no float
+    assert repr(_parse_policy_token(token)) == repr(policy)
+
+
+@pytest.mark.parametrize("token", [
+    "mkfirm:2", "mkfirm:x:3", "mkfirm:1.0:2", "periodic:1", "elastic:1:2", "elastic:",
+    "prediction:0.5:linear", "bogus", ":", ""])
+def test_a_policy_token_that_does_not_fit_its_kind_is_rejected(token):
+    with pytest.raises(ConfigError) as err:
+        _parse_policy_token(token)
+    assert err.value.errors == [("policies", f"cannot parse policy token {token!r}")]
 
 
 def test_cli_compare_rejects_a_bad_policy_token(tmp_path, capsys):

@@ -783,6 +783,14 @@ def _another_transaction(**fields):
     return mutate
 
 
+def _first(key, value):
+    """A mutation that puts `value` first in the list at `key`, so that each
+    record after it moves one place on."""
+    def mutate(d):
+        d[key].insert(0, value)
+    return mutate
+
+
 def _elastic(target):
     return {"kind": "elastic", "target_utilization": target}
 
@@ -825,8 +833,7 @@ def _elastic(target):
     ([_set(("objects", 0, "vi"), -10 ** 400)],
      [("objects[0].vi", "magnitude exceeds the largest float (1.798e+308)"),
       ("objects[0].vi", "validity interval must be > 0")]),
-    # a duplicate id is compared with the first record that holds it, so
-    # another record's failed id hides nothing
+    # another record's failed id hides no duplicate id
     ([_second_object(id="o1"), _second_object(id=5)],
      [("objects[2].id", "must be a string"),
       ("objects[1].id", "duplicate object id 'o1'")]),
@@ -844,6 +851,24 @@ def _elastic(target):
       ("objects", "elastic objects must share one target_utilization")]),
     ([_set(("objects", 0, "policy"), _elastic(0.5)), _second_object(policy=_elastic(1.5))],
      [("objects[1].policy.target_utilization", "must be in (0, 1]")]),
+    # a rule reports at the path the reader gave the record, its place in
+    # the document, even after an entry that is not an object
+    ([_set(("objects", 0, "period"), "x"), _set(("objects", 0, "cost"), 3),
+      _first("objects", 5)],
+     [("objects[0]", "must be an object"), ("objects[1].period", "must be an integer")]),
+    ([_set(("transactions", 0, "deadline"), "x"), _first("transactions", 5)],
+     [("transactions[0]", "must be an object"),
+      ("transactions[1].deadline", "must be an integer")]),
+    # an id that failed its check equals no id, not even ''
+    ([_second_object(id=5), _second_object(id=""), _second_object(id="")],
+     [("objects[1].id", "must be a string"), ("objects[3].id", "duplicate object id ''")]),
+    ([_set(("objects", 0, "id"), ""), _second_object(id=5), _second_object(id="")],
+     [("objects[1].id", "must be a string"), ("objects[2].id", "duplicate object id ''"),
+      ("transactions[0].read_set[0]", "unknown object id 'o1'")]),
+    ([_set(("transactions", 0, "id"), 5), _another_transaction(id=""),
+      _another_transaction(id="")],
+     [("transactions[0].id", "must be a string"),
+      ("transactions[2].id", "duplicate transaction id ''")]),
 ], ids=["horizon-type", "horizon-missing", "period-type", "read-set-type",
         "duration-entry-type", "retrieval-mode-type", "mkfirm-m-type",
         "elastic-target-type", "object-id-type", "period-type-cost-range",
@@ -852,7 +877,9 @@ def _elastic(target):
         "transaction-id-duplicate-beside-a-type-error",
         "elastic-targets-differ-beside-a-type-error-last",
         "elastic-targets-differ-beside-a-type-error-first",
-        "elastic-target-out-of-range"])
+        "elastic-target-out-of-range", "non-object-before-a-bad-object",
+        "non-object-before-a-bad-transaction", "object-ids-empty-after-a-type-error",
+        "object-ids-empty-around-a-type-error", "transaction-ids-empty-after-a-type-error"])
 def test_a_value_that_fails_its_check_gets_no_follow_on_errors(mutations, errors):
     d = doc()
     for mutate in mutations:
