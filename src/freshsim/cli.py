@@ -15,14 +15,15 @@ Subcommands:
       if the config is valid and every transaction is feasible.
 
 Exit codes: 0 success, 1 invalid input (an unreadable or invalid config, or
-an output file that cannot be written) or a feasibility failure, 2 runtime
-error.
+an output file that cannot be written, a closed stdout included) or a
+feasibility failure, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -334,11 +335,26 @@ def main(argv: list[str] | None = None) -> int:
         print("compare: need --modes and/or --policies", file=sys.stderr)
         return EXIT_RUNTIME
     try:
-        return args.func(args)
+        code = args.func(args)
+        # what stdout still buffers is written here, where a closed pipe
+        # is reported, not at the interpreter's exit; stdout is None when
+        # fd 1 was closed at start
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except ConfigError as e:
         for path, msg in e.errors:
             print(f"error: {path}: {msg}" if path else f"error: {msg}",
                   file=sys.stderr)
+        return EXIT_INVALID
+    except BrokenPipeError as e:
+        # an output that cannot be written, as an unwritable --csv file is;
+        # fd 1 then takes the rest of the buffer, which the interpreter
+        # flushes at exit, to os.devnull
+        print(f"error: stdout: {e.strerror}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
         return EXIT_INVALID
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {e}", file=sys.stderr)

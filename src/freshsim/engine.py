@@ -54,7 +54,7 @@ from .workload import SimConfig, ValueSampler, iter_arrivals, validate_config
 # is about as its payload; the string subject only orders the queue. An
 # update entry stands for every update event at its tick, so its subject is
 # empty and never compared: no other update entry is pending at that tick.
-TXN_ARRIVAL = 0   # (spec, remaining releases)
+TXN_ARRIVAL = 0   # (spec, instances released before it, remaining (count, release)s)
 SEGMENT_DONE = 1  # (inst, epoch): the end of a retrieval or an analysis
 VI_EXPIRY = 2     # (inst, epoch, object id)
 UPDATES = 3       # ([[UpdateStream] run], [(object id, stream, value, sample time)])
@@ -134,12 +134,12 @@ class UpdateStream:
     one tick, the policy's bound `decide` and its per-run state, the
     effective update period and cost, whether the object updates
     periodically (every policy but on-demand does), the object's version
-    chain, which the store changes only in place, its random walk's values
-    in a shared walk table and the declared period that indexes them (see
-    `ValueSampler.table_walk`), for an on-demand object, whether a refresh is
-    queued or running, and the instances that wait on the object, in the
-    order they started waiting. A release samples a value inside the table
-    with one index; any other value comes from `ValueSampler.sample`."""
+    chain, which the store changes only in place, the object's
+    `ValueSampler`, built from its declared object, for an on-demand object,
+    whether a refresh is queued or running, and the instances that wait on
+    the object, in the order they started waiting. A release samples a value
+    inside the sampler's walk table with one index; any other value comes
+    from `ValueSampler.sample`."""
 
     object_id: str
     decide: Callable
@@ -148,8 +148,7 @@ class UpdateStream:
     cost: Tick
     periodic: bool
     chain: list[Version]
-    walk: list[float] | None
-    walk_period: Tick
+    sampler: ValueSampler
     refreshing: bool = False
     waiting: list[TxnInstance] = field(default_factory=list)
 
@@ -182,7 +181,8 @@ class Simulator:
     not change it, its records or their details, which records may share; a
     list's `extend` collects every record. `walks` is a random-walk table
     that runs may share, so that each reads the walk steps the others
-    computed (see `ValueSampler`). A config is validated here unless it is
+    computed; each update stream's `ValueSampler` reads its object's walk
+    there. A config is validated here unless it is
     marked validated: `config_from_dict` validated it, or `compare` derived
     it from such a config by a change it checked."""
 
@@ -199,15 +199,11 @@ class Simulator:
         self._batch: list[tuple] = []  # records not yet handed over
         self.metrics = MetricsAggregator()
         self.eff_objects = effective_objects(config.objects)
-
-        # Value trajectories are keyed on the declared update grid, so policy
-        # variants of one seeded workload sample identical values.
-        self.sampler = ValueSampler(config.seed, config.objects, walks)
+        self._walks = walks
         self.store = VersionStore({oid: o.vi for oid, o in self.eff_objects.items()})
         self._classical = config.mode is FreshnessMode.CLASSICAL
 
         self.queue = EventQueue()
-        self._released: dict[str, int] = {}  # instances released per class
         # (*edf_key, instance) for every instance that became READY; entries
         # of instances that left READY since are skipped when popped
         self._ready: list[tuple] = []
@@ -242,7 +238,10 @@ class Simulator:
         periodic run, at 0; each release queues the next one when it fires,
         so no class or run has more than one release pending. Every object
         gets its UpdateStream here, on-demand ones included, and each
-        periodic one joins the run of its effective period."""
+        periodic one joins the run of its effective period. Its sampler
+        reads the declared object, so that value trajectories are keyed on
+        the declared update grid and policy variants of one seeded workload
+        sample identical values."""
         # with enforcement off every class runs, even one that can restart
         # without end
         enforce = self.config.enforce_admission
@@ -251,26 +250,29 @@ class Simulator:
                 self._batch.append((0, "txn_rejected", spec.id,
                                     {"failing": report.failing_objects()}))
                 continue
-            self._push_arrival(spec, iter_arrivals(spec, self.horizon, self.config.seed))
+            self._push_arrival(spec, enumerate(
+                iter_arrivals(spec, self.horizon, self.config.seed)))
         chains = self.store.chains
-        table_walk = self.sampler.table_walk
         by_period: dict[Tick, list[UpdateStream]] = {}
-        for oid, eff in self.eff_objects.items():
+        for obj, eff in zip(self.config.objects, self.eff_objects.values()):
             policy = eff.policy
-            walk, walk_period = table_walk(oid) or (None, 0)
-            stream = self._streams[oid] = UpdateStream(
-                oid, policy.decide, policy.new_state(), eff.update_period,
-                eff.update_cost, policy.periodic, chains[oid], walk, walk_period)
+            stream = self._streams[obj.id] = UpdateStream(
+                obj.id, policy.decide, policy.new_state(), eff.update_period,
+                eff.update_cost, policy.periodic, chains[obj.id],
+                ValueSampler(self.config.seed, obj, self._walks))
             if stream.periodic:
                 by_period.setdefault(stream.period, []).append(stream)
         if by_period:
             self._updates_at(0)[0].extend(sorted(streams, key=_release_object)
                                           for streams in by_period.values())
 
-    def _push_arrival(self, spec: UserTxnSpec, releases: Iterator[Tick]) -> None:
-        release = next(releases, None)
-        if release is not None:
-            self.queue.push(release, TXN_ARRIVAL, spec.id, (spec, releases))
+    def _push_arrival(self, spec: UserTxnSpec,
+                      releases: Iterator[tuple[int, Tick]]) -> None:
+        """Queue the next of the class's (count, release) pairs, if any."""
+        entry = next(releases, None)
+        if entry is not None:
+            count, release = entry
+            self.queue.push(release, TXN_ARRIVAL, spec.id, (spec, count, releases))
 
     # -- main loop -----------------------------------------------------------
 
@@ -299,9 +301,7 @@ class Simulator:
     # -- transaction lifecycle ----------------------------------------------
 
     def _on_arrival(self, t: Tick, subject: str, payload) -> None:
-        spec, releases = payload
-        count = self._released.get(spec.id, 0)
-        self._released[spec.id] = count + 1
+        spec, count, releases = payload
         inst = TxnInstance(inst_id=f"{spec.id}#{count}", spec=spec, release=t,
                            deadline=t + spec.relative_deadline)
         self._make_ready(inst)
@@ -421,14 +421,14 @@ class Simulator:
         else:
             releases = runs[0] if runs else ()
         record = self._batch.append
-        sample = self.sampler.sample
         for stream in releases:
             object_id = stream.object_id
-            values = stream.walk
-            if values is not None and (index := t // stream.walk_period) < len(values):
+            sampler = stream.sampler
+            values = sampler.values
+            if values is not None and (index := t // sampler.period) < len(values):
                 sampled = values[index]
             else:
-                sampled = sample(object_id, t)
+                sampled = sampler.sample(t)
             chain = stream.chain
             newest = chain[-1] if chain else None
             decision, sink_value, extra = stream.decide(stream.state, t, sampled, newest)
@@ -518,7 +518,7 @@ class Simulator:
 
         if mode != "store":
             # the source, directly or when the store cannot serve
-            sample = Version(obj, self.sampler.sample(obj, t), t, 0,
+            sample = Version(obj, self._streams[obj].sampler.sample(t), t, 0,
                              t + self.store.vis[obj])
             self._acquire(inst, t, sample, "source")
             self._run_segment(inst, RETRIEVING, t + inst.spec.retrieval_time[obj])

@@ -179,7 +179,8 @@ class SinusoidProcess:
 
 
 class ValueSampler:
-    """Per-run sampler of the objects' value processes.
+    """One object's value sampling in one run: the value of its process at
+    a sampling instant.
 
     The walk steps once per declared update period, so the sample at time t
     has ordinal t // period regardless of which policy runs or which instants
@@ -187,85 +188,63 @@ class ValueSampler:
     variants of the same seeded workload. The steps add up in the order
     `RandomWalkProcess.value_at` adds them, so the values are the same floats.
 
-    Without `walks` the sampler keeps each random walk's last sample: a run
-    asks for nondecreasing ordinals, so each walk steps on from there, and
-    an earlier ordinal walks again from the start. `walks` is a table that
-    samplers share: (run seed, process seed, object id, start, step_sigma),
-    which is all that a walk's values depend on, maps to the list of the
-    walk's values by ordinal, extended in place as far as any sampler has
-    asked. It holds about horizon / period values per walk. `table_walk`
-    hands an object's list to its update stream, which indexes a value
-    inside the table itself; `sample` extends the table past its end.
+    `walks` is a table that samplers share: (run seed, process seed, object
+    id, start, step_sigma), which is all that a walk's values depend on, maps
+    to the list of the walk's values by ordinal, extended in place as far as
+    any sampler has asked. It holds about horizon / period values per walk.
+    `values` is the object's list there, which its update stream indexes
+    itself while t // `period` is inside it; None without `walks` or for
+    another process. Without `walks` the sampler keeps its walk's last sample
+    as a cursor: a run asks for nondecreasing ordinals, so the walk steps on
+    from there, and an earlier ordinal walks again from the start. Both step
+    in one loop, from the stream key that the sampler computes at the first
+    sample that its table does not hold, which may never come.
     """
 
-    def __init__(self, seed: int, objects: list[ObjectSpec],
+    __slots__ = ("process", "seed", "object_id", "period", "values", "_key", "_cursor")
+
+    def __init__(self, seed: int, obj: ObjectSpec,
                  walks: dict[tuple, list[float]] | None = None):
+        process = self.process = obj.value_process
         self.seed = seed
-        self.specs = {o.id: o for o in objects}
-        self.walks = walks
-        # object id -> [the walk's values in `walks`, stream key], for each
-        # walk the sampler has read there; the key is computed when the
-        # sampler first extends the walk, which it may never do
-        self._table: dict[str, list] = {}
-        # object id -> (stream key, ordinal, walk value at that ordinal)
-        self._walks: dict[str, tuple] = {}
-
-    def table_walk(self, object_id: str) -> tuple[list[float], Tick] | None:
-        """The values of the object's random walk in `walks`, a list that
-        the samplers only extend, and the declared update period that indexes
-        them: the value at t is at t // period while that is inside the list.
-        None without `walks` or for another process."""
-        obj = self.specs[object_id]
-        process = obj.value_process
-        if self.walks is None or not isinstance(process, RandomWalkProcess):
-            return None
-        return self._table_walk(obj, process)[0], obj.update_period
-
-    def sample(self, object_id: str, t: Tick) -> float:
-        obj = self.specs[object_id]
-        process = obj.value_process
-        index = t // obj.update_period
+        self.object_id = obj.id
+        self.period = obj.update_period
+        self.values = None
+        self._key = None
         if isinstance(process, RandomWalkProcess):
-            # the one process with state: the sampler steps it on
-            if self.walks is None:
-                return self._walk_value(obj, process, index)
-            return self._table_value(obj, process, index)
-        return process.value_at(t, index, self.seed, object_id)
+            start = float(process.start)
+            # (ordinal, walk value at that ordinal)
+            self._cursor = (0, start)
+            if walks is not None:
+                self.values = walks.setdefault(
+                    (seed, process.seed, obj.id, process.start, process.step_sigma),
+                    [start])
 
-    def _table_walk(self, obj: ObjectSpec, process: RandomWalkProcess) -> list:
-        walk = self._table.get(obj.id)
-        if walk is None:
-            walk = self._table[obj.id] = [self.walks.setdefault(
-                (self.seed, process.seed, obj.id, process.start, process.step_sigma),
-                [float(process.start)]), None]
-        return walk
-
-    def _table_value(self, obj: ObjectSpec, process: RandomWalkProcess,
-                     index: int) -> float:
-        walk = self._table_walk(obj, process)
-        values, key = walk
-        if index >= len(values):
-            if key is None:
-                key = walk[1] = stable_key(self.seed, process.seed, obj.id, "walk")
-            value = values[-1]
-            for j in range(len(values), index + 1):
-                value += process.step_sigma * _normal_dist_inv_cdf(
-                    uniform_at(key, j), 0.0, 1.0)
-                values.append(value)
-        return values[index]
-
-    def _walk_value(self, obj: ObjectSpec, process: RandomWalkProcess,
-                    index: int) -> float:
-        walk = self._walks.get(obj.id)
-        if walk is None or walk[1] > index:
-            walk = (stable_key(self.seed, process.seed, obj.id, "walk"),
-                    0, float(process.start))
-        key, j, value = walk
+    def sample(self, t: Tick) -> float:
+        process = self.process
+        index = t // self.period
+        if not isinstance(process, RandomWalkProcess):
+            return process.value_at(t, index, self.seed, self.object_id)
+        # the one process with state: the sampler steps it on
+        values = self.values
+        if values is None:
+            j, value = self._cursor
+            if j > index:
+                j, value = 0, float(process.start)
+        elif index < len(values):
+            return values[index]
+        else:
+            j, value = len(values) - 1, values[-1]
+        key = self._key
+        if key is None:
+            key = self._key = stable_key(self.seed, process.seed, self.object_id, "walk")
         while j < index:
             j += 1
-            value += process.step_sigma * _normal_dist_inv_cdf(
-                uniform_at(key, j), 0.0, 1.0)
-        self._walks[obj.id] = (key, j, value)
+            value += process.step_sigma * _normal_dist_inv_cdf(uniform_at(key, j), 0.0, 1.0)
+            if values is not None:
+                values.append(value)
+        if values is None:
+            self._cursor = (j, value)
         return value
 
 

@@ -71,6 +71,7 @@ _TOKENS = "policy tokens are read through the POLICIES table"
 _CLAMPED = "f53aadd Cut compare's per-variant overhead and dispatch records by kind"
 _DURATION_RANGE = ("201e635 Derive peak live versions from install/gc records; drop the "
                    "store's counters")
+_SAMPLER = "one ValueSampler per object, kept on its update stream"
 _OVERALL = ("e8cc685 Cut the per-record work around the engine: compare drops its value sink, "
             "shared walks take one lookup, TraceLines encodes a batch in a few calls")
 
@@ -82,6 +83,10 @@ _DEFAULT_SEED_HASH = "tests/test_perfbench_hooks.py::test_restart_cycle_default_
 _OPENING_RUN = ("tests/test_metrics_cli.py::test_fnv1a64_counts_and_tables_the_run_that_"
                 "opens_the_data")
 _EDGE_INPUT = "tests/test_metrics_cli.py::test_fnv1a64_is_bytewise_fnv1a_on_edge_inputs"
+_WALK_STEPS = ("tests/test_workload.py::test_a_walk_steps_once_per_ordinal_with_and_"
+               "without_a_table")
+_COMPARE_STEPS = ("tests/test_metrics_cli.py::test_cli_compare_steps_each_walk_once_for_"
+                  "all_of_its_variants")
 _FOLLOW_ON = ("tests/test_workload.py::test_a_value_that_fails_its_check_gets_no_follow_"
               "on_errors")
 
@@ -226,6 +231,22 @@ MUTANTS = (
             "required_fields_in_order[mkfirm:2:3]",
             "tests/test_metrics_cli.py::test_a_policy_token_gives_its_values_to_the_"
             "required_fields_in_order[prediction:linear:0.5]")),
+    Mutant("table-append-dropped", "workload.py",
+           "                values.append(value)",
+           "                pass",
+           _SAMPLER,
+           (_WALK_STEPS, _COMPARE_STEPS)),
+    Mutant("cursor-not-kept", "workload.py",
+           "            self._cursor = (j, value)",
+           "            pass",
+           _SAMPLER,
+           (_WALK_STEPS, _COMPARE_STEPS)),
+    Mutant("sampler-built-from-the-effective-object", "engine.py",
+           "ValueSampler(self.config.seed, obj, self._walks)",
+           "ValueSampler(self.config.seed, eff, self._walks)",
+           _SAMPLER,
+           ("tests/test_workload.py::test_stream_bound_samples_match_value_at_inside_"
+            "and_past_a_shared_table",)),
     # regressions: each brings back a fault that an earlier change mended
     Mutant("uniform-draw-left-unclamped", "workload.py",
            "return u if u < 1.0 else _BELOW_ONE",

@@ -3,6 +3,9 @@ extraction for engine/oracle comparison."""
 
 from __future__ import annotations
 
+from collections import Counter
+
+import freshsim.workload
 from freshsim.core import Arrival, FreshnessMode, ObjectSpec, UserTxnSpec
 from freshsim.engine import Simulator
 from freshsim.metrics import MetricsReport, TraceLines, trace_hash
@@ -25,6 +28,20 @@ def one_object_config(vi=5, period=10, cost=0, retrieval=2, analysis=4,
                       retrieval_mode=retrieval_mode)
     return SimConfig(horizon=horizon, mode=mode, enforce_admission=enforce,
                      seed=seed, objects=[obj], transactions=[txn])
+
+
+def count_walk_steps(monkeypatch) -> Counter:
+    """A counter whose "steps" counts, from now on, the random-walk steps
+    that the samplers take: one normal quantile each."""
+    counts = Counter()
+    quantile = freshsim.workload._normal_dist_inv_cdf
+
+    def counted(*args):
+        counts["steps"] += 1
+        return quantile(*args)
+
+    monkeypatch.setattr(freshsim.workload, "_normal_dist_inv_cdf", counted)
+    return counts
 
 
 class WatchedWaitList(list):

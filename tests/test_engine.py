@@ -12,8 +12,8 @@ from freshsim.policies import PERFORMED, ElasticPolicy, OnDemandPolicy, Periodic
 from freshsim.workload import ConstantProcess, SimConfig, config_from_dict
 
 from randgen import random_config
-from support import (hash_records, one_object_config, run_outcomes, run_records,
-                     watch_updates)
+from support import (count_walk_steps, hash_records, one_object_config, run_outcomes,
+                     run_records, watch_updates)
 from test_acceptance import mk_window_config
 from test_golden import corpus
 
@@ -82,6 +82,26 @@ def test_the_engine_sweeps_the_store_only_when_a_chain_is_dirty(workload):
     assert len(inline) + len(swept) == sum(kind == "gc" for _, kind, _, _ in trace)
 
 
+@pytest.mark.parametrize("workload", ["restart_cycle", "policy_fleet"])
+def test_run_cost_grows_linearly_with_the_horizon(workload, monkeypatch):
+    # the seed-1 config at 1x, 4x and 16x its horizon: records, queue pushes
+    # and walk steps each grow 4x, within 5%, from one horizon to the next
+    steps = count_walk_steps(monkeypatch)
+    counts = []
+    for scale in (1, 4, 16):
+        doc = gen.generate(workload, 1)
+        doc["horizon"] *= scale
+        sizes = []
+        before = steps["steps"]
+        sim = Simulator(config_from_dict(doc), sink=lambda batch: sizes.append(len(batch)))
+        sim.run()
+        counts.append((sum(sizes), sim.queue._counter, steps["steps"] - before))
+    assert min(min(c) for c in counts) > 0
+    for smaller, larger in zip(counts, counts[1:]):
+        for small, large in zip(smaller, larger):
+            assert 3.8 <= large / small <= 4.2, counts
+
+
 def test_no_batch_ends_inside_a_tick():
     # a dispatch that queues an on-demand refresh at t runs another pass at
     # t, whose records still belong to the batch of t
@@ -98,12 +118,13 @@ def test_no_batch_ends_inside_a_tick():
 
 
 def test_run_handles_an_event_at_the_horizon_and_none_after_it():
-    # updates every 10 ticks up to the horizon at 40, and a release at 40
+    # updates every 10 ticks up to the horizon at 40, and a release at 40;
+    # the arrival queued at 41 would be the class's second instance
     cfg = one_object_config(horizon=40, arrival_t=40)
     trace = []
     sim = Simulator(cfg, sink=trace.extend)
     spec = cfg.transactions[0]
-    sim.queue.push(41, TXN_ARRIVAL, spec.id, (spec, iter(())))
+    sim.queue.push(41, TXN_ARRIVAL, spec.id, (spec, 1, iter(())))
     sim.run()
     assert [t for t, kind, _, _ in trace if kind == "update_decision"] == [0, 10, 20, 30, 40]
     assert [(t, subject) for t, kind, subject, _ in trace

@@ -37,7 +37,7 @@ from freshsim.metrics import (
 from freshsim.workload import config_from_dict, policy_from_dict
 
 from randgen import random_config
-from support import hash_records, one_object_config, run_records
+from support import count_walk_steps, hash_records, one_object_config, run_records
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 if str(BENCH_DIR) not in sys.path:
@@ -899,6 +899,25 @@ def test_python_m_freshsim_prints_what_main_prints(tmp_path, capsys):
     assert proc.stdout == expected
 
 
+@pytest.mark.parametrize("command", [
+    ["run"], ["check"], ["compare", "--modes", "classical,multiversion"]])
+def test_a_closed_stdout_is_an_unwritable_output(tmp_path, command):
+    # the read end of stdout's pipe is closed before the command starts, so
+    # its first write fails, whatever it writes and whenever it flushes
+    path = write_config(tmp_path, CONFIG_INFEASIBLE)
+    src = Path(freshsim.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "freshsim", command[0], path,
+                               *command[1:]], stdout=write, stderr=subprocess.PIPE,
+                              text=True, env=env, cwd=tmp_path)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "error: stdout: Broken pipe\n")
+
+
 def test_cli_sweep_leaves_the_loaded_document_as_it_was(tmp_path, monkeypatch):
     loaded = []
     load = freshsim.cli._load_doc
@@ -1104,25 +1123,17 @@ def test_cli_compare_steps_each_walk_once_for_all_of_its_variants(tmp_path, monk
     # only a walk step draws a normal quantile; the first variant, periodic,
     # samples every ordinal up to the horizon, so no later variant needs
     # a step that it did not take
-    calls = []
-    quantile = freshsim.workload._normal_dist_inv_cdf
-
-    def counted(*args):
-        calls.append(args)
-        return quantile(*args)
-
-    monkeypatch.setattr(freshsim.workload, "_normal_dist_inv_cdf", counted)
+    steps = count_walk_steps(monkeypatch)
     base = _walk_doc()
     assert main(["compare", write_config(tmp_path, base), "--modes",
                  "classical,multiversion", "--policies", ",".join(_POLICY_DOCS),
                  "--csv", str(tmp_path / "compare.csv")]) == 0
-    compared = len(calls)
-    calls.clear()
+    compared = steps["steps"]
     first = {**base, "objects": [{**od, "policy": _POLICY_DOCS["periodic"]}
                                  for od in base["objects"]]}
     assert main(["run", write_config(tmp_path, first, "first.json"),
                  "--csv", str(tmp_path / "run.csv")]) == 0
-    assert compared == len(calls) > 0
+    assert compared == steps["steps"] - compared > 0
 
 
 def test_cli_compare_parses_its_config_once(tmp_path, monkeypatch):

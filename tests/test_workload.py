@@ -43,7 +43,7 @@ from freshsim.workload import (
     validate_config,
 )
 
-from support import one_object_config
+from support import count_walk_steps, one_object_config
 
 MINIMAL = {
     "horizon": 100,
@@ -96,10 +96,10 @@ def test_randomwalk_pure_in_index():
 def test_sampler_matches_pure_function_and_is_order_insensitive():
     walk = RandomWalkProcess(start=1.0, step_sigma=0.5, seed=3)
     spec = ObjectSpec(id="o1", vi=10, update_period=5, value_process=walk)
-    forward = ValueSampler(7, [spec])
-    values_fwd = [forward.sample("o1", t) for t in (0, 5, 10, 15, 20)]
-    backward = ValueSampler(7, [spec])
-    values_bwd = [backward.sample("o1", t) for t in (20, 15, 10, 5, 0)][::-1]
+    forward = ValueSampler(7, spec)
+    values_fwd = [forward.sample(t) for t in (0, 5, 10, 15, 20)]
+    backward = ValueSampler(7, spec)
+    values_bwd = [backward.sample(t) for t in (20, 15, 10, 5, 0)][::-1]
     assert values_fwd == values_bwd
     assert values_fwd[3] == walk.value_at(15, 3, run_seed=7, object_id="o1")
 
@@ -107,18 +107,18 @@ def test_sampler_matches_pure_function_and_is_order_insensitive():
 def test_sampler_walk_steps_on_declared_grid():
     walk = RandomWalkProcess(start=0.0, step_sigma=1.0, seed=0)
     spec = ObjectSpec(id="o1", vi=10, update_period=5, value_process=walk)
-    sampler = ValueSampler(1, [spec])
-    assert sampler.sample("o1", 0) == sampler.sample("o1", 4)
-    assert sampler.sample("o1", 5) != sampler.sample("o1", 4)
+    sampler = ValueSampler(1, spec)
+    assert sampler.sample(0) == sampler.sample(4)
+    assert sampler.sample(5) != sampler.sample(4)
 
 
 def test_sampler_memory_does_not_grow_with_the_ordinal():
     walk = RandomWalkProcess(start=0.0, step_sigma=1.0, seed=2)
     spec = ObjectSpec(id="o1", vi=10, update_period=1, value_process=walk)
-    sampler = ValueSampler(5, [spec])
+    sampler = ValueSampler(5, spec)
     tracemalloc.start()
     try:
-        value = sampler.sample("o1", 20_000)
+        value = sampler.sample(20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -138,7 +138,7 @@ def test_samplers_sharing_a_walk_table_each_read_their_own_walk():
     for seed, oid, kwargs in walks:
         walk = RandomWalkProcess(**kwargs)
         spec = ObjectSpec(id=oid, vi=10, update_period=5, value_process=walk)
-        samplers.append((ValueSampler(seed, [spec], table), seed, oid, walk))
+        samplers.append((ValueSampler(seed, spec, table), seed, oid, walk))
     ticks = list(range(0, 100, 5))
     orders = [ticks, ticks[::-1], ticks[::2] + ticks[-1::-2], ticks[1::3] + ticks]
     # the samplers but the last take turns, each asking in its own order
@@ -149,22 +149,23 @@ def test_samplers_sharing_a_walk_table_each_read_their_own_walk():
     asks += [(samplers[-1], t) for t in range(0, 200, 5)]
     asks += [(samplers[0], t) for t in (195, 0, 150)]
     for (sampler, seed, oid, walk), t in asks:
-        assert sampler.sample(oid, t) == walk.value_at(
+        assert sampler.sample(t) == walk.value_at(
             t, t // 5, run_seed=seed, object_id=oid), (seed, oid, walk, t)
     assert len(table) == len(walks) - 1
     assert len(table[7, 3, "o1", 1.0, 0.5]) == 40
 
 
 def test_samplers_sharing_a_table_serve_out_of_order_samples_past_its_end():
-    # each sampler serves a walk it has read from the table up to its end,
-    # and extends the table past it; the other sampler then reads the
-    # extension through its own entry
+    # each run's sampler serves a walk it has read from the table up to its
+    # end, and extends the table past it; the other run's sampler of the
+    # object then reads the extension through its own list
     walks = {"a": (RandomWalkProcess(start=1.0, step_sigma=0.5, seed=3), 4),
              "b": (RandomWalkProcess(start=-2.0, step_sigma=1.5, seed=1), 7)}
     specs = [ObjectSpec(id=oid, vi=10, update_period=period, value_process=walk)
              for oid, (walk, period) in walks.items()]
     table = {}
-    samplers = [ValueSampler(9, specs, table), ValueSampler(9, specs, table)]
+    samplers = [{spec.id: ValueSampler(9, spec, table) for spec in specs}
+                for _ in range(2)]
     rng = random.Random(4)
     reach = 30
     served = Counter()
@@ -174,15 +175,16 @@ def test_samplers_sharing_a_table_serve_out_of_order_samples_past_its_end():
         walk, period = walks[oid]
         values = table.get((9, walk.seed, oid, walk.start, walk.step_sigma), ())
         served[i, t // period < len(values)] += 1
-        assert samplers[i].sample(oid, t) == walk.value_at(
+        assert samplers[i][oid].sample(t) == walk.value_at(
             t, t // period, run_seed=9, object_id=oid), (i, oid, t)
     assert len(table) == 2
     assert min(served[i, in_table] for i in (0, 1) for in_table in (False, True)) > 10
 
 
-def _walk_fleet(horizon):
+def _walk_fleet(horizon, retrieval_mode="store"):
     """Random walks updated periodically, one of them on a stretched grid
-    (elastic), and one store reader of each: every sample is an update's."""
+    (elastic), and one reader of each. A store reader samples nothing, so
+    every sample is an update's; a source reader samples at each access."""
     walk = {"kind": "randomwalk", "start": 1.0, "step_sigma": 0.5}
     objects = [{"id": oid, "vi": 2 * period, "period": period, "cost": 1,
                 "process": {**walk, "seed": i}, "policy": policy}
@@ -190,10 +192,11 @@ def _walk_fleet(horizon):
                    ("a", 4, {"kind": "periodic"}),
                    ("b", 6, {"kind": "elastic", "target_utilization": 0.55}),
                    ("c", 5, {"kind": "similarity", "delta": 0.3})))]
-    txns = [{"id": f"t{i}", "read_set": [o["id"]], "retrieval": {o["id"]: 0},
+    txns = [{"id": f"t{i}", "read_set": [o["id"]],
+             "retrieval": {o["id"]: 0 if retrieval_mode == "store" else 1},
              "analysis": {o["id"]: 2}, "deadline": 12,
              "arrival": {"kind": "periodic", "start": 1, "period": 9},
-             "retrieval_mode": "store"} for i, o in enumerate(objects)]
+             "retrieval_mode": retrieval_mode} for i, o in enumerate(objects)]
     return config_from_dict({"name": "walks", "horizon": horizon,
                              "mode": "multiversion", "enforce_admission": False,
                              "seed": 11, "objects": objects, "transactions": txns})
@@ -218,12 +221,11 @@ def test_a_run_without_walks_registers_no_table_entry():
     records = []
     sim = Simulator(cfg, sink=records.extend)
     sim.run()
-    assert sim.sampler._table == {}
-    assert all(stream.walk is None for stream in sim._streams.values())
+    assert all(stream.sampler.values is None for stream in sim._streams.values())
     assert _decisions_match_value_at(cfg, records) > 100
 
 
-def test_stream_bound_samples_match_value_at_inside_and_past_a_shared_table():
+def test_stream_bound_samples_match_value_at_inside_and_past_a_shared_table(monkeypatch):
     # the first run fills the table up to 200; the second reads it there
     # through its streams and extends it past its end
     walks = {}
@@ -235,18 +237,18 @@ def test_stream_bound_samples_match_value_at_inside_and_past_a_shared_table():
     records = []
     sim = Simulator(long, sink=records.extend, walks=walks)
     asked = set()  # the (object id, t) of each `sample` call
-    sample = sim.sampler.sample
+    sample = ValueSampler.sample
 
-    def counted(object_id, t):
-        asked.add((object_id, t))
-        return sample(object_id, t)
+    def counted(sampler, t):
+        asked.add((sampler.object_id, t))
+        return sample(sampler, t)
 
-    sim.sampler.sample = counted
+    monkeypatch.setattr(ValueSampler, "sample", counted)
     sim.run()
     # b releases on a stretched grid, indexed by its declared period
-    assert sim._streams["b"].period > sim._streams["b"].walk_period == 6
+    assert sim._streams["b"].period > sim._streams["b"].sampler.period == 6
     tables = {key[2]: values for key, values in walks.items()}
-    assert all(stream.walk is tables[oid] for oid, stream in sim._streams.items())
+    assert all(stream.sampler.values is tables[oid] for oid, stream in sim._streams.items())
     assert _decisions_match_value_at(long, records) > 150
     specs = {o.id: o for o in long.objects}
     inside = past = 0
@@ -258,6 +260,33 @@ def test_stream_bound_samples_match_value_at_inside_and_past_a_shared_table():
             inside += in_table
             past += not in_table
     assert inside > 50 and past > 50
+
+
+def test_a_walk_steps_once_per_ordinal_with_and_without_a_table(monkeypatch):
+    # a sampler that forgot its cursor, or a table that kept no step, would
+    # walk again from the start and still give the right values; only the
+    # number of steps tells
+    steps = count_walk_steps(monkeypatch)
+    cfg = _walk_fleet(400, "source")
+    specs = {o.id: o for o in cfg.objects}
+    walks = {}
+    taken = []
+    for table in (None, walks, walks):
+        records = []
+        before = steps["steps"]
+        Simulator(cfg, sink=records.extend, walks=table).run()
+        taken.append(steps["steps"] - before)
+    reach = Counter()  # object id -> the largest ordinal sampled
+    sources = 0
+    for t, kind, subject, detail in records:
+        if kind == "access" and detail["via"] == "source":
+            subject = detail["object"]
+            sources += 1
+        elif kind != "update_decision":
+            continue
+        reach[subject] = max(reach[subject], t // specs[subject].update_period)
+    assert sorted(reach) == ["a", "b", "c"] and sources > 50
+    assert taken == [sum(reach.values()), sum(reach.values()), 0]
 
 
 # -- builtin hash and quantile ---------------------------------------------------
@@ -366,9 +395,9 @@ def _walk_values(module) -> list[float]:
     from the workload module `module`."""
     walk = module.RandomWalkProcess(start=2.5, step_sigma=0.7, seed=4)
     spec = ObjectSpec(id="\u00f6bj", vi=10, update_period=3, value_process=walk)
-    sampler = module.ValueSampler(11, [spec])
+    sampler = module.ValueSampler(11, spec)
     return ([walk.value_at(0, i, 11, spec.id) for i in range(0, 300, 7)]
-            + [sampler.sample(spec.id, t) for t in range(0, 3000, 5)])
+            + [sampler.sample(t) for t in range(0, 3000, 5)])
 
 
 def test_workload_without_the_builtin_modules_is_the_fallback(monkeypatch):
