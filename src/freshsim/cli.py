@@ -22,6 +22,8 @@ feasibility failure, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import json
 import os
 import re
@@ -328,19 +330,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ClosedStdout(io.TextIOBase):
+    """sys.stdout while fd 1 is closed, which the interpreter leaves None and
+    print() skips: a write fails as one to an unwritable --csv file does."""
+
+    def write(self, text: str) -> int:
+        raise ConfigError([("stdout", os.strerror(errno.EBADF))])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "compare" and not (args.modes or args.policies):
         print("compare: need --modes and/or --policies", file=sys.stderr)
         return EXIT_RUNTIME
+    stdout = sys.stdout
+    if stdout is None:
+        sys.stdout = _ClosedStdout()
     try:
         code = args.func(args)
         # what stdout still buffers is written here, where a closed pipe
-        # is reported, not at the interpreter's exit; stdout is None when
-        # fd 1 was closed at start
-        if sys.stdout is not None:
-            sys.stdout.flush()
+        # is reported, not at the interpreter's exit
+        sys.stdout.flush()
         return code
     except ConfigError as e:
         for path, msg in e.errors:
@@ -349,8 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except BrokenPipeError as e:
         # an output that cannot be written, as an unwritable --csv file is;
-        # fd 1 then takes the rest of the buffer, which the interpreter
-        # flushes at exit, to os.devnull
+        # the rest of the buffer, flushed at exit, goes to os.devnull
         print(f"error: stdout: {e.strerror}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)
@@ -359,6 +369,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -97,7 +97,10 @@ class EventQueue:
 class TxnInstance:
     """Runtime state of one released transaction instance. Instances compare
     by identity, so the store's pin holders and the wait lists hold them
-    directly."""
+    directly. `expired` maps each object whose expiry restarted the instance
+    to the seq of the last version that expired, 0 for a source sample: a
+    `store` reader never re-pins that version (seqs only grow), and a
+    `store_then_source` reader acquires the object from the source."""
 
     inst_id: str
     spec: UserTxnSpec
@@ -109,12 +112,7 @@ class TxnInstance:
     # object id -> the version read: pinned in the store, or a source sample;
     # once the cursor object is in it, its analysis is next
     accesses: dict[str, Version] = field(default_factory=dict)
-    # object id -> the seq of the last version this instance was expired
-    # off: never re-pinned. Only the newest version is served and seqs only
-    # grow, so no earlier expired version can be served again
-    burned: dict[str, int] = field(default_factory=dict)
-    # objects this instance now acquires from the source after a vi restart
-    source_only: set[str] = field(default_factory=set)
+    expired: dict[str, int] = field(default_factory=dict)
 
     def current_object(self) -> str:
         return self.spec.read_set[self.cursor]
@@ -357,10 +355,7 @@ class Simulator:
         """Abort and reissue from the first object: the whole read set is
         reacquired and reanalyzed. `version` is the read that caused it."""
         if cause == "vi_expiry":
-            if version.seq:
-                inst.burned[version.object_id] = version.seq
-            if inst.spec.retrieval_mode == "store_then_source":
-                inst.source_only.add(version.object_id)
+            inst.expired[version.object_id] = version.seq
         self._batch.append((t, "restart", inst.inst_id,
                             {"cause": cause, "object": version.object_id}))
         self._release_pins(inst, t)
@@ -508,9 +503,11 @@ class Simulator:
             self._run_segment(inst, ANALYZING, t + inst.spec.analysis_time[obj])
             return
 
-        mode = "source" if obj in inst.source_only else inst.spec.retrieval_mode
+        mode = inst.spec.retrieval_mode
+        if obj in inst.expired and mode == "store_then_source":
+            mode = "source"
         if mode != "source":
-            version = self.store.read_latest(obj, t, inst, inst.burned.get(obj, 0))
+            version = self.store.read_latest(obj, t, inst, inst.expired.get(obj, 0))
             if version is not None:
                 self._acquire(inst, t, version, "store")
                 self._run_segment(inst, ANALYZING, t + inst.spec.analysis_time[obj])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 
@@ -62,11 +63,14 @@ class TxnClassStats(StalenessStats):
 
 @dataclass
 class ObjectStats(StalenessStats):
+    """One object's figures; `live_versions`, its chain's length, has no CSV column."""
+
     updates_performed: int = 0
     updates_skipped: int = 0
     max_sink_error: float = 0.0
     peak_live_versions: int = 0
     stale_at_commit: int = 0
+    live_versions: int = 0
 
 
 @dataclass
@@ -96,68 +100,51 @@ class MetricsReport:
 class MetricsAggregator:
     """Consumes trace records in time order, one batch (a list of records)
     per `record` call; finalize() is idempotent. A run's records give the
-    same report however they are split into batches.
+    same report however they are split into batches. `record` is the one
+    place that branches on a record's kind. `per_class` and `per_object`
+    are defaultdicts, so reading a missing key creates its stats.
 
-    An object's live versions are +1 per `install` and -`reclaimed` per `gc`.
-    An install is followed by the `gc` of the version it reclaimed, or by
-    its holders' restarts and their sweeps, so its peak sample is due at the
-    first later record that is neither a `restart` nor a `gc`, or at
+    An object's `live_versions` is +1 per `install` and -`reclaimed` per
+    `gc`. An install is followed by the `gc` of the version it reclaimed,
+    or by its holders' restarts and their sweeps, so its peak sample is due
+    at the first later record that is neither a `restart` nor a `gc`, or at
     finalize(): it counts only coexisting versions."""
 
     def __init__(self):
         self._last_t: Tick = 0
-        self._live: dict[str, int] = {}  # object id -> versions in its chain
-        self._pending: str | None = None  # the object whose peak sample is due
+        self._pending: ObjectStats | None = None  # the object whose peak sample is due
         # in-flight instance id -> the stats of its class; an instance is
         # forgotten at its commit or miss
         self._class_of: dict[str, TxnClassStats] = {}
-        self.per_class: dict[str, TxnClassStats] = {}
-        self.per_object: dict[str, ObjectStats] = {}
+        self.per_class: defaultdict[str, TxnClassStats] = defaultdict(TxnClassStats)
+        self.per_object: defaultdict[str, ObjectStats] = defaultdict(ObjectStats)
         self.rejected: list[str] = []
 
-    def _cls(self, name: str) -> TxnClassStats:
-        stats = self.per_class.get(name)
-        if stats is None:
-            stats = self.per_class[name] = TxnClassStats()
-        return stats
-
-    def _obj(self, name: str) -> ObjectStats:
-        stats = self.per_object.get(name)
-        if stats is None:
-            stats = self.per_object[name] = ObjectStats()
-        return stats
-
     def record(self, records: list[tuple]) -> None:
-        """Merge `records`, the run's next records in order. The kinds most
-        records have are handled here; the others through _ON_KIND."""
+        """Merge `records`, the run's next records in order. The kinds are tested
+        most frequent first; a `gc` before the peak sample that it defers."""
         last_t = self._last_t
         pending = self._pending
-        live = self._live
+        class_of = self._class_of
         per_object = self.per_object
         try:
             for t, kind, subject, detail in records:
                 if t < last_t:
-                    raise SimInternalError(
-                        f"trace record out of order: {t} after {last_t}")
+                    raise SimInternalError(f"trace record out of order: {t} after {last_t}")
                 last_t = t
                 if kind == "gc":
-                    live[subject] -= detail["reclaimed"]
+                    per_object[subject].live_versions -= detail["reclaimed"]
                     continue
                 if pending is not None and kind != "restart":
                     # the install's peak sample
-                    obj = per_object.get(pending)
-                    if obj is None:
-                        obj = self._obj(pending)
-                    if live[pending] > obj.peak_live_versions:
-                        obj.peak_live_versions = live[pending]
+                    if pending.live_versions > pending.peak_live_versions:
+                        pending.peak_live_versions = pending.live_versions
                     pending = None
                 if kind == "install":
-                    live[subject] = live.get(subject, 0) + 1
-                    pending = subject
+                    pending = per_object[subject]
+                    pending.live_versions += 1
                 elif kind == "update_decision":
-                    obj = per_object.get(subject)
-                    if obj is None:
-                        obj = self._obj(subject)
+                    obj = per_object[subject]
                     if detail["decision"] in PERFORMED:
                         obj.updates_performed += 1
                     else:
@@ -167,50 +154,37 @@ class MetricsAggregator:
                         error = abs(detail["sampled"] - detail["sink_value"])
                         if error > obj.max_sink_error:
                             obj.max_sink_error = error
-                else:
-                    on_kind = _ON_KIND.get(kind)
-                    if on_kind is not None:
-                        on_kind(self, subject, detail)
+                elif kind == "access":
+                    staleness = detail["staleness"]
+                    class_of[subject].merge_access(staleness)
+                    per_object[detail["object"]].merge_access(staleness)
+                elif kind == "txn_released":
+                    cls = class_of[subject] = self.per_class[detail["class"]]
+                    cls.released += 1
+                elif kind == "commit":
+                    cls = class_of.pop(subject)
+                    cls.committed += 1
+                    if detail.get("stale_at_commit"):
+                        cls.stale_at_commit += 1
+                        for obj_id in detail.get("stale_objects", ()):
+                            per_object[obj_id].stale_at_commit += 1
+                elif kind == "restart":
+                    cls = class_of[subject]
+                    cls.restarts += 1
+                    if detail["cause"] == "vi_expiry":
+                        cls.vi_restarts += 1
+                elif kind == "miss":
+                    class_of.pop(subject).missed += 1
+                elif kind == "txn_rejected":
+                    self.rejected.append(subject)
         finally:
             self._last_t = last_t
             self._pending = pending
 
-    def _on_released(self, subject: str, detail: dict) -> None:
-        cls = self._class_of[subject] = self._cls(detail["class"])
-        cls.released += 1
-
-    def _on_rejected(self, subject: str, detail: dict) -> None:
-        self.rejected.append(subject)
-
-    def _on_access(self, subject: str, detail: dict) -> None:
-        staleness = detail["staleness"]
-        self._class_of[subject].merge_access(staleness)
-        self._obj(detail["object"]).merge_access(staleness)
-
-    def _on_restart(self, subject: str, detail: dict) -> None:
-        cls = self._class_of[subject]
-        cls.restarts += 1
-        if detail["cause"] == "vi_expiry":
-            cls.vi_restarts += 1
-
-    def _on_commit(self, subject: str, detail: dict) -> None:
-        cls = self._class_of.pop(subject)
-        cls.committed += 1
-        if detail.get("stale_at_commit"):
-            cls.stale_at_commit += 1
-            for obj_id in detail.get("stale_objects", ()):
-                self._obj(obj_id).stale_at_commit += 1
-
-    def _on_miss(self, subject: str, detail: dict) -> None:
-        self._class_of.pop(subject).missed += 1
-
     def finalize(self) -> MetricsReport:
-        pending = self._pending
-        if pending is not None:
-            # the peak sample of the run's last install
-            obj = self._obj(pending)
-            obj.peak_live_versions = max(obj.peak_live_versions, self._live[pending])
-            self._pending = None
+        pending, self._pending = self._pending, None
+        if pending is not None:  # the peak sample of the run's last install
+            pending.peak_live_versions = max(pending.peak_live_versions, pending.live_versions)
         # the run-wide totals: each count is the sum over classes
         classes = self.per_class.values()
         overall = TxnClassStats(**{f.name: sum(getattr(c, f.name) for c in classes)
@@ -222,18 +196,6 @@ class MetricsAggregator:
             per_object=dict(sorted(self.per_object.items())),
             rejected=list(self.rejected),
         )
-
-
-# record handlers of the aggregator, by record kind; `record` itself handles
-# `gc`, `install` and `update_decision`
-_ON_KIND = {
-    "txn_released": MetricsAggregator._on_released,
-    "txn_rejected": MetricsAggregator._on_rejected,
-    "access": MetricsAggregator._on_access,
-    "restart": MetricsAggregator._on_restart,
-    "commit": MetricsAggregator._on_commit,
-    "miss": MetricsAggregator._on_miss,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ _CLAMPED = "f53aadd Cut compare's per-variant overhead and dispatch records by k
 _DURATION_RANGE = ("201e635 Derive peak live versions from install/gc records; drop the "
                    "store's counters")
 _SAMPLER = "one ValueSampler per object, kept on its update stream"
+_ONE_LOOP = ("one record loop in the metrics aggregator, the live count on ObjectStats, "
+             "and one map of an instance's expired objects")
+_SEED = "ed4822d Initial commit"
 _OVERALL = ("e8cc685 Cut the per-record work around the engine: compare drops its value sink, "
             "shared walks take one lookup, TraceLines encodes a batch in a few calls")
 
@@ -184,8 +187,8 @@ MUTANTS = (
            ("tests/test_engine.py::test_superseded_version_restarts_every_classical_"
             "holder_in_pin_order",)),
     Mutant("aggregator-never-forgets-a-commit", "metrics.py",
-           "cls = self._class_of.pop(subject)",
-           "cls = self._class_of[subject]",
+           "cls = class_of.pop(subject)",
+           "cls = class_of[subject]",
            _AGGREGATOR,
            ("tests/test_metrics_cli.py::test_aggregator_keeps_only_in_flight_instances",)),
     Mutant("gc-reclaims-pinned-versions", "store.py",
@@ -247,6 +250,46 @@ MUTANTS = (
            _SAMPLER,
            ("tests/test_workload.py::test_stream_bound_samples_match_value_at_inside_"
             "and_past_a_shared_table",)),
+    Mutant("peak-sampled-at-a-restart", "metrics.py",
+           'if pending is not None and kind != "restart":',
+           "if pending is not None:",
+           _ONE_LOOP,
+           ("tests/test_metrics_cli.py::test_peak_live_versions_waits_for_the_sweeps_"
+            "after_an_install",)),
+    Mutant("vi-restarts-count-every-cause", "metrics.py",
+           'if detail["cause"] == "vi_expiry":',
+           "if True:",
+           _ONE_LOOP,
+           ("tests/test_worked_trace.py::test_classical_worked_trace",)),
+    Mutant("gc-leaves-the-live-count", "metrics.py",
+           'per_object[subject].live_versions -= detail["reclaimed"]',
+           "pass",
+           _ONE_LOOP,
+           ("tests/test_metrics_cli.py::test_peak_live_versions_counts_coexisting_versions",)),
+    Mutant("expired-sends-store-readers-to-the-source", "engine.py",
+           'if obj in inst.expired and mode == "store_then_source":',
+           "if obj in inst.expired:",
+           _ONE_LOOP,
+           ("tests/test_oracle_equivalence.py::test_engine_matches_oracle_classical_only",)),
+    Mutant("expired-skips-source-samples", "engine.py",
+           "            inst.expired[version.object_id] = version.seq\n",
+           "            if version.seq:\n"
+           "                inst.expired[version.object_id] = version.seq\n",
+           _ONE_LOOP,
+           ("tests/test_oracle_equivalence.py::test_engine_matches_oracle_classical_only",)),
+    Mutant("missing-analysis-time-unreported", "core.py",
+           'errors.append((f"{path}.analysis", f"missing analysis time for {oid!r}"))',
+           "pass",
+           _SEED,
+           ("tests/test_core.py::test_a_read_set_object_needs_a_retrieval_and_an_"
+            "analysis_time",)),
+    Mutant("non-object-top-level-accepted", "workload.py",
+           '    if not isinstance(doc, dict):\n'
+           '        raise ConfigError([("$", "top level must be an object")])\n',
+           "",
+           _SEED,
+           ("tests/test_workload.py::test_a_top_level_that_is_not_an_object_is_rejected[[]]",
+            "tests/test_workload.py::test_a_top_level_that_is_not_an_object_is_rejected[null]")),
     # regressions: each brings back a fault that an earlier change mended
     Mutant("uniform-draw-left-unclamped", "workload.py",
            "return u if u < 1.0 else _BELOW_ONE",

@@ -144,3 +144,13 @@ def test_store_mode_allows_zero_retrieval_time():
     assert errors == [("transactions[0].retrieval[o1]",
                        "retrieval time must be > 0 for source acquisition",
                        "transactions[0].retrieval_mode")]
+
+
+def test_a_read_set_object_needs_a_retrieval_and_an_analysis_time():
+    # each missing time is named at its map, with the object it lacks
+    for retrieval, analysis, expected in (
+            ({"o1": 1}, {}, ("transactions[0].analysis", "missing analysis time for 'o1'")),
+            ({}, {"o1": 1}, ("transactions[0].retrieval", "missing retrieval time for 'o1'"))):
+        errors = []
+        _txn(["o1"], retrieval, analysis).validate("transactions[0]", {"o1"}, errors)
+        assert errors == [expected]

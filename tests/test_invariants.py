@@ -120,7 +120,9 @@ class CheckedSimulator(Simulator):
                     assert inst.accesses.get(object_id) is version, (
                         f"{inst.inst_id} pins {object_id}#{version.seq} "
                         f"outside its accesses {where}")
-            assert self.metrics._live.get(object_id, 0) == len(chain), (
+            # .get: a missing key of the defaultdict would be created
+            stats = self.metrics.per_object.get(object_id)
+            assert (stats.live_versions if stats else 0) == len(chain), (
                 f"live versions of {object_id} counted from the records {where}")
         for inst in self.unfinished.values():
             for object_id, version in inst.accesses.items():

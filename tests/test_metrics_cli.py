@@ -197,7 +197,7 @@ def test_peak_live_versions_counts_coexisting_versions():
     agg.record([(11, "commit", "t1#0", {"stale_at_commit": False, "stale_objects": []})])
     agg.record([(12, "commit", "t1#1", {"stale_at_commit": False, "stale_objects": []})])
     agg.record([(12, "gc", "o1", {"reclaimed": 1})])
-    assert agg._live == {"o1": 1}
+    assert {oid: o.live_versions for oid, o in agg.per_object.items()} == {"o1": 1}
     assert agg.finalize().per_object["o1"].peak_live_versions == 2
 
 
@@ -916,6 +916,33 @@ def test_a_closed_stdout_is_an_unwritable_output(tmp_path, command):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, "error: stdout: Broken pipe\n")
+
+
+_CLOSED = "error: stdout: Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("command, code, stderr", [
+    (["run"], 1, _CLOSED),
+    (["run", "--csv", "out.csv"], 1, _CLOSED),
+    (["check"], 1, _CLOSED),
+    (["compare", "--modes", "classical,multiversion", "--csv", "out.csv"], 0, ""),
+], ids=["run", "run-csv", "check", "compare-csv"])
+def test_a_stdout_closed_at_start_is_an_unwritable_output(tmp_path, command, code, stderr):
+    # fd 1 is closed before the command starts, so sys.stdout is None: a
+    # command with output for stdout fails at its first write, and one with
+    # nothing for it is unaffected. The config is feasible, so check would
+    # exit 0 if its report were written
+    doc = json.loads(json.dumps(CONFIG_INFEASIBLE))
+    doc["objects"][0]["vi"] = 10
+    path = write_config(tmp_path, doc)
+    src = Path(freshsim.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                           "freshsim", command[0], path, *command[1:]],
+                          stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    if "--csv" in command:
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8").startswith(CSV_HEADER)
 
 
 def test_cli_sweep_leaves_the_loaded_document_as_it_was(tmp_path, monkeypatch):

@@ -687,6 +687,13 @@ def test_syntax_error_reports_location():
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["[]", "null", "3", '"{}"'])
+def test_a_top_level_that_is_not_an_object_is_rejected(text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == [("$", "top level must be an object")]
+
+
 def test_retrieval_shorthand_expands_to_map():
     d = doc()
     d["transactions"][0]["retrieval"] = 2
